@@ -280,8 +280,9 @@ def maximize_over_atoms(
         eq_rhs.extend(extra_eq[1])
 
     rounds = 0
+    res = None
     for rounds in range(1, max_rounds + 1):
-        res = simplex.solve_lp(objective, rows, rhs, eq_rows, eq_rhs, lb, ub)
+        res = simplex.solve_lp(objective, rows, rhs, eq_rows, eq_rhs, lb, ub, warm=res)
         if res.status == "infeasible":
             return OptResult("infeasible", -math.inf, None, None, False, rounds)
         if res.status != "optimal":
@@ -345,8 +346,9 @@ def feasibility_gap(
     obj[gidx] = -1.0  # maximize -gap
     lb = np.array([max(v[1], -box_radius) for v in variables] + [0.0])
     ub = np.array([min(v[2], box_radius) for v in variables] + [1e6])
+    res = None
     for _ in range(200):
-        res = simplex.solve_lp(obj, rows, rhs, None, None, lb, ub)
+        res = simplex.solve_lp(obj, rows, rhs, None, None, lb, ub, warm=res)
         if res.status == "infeasible":
             return math.inf, None
         if res.status != "optimal":

@@ -233,6 +233,7 @@ def main(argv=None) -> int:
         sets.BasePointNotInSet,
         sets.UnboundedDirection,
         sets.NotPolyhedral,
+        ArithmeticError,
         OSError,
         ValueError,
     ) as exc:

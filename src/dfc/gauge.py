@@ -374,8 +374,9 @@ def _polar_gauge(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
     rows: list[np.ndarray] = []
     rhs: list[float] = []
     lb, ub = np.full(n, -cap), np.full(n, cap)
+    res = None
     for _ in range(5000):
-        res = simplex.solve_lp(w, rows, rhs, None, None, lb, ub)
+        res = simplex.solve_lp(w, rows, rhs, None, None, lb, ub, warm=res)
         if res.status != "optimal":
             raise ArithmeticError("polar gauge master problem failed")
         q = res.x

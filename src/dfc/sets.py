@@ -75,7 +75,7 @@ def _mat(rows) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(v) for v in row) for row in arr)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _arr(t) -> np.ndarray:
     a = np.array(t, dtype=float)
     a.setflags(write=False)

@@ -1,189 +1,270 @@
-"""Dense two-phase tableau simplex for small cut-master problems.
+"""Bounded-variable dual simplex for small cut-master problems, with warm starts.
 
-Solves max c.x subject to G x <= h, A x = b and finite box bounds lb <= x <= ub.
-Every variable must carry finite bounds; the callers in this package always
-optimize inside an explicit box, which keeps phase 2 bounded and the tableau
-well scaled at desk size (tens of variables, at most a few hundred rows).
+Solves max c.x (or min) subject to G x <= h, A x = b and finite box bounds
+lb <= x <= ub on a dense tableau.  Every variable must carry finite bounds;
+the callers in this package always optimize inside an explicit box, which
+keeps every LP bounded and the tableau well scaled at desk size (tens of
+variables, at most a few hundred rows).
 
-Pivoting is Dantzig's rule with a switch to Bland's rule after a stall
-threshold, so cycling cannot run away on degenerate masters.
+Algorithm.  Row i gets a slack s_i = h_i - G_i x in [0, inf), or
+s_i = b_i - A_i x fixed to [0, 0] for an equality row.  Variable bounds are
+kept implicitly: a nonbasic variable sits at one of its bounds, so the
+tableau has one row per constraint and none per bound.  The start basis is
+all slacks, with each x_j at the bound its objective coefficient favours.
+Since every bound is finite, that basis is dual feasible and no phase 1 is
+needed; dual pivots (Chvatal 1983, ch. 10) then move the basic variables
+into their bounds while keeping the reduced costs optimal.  The leaving row
+is the most violated one (Dantzig's rule, ties to the larger pivot); after a
+stall threshold both choices switch to smallest index (Bland's rule), so
+cycling cannot run away on degenerate masters.
+
+Infeasibility.  A violated row that no nonbasic variable can move proves the
+LP infeasible.  The result's ``residual`` is then the minimum total row
+violation over the box, sum (G x - h)+ + sum |A x - b|, taken from an
+always-feasible elastic LP.  A residual within 1e-7 of the instance's scale
+is a rounding artefact: that row counts as satisfied and the solve goes on.
+Crossed bounds are infeasible with residual max(lb - ub).
+
+Warm start.  ``solve_lp(..., warm=prev)`` takes an earlier optimal result.
+When c, lb, ub, A_eq, b_eq and ``maximize`` are unchanged and G, h begin
+with the rows ``prev`` solved, the appended rows are reduced against
+``prev``'s final basis (basic columns eliminated) with their slacks basic.
+That basis is still dual feasible, so dual pivots restore primal
+feasibility, typically in a few pivots.  This is the cutting-plane pattern
+(Kelley 1960): each round appends cuts to the last LP.  In every other case
+the call solves from scratch.  Warm and cold solves reach the same optimal
+value; when the optimum is not unique they may return different optimal
+vertices.  ``prev`` itself is never modified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-_EPS = 1e-9
+_EPS = 1e-9  # pivot size, reduced-cost sign and primal feasibility tolerance
+_INFEAS_TOL = 1e-7  # residual, relative to the instance scale, that counts as feasible
 
 
 @dataclass
 class LPResult:
-    status: str  # optimal | infeasible | unbounded | stalled
+    status: str  # optimal | infeasible | stalled
     x: np.ndarray | None
     value: float
     residual: float = 0.0
+    # final tableau and the data it solved, for warm starts; optimal only
+    _warm: _Warm | None = field(default=None, repr=False, compare=False)
 
 
-def solve_lp(c, G, h, A_eq, b_eq, lb, ub, maximize: bool = True) -> LPResult:
-    c = np.asarray(c, dtype=float).reshape(-1)
+def solve_lp(
+    c, G, h, A_eq, b_eq, lb, ub, maximize: bool = True, warm: LPResult | None = None
+) -> LPResult:
+    c = np.array(c, dtype=float).reshape(-1)
     n = c.shape[0]
-    lb = np.asarray(lb, dtype=float).reshape(-1)
-    ub = np.asarray(ub, dtype=float).reshape(-1)
+    lb = np.array(lb, dtype=float).reshape(-1)
+    ub = np.array(ub, dtype=float).reshape(-1)
     if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(ub))):
         raise ValueError("solve_lp needs finite variable bounds")
     if np.any(ub < lb - 1e-12):
         return LPResult("infeasible", None, 0.0, float(np.max(lb - ub)))
+    G, h = _rows(G, h, n)
+    A, b = _rows(A_eq, b_eq, n)
 
-    rows = []
-    rhs = []
-    senses = []
-    if G is not None and len(G) > 0:
-        Gm = np.asarray(G, dtype=float).reshape(len(G), n)
-        hv = np.asarray(h, dtype=float).reshape(-1)
-        for i in range(Gm.shape[0]):
-            rows.append(Gm[i])
-            rhs.append(hv[i] - float(Gm[i] @ lb))
-            senses.append("le")
-    if A_eq is not None and len(A_eq) > 0:
-        Am = np.asarray(A_eq, dtype=float).reshape(len(A_eq), n)
-        bv = np.asarray(b_eq, dtype=float).reshape(-1)
-        for i in range(Am.shape[0]):
-            rows.append(Am[i])
-            rhs.append(bv[i] - float(Am[i] @ lb))
-            senses.append("eq")
-    # upper bounds as rows in the shifted frame 0 <= x' <= ub - lb
-    span = ub - lb
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        rows.append(e)
-        rhs.append(float(span[j]))
-        senses.append("le")
+    key = _key(c, A, b, lb, ub, maximize)
+    prev = warm._warm if warm is not None else None
+    if prev is not None and prev.resumes(key, G, h):
+        tab = prev.tab.extended(G[prev.rows :], h[prev.rows :])
+    else:
+        cost = -c if maximize else c  # the tableau minimizes
+        tab = _Tableau(np.vstack([G, A]), np.concatenate([h, b]), A.shape[0], cost, lb, ub)
 
-    m = len(rows)
-    A = np.array(rows) if m else np.zeros((0, n))
-    b = np.array(rhs) if m else np.zeros(0)
-
-    # normalize to b >= 0; count slack and artificial columns
-    n_slack = 0
-    n_art = 0
-    colplan = []  # per row: (sign, slack_col or None, art_col or None)
-    for i in range(m):
-        sign = 1.0
-        if b[i] < 0.0:
-            sign = -1.0
-        if senses[i] == "le":
-            if sign > 0:
-                colplan.append((sign, n_slack, None))
-                n_slack += 1
-            else:
-                colplan.append((sign, n_slack, n_art))
-                n_slack += 1
-                n_art += 1
-        else:
-            colplan.append((sign, None, n_art))
-            n_art += 1
-
-    ncols = n + n_slack + n_art
-    T = np.zeros((m, ncols + 1))
-    basis = np.empty(m, dtype=int)
-    for i in range(m):
-        sign, s_col, a_col = colplan[i]
-        T[i, :n] = sign * A[i]
-        T[i, -1] = sign * b[i]
-        if s_col is not None:
-            T[i, n + s_col] = sign  # slack enters with the row's sign
-        if a_col is not None:
-            T[i, n + n_slack + a_col] = 1.0
-            basis[i] = n + n_slack + a_col
-        else:
-            basis[i] = n + s_col
-
-    scale_b = 1.0 + float(np.max(np.abs(b), initial=0.0))
-
-    if n_art > 0:
-        obj = np.zeros(ncols)
-        obj[n + n_slack :] = 1.0
-        red = obj.copy()
-        # zero out reduced costs of the basic artificial columns
-        for i in range(m):
-            if basis[i] >= n + n_slack:
-                red -= T[i, :ncols]
-        status = _iterate(T, basis, red, allow=np.ones(ncols, dtype=bool))
-        if status != "optimal":
-            return LPResult("stalled", None, 0.0)
-        art_val = sum(T[i, -1] for i in range(m) if basis[i] >= n + n_slack)
-        if art_val > 1e-7 * scale_b:
-            return LPResult("infeasible", None, 0.0, float(art_val))
-        _drive_out_artificials(T, basis, n + n_slack)
-
-    # phase 2 on the original objective, artificial columns frozen
-    sense = -1.0 if maximize else 1.0  # tableau minimizes
-    red = np.zeros(ncols)
-    red[:n] = sense * c
-    for i in range(m):
-        if red[basis[i]] != 0.0:
-            red -= red[basis[i]] * T[i, :ncols]
-    allow = np.ones(ncols, dtype=bool)
-    allow[n + n_slack :] = False
-    status = _iterate(T, basis, red, allow)
-    if status == "unbounded":
-        return LPResult("unbounded", None, np.inf if maximize else -np.inf)
+    residual = None
+    tolerated = []
+    while True:
+        status, var = tab.optimize(tolerated)
+        if status != "blocked":
+            break
+        if residual is None:
+            residual = _min_violation(G, h, A, b, lb, ub)
+            scale = 1.0 + max(
+                float(np.max(np.abs(h - G @ lb), initial=0.0)),
+                float(np.max(np.abs(b - A @ lb), initial=0.0)),
+                float(np.max(ub - lb, initial=0.0)),
+            )
+            if residual > _INFEAS_TOL * scale:
+                return LPResult("infeasible", None, 0.0, residual)
+        tolerated.append(var)
     if status != "optimal":
         return LPResult("stalled", None, 0.0)
-
-    xs = np.zeros(ncols)
-    for i in range(m):
-        xs[basis[i]] = T[i, -1]
-    x = lb + xs[:n]
-    return LPResult("optimal", x, float(c @ x))
+    x = np.minimum(np.maximum(tab.xv[:n], lb), ub)
+    warm_next = _Warm(tab, key, len(h), G.tobytes(), h.tobytes())
+    return LPResult("optimal", x, float(c @ x), 0.0, warm_next)
 
 
-def _iterate(T, basis, red, allow) -> str:
-    m, ncols = T.shape[0], T.shape[1] - 1
-    stall_at = 5 * (m + ncols) + 50
-    max_iter = 40 * (m + ncols) + 200
-    for it in range(max_iter):
-        cand = np.where(allow & (red < -_EPS))[0]
-        if cand.size == 0:
-            return "optimal"
-        if it < stall_at:
-            j = cand[int(np.argmin(red[cand]))]
-        else:
-            j = int(cand[0])  # Bland
-        col = T[:, j]
-        pos = np.where(col > _EPS)[0]
-        if pos.size == 0:
-            return "unbounded"
-        ratios = T[pos, -1] / col[pos]
-        best = float(np.min(ratios))
-        ties = pos[np.where(ratios <= best + 1e-12)[0]]
-        r = int(ties[np.argmin(basis[ties])]) if ties.size > 1 else int(pos[int(np.argmin(ratios))])
-        piv = T[r, j]
-        T[r] /= piv
-        fac = T[:, j].copy()
-        fac[r] = 0.0
-        T -= np.outer(fac, T[r])
-        red -= red[j] * T[r, :ncols]
-        basis[r] = j
-    return "stalled"
+def _rows(M, r, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if M is None or len(M) == 0:
+        return np.zeros((0, n)), np.zeros(0)
+    return np.array(M, dtype=float).reshape(len(M), n), np.array(r, dtype=float).reshape(-1)
 
 
-def _drive_out_artificials(T, basis, art_start) -> None:
-    m = T.shape[0]
-    for i in range(m):
-        if basis[i] < art_start:
-            continue
-        row = T[i, :art_start]
-        nz = np.where(np.abs(row) > _EPS)[0]
-        if nz.size == 0:
-            continue  # redundant row; leave the artificial at value 0
-        j = int(nz[0])
-        piv = T[i, j]
-        T[i] /= piv
-        fac = T[:, j].copy()
-        fac[i] = 0.0
-        T -= np.outer(fac, T[i])
-        basis[i] = j
+class _Warm(NamedTuple):
+    tab: _Tableau
+    key: tuple  # maximize and the bytes of c, lb, ub, A_eq, b_eq
+    rows: int  # inequality rows solved, and their bytes
+    G: bytes
+    h: bytes
+
+    def resumes(self, key: tuple, G: np.ndarray, h: np.ndarray) -> bool:
+        """True when the new LP only appends inequality rows to this one."""
+        k = self.rows
+        return key == self.key and G[:k].tobytes() == self.G and h[:k].tobytes() == self.h
+
+
+def _key(c, A, b, lb, ub, maximize) -> tuple:
+    return (maximize, c.tobytes(), lb.tobytes(), ub.tobytes(), A.shape, A.tobytes(), b.tobytes())
+
+
+class _Tableau:
+    """B^-1 [M I] over n structural and m slack columns, with every value.
+
+    ``xv`` holds the current value of all n + m variables, basic or not, and
+    ``d`` the reduced costs of the minimization.  ``sgn`` is +1 for a
+    nonbasic variable at its lower bound, -1 at its upper bound, and 0 for a
+    basic or fixed one, which never enters.
+    """
+
+    __slots__ = ("T", "basis", "xv", "d", "lo", "hi", "sgn")
+
+    def __init__(self, M, rhs, n_eq, cost, lb, ub):
+        m, n = M.shape
+        self.T = T = np.zeros((m, n + m))
+        T[:, :n] = M
+        T[:, n:][np.diag_indices(m)] = 1.0
+        self.basis = np.arange(n, n + m)
+        up = cost < 0.0  # the bound the minimization favours
+        x = np.where(up, ub, lb)
+        self.xv = np.concatenate([x, rhs - M @ x])
+        self.d = np.concatenate([cost, np.zeros(m)])
+        self.lo = np.concatenate([lb, np.zeros(m)])
+        self.hi = np.concatenate([ub, np.full(m - n_eq, np.inf), np.zeros(n_eq)])
+        self.sgn = np.concatenate([np.where(lb < ub, np.where(up, -1.0, 1.0), 0.0), np.zeros(m)])
+
+    def extended(self, G_new: np.ndarray, h_new: np.ndarray) -> _Tableau:
+        """A copy with rows G_new x <= h_new appended, their slacks basic."""
+        k, n = G_new.shape
+        m, N = self.T.shape
+        new = object.__new__(_Tableau)
+        new.T = T = np.zeros((m + k, N + k))
+        T[:m, :N] = self.T
+        R = T[m:]
+        R[:, :n] = G_new
+        R[:, N:][np.diag_indices(k)] = 1.0
+        R[:, :N] -= R[:, self.basis] @ self.T
+        new.basis = np.concatenate([self.basis, np.arange(N, N + k)])
+        new.xv = np.concatenate([self.xv, h_new - G_new @ self.xv[:n]])
+        new.d = np.concatenate([self.d, np.zeros(k)])
+        new.lo = np.concatenate([self.lo, np.zeros(k)])
+        new.hi = np.concatenate([self.hi, np.full(k, np.inf)])
+        new.sgn = np.concatenate([self.sgn, np.zeros(k)])
+        return new
+
+    def optimize(self, tolerated=()) -> tuple[str, int]:
+        """Dual pivots until every basic variable not in ``tolerated`` is
+        within its bounds.  Returns ("optimal", -1), ("stalled", -1), or
+        ("blocked", j) when basic variable j violates a bound that no
+        entering variable can repair."""
+        T, basis, xv, d = self.T, self.basis, self.xv, self.d
+        lo, hi, sgn = self.lo, self.hi, self.sgn
+        m, N = T.shape
+        if m == 0:
+            return "optimal", -1
+        xb, lo_b, hi_b = xv[basis], lo[basis], hi[basis]
+        for j in tolerated:  # still basic: a tolerated variable never leaves
+            lo_b[basis == j] = -np.inf
+            hi_b[basis == j] = np.inf
+        stall_at = 5 * (m + N) + 50
+        status, leave = "stalled", -1
+        for it in range(40 * (m + N) + 200):
+            below = lo_b - xb
+            viol = np.maximum(below, xb - hi_b)
+            r = int(viol.argmax())
+            if viol[r] <= _EPS:
+                status, leave = "optimal", -1
+                break
+            if it >= stall_at:  # Bland: the violated basic variable of smallest index
+                rows = np.flatnonzero(viol > _EPS)
+                r = int(rows[basis[rows].argmin()])
+            leave = int(basis[r])
+            increase = below[r] > 0.0
+            alpha = T[r]
+            # entering candidates move x_B(r) toward its bound from theirs
+            s = sgn * alpha
+            cand = np.flatnonzero(s < -_EPS) if increase else np.flatnonzero(s > _EPS)
+            if cand.size == 0:
+                status = "blocked"
+                break
+            q = int(cand[0])
+            if cand.size > 1:
+                ratios = np.abs(d[cand] / alpha[cand])
+                ties = cand[ratios <= ratios.min() + 1e-12]
+                if ties.size > 1 and it < stall_at:
+                    q = int(ties[np.abs(alpha[ties]).argmax()])
+                else:
+                    q = int(ties[0])
+
+            target = lo_b[r] if increase else hi_b[r]
+            piv = alpha[q]
+            step = (xb[r] - target) / piv
+            col = T[:, q].copy()
+            xb -= step * col
+            xb[r] = xv[q] + step
+            xv[leave] = target
+            T[r] /= piv
+            col[r] = 0.0
+            T -= np.outer(col, T[r])
+            d -= d[q] * T[r]
+            d[q] = 0.0
+            basis[r] = q
+            lo_b[r], hi_b[r] = lo[q], hi[q]
+            sgn[q] = 0.0
+            if lo[leave] < hi[leave]:
+                sgn[leave] = 1.0 if increase else -1.0
+        xv[basis] = xb
+        return status, leave
+
+
+def _min_violation(G, h, A, b, lb, ub) -> float:
+    """min over lb <= x <= ub of sum (G x - h)+ + sum |A x - b|.
+
+    Elastic LP: G x - p <= h, A x - q + r = b, with p, q, r >= 0 capped at
+    the largest violation the box allows, so every bound stays finite and
+    the LP is always feasible.
+    """
+    mG, mE, n = G.shape[0], A.shape[0], lb.shape[0]
+
+    def reach(M, r):  # max over the box of M x - r, floored at 0
+        return np.maximum(np.maximum(M, 0.0) @ ub + np.minimum(M, 0.0) @ lb - r, 0.0)
+
+    k = mG + 2 * mE
+    M = np.zeros((mG + mE, n + k))
+    M[:mG, :n] = G
+    M[mG:, :n] = A
+    M[:, n : n + mG + mE][np.diag_indices(mG + mE)] = -1.0
+    M[mG:, n + mG + mE :][np.diag_indices(mE)] = 1.0
+    cost = np.concatenate([np.zeros(n), np.ones(k)])
+    tab = _Tableau(
+        M,
+        np.concatenate([h, b]),
+        mE,
+        cost,
+        np.concatenate([lb, np.zeros(k)]),
+        np.concatenate([ub, reach(G, h), reach(A, b), reach(-A, -b)]),
+    )
+    tolerated = []
+    status, var = tab.optimize()
+    while status == "blocked":  # rounding only: the elastic LP is feasible
+        tolerated.append(var)
+        status, var = tab.optimize(tolerated)
+    return max(float(cost @ tab.xv[: n + k]), 0.0)

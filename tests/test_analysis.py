@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from dfc import analysis, builders, gauge, sets
+from dfc import analysis, builders, cli, fixtures, gauge, model, sets
 from dfc.gauge import Aff, GaugePlus, Linear, Perspective, SOC
 
 SEED = 20240
@@ -201,6 +201,32 @@ def test_box_active_reported_for_unbounded_direction():
     res = analysis.maximize_over_atoms(compiled, np.ones(1))
     assert res.status == "optimal"
     assert res.box_active
+
+
+def test_cut_loop_converges_on_ex1_extended_stall_direction(tmp_path, capsys):
+    """A joint direction on which the ex1/extended relaxation's cut loop
+    once added one cut per round without converging (over a thousand
+    rounds), so `dfc analyze` of that check never finished for some seeds.
+    At the optimum the relaxation meets the embedded union support."""
+    spec = fixtures.load("ex1", "extended")
+    form = builders.build(spec)
+    d = np.array([0.7127, -0.1800, 0.6496, 0.1939])
+    n = len(form.x_names)
+    compiled = analysis.compile_relaxation(form)
+    obj = np.zeros(len(compiled.names))
+    for nm, v in zip(form.x_names + form.y_names, d):
+        obj[compiled.index[nm]] += v
+    res = analysis.maximize_over_atoms(compiled, obj, max_rounds=200)
+    assert res.status == "optimal"
+    bound = max(sets.support(S, d[:n]) + d[n + i] for i, S in enumerate(form.sets))
+    assert res.value == pytest.approx(bound, abs=1e-6)
+
+    inst = tmp_path / "ex1_extended.json"
+    inst.write_bytes(model.canonical_bytes(model.spec_doc(spec)))
+    argv = ["analyze", "--instance", str(inst), "--check", "ideal"]
+    argv += ["--directions", "64", "--seed", "1525291963"]
+    assert cli.main(argv) == 0
+    assert "ideal: not-refuted" in capsys.readouterr().out
 
 
 def test_feasibility_gap_measures_uniform_slack():

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import dfc
-from dfc import fixtures, model
+from dfc import analysis, fixtures, model, sets
 from dfc.cli import main
 
 SEED = 20240
@@ -181,6 +181,21 @@ def test_analyze_usage_and_error_paths(tmp_path, capsys):
                  "--check", "ideal"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_analyze_stalled_oracle_exits_with_error(tmp_path, capsys, monkeypatch):
+    """A stalled optimizer fallback is a documented error (exit 1), not a
+    traceback."""
+    inst = write_instance(tmp_path, "ex1", "extended")
+
+    def stalled(S, u):
+        raise ArithmeticError("support optimization stalled")
+
+    monkeypatch.setattr(analysis, "support_via_optimizer", stalled)
+    sets._support_cached.cache_clear()  # no support value may come from the cache
+    rc = main(["analyze", "--instance", str(inst), "--check", "sharp", "--directions", "4"])
+    assert rc == 1
+    assert "error: support optimization stalled" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

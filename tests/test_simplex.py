@@ -175,3 +175,191 @@ def test_zero_objective_returns_feasible_point():
     assert res.status == "optimal"
     assert float(res.x[0] + res.x[1]) <= 1.0 + 1e-9
     assert res.value == 0.0
+
+
+# ---------------------------------------------------------------------------
+# resumed solves: rows appended to an optimal LP
+# ---------------------------------------------------------------------------
+
+
+def min_violation_oracle(G, h, A_eq, b_eq, lb, ub):
+    """min over the box of sum (Gx - h)+ + sum |A_eq x - b_eq|.
+
+    The objective is convex and piecewise linear, so its minimum over the box
+    sits where n of the breakpoint planes {G_i x = h_i}, {A_i x = b_i} and the
+    box faces meet; scanning those intersections needs no LP.
+    """
+    n = len(lb)
+    G = np.zeros((0, n)) if G is None else np.asarray(G, float)
+    A = np.zeros((0, n)) if A_eq is None else np.asarray(A_eq, float)
+    h = np.zeros(0) if h is None else np.asarray(h, float)
+    b = np.zeros(0) if b_eq is None else np.asarray(b_eq, float)
+    planes = [(r, v) for r, v in zip(G, h)] + [(r, v) for r, v in zip(A, b)]
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        planes += [(e, float(lb[j])), (e, float(ub[j]))]
+
+    def total(x):
+        return float(np.sum(np.maximum(G @ x - h, 0.0)) + np.sum(np.abs(A @ x - b)))
+
+    best = math.inf
+    for combo in itertools.combinations(planes, n):
+        M = np.array([p[0] for p in combo])
+        if abs(np.linalg.det(M)) < 1e-10:
+            continue
+        x = np.linalg.solve(M, np.array([p[1] for p in combo]))
+        if np.all(x >= lb - 1e-9) and np.all(x <= ub + 1e-9):
+            best = min(best, total(np.clip(x, lb, ub)))
+    return best
+
+
+def appended(rng, G, h, k):
+    n = G.shape[1]
+    return np.vstack([G, rng.normal(size=(k, n))]), np.concatenate([h, rng.uniform(-0.5, 2.0, k)])
+
+
+def test_resumed_solves_match_cold_and_vertex_oracle():
+    rng = np.random.default_rng(SEED + 3)
+    resumed = infeasible_after_append = 0
+    for case in range(CASES):
+        c, G, h, A_eq, b_eq, lb, ub = random_instance(rng, with_eq=case % 3 == 0)
+        res = simplex.solve_lp(c, G, h, A_eq, b_eq, lb, ub)
+        for _ in range(int(rng.integers(1, 4))):
+            if res.status != "optimal":
+                break
+            G, h = appended(rng, G, h, int(rng.integers(1, 4)))
+            warm = simplex.solve_lp(c, G, h, A_eq, b_eq, lb, ub, warm=res)
+            cold = simplex.solve_lp(c, G, h, A_eq, b_eq, lb, ub)
+            status, value = brute_force(c, G, h, A_eq, b_eq, lb, ub)
+            resumed += 1
+            assert warm.status == cold.status == status
+            if status == "optimal":
+                tol = 1e-7 * (1 + abs(value))
+                assert warm.value == pytest.approx(value, abs=tol)
+                assert cold.value == pytest.approx(value, abs=tol)
+                assert np.all(G @ warm.x <= h + 1e-7)
+                assert np.all(warm.x >= lb) and np.all(warm.x <= ub)
+                if A_eq is not None:
+                    assert abs(float(A_eq[0] @ warm.x) - float(b_eq[0])) <= 1e-7
+            else:
+                infeasible_after_append += 1
+                want = min_violation_oracle(G, h, A_eq, b_eq, lb, ub)
+                assert warm.residual > 0
+                assert warm.residual == pytest.approx(want, abs=1e-7 * (1 + want))
+                assert cold.residual == pytest.approx(warm.residual, abs=1e-9)
+            res = warm
+    assert resumed > CASES
+    assert infeasible_after_append > 0
+
+
+def test_resumed_solve_does_not_rebuild_the_tableau(monkeypatch):
+    rng = np.random.default_rng(SEED + 4)
+    c, G, h, _, _, lb, ub = random_instance(rng)
+    G, h = np.vstack([G, -np.eye(len(c))]), np.concatenate([h, np.full(len(c), 0.4)])
+    res = simplex.solve_lp(c, G, h, None, None, lb, ub)
+    assert res.status == "optimal"
+
+    def cold_start(*args, **kwargs):
+        raise AssertionError("warm solve started from scratch")
+
+    monkeypatch.setattr(simplex._Tableau, "__init__", cold_start)
+    before = res.x.copy()
+    G2, h2 = appended(rng, G, h, 2)
+    warm = simplex.solve_lp(c, G2, h2, None, None, lb, ub, warm=res)
+    assert warm.status == "optimal"
+    assert np.array_equal(res.x, before)  # the earlier result is left intact
+    again = simplex.solve_lp(c, G2, h2, None, None, lb, ub, warm=res)
+    assert again.value == warm.value
+
+
+def test_warm_start_ignored_when_the_problem_changed():
+    c = np.array([1.0, 1.0])
+    G = np.array([[1.0, 1.0], [1.0, -1.0]])
+    h = np.array([0.5, 0.3])
+    lb, ub = np.full(2, -2.0), np.full(2, 2.0)
+    A, b = np.array([[0.0, 1.0]]), np.array([-1.0])
+    base = simplex.solve_lp(c, G, h, None, None, lb, ub)
+    with_eq = simplex.solve_lp(c, G, h, A, b, lb, ub)
+    assert base.value == pytest.approx(0.5)
+    assert with_eq.value == pytest.approx(-1.7)
+    changed = [
+        (base, (-c, G, h, None, None, lb, ub), 4.0),  # objective
+        (base, (c, G[1:], h[1:], None, None, lb, ub), 4.0),  # a solved row dropped
+        (base, (c, G, h + 0.1, None, None, lb, ub), 0.6),  # a solved row moved
+        (base, (c, 2.0 * G, h, None, None, lb, ub), 0.25),  # a solved row tilted
+        (base, (c, G, h, None, None, lb, np.full(2, 0.2)), 0.4),  # upper bounds
+        (base, (c, G, h, None, None, np.full(2, 0.5), ub), None),  # lower bounds
+        (base, (c, G, h, A, b, lb, ub), -1.7),  # an equality row added
+        (with_eq, (c, G, h, A[:, ::-1], b, lb, ub), 0.5),  # an equality row tilted
+        (with_eq, (c, G, h, A, b - 0.2, lb, ub), -2.1),  # an equality row moved
+    ]
+    for prev, args, want in changed:
+        res = simplex.solve_lp(*args, warm=prev)
+        if want is None:
+            assert res.status == "infeasible"
+        else:
+            assert res.value == pytest.approx(want)
+    lo = simplex.solve_lp(c, G, h, None, None, lb, ub, maximize=False, warm=base)
+    assert lo.value == pytest.approx(-4.0)
+
+
+def test_infeasible_residual_is_minimum_total_violation():
+    rng = np.random.default_rng(SEED + 6)
+    seen = 0
+    for case in range(CASES):
+        c, G, h, A_eq, b_eq, lb, ub = random_instance(rng, with_eq=case % 2 == 0)
+        res = simplex.solve_lp(c, G, h, A_eq, b_eq, lb, ub)
+        if res.status != "infeasible":
+            continue
+        seen += 1
+        want = min_violation_oracle(G, h, A_eq, b_eq, lb, ub)
+        assert res.residual > 0
+        assert res.residual == pytest.approx(want, abs=1e-7 * (1 + want))
+    assert seen > 0
+
+
+# ---------------------------------------------------------------------------
+# differential check against an independent solver (test-only dependency)
+# ---------------------------------------------------------------------------
+
+
+def test_matches_highs_cold_and_warm():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(SEED + 7)
+    statuses = {0: "optimal", 2: "infeasible"}
+    seen = set()
+
+    def check(res, c, G, h, A_eq, b_eq, lb, ub):
+        ref = linprog(
+            -c, A_ub=G, b_ub=h, A_eq=A_eq, b_eq=b_eq,
+            bounds=list(zip(lb, ub)), method="highs",
+        )
+        assert ref.status in statuses
+        assert res.status == statuses[ref.status]
+        seen.add(res.status)
+        if res.status == "optimal":
+            assert res.value == pytest.approx(-ref.fun, abs=1e-7 * (1 + abs(ref.fun)))
+
+    for case in range(CASES):
+        n = int(rng.integers(2, 7))
+        m = int(rng.integers(1, 11))
+        c = rng.normal(size=n)
+        G = rng.normal(size=(m, n))
+        h = rng.uniform(-0.5, 2.0, m)
+        lb = rng.uniform(-3.0, -0.5, n)
+        ub = rng.uniform(0.5, 3.0, n)
+        A_eq = b_eq = None
+        if case % 2:
+            k = int(rng.integers(1, min(n, 3) + 1))
+            A_eq = rng.normal(size=(k, n))
+            b_eq = A_eq @ rng.uniform(lb, ub)
+        res = simplex.solve_lp(c, G, h, A_eq, b_eq, lb, ub)
+        check(res, c, G, h, A_eq, b_eq, lb, ub)
+        for _ in range(int(rng.integers(1, 4))):
+            if res.status != "optimal":
+                break
+            G, h = appended(rng, G, h, int(rng.integers(1, 4)))
+            res = simplex.solve_lp(c, G, h, A_eq, b_eq, lb, ub, warm=res)
+            check(res, c, G, h, A_eq, b_eq, lb, ub)
+    assert seen == {"optimal", "infeasible"}
