@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-_EPS = 1e-9  # pivot size, reduced-cost sign and primal feasibility tolerance
+_EPS = 1e-9  # smallest pivot, and the primal feasibility tolerance
 _INFEAS_TOL = 1e-7  # residual, relative to the instance scale, that counts as feasible
 
 
