@@ -1,11 +1,13 @@
 """Empirical certification of formulation strength.
 
-The optimizer is a cutting-plane loop around a dense simplex master: linear
-atoms seed the master, nonlinear atoms (cone rows, perspectives, gauge
-bounds) contribute supporting cuts at master optima until the worst violation
-drops below tolerance.  All optimization happens inside an explicit box
-(radius 1e3); a solution pressed against that box is flagged and read as
-"unbounded" by the support-function callers.
+One cutting-plane loop, maximize_over_atoms, does every optimization: linear
+atoms seed a warm-started simplex master, nonlinear atoms (cone rows,
+perspectives, gauge bounds) add supporting cuts at master optima until the
+worst violation drops below tolerance.  feasibility_gap runs it with every
+row relaxed by a uniform slack.  All optimization happens inside an explicit
+box (radius 1e3); a solution pressed against that box is flagged and read as
+"unbounded" by the support-function callers.  The optimizer fallbacks of
+sets.py share one compiled epigraph template per set, kept in a bounded cache.
 
 Verification routines compare a formulation's linear relaxation against
 set-level oracles:
@@ -17,10 +19,13 @@ set-level oracles:
     check_bbj_condition    basis-subsystem optimum matching
     check_minkowski_ideal  slice-vs-average support comparison
 
-Sampled checks return "not-refuted" rather than "pass"; only exact modes may
-say "pass".  Every report records the seed, direction count, tolerance and
-reproducible witnesses, and multi-process runs merge results by sample index
-so the output is identical at any job count.
+The sampled sharp, ideal and minkowski checks are front ends of one engine
+that differ only in directions, bound and witness names.  Sampled checks
+return "not-refuted" rather than "pass"; only exact modes may say "pass".  A
+sample whose optimizer stalled is not counted, and leaves the verdict
+"inconclusive" unless another fails.  Every report records the seed,
+direction count, tolerance and reproducible witnesses, and multi-process runs
+merge results by sample index so the output is identical at any job count.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +51,7 @@ VERTEX_ROW_CAP = 64
 VERTEX_DIM_CAP = 10
 BASIS_CAP = 10_000
 DEFAULT_SEED = 20240
+TEMPLATE_CACHE_SIZE = 256  # compiled set templates kept per process
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +272,14 @@ def maximize_over_atoms(
     tol: float = CUT_TOL,
     max_rounds: int = MAX_CUT_ROUNDS,
     extra_eq: tuple[list[np.ndarray], list[float]] | None = None,
+    _gap: int | None = None,
 ) -> OptResult:
+    """Kelley's cutting-plane loop.  With ``_gap``, the column of a uniform
+    slack that the rows subtract, atoms are violated only beyond slack + tol
+    and their cuts subtract it too.  A stalled result keeps the last master
+    optimum, if any, in ``point``."""
     if compiled.trivially_infeasible:
         return OptResult("infeasible", -math.inf, None, None, False, 0)
-    n = len(compiled.names)
     lb = np.maximum(compiled.lb, -box_radius)
     ub = np.minimum(compiled.ub, box_radius)
     rows = list(compiled.rows)
@@ -281,6 +292,7 @@ def maximize_over_atoms(
 
     rounds = 0
     res = None
+    z = None
     for rounds in range(1, max_rounds + 1):
         res = simplex.solve_lp(objective, rows, rhs, eq_rows, eq_rhs, lb, ub, warm=res)
         if res.status == "infeasible":
@@ -288,22 +300,26 @@ def maximize_over_atoms(
         if res.status != "optimal":
             return OptResult("stalled", math.nan, None, None, False, rounds)
         z = res.x
-        worst = 0.0
+        limit = tol if _gap is None else z[_gap] + tol
+        violated = False
         new_cuts = []
         for atom, pre in compiled.nonlinear:
             viol, cuts = _atom_violation_and_cuts(atom, pre, z, want_cut=True)
-            if viol > tol:
-                worst = max(worst, viol)
+            if viol > limit:
+                violated = True
                 new_cuts.extend(cuts)
-        if worst <= tol:
+        if not violated:
             break
         if not new_cuts:
-            return OptResult("stalled", math.nan, None, None, False, rounds)
+            return OptResult("stalled", math.nan, z, None, False, rounds)
         for vec, r in new_cuts:
+            if _gap is not None:
+                vec = vec.copy()
+                vec[_gap] -= 1.0
             rows.append(vec)
             rhs.append(r)
     else:
-        return OptResult("stalled", math.nan, None, None, False, rounds)
+        return OptResult("stalled", math.nan, z, None, False, rounds)
 
     at_box = (
         ((ub - z) <= 1e-6 * box_radius) & (compiled.ub > box_radius)
@@ -317,66 +333,39 @@ def feasibility_gap(
 ) -> tuple[float, dict[str, float] | None]:
     """Smallest uniform slack s >= 0 making all atoms hold, with a witness env.
 
-    Returns (inf, None) when even the linear outer approximation is empty.
+    maximize_over_atoms minimizes s with every row and cut relaxed by s, in
+    at most 200 rounds; if it stops short, the gap is the worst true
+    violation at its last master optimum.  Returns (inf, None) when even the
+    linear outer approximation is empty.
     """
-    gap_name = "_gap"
-    names = [v[0] for v in variables]
-    n_aux = len(names)
-    n = n_aux + 1
-    gidx = n_aux
-    index = {nm: i for i, nm in enumerate(names + [gap_name])}
+    boxed = [(v[0], max(v[1], -box_radius), min(v[2], box_radius)) for v in variables]
+    gidx = len(boxed)
+    # only the nonlinear atoms' separation data; their own rows are not used
+    cp = compile_atoms(
+        [a for a in atoms if not isinstance(a, Linear)], boxed + [("_gap", 0.0, 1e6)]
+    )
     rows, rhs = [], []
-    for atom in atoms:
-        if not isinstance(atom, Linear):
-            continue
-        vec, const = _aff_vec(atom.expr, index, n)
-        variants = [(vec, const)]
-        if atom.relation == "eq":
-            variants.append((-vec, -const))
-        for v, c in variants:
-            v = v.copy()
-            v[gidx] -= 1.0
-            rows.append(v)
-            rhs.append(-c)
-    nonlinear = compile_atoms(
-        [a for a in atoms if not isinstance(a, Linear)],
-        list(variables) + [(gap_name, 0.0, 1e6)],
-    ).nonlinear
-    obj = np.zeros(n)
+    for atom in (a for a in atoms if isinstance(a, Linear)):
+        vec, const = _aff_vec(atom.expr, cp.index, gidx + 1)
+        for sgn in (1.0, -1.0) if atom.relation == "eq" else (1.0,):
+            rows.append(sgn * vec)
+            rows[-1][gidx] = -1.0
+            rhs.append(-sgn * const)
+    cp = replace(cp, rows=rows, rhs=rhs, trivially_infeasible=False)
+    obj = np.zeros(gidx + 1)
     obj[gidx] = -1.0  # maximize -gap
-    lb = np.array([max(v[1], -box_radius) for v in variables] + [0.0])
-    ub = np.array([min(v[2], box_radius) for v in variables] + [1e6])
-    res = None
-    for _ in range(200):
-        res = simplex.solve_lp(obj, rows, rhs, None, None, lb, ub, warm=res)
-        if res.status == "infeasible":
-            return math.inf, None
-        if res.status != "optimal":
-            return math.inf, None
-        z = res.x
-        ghat = z[gidx]
-        worst = 0.0
-        new_cuts = []
-        for atom, pre in nonlinear:
-            viol, cuts = _atom_violation_and_cuts(atom, pre, z, want_cut=True)
-            if viol > ghat + tol:
-                worst = max(worst, viol)
-                for vec, r in cuts:
-                    vec = vec.copy()
-                    vec[gidx] -= 1.0
-                    new_cuts.append((vec, r))
-        if worst == 0.0:
-            true_gap = max(ghat, 0.0)
-            env = {nm: float(z[i]) for i, nm in enumerate(names)}
-            return float(true_gap), env
-        if not new_cuts:
-            break
-        for vec, r in new_cuts:
-            rows.append(vec)
-            rhs.append(r)
-    env = {nm: float(z[i]) for i, nm in enumerate(names)}
+    # the box is already in the bounds; the gap keeps its own upper bound
+    res = maximize_over_atoms(
+        cp, obj, box_radius=math.inf, tol=tol, max_rounds=200, _gap=gidx
+    )
+    if res.point is None:
+        return math.inf, None
+    z = res.point
+    env = {nm: float(z[i]) for i, nm in enumerate(cp.names[:gidx])}
+    if res.status == "optimal":
+        return float(max(z[gidx], 0.0)), env
     worst_true = max(
-        (_atom_violation_and_cuts(a, p, z, want_cut=False)[0] for a, p in nonlinear),
+        (_atom_violation_and_cuts(a, p, z, want_cut=False)[0] for a, p in cp.nonlinear),
         default=0.0,
     )
     return float(max(z[gidx], worst_true, 0.0)), env
@@ -387,97 +376,74 @@ def feasibility_gap(
 # ---------------------------------------------------------------------------
 
 
-def _template_compiled(S: SetExpr, at_tau: float):
-    gen = gauge_mod.NameGen()
-    w_names = [f"w{j}" for j in range(S.dim)]
+@lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _template(S: SetExpr) -> _Compiled:
+    """S's epigraph template at tau = 1 (point w first, then auxiliaries),
+    compiled once per set.  Shared, so never mutated."""
+    w = tuple(Aff.var(f"w{j}") for j in range(S.dim))
     atoms, aux = gauge_mod.lower_epigraph(
-        S,
-        tuple(Aff.var(nm) for nm in w_names),
-        Aff.const_of(at_tau),
-        gen,
-        with_tau_row=False,
+        S, w, Aff.const_of(1.0), gauge_mod.NameGen(), with_tau_row=False
     )
-    variables = [(nm, -math.inf, math.inf) for nm in w_names]
-    variables += [(nm, -math.inf, math.inf) for nm in aux]
-    return atoms, variables, w_names
+    names = [f"w{j}" for j in range(S.dim)] + list(aux)
+    return compile_atoms(atoms, [(nm, -math.inf, math.inf) for nm in names])
+
+
+def _maximize_over_set(S: SetExpr, u, what: str) -> OptResult:
+    """Maximize u.w over S's template; ArithmeticError when it stalls."""
+    compiled = _template(S)
+    obj = np.zeros(len(compiled.names))
+    obj[: S.dim] = u
+    res = maximize_over_atoms(compiled, obj)
+    if res.status == "stalled":
+        raise ArithmeticError(f"{what} stalled")
+    return res
 
 
 def support_via_optimizer(S: SetExpr, u: np.ndarray) -> float:
-    atoms, variables, w_names = _template_compiled(S, 1.0)
-    compiled = compile_atoms(atoms, variables)
-    obj = np.zeros(len(variables))
-    obj[: S.dim] = u
-    res = maximize_over_atoms(compiled, obj)
+    res = _maximize_over_set(S, u, "support optimization")
     if res.status == "infeasible":
         raise sets.EmptySet("support of an empty set")
-    if res.status != "optimal":
-        raise ArithmeticError("support optimization stalled")
-    if res.box_active:
-        return math.inf
-    return res.value
+    return math.inf if res.box_active else res.value
 
 
 def exposed_point_via_optimizer(S: SetExpr, u: np.ndarray) -> np.ndarray:
-    atoms, variables, w_names = _template_compiled(S, 1.0)
-    compiled = compile_atoms(atoms, variables)
-    obj = np.zeros(len(variables))
-    obj[: S.dim] = u
-    res = maximize_over_atoms(compiled, obj)
+    res = _maximize_over_set(S, u, "exposed point optimization")
     if res.status == "infeasible":
         raise sets.EmptySet("exposed point of an empty set")
-    if res.status != "optimal":
-        raise ArithmeticError("exposed point optimization stalled")
     if res.box_active:
         raise sets.UnboundedDirection("no exposed point along an unbounded direction")
     return res.point[: S.dim].copy()
 
 
 def find_point_via_optimizer(S: SetExpr):
-    atoms, variables, _ = _template_compiled(S, 1.0)
-    compiled = compile_atoms(atoms, variables)
     # A zero objective would make every outer-approximation vertex optimal
     # and the cut loop would have to carve the whole box; a fixed direction
     # anchors the iterates so the cuts localize.
-    obj = np.zeros(len(variables))
-    obj[: S.dim] = -1.0 / math.sqrt(S.dim)
-    res = maximize_over_atoms(compiled, obj)
+    res = _maximize_over_set(S, -1.0 / math.sqrt(S.dim), "feasibility probe")
     if res.status == "infeasible":
         return None
-    if res.status != "optimal":
-        raise ArithmeticError("feasibility probe stalled")
     return res.point[: S.dim].copy()
 
 
-def member_via_feasibility(S: SetExpr, x: np.ndarray, tol: float) -> bool:
-    gen = gauge_mod.NameGen()
+def _template_member(S: SetExpr, x: np.ndarray, tau: float, tol: float) -> bool:
+    """Whether x lies in tau * S (tau = 0: the recession cone), by the
+    feasibility gap of S's epigraph template at the fixed point (x, tau)."""
+    point = tuple(Aff.const_of(float(v)) for v in x)
     atoms, aux = gauge_mod.lower_epigraph(
-        S,
-        tuple(Aff.const_of(float(v)) for v in x),
-        Aff.const_of(1.0),
-        gen,
-        with_tau_row=False,
+        S, point, Aff.const_of(tau), gauge_mod.NameGen(), with_tau_row=False
     )
     if not aux:
         return gauge_mod.block_feasible(atoms, {}, tol)
-    variables = [(nm, -math.inf, math.inf) for nm in aux]
-    gap, _ = feasibility_gap(atoms, variables)
+    gap, _ = feasibility_gap(atoms, [(nm, -math.inf, math.inf) for nm in aux])
     return gap <= tol
+
+
+def member_via_feasibility(S: SetExpr, x: np.ndarray, tol: float) -> bool:
+    return _template_member(S, x, 1.0, tol)
 
 
 def recession_member_via_template(S: SetExpr, d: np.ndarray, tol: float) -> bool:
-    gen = gauge_mod.NameGen()
-    atoms, aux = gauge_mod.lower_epigraph(
-        S,
-        tuple(Aff.const_of(float(v)) for v in d),
-        Aff.const_of(0.0),
-        gen,
-        with_tau_row=False,
-    )
-    if not aux:
-        return gauge_mod.block_feasible(atoms, {}, tol)
-    variables = [(nm, -math.inf, math.inf) for nm in aux]
-    gap, _ = feasibility_gap(atoms, variables)
-    return gap <= tol
+    return _template_member(S, d, 0.0, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -666,18 +632,13 @@ class AnalysisReport:
     elapsed_s: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "verdict": self.verdict,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "directions": self.directions,
-            "samples": self.samples,
-            "margin": self.margin,
-            "witnesses": [dict(w) for w in self.witnesses],
-            "notes": list(self.notes),
-            "elapsed_s": round(self.elapsed_s, 3),
-        }
+        doc = asdict(self)
+        doc.update(
+            witnesses=[dict(w) for w in self.witnesses],
+            notes=list(self.notes),
+            elapsed_s=round(self.elapsed_s, 3),
+        )
+        return doc
 
 
 def _vec_list(v) -> list[float]:
@@ -707,20 +668,22 @@ def maximize_over_relaxation(
     tol: float = CUT_TOL,
     extra_eq: dict[str, float] | None = None,
 ) -> OptResult:
-    compiled = compile_relaxation(form)
+    return _maximize_named(
+        compile_relaxation(form), objective, extra_eq, box_radius=box_radius, tol=tol
+    )
+
+
+def _maximize_named(compiled: _Compiled, objective, fixed=None, **kw) -> OptResult:
+    """maximize_over_atoms with the objective and the variables held fixed
+    given by name."""
     obj = np.zeros(len(compiled.names))
     for nm, c in objective.items():
         obj[compiled.index[nm]] += c
     eq = None
-    if extra_eq:
-        rows, rhs = [], []
-        for nm, val in extra_eq.items():
-            r = np.zeros(len(compiled.names))
-            r[compiled.index[nm]] = 1.0
-            rows.append(r)
-            rhs.append(val)
-        eq = (rows, rhs)
-    return maximize_over_atoms(compiled, obj, box_radius=box_radius, tol=tol, extra_eq=eq)
+    if fixed:
+        eye = np.eye(len(compiled.names))
+        eq = ([eye[compiled.index[nm]] for nm in fixed], list(fixed.values()))
+    return maximize_over_atoms(compiled, obj, extra_eq=eq, **kw)
 
 
 def relaxation_max_violation(form, env: dict[str, float]) -> float:
@@ -737,71 +700,95 @@ def relaxation_max_violation(form, env: dict[str, float]) -> float:
     return worst
 
 
-def _union_support(disjuncts, u: np.ndarray) -> float:
-    return max(sets.support(S, u) for S in disjuncts)
-
-
 # ---------------------------------------------------------------------------
 # sampled support comparisons (sharp / ideal / minkowski)
 # ---------------------------------------------------------------------------
 
 
-def _eval_support_gap(args):
-    """Worker: compare relaxation optimum against the union support bound."""
-    form, dirs, idx0, y_weights = args
+def _union_support(form, d: np.ndarray) -> float:
+    u = d[: len(form.x_names)]
+    return max(sets.support(S, u) for S in form.sets)
+
+
+def _embedded_support(form, d: np.ndarray) -> float:
     n = len(form.x_names)
+    u, v = d[:n], d[n:]
+    return max(sets.support(S, u) + float(v[i]) for i, S in enumerate(form.sets))
+
+
+def _average_support(form, d: np.ndarray) -> float:
+    return sum(sets.support(S, d) for S in form.sets) / len(form.y_names)
+
+
+def _eval_chunk(args):
+    """Worker: relaxation optimum (nan when stalled) and bound per direction."""
+    form, dirs, idx0, bound, fixed = args
+    compiled = compile_relaxation(form)
+    names = list(form.x_names) + list(form.y_names)
     recs = []
     for off, d in enumerate(dirs):
-        u = d[:n]
-        obj = {nm: float(u[j]) for j, nm in enumerate(form.x_names)}
-        bounds = []
-        if d.shape[0] > n:
-            v = d[n:]
-            for i, nm in enumerate(form.y_names):
-                obj[nm] = float(v[i])
-            for i, S in enumerate(form.sets):
-                bounds.append(sets.support(S, u) + float(v[i]))
-        else:
-            for S in form.sets:
-                bounds.append(sets.support(S, u))
-        bound = max(bounds)
-        res = maximize_over_relaxation(form, obj, extra_eq=y_weights)
+        obj = {nm: float(c) for nm, c in zip(names, d)}
+        res = _maximize_named(compiled, obj, fixed)
         relax = math.inf if res.box_active else res.value
         if res.status == "infeasible":
             relax = -math.inf
-        recs.append((idx0 + off, _vec_list(d), relax, bound))
+        recs.append((idx0 + off, _vec_list(d), relax, bound(form, d)))
     return recs
 
 
-def _run_support_comparison(form, dirs, tol, jobs, y_weights=None):
-    chunks = []
+def _sampled_check(
+    check, form, dirs, bound, keys, tol, seed, jobs, fixed=None
+) -> AnalysisReport:
+    """The sampled-check engine: the relaxation's maximum along each direction
+    d (x part, then y part; ``fixed`` variables held) must not exceed
+    ``bound(form, d)`` beyond tol; ``keys`` name the two witness values."""
+    t0 = time.perf_counter()
     if jobs and jobs > 1:
         size = max(1, (len(dirs) + jobs - 1) // jobs)
-        payload = [
-            (form, dirs[i : i + size], i, y_weights)
-            for i in range(0, len(dirs), size)
-        ]
+        starts = range(0, len(dirs), size)
+        payload = [(form, dirs[i : i + size], i, bound, fixed) for i in starts]
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for part in ex.map(_eval_support_gap, payload):
-                chunks.extend(part)
+            recs = [rec for part in ex.map(_eval_chunk, payload) for rec in part]
     else:
-        chunks.extend(_eval_support_gap((form, dirs, 0, y_weights)))
-    chunks.sort(key=lambda r: r[0])
+        recs = _eval_chunk((form, dirs, 0, bound, fixed))
+    recs.sort(key=lambda r: r[0])
     failures = []
     margin = 0.0
-    for idx, d, relax, bound in chunks:
-        if math.isinf(bound):
-            if bound > 0:
-                continue  # relaxation cannot exceed an infinite bound
-        if math.isinf(relax) and relax > 0:
-            failures.append((math.inf, idx, d, relax, bound))
+    stalled = 0
+    for idx, d, relax, bnd in recs:
+        if math.isnan(relax):
+            stalled += 1
             continue
-        excess = relax - bound
-        scale = 1.0 + abs(bound) if math.isfinite(bound) else 1.0
+        if math.isinf(bnd) and bnd > 0:
+            continue  # relaxation cannot exceed an infinite bound
+        if math.isinf(relax) and relax > 0:
+            failures.append((math.inf, idx, d, relax, bnd))
+            continue
+        excess = relax - bnd
+        scale = 1.0 + abs(bnd) if math.isfinite(bnd) else 1.0
         if excess > tol * scale:
-            failures.append((excess, idx, d, relax, bound))
+            failures.append((excess, idx, d, relax, bnd))
         margin = max(margin, excess if math.isfinite(excess) else 0.0)
-    return failures, margin, len(chunks)
+    failures.sort(key=lambda f: (-f[0], f[1]))
+    witnesses = tuple(
+        {"sample": idx, "direction": d, keys[0]: relax, keys[1]: bnd, "excess": exc}
+        for exc, idx, d, relax, bnd in failures[:8]
+    )
+    notes = ()
+    if stalled:
+        notes = (f"{stalled} of {len(recs)} samples not evaluated (optimizer stalled)",)
+    return AnalysisReport(
+        check=check,
+        verdict="fail" if failures else "inconclusive" if stalled else "not-refuted",
+        tolerance=tol,
+        seed=seed,
+        directions=len(dirs),
+        samples=len(recs) - stalled,
+        margin=float(margin),
+        witnesses=witnesses,
+        notes=notes,
+        elapsed_s=time.perf_counter() - t0,
+    )
 
 
 def check_sharp(
@@ -812,33 +799,9 @@ def check_sharp(
     jobs: int = 1,
 ) -> AnalysisReport:
     """Projected support equality along sampled x-space directions."""
-    t0 = time.perf_counter()
-    n = len(form.x_names)
-    dirs = sample_directions(n, count, seed)
-    failures, margin, total = _run_support_comparison(form, dirs, tol, jobs)
-    failures.sort(key=lambda f: (-f[0], f[1]))
-    witnesses = tuple(
-        {
-            "sample": idx,
-            "direction": d,
-            "relaxation_value": relax,
-            "union_support": bound,
-            "excess": exc,
-        }
-        for exc, idx, d, relax, bound in failures[:8]
-    )
-    verdict = "fail" if failures else "not-refuted"
-    return AnalysisReport(
-        check="sharp",
-        verdict=verdict,
-        tolerance=tol,
-        seed=seed,
-        directions=count,
-        samples=total,
-        margin=float(margin),
-        witnesses=witnesses,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    dirs = sample_directions(len(form.x_names), count, seed)
+    keys = ("relaxation_value", "union_support")
+    return _sampled_check("sharp", form, dirs, _union_support, keys, tol, seed, jobs)
 
 
 def _ideal_exact(form, tol: float) -> AnalysisReport:
@@ -909,10 +872,8 @@ def check_ideal(
         except ValueError:
             if mode == "exact":
                 raise
-    t0 = time.perf_counter()
     n = len(form.x_names)
-    k = len(form.y_names)
-    dirs = sample_directions(n + k, count, seed)
+    dirs = sample_directions(n + len(form.y_names), count, seed)
     for i in range(dirs.shape[0]):
         if i % 5 < 2:
             u = dirs[i, :n]
@@ -920,29 +881,8 @@ def check_ideal(
             if nu > 1e-9:
                 dirs[i, n:] = 0.0
                 dirs[i, :n] = u / nu
-    failures, margin, total = _run_support_comparison(form, dirs, tol, jobs)
-    failures.sort(key=lambda f: (-f[0], f[1]))
-    witnesses = tuple(
-        {
-            "sample": idx,
-            "direction": d,
-            "relaxation_value": relax,
-            "embedded_support": bound,
-            "excess": exc,
-        }
-        for exc, idx, d, relax, bound in failures[:8]
-    )
-    return AnalysisReport(
-        check="ideal",
-        verdict="fail" if failures else "not-refuted",
-        tolerance=tol,
-        seed=seed,
-        directions=count,
-        samples=total,
-        margin=float(margin),
-        witnesses=witnesses,
-        elapsed_s=time.perf_counter() - t0,
-    )
+    keys = ("relaxation_value", "embedded_support")
+    return _sampled_check("ideal", form, dirs, _embedded_support, keys, tol, seed, jobs)
 
 
 def check_minkowski_ideal(
@@ -954,72 +894,12 @@ def check_minkowski_ideal(
 ) -> AnalysisReport:
     """Compare the equal-weights slice of the relaxation against the scaled
     Minkowski average of the disjunct supports."""
-    t0 = time.perf_counter()
-    k = len(form.y_names)
-    weights = {nm: 1.0 / k for nm in form.y_names}
-    n = len(form.x_names)
-    dirs = sample_directions(n, count, seed)
-    chunks = []
-    if jobs and jobs > 1:
-        size = max(1, (len(dirs) + jobs - 1) // jobs)
-        payload = [
-            (form, dirs[i : i + size], i, weights) for i in range(0, len(dirs), size)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for part in ex.map(_eval_slice_gap, payload):
-                chunks.extend(part)
-    else:
-        chunks.extend(_eval_slice_gap((form, dirs, 0, weights)))
-    chunks.sort(key=lambda r: r[0])
-    failures = []
-    margin = 0.0
-    for idx, d, relax, avg in chunks:
-        if math.isinf(avg) and avg > 0:
-            continue
-        if math.isinf(relax) and relax > 0:
-            failures.append((math.inf, idx, d, relax, avg))
-            continue
-        excess = relax - avg
-        if excess > tol * (1.0 + abs(avg)):
-            failures.append((excess, idx, d, relax, avg))
-        margin = max(margin, excess)
-    failures.sort(key=lambda f: (-f[0], f[1]))
-    witnesses = tuple(
-        {
-            "sample": idx,
-            "direction": d,
-            "slice_value": relax,
-            "average_support": avg,
-            "excess": exc,
-        }
-        for exc, idx, d, relax, avg in failures[:8]
+    weights = {nm: 1.0 / len(form.y_names) for nm in form.y_names}
+    dirs = sample_directions(len(form.x_names), count, seed)
+    keys = ("slice_value", "average_support")
+    return _sampled_check(
+        "minkowski-slice", form, dirs, _average_support, keys, tol, seed, jobs, weights
     )
-    return AnalysisReport(
-        check="minkowski-slice",
-        verdict="fail" if failures else "not-refuted",
-        tolerance=tol,
-        seed=seed,
-        directions=count,
-        samples=len(chunks),
-        margin=float(margin),
-        witnesses=witnesses,
-        elapsed_s=time.perf_counter() - t0,
-    )
-
-
-def _eval_slice_gap(args):
-    form, dirs, idx0, weights = args
-    k = len(form.y_names)
-    recs = []
-    for off, d in enumerate(dirs):
-        obj = {nm: float(d[j]) for j, nm in enumerate(form.x_names)}
-        res = maximize_over_relaxation(form, obj, extra_eq=weights)
-        relax = math.inf if res.box_active else res.value
-        if res.status == "infeasible":
-            relax = -math.inf
-        avg = sum(sets.support(S, d) for S in form.sets) / k
-        recs.append((idx0 + off, _vec_list(d), relax, avg))
-    return recs
 
 
 # ---------------------------------------------------------------------------

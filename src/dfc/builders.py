@@ -36,7 +36,7 @@ import numpy as np
 from . import analysis, sets
 from . import gauge as gauge_mod
 from .gauge import Aff, GaugePlus, Linear, NameGen, Perspective, SOC, combo
-from .sets import SetExpr, SignedBasis
+from .sets import DfcError, SetExpr, SignedBasis
 
 EXTENDED_LABEL = "extendedformulation"
 BIGM_LABEL = "bigMformulation"
@@ -49,19 +49,19 @@ ISOTONE_LABEL = "isotonegeneralform"
 DEDUP_TOL = 1e-9
 
 
-class FamilyInvalid(ValueError):
+class FamilyInvalid(DfcError, ValueError):
     """The disjunct family fails a structural requirement."""
 
 
-class MMatrixInvalid(ValueError):
+class MMatrixInvalid(DfcError, ValueError):
     """Activation matrix has a bad diagonal or misses a disjunct."""
 
 
-class UnboundedM(ValueError):
+class UnboundedM(DfcError, ValueError):
     """No finite activation coefficient exists for the pair."""
 
 
-class HomothetyMismatch(ValueError):
+class HomothetyMismatch(DfcError, ValueError):
     """A disjunct is not the declared translate/scale of the template."""
 
     def __init__(self, message: str, witness):
@@ -69,11 +69,11 @@ class HomothetyMismatch(ValueError):
         self.witness = witness
 
 
-class EmptyPiece(ValueError):
+class EmptyPiece(DfcError, ValueError):
     """A polyhedral disjunct is empty."""
 
 
-class OracleUnbounded(ValueError):
+class OracleUnbounded(DfcError, ValueError):
     """A support-function constant came back infinite."""
 
 

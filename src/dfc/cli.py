@@ -5,7 +5,9 @@ model is linear), analyze (run a strength check and print a one-line
 verdict), emit (re-serialize a model file), examples (materialize the
 bundled instances with their expected verdicts).
 
-Exit codes: 0 pass or not-refuted, 2 fail with witness, 1 error, 64 usage.
+Exit codes: 0 pass or not-refuted, 2 fail with witness, 3 inconclusive (no
+failure found, but some samples were not evaluated because the optimizer
+stalled), 1 error, 64 usage.
 Outputs are byte-stable for fixed inputs and seeds; DFC_SEED overrides the
 default seed when --seed is not given.
 """
@@ -24,6 +26,7 @@ from . import analysis, builders, fixtures, gauge, model, sets
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FAIL = 2
+EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 
 _CHECK_DEFAULT_DIRS = {
@@ -167,7 +170,9 @@ def _cmd_analyze(args) -> int:
         Path(args.out).write_bytes(model.canonical_bytes(doc))
     margin = f" margin {report.margin:.3g}" if report.margin else ""
     print(f"{check}: {report.verdict} ({report.samples} samples, seed {seed}{margin})")
-    return EXIT_FAIL if report.verdict == "fail" else EXIT_OK
+    if report.verdict == "fail":
+        return EXIT_FAIL
+    return EXIT_INCONCLUSIVE if report.verdict == "inconclusive" else EXIT_OK
 
 
 def _cmd_emit(args) -> int:
@@ -218,25 +223,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        model.SchemaError,
-        model.NonlinearAtomPresent,
-        builders.FamilyInvalid,
-        builders.MMatrixInvalid,
-        builders.UnboundedM,
-        builders.HomothetyMismatch,
-        builders.EmptyPiece,
-        builders.OracleUnbounded,
-        gauge.ConditionViolated,
-        sets.EmptySet,
-        sets.DimensionMismatch,
-        sets.BasePointNotInSet,
-        sets.UnboundedDirection,
-        sets.NotPolyhedral,
-        ArithmeticError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (sets.DfcError, ArithmeticError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

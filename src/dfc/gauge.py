@@ -26,6 +26,7 @@ from .sets import (
     Box,
     CatalogFunction,
     ConicRep,
+    DfcError,
     HPolyhedron,
     Intersect,
     LevelSet,
@@ -41,7 +42,7 @@ from .sets import (
 )
 
 
-class ConditionViolated(Exception):
+class ConditionViolated(DfcError):
     """A probed structural precondition failed; the witness point is attached."""
 
     def __init__(self, message: str, witness=None):

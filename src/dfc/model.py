@@ -25,7 +25,7 @@ MODEL_SCHEMA = "dfc-model/1"
 REPORT_SCHEMA = "dfc-report/1"
 
 
-class SchemaError(ValueError):
+class SchemaError(sets.DfcError, ValueError):
     """Document rejected; path names the offending JSON location."""
 
     def __init__(self, path: str, message: str):
@@ -33,7 +33,7 @@ class SchemaError(ValueError):
         self.path = path
 
 
-class NonlinearAtomPresent(ValueError):
+class NonlinearAtomPresent(sets.DfcError, ValueError):
     """LP text covers linear rows only."""
 
 

@@ -40,27 +40,31 @@ RAY_CAP = 1e6
 Vec = "tuple[float, ...]"
 
 
-class EmptySet(Exception):
+class DfcError(Exception):
+    """Root of every exception the dfc package defines."""
+
+
+class EmptySet(DfcError):
     """The set has no points."""
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(DfcError):
     """Operands disagree on ambient dimension."""
 
 
-class BasePointNotInSet(Exception):
+class BasePointNotInSet(DfcError):
     """A base point handed to a gauge or builder lies outside its set."""
 
 
-class UnboundedDirection(Exception):
+class UnboundedDirection(DfcError):
     """A support or exposed-point query is unbounded in the given direction."""
 
 
-class PointNotInSet(Exception):
+class PointNotInSet(DfcError):
     """A query point required to be a member is not one."""
 
 
-class NotPolyhedral(Exception):
+class NotPolyhedral(DfcError):
     """The operation needs an H-described polyhedron."""
 
 

@@ -76,6 +76,57 @@ def test_enumerate_vertices_matches_oracle_random_polytopes():
         done += 1
 
 
+def _scipy_vertices(G, h):
+    """Vertices of the bounded {G x <= h} from scipy's halfspace intersection
+    around the Chebyshev center, deduplicated at 1e-9."""
+    from scipy.optimize import linprog
+    from scipy.spatial import HalfspaceIntersection
+
+    n = G.shape[1]
+    norms = np.linalg.norm(G, axis=1)
+    lp = linprog(
+        np.r_[np.zeros(n), -1.0],
+        A_ub=np.c_[G, norms],
+        b_ub=h,
+        bounds=[(None, None)] * n + [(0.0, None)],
+        method="highs",
+    )
+    assert lp.status == 0 and lp.x[n] > 1e-6
+    hs = HalfspaceIntersection(np.c_[G, -h], lp.x[:n])
+    uniq = {}
+    for p in hs.intersections:
+        uniq.setdefault(tuple(np.round(p, 9)), p)
+    return np.array(list(uniq.values()))
+
+
+def test_enumerate_vertices_matches_scipy_halfspace_intersection():
+    """Independent cross-check: random bounded polytopes in dimensions 2-4,
+    half of them cut by equality rows, against scipy's Qhull.  The equality
+    case is solved in coordinates t of the affine subspace, x = x0 + N t."""
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(SEED)
+    for case in range(60):
+        n = int(rng.integers(2, 5))
+        m = int(rng.integers(n + 1, 8))
+        G = np.vstack([rng.normal(size=(m, n)), np.eye(n), -np.eye(n)])
+        h = np.concatenate([rng.uniform(0.2, 1.5, m), np.full(2 * n, 2.0)])
+        k = int(rng.integers(1, n - 1)) if case % 2 and n > 2 else 0
+        A = rng.normal(size=(k, n))
+        b = A @ rng.uniform(-0.05, 0.05, n)
+        got = analysis.enumerate_vertices(G, h, A if k else None, b if k else None)
+        assert got.rays.shape[0] == 0 and got.lineality.shape[0] == 0
+        if k:
+            x0 = np.linalg.lstsq(A, b, rcond=None)[0]
+            N = np.linalg.svd(A)[2][k:].T  # orthonormal null-space basis
+            want = x0 + _scipy_vertices(G @ N, h - G @ x0) @ N.T
+            assert np.abs(got.vertices @ A.T - b).max() <= 1e-9
+        else:
+            want = _scipy_vertices(G, h)
+        assert got.vertices.shape == want.shape
+        assert match_distance(got.vertices, want) <= 1e-7
+        assert match_distance(want, got.vertices) <= 1e-7
+
+
 def test_enumerate_vertices_unbounded_quadrant():
     vs = analysis.enumerate_vertices([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0])
     assert vs.vertices.shape[0] == 1
@@ -390,6 +441,36 @@ def test_parallel_jobs_merge_identically():
     assert a.margin == b.margin
     assert a.witnesses == b.witnesses
     assert a.samples == b.samples
+
+
+def test_stalled_samples_are_not_counted_and_leave_the_verdict_open(
+    tmp_path, capsys, monkeypatch
+):
+    """A sample whose relaxation optimizer stalls has no value to compare:
+    it must not count as an agreeing sample."""
+    spec = builders.ProblemSpec(
+        (sets.ball([0.0, 0.0], 1.0), sets.ball([3.0, 0.0], 1.0)),
+        base_points=((0.0, 0.0), (3.0, 0.0)),
+        method="extended",
+    )
+    form = builders.build_extended(spec)
+    inst = tmp_path / "balls.json"
+    inst.write_bytes(model.canonical_bytes(model.spec_doc(spec)))
+
+    def stalled(compiled, objective, *args, **kwargs):
+        return analysis.OptResult("stalled", math.nan, None, None, False, 1)
+
+    monkeypatch.setattr(analysis, "maximize_over_atoms", stalled)
+    rep = analysis.check_sharp(form, count=12, seed=SEED, jobs=1)
+    assert rep.verdict == "inconclusive"
+    assert rep.samples == 0
+    assert rep.directions == 12
+    assert rep.notes == ("12 of 12 samples not evaluated (optimizer stalled)",)
+    rc = cli.main([
+        "analyze", "--instance", str(inst), "--check", "sharp", "--directions", "12",
+    ])
+    assert "sharp: inconclusive (0 samples" in capsys.readouterr().out
+    assert rc == cli.EXIT_INCONCLUSIVE == 3
 
 
 def test_relaxation_max_violation_includes_bounds():

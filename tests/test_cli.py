@@ -198,6 +198,34 @@ def test_analyze_stalled_oracle_exits_with_error(tmp_path, capsys, monkeypatch):
     assert "error: support optimization stalled" in capsys.readouterr().err
 
 
+def test_every_package_exception_derives_from_dfc_error():
+    """One root: the CLI catches DfcError, so every exception class a dfc
+    module defines must derive from it (the CLI's own UsageError aside)."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    defined = [
+        obj
+        for info in pkgutil.iter_modules(dfc.__path__)
+        for obj in vars(importlib.import_module(f"dfc.{info.name}")).values()
+        if inspect.isclass(obj)
+        and issubclass(obj, Exception)
+        and obj.__module__ == f"dfc.{info.name}"
+    ]
+    assert dfc.cli.UsageError in defined and sets.EmptySet in defined
+    assert dfc.DfcError is sets.DfcError
+    strays = [
+        c.__qualname__
+        for c in defined
+        if c is not dfc.cli.UsageError and not issubclass(c, dfc.DfcError)
+    ]
+    assert strays == []
+    # the extra bases callers may catch on are kept
+    assert issubclass(dfc.SchemaError, ValueError)
+    assert issubclass(dfc.builders.FamilyInvalid, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # emit
 # ---------------------------------------------------------------------------
