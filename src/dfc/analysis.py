@@ -1,13 +1,16 @@
 """Empirical certification of formulation strength.
 
 One cutting-plane loop, maximize_over_atoms, does every optimization: linear
-atoms seed a warm-started simplex master, nonlinear atoms (cone rows,
-perspectives, gauge bounds) add supporting cuts at master optima until the
-worst violation drops below tolerance.  feasibility_gap runs it with every
-row relaxed by a uniform slack.  All optimization happens inside an explicit
-box (radius 1e3); a solution pressed against that box is flagged and read as
-"unbounded" by the support-function callers.  The optimizer fallbacks of
-sets.py share one compiled epigraph template per set, kept in a bounded cache.
+atoms seed one simplex.Master per optimization, nonlinear atoms (cone rows,
+perspectives, gauge bounds) append supporting cuts at master optima, and each
+round resumes from the last optimal basis, until the worst violation drops
+below tolerance.  feasibility_gap runs it with every row relaxed by a uniform
+slack.  All optimization happens inside an explicit box (radius 1e3); a
+solution pressed against that box is flagged and read as "unbounded" by the
+support-function callers.  The optimizer fallbacks of sets.py share one
+compiled epigraph template per set, kept in a bounded cache, and a bounded
+memo of its optimizations by direction, so the support and the exposed point
+along one direction cost one cut loop.
 
 Verification routines compare a formulation's linear relaxation against
 set-level oracles:
@@ -282,19 +285,16 @@ def maximize_over_atoms(
         return OptResult("infeasible", -math.inf, None, None, False, 0)
     lb = np.maximum(compiled.lb, -box_radius)
     ub = np.minimum(compiled.ub, box_radius)
-    rows = list(compiled.rows)
-    rhs = list(compiled.rhs)
-    eq_rows = list(compiled.eq_rows)
-    eq_rhs = list(compiled.eq_rhs)
+    eq_rows, eq_rhs = compiled.eq_rows, compiled.eq_rhs
     if extra_eq is not None:
-        eq_rows.extend(extra_eq[0])
-        eq_rhs.extend(extra_eq[1])
+        eq_rows, eq_rhs = eq_rows + list(extra_eq[0]), eq_rhs + list(extra_eq[1])
+    master = simplex.Master(objective, compiled.rows, compiled.rhs, eq_rows, eq_rhs, lb, ub)
 
     rounds = 0
     res = None
     z = None
     for rounds in range(1, max_rounds + 1):
-        res = simplex.solve_lp(objective, rows, rhs, eq_rows, eq_rhs, lb, ub, warm=res)
+        res = master.solve()
         if res.status == "infeasible":
             return OptResult("infeasible", -math.inf, None, None, False, rounds)
         if res.status != "optimal":
@@ -312,12 +312,10 @@ def maximize_over_atoms(
             break
         if not new_cuts:
             return OptResult("stalled", math.nan, z, None, False, rounds)
-        for vec, r in new_cuts:
-            if _gap is not None:
-                vec = vec.copy()
-                vec[_gap] -= 1.0
-            rows.append(vec)
-            rhs.append(r)
+        G_new = np.array([vec for vec, _ in new_cuts])
+        if _gap is not None:
+            G_new[:, _gap] -= 1.0
+        master.add_rows(G_new, [r for _, r in new_cuts])
     else:
         return OptResult("stalled", math.nan, z, None, False, rounds)
 
@@ -389,14 +387,30 @@ def _template(S: SetExpr) -> _Compiled:
 
 
 def _maximize_over_set(S: SetExpr, u, what: str) -> OptResult:
-    """Maximize u.w over S's template; ArithmeticError when it stalls."""
+    """Maximize u.w over S's template; ArithmeticError when it stalls.  The
+    result's point is the w part only."""
+    try:
+        return _set_optimum(S, np.asarray(u, dtype=float).tobytes())
+    except ArithmeticError:
+        raise ArithmeticError(f"{what} stalled") from None
+
+
+@lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _set_optimum(S: SetExpr, u: bytes) -> OptResult:
+    """The template optimization along u (float64 bytes), kept so that the
+    support and exposed-point fallbacks along one direction share one cut
+    loop.  A stall raises and is not kept."""
     compiled = _template(S)
     obj = np.zeros(len(compiled.names))
-    obj[: S.dim] = u
+    obj[: S.dim] = np.frombuffer(u)
     res = maximize_over_atoms(compiled, obj)
     if res.status == "stalled":
-        raise ArithmeticError(f"{what} stalled")
-    return res
+        raise ArithmeticError("stalled")
+    point = res.point
+    if point is not None:
+        point = point[: S.dim].copy()
+        point.setflags(write=False)  # shared by every caller along u
+    return OptResult(res.status, res.value, point, None, res.box_active, res.rounds)
 
 
 def support_via_optimizer(S: SetExpr, u: np.ndarray) -> float:
@@ -412,17 +426,17 @@ def exposed_point_via_optimizer(S: SetExpr, u: np.ndarray) -> np.ndarray:
         raise sets.EmptySet("exposed point of an empty set")
     if res.box_active:
         raise sets.UnboundedDirection("no exposed point along an unbounded direction")
-    return res.point[: S.dim].copy()
+    return res.point.copy()
 
 
 def find_point_via_optimizer(S: SetExpr):
     # A zero objective would make every outer-approximation vertex optimal
     # and the cut loop would have to carve the whole box; a fixed direction
     # anchors the iterates so the cuts localize.
-    res = _maximize_over_set(S, -1.0 / math.sqrt(S.dim), "feasibility probe")
+    res = _maximize_over_set(S, np.full(S.dim, -1.0 / math.sqrt(S.dim)), "feasibility probe")
     if res.status == "infeasible":
         return None
-    return res.point[: S.dim].copy()
+    return res.point.copy()
 
 
 def _template_member(S: SetExpr, x: np.ndarray, tau: float, tol: float) -> bool:
@@ -774,21 +788,30 @@ def _sampled_check(
         {"sample": idx, "direction": d, keys[0]: relax, keys[1]: bnd, "excess": exc}
         for exc, idx, d, relax, bnd in failures[:8]
     )
-    notes = ()
-    if stalled:
-        notes = (f"{stalled} of {len(recs)} samples not evaluated (optimizer stalled)",)
     return AnalysisReport(
         check=check,
-        verdict="fail" if failures else "inconclusive" if stalled else "not-refuted",
+        verdict=_verdict(failures, stalled),
         tolerance=tol,
         seed=seed,
         directions=len(dirs),
         samples=len(recs) - stalled,
         margin=float(margin),
         witnesses=witnesses,
-        notes=notes,
+        notes=_stall_notes(stalled, len(recs)),
         elapsed_s=time.perf_counter() - t0,
     )
+
+
+def _verdict(failures, stalled: int) -> str:
+    """A sampled verdict: a failure refutes; otherwise an unevaluated sample
+    leaves it open."""
+    return "fail" if failures else "inconclusive" if stalled else "not-refuted"
+
+
+def _stall_notes(stalled: int, total: int) -> tuple[str, ...]:
+    if not stalled:
+        return ()
+    return (f"{stalled} of {total} samples not evaluated (optimizer stalled)",)
 
 
 def check_sharp(
@@ -918,66 +941,89 @@ def check_par_conditions(
 
     Every disjunct must sit inside each of its covering sets, and along every
     sampled direction some cover family must reproduce all disjunct support
-    values at once.
+    values at once.  A sample whose set oracle stalled is not counted.
     """
     t0 = time.perf_counter()
     n = disjuncts[0].dim
     dirs = sample_directions(n, count, seed)
-    witnesses = []
+    member = {}  # sample -> its membership witnesses; stalled samples left out
+    for idx, u in enumerate(dirs):
+        try:
+            member[idx] = _membership_witnesses(disjuncts, covers, idx, u)
+        except ArithmeticError:
+            continue
+    best_gaps = {}
+    for idx in member:
+        try:
+            best_gaps[idx] = _best_cover_gap(disjuncts, covers, dirs[idx])
+        except ArithmeticError:
+            continue
+    witnesses = [w for idx in best_gaps for w in member[idx]]
     margin = 0.0
-    for idx, u in enumerate(dirs):
-        for i, C in enumerate(disjuncts):
-            try:
-                p = sets.exposed_point(C, u)
-            except sets.UnboundedDirection:
-                continue
-            for j, fam in enumerate(covers):
-                if not sets.contains(fam[i], p, 1e-6):
-                    witnesses.append(
-                        {
-                            "condition": "membership",
-                            "sample": idx,
-                            "direction": _vec_list(u),
-                            "disjunct": i,
-                            "family": j,
-                            "point": _vec_list(p),
-                        }
-                    )
-    for idx, u in enumerate(dirs):
-        base_sup = [sets.support(C, u) for C in disjuncts]
-        best_gap = math.inf
-        for j, fam in enumerate(covers):
-            gap = 0.0
-            for i, C in enumerate(disjuncts):
-                s0, s1 = base_sup[i], sets.support(fam[i], u)
-                if math.isinf(s0) and math.isinf(s1):
-                    continue
-                if math.isinf(s0) or math.isinf(s1):
-                    gap = math.inf
-                    break
-                gap = max(gap, abs(s1 - s0) / (1.0 + abs(s0)))
-            best_gap = min(best_gap, gap)
+    for idx, best_gap in best_gaps.items():
         margin = max(margin, 0.0 if math.isinf(best_gap) else best_gap)
         if best_gap > tol:
             witnesses.append(
                 {
                     "condition": "support-match",
                     "sample": idx,
-                    "direction": _vec_list(u),
+                    "direction": _vec_list(dirs[idx]),
                     "best_gap": float(best_gap) if math.isfinite(best_gap) else "inf",
                 }
             )
     return AnalysisReport(
         check="cover-conditions",
-        verdict="fail" if witnesses else "not-refuted",
+        verdict=_verdict(witnesses, len(dirs) - len(best_gaps)),
         tolerance=tol,
         seed=seed,
         directions=count,
-        samples=len(dirs),
+        samples=len(best_gaps),
         margin=float(margin),
         witnesses=tuple(witnesses[:8]),
+        notes=_stall_notes(len(dirs) - len(best_gaps), len(dirs)),
         elapsed_s=time.perf_counter() - t0,
     )
+
+
+def _membership_witnesses(disjuncts, covers, idx: int, u: np.ndarray) -> list[dict]:
+    """Covering sets that miss a disjunct's exposed point along u."""
+    out = []
+    for i, C in enumerate(disjuncts):
+        try:
+            p = sets.exposed_point(C, u)
+        except sets.UnboundedDirection:
+            continue
+        for j, fam in enumerate(covers):
+            if not sets.contains(fam[i], p, 1e-6):
+                out.append(
+                    {
+                        "condition": "membership",
+                        "sample": idx,
+                        "direction": _vec_list(u),
+                        "disjunct": i,
+                        "family": j,
+                        "point": _vec_list(p),
+                    }
+                )
+    return out
+
+
+def _best_cover_gap(disjuncts, covers, u: np.ndarray) -> float:
+    """Smallest, over cover families, of the worst relative support gap."""
+    base_sup = [sets.support(C, u) for C in disjuncts]
+    best_gap = math.inf
+    for fam in covers:
+        gap = 0.0
+        for i in range(len(disjuncts)):
+            s0, s1 = base_sup[i], sets.support(fam[i], u)
+            if math.isinf(s0) and math.isinf(s1):
+                continue
+            if math.isinf(s0) or math.isinf(s1):
+                gap = math.inf
+                break
+            gap = max(gap, abs(s1 - s0) / (1.0 + abs(s0)))
+        best_gap = min(best_gap, gap)
+    return best_gap
 
 
 # ---------------------------------------------------------------------------
@@ -1009,7 +1055,8 @@ def check_bbj_condition(
     tol: float = sets.SUPPORT_EQ_TOL,
 ) -> AnalysisReport:
     """For sampled objectives, some full-rank row basis must reproduce every
-    disjunct's optimum from its own subsystem alone."""
+    disjunct's optimum from its own subsystem alone.  A sample whose LP
+    stalled is not counted."""
     t0 = time.perf_counter()
     A = np.asarray(A, dtype=float)
     m, n = A.shape
@@ -1025,25 +1072,13 @@ def check_bbj_condition(
     dirs = sample_directions(n, count, seed, axes_first=True)
     witnesses = []
     margin = 0.0
+    stalled = 0
     for idx, c in enumerate(dirs):
-        full = [_polyhedron_max(A, b, c) for b in b_arr]
-        matched = False
-        best = math.inf
-        for B in bases:
-            rowsB = list(B)
-            worst = 0.0
-            for i, b in enumerate(b_arr):
-                sub = _polyhedron_max(A[rowsB], b[rowsB], c)
-                if math.isinf(full[i]) and math.isinf(sub):
-                    continue
-                if math.isinf(full[i]) != math.isinf(sub):
-                    worst = math.inf
-                    break
-                worst = max(worst, abs(sub - full[i]) / (1.0 + abs(full[i])))
-            best = min(best, worst)
-            if worst <= tol:
-                matched = True
-                break
+        try:
+            matched, best = _basis_match(A, b_arr, bases, c, tol)
+        except ArithmeticError:
+            stalled += 1
+            continue
         if not matched:
             margin = max(margin, best if math.isfinite(best) else 0.0)
             witnesses.append(
@@ -1055,13 +1090,35 @@ def check_bbj_condition(
             )
     return AnalysisReport(
         check="basis-condition",
-        verdict="fail" if witnesses else "not-refuted",
+        verdict=_verdict(witnesses, stalled),
         tolerance=tol,
         seed=seed,
         directions=count,
-        samples=len(dirs),
+        samples=len(dirs) - stalled,
         margin=float(margin),
         witnesses=tuple(witnesses[:8]),
-        notes=(f"bases considered: {len(bases)}",),
+        notes=(f"bases considered: {len(bases)}",) + _stall_notes(stalled, len(dirs)),
         elapsed_s=time.perf_counter() - t0,
     )
+
+
+def _basis_match(A, b_arr, bases, c, tol) -> tuple[bool, float]:
+    """Whether some basis reproduces every disjunct's optimum along c, and
+    the smallest worst relative gap over the bases tried."""
+    full = [_polyhedron_max(A, b, c) for b in b_arr]
+    best = math.inf
+    for B in bases:
+        rowsB = list(B)
+        worst = 0.0
+        for i, b in enumerate(b_arr):
+            sub = _polyhedron_max(A[rowsB], b[rowsB], c)
+            if math.isinf(full[i]) and math.isinf(sub):
+                continue
+            if math.isinf(full[i]) != math.isinf(sub):
+                worst = math.inf
+                break
+            worst = max(worst, abs(sub - full[i]) / (1.0 + abs(full[i])))
+        best = min(best, worst)
+        if worst <= tol:
+            return True, best
+    return False, best

@@ -372,12 +372,9 @@ def _polar_gauge(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
 
     n = w.shape[0]
     cap = sets.RAY_CAP
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    lb, ub = np.full(n, -cap), np.full(n, cap)
-    res = None
+    master = simplex.Master(w, None, None, None, None, np.full(n, -cap), np.full(n, cap))
     for _ in range(5000):
-        res = simplex.solve_lp(w, rows, rhs, None, None, lb, ub, warm=res)
+        res = master.solve()
         if res.status != "optimal":
             raise ArithmeticError("polar gauge master problem failed")
         q = res.x
@@ -388,8 +385,7 @@ def _polar_gauge(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
             scale = max(sig, 1.0)
             q = q / scale
             return float(q @ w), q.copy()
-        rows.append(sets.exposed_point(S, q))
-        rhs.append(1.0)
+        master.add_rows([sets.exposed_point(S, q)], [1.0])
     raise ArithmeticError("polar gauge did not converge")
 
 

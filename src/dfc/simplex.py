@@ -1,4 +1,4 @@
-"""Bounded-variable dual simplex for small cut-master problems, with warm starts.
+"""Bounded-variable dual simplex for small cut-master problems, resumable.
 
 Solves max c.x (or min) subject to G x <= h, A x = b and finite box bounds
 lb <= x <= ub on a dense tableau.  Every variable must carry finite bounds;
@@ -25,22 +25,21 @@ always-feasible elastic LP.  A residual within 1e-7 of the instance's scale
 is a rounding artefact: that row counts as satisfied and the solve goes on.
 Crossed bounds are infeasible with residual max(lb - ub).
 
-Warm start.  ``solve_lp(..., warm=prev)`` takes an earlier optimal result.
-When c, lb, ub, A_eq, b_eq and ``maximize`` are unchanged and G, h begin
-with the rows ``prev`` solved, the appended rows are reduced against
-``prev``'s final basis (basic columns eliminated) with their slacks basic.
-That basis is still dual feasible, so dual pivots restore primal
-feasibility, typically in a few pivots.  This is the cutting-plane pattern
-(Kelley 1960): each round appends cuts to the last LP.  In every other case
-the call solves from scratch.  Warm and cold solves reach the same optimal
-value; when the optimum is not unique they may return different optimal
-vertices.  ``prev`` itself is never modified.
+Resuming.  A ``Master`` owns its tableau between solves.  After an optimal
+``solve()``, ``add_rows(G_new, h_new)`` reduces the appended rows against the
+final basis (basic columns eliminated) with their slacks basic.  That basis
+is still dual feasible, so the next ``solve()`` restores primal feasibility
+with dual pivots, typically a few.  This is the cutting-plane pattern (Kelley
+1960): each round appends cuts to the last LP, and c, the bounds and the
+equality rows never change.  Rows cannot be added after an infeasible or
+stalled solve.  Resumed and cold solves reach the same optimal value; when
+the optimum is not unique they may return different optimal vertices.
+``solve_lp`` is a one-shot master.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,76 +53,77 @@ class LPResult:
     x: np.ndarray | None
     value: float
     residual: float = 0.0
-    # final tableau and the data it solved, for warm starts; optimal only
-    _warm: _Warm | None = field(default=None, repr=False, compare=False)
 
 
-def solve_lp(
-    c, G, h, A_eq, b_eq, lb, ub, maximize: bool = True, warm: LPResult | None = None
-) -> LPResult:
-    c = np.array(c, dtype=float).reshape(-1)
-    n = c.shape[0]
-    lb = np.array(lb, dtype=float).reshape(-1)
-    ub = np.array(ub, dtype=float).reshape(-1)
-    if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(ub))):
-        raise ValueError("solve_lp needs finite variable bounds")
-    if np.any(ub < lb - 1e-12):
-        return LPResult("infeasible", None, 0.0, float(np.max(lb - ub)))
-    G, h = _rows(G, h, n)
-    A, b = _rows(A_eq, b_eq, n)
+def solve_lp(c, G, h, A_eq, b_eq, lb, ub, maximize: bool = True) -> LPResult:
+    return Master(c, G, h, A_eq, b_eq, lb, ub, maximize).solve()
 
-    key = _key(c, A, b, lb, ub, maximize)
-    prev = warm._warm if warm is not None else None
-    if prev is not None and prev.resumes(key, G, h):
-        tab = prev.tab.extended(G[prev.rows :], h[prev.rows :])
-    else:
+
+class Master:
+    """An LP that keeps its tableau, so rows appended after an optimal solve
+    resume from its final basis."""
+
+    def __init__(self, c, G, h, A_eq, b_eq, lb, ub, maximize: bool = True):
+        self.c = c = np.array(c, dtype=float).reshape(-1)
+        n = c.shape[0]
+        self.lb = lb = np.array(lb, dtype=float).reshape(-1)
+        self.ub = ub = np.array(ub, dtype=float).reshape(-1)
+        if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(ub))):
+            raise ValueError("solve_lp needs finite variable bounds")
+        self.result = None  # of the current rows, once solved
+        if np.any(ub < lb - 1e-12):
+            self.result = LPResult("infeasible", None, 0.0, float(np.max(lb - ub)))
+            return
+        G, h = _rows(G, h, n)
+        self.A, self.b = A, b = _rows(A_eq, b_eq, n)
+        self.G, self.h = [G], [h]  # inequality row blocks, stacked only when blocked
         cost = -c if maximize else c  # the tableau minimizes
-        tab = _Tableau(np.vstack([G, A]), np.concatenate([h, b]), A.shape[0], cost, lb, ub)
+        self.tab = _Tableau(np.vstack([G, A]), np.concatenate([h, b]), A.shape[0], cost, lb, ub)
 
-    residual = None
-    tolerated = []
-    while True:
-        status, var = tab.optimize(tolerated)
-        if status != "blocked":
-            break
-        if residual is None:
-            residual = _min_violation(G, h, A, b, lb, ub)
-            scale = 1.0 + max(
-                float(np.max(np.abs(h - G @ lb), initial=0.0)),
-                float(np.max(np.abs(b - A @ lb), initial=0.0)),
-                float(np.max(ub - lb, initial=0.0)),
-            )
-            if residual > _INFEAS_TOL * scale:
-                return LPResult("infeasible", None, 0.0, residual)
-        tolerated.append(var)
-    if status != "optimal":
-        return LPResult("stalled", None, 0.0)
-    x = np.minimum(np.maximum(tab.xv[:n], lb), ub)
-    warm_next = _Warm(tab, key, len(h), G.tobytes(), h.tobytes())
-    return LPResult("optimal", x, float(c @ x), 0.0, warm_next)
+    def add_rows(self, G_new, h_new) -> None:
+        """Append rows G_new x <= h_new, reduced against the current basis."""
+        if self.result is not None and self.result.status != "optimal":
+            raise ValueError(f"cannot add rows to a {self.result.status} LP")
+        G_new, h_new = _rows(G_new, h_new, self.c.shape[0])
+        self.tab = self.tab.extended(G_new, h_new)
+        self.G.append(G_new)
+        self.h.append(h_new)
+        self.result = None
+
+    def solve(self) -> LPResult:
+        if self.result is None:
+            self.result = self._optimize()
+        return self.result
+
+    def _optimize(self) -> LPResult:
+        tab, lb, ub = self.tab, self.lb, self.ub
+        residual = None
+        tolerated = []
+        while True:
+            status, var = tab.optimize(tolerated)
+            if status != "blocked":
+                break
+            if residual is None:
+                G, h, A, b = np.vstack(self.G), np.concatenate(self.h), self.A, self.b
+                residual = _min_violation(G, h, A, b, lb, ub)
+                scale = 1.0 + max(
+                    float(np.max(np.abs(h - G @ lb), initial=0.0)),
+                    float(np.max(np.abs(b - A @ lb), initial=0.0)),
+                    float(np.max(ub - lb, initial=0.0)),
+                )
+                if residual > _INFEAS_TOL * scale:
+                    return LPResult("infeasible", None, 0.0, residual)
+            tolerated.append(var)
+        if status != "optimal":
+            return LPResult("stalled", None, 0.0)
+        x = np.minimum(np.maximum(tab.xv[: lb.shape[0]], lb), ub)
+        return LPResult("optimal", x, float(self.c @ x))
 
 
 def _rows(M, r, n: int) -> tuple[np.ndarray, np.ndarray]:
     if M is None or len(M) == 0:
         return np.zeros((0, n)), np.zeros(0)
-    return np.array(M, dtype=float).reshape(len(M), n), np.array(r, dtype=float).reshape(-1)
-
-
-class _Warm(NamedTuple):
-    tab: _Tableau
-    key: tuple  # maximize and the bytes of c, lb, ub, A_eq, b_eq
-    rows: int  # inequality rows solved, and their bytes
-    G: bytes
-    h: bytes
-
-    def resumes(self, key: tuple, G: np.ndarray, h: np.ndarray) -> bool:
-        """True when the new LP only appends inequality rows to this one."""
-        k = self.rows
-        return key == self.key and G[:k].tobytes() == self.G and h[:k].tobytes() == self.h
-
-
-def _key(c, A, b, lb, ub, maximize) -> tuple:
-    return (maximize, c.tobytes(), lb.tobytes(), ub.tobytes(), A.shape, A.tobytes(), b.tobytes())
+    return np.array(M, dtype=float).reshape(len(M), n), np.array(r, dtype=float).reshape(len(M))
 
 
 class _Tableau:

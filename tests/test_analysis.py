@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from dfc import analysis, builders, cli, fixtures, gauge, model, sets
+from dfc import analysis, builders, cli, fixtures, gauge, model, sets, simplex
 from dfc.gauge import Aff, GaugePlus, Linear, Perspective, SOC
 
 SEED = 20240
@@ -511,6 +511,107 @@ def test_cover_conditions_support_mismatch():
     assert rep.verdict == "fail"
     kinds = {w["condition"] for w in rep.witnesses}
     assert "support-match" in kinds
+
+
+def fallback_polygons():
+    """Two polygons in H-form: no closed-form support or exposed point, so
+    both oracles run the template cut loop; membership has a closed form."""
+    tri = sets.hpoly([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
+    sq = sets.hpoly([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [3.0, -2.0, 1.0, 0.0])
+    return tri, sq
+
+
+def clear_oracle_caches():
+    sets._support_cached.cache_clear()
+    analysis._set_optimum.cache_clear()
+
+
+def test_cover_conditions_run_one_cut_loop_per_set_and_direction(monkeypatch):
+    """check_par_conditions asks for the exposed point and later the support
+    of each disjunct along each direction; both share one optimization."""
+    disjuncts = fallback_polygons()
+    templates = {id(analysis._template(S)) for S in disjuncts}
+    loops = []
+    maximize = analysis.maximize_over_atoms
+
+    def counted(compiled, objective, *args, **kwargs):
+        if id(compiled) in templates:
+            loops.append((id(compiled), objective.tobytes()))
+        return maximize(compiled, objective, *args, **kwargs)
+
+    clear_oracle_caches()
+    monkeypatch.setattr(analysis, "maximize_over_atoms", counted)
+    rep = analysis.check_par_conditions(disjuncts, (disjuncts,), count=12, seed=SEED)
+    assert rep.verdict == "not-refuted"
+    assert rep.samples == 12
+    assert len(loops) == len(set(loops)) == 12 * len(disjuncts)
+
+
+def stall_along_positive_first_axis(monkeypatch):
+    """Make the cut loop stall whenever the objective's first entry is
+    positive; return the predicate on a direction."""
+    maximize = analysis.maximize_over_atoms
+
+    def stalls(u):
+        return u[0] > 0.0
+
+    def maybe_stalled(compiled, objective, *args, **kwargs):
+        if stalls(objective):
+            return analysis.OptResult("stalled", math.nan, None, None, False, 1)
+        return maximize(compiled, objective, *args, **kwargs)
+
+    clear_oracle_caches()
+    monkeypatch.setattr(analysis, "maximize_over_atoms", maybe_stalled)
+    return stalls
+
+
+def test_cover_conditions_leave_stalled_samples_out(monkeypatch):
+    """A sample whose set oracle stalled is not counted: the verdict is open
+    unless an evaluated sample fails."""
+    disjuncts = fallback_polygons()
+    stalls = stall_along_positive_first_axis(monkeypatch)
+    dirs = analysis.sample_directions(2, 12, SEED)
+    k = sum(bool(stalls(u)) for u in dirs)
+    assert 0 < k < 12
+    note = (f"{k} of 12 samples not evaluated (optimizer stalled)",)
+    rep = analysis.check_par_conditions(disjuncts, (disjuncts,), count=12, seed=SEED)
+    assert (rep.verdict, rep.samples, rep.notes) == ("inconclusive", 12 - k, note)
+    assert rep.margin <= 1e-9
+    shifted = tuple(sets.translate(S, [0.5, 0.0]) for S in disjuncts)
+    rep = analysis.check_par_conditions(disjuncts, (shifted,), count=12, seed=SEED)
+    assert (rep.verdict, rep.samples, rep.notes) == ("fail", 12 - k, note)
+    assert rep.witnesses
+    assert all(not stalls(dirs[w["sample"]]) for w in rep.witnesses)
+    clear_oracle_caches()
+
+
+def test_basis_condition_leaves_stalled_samples_out(tmp_path, capsys, monkeypatch):
+    A = [[1.0], [-1.0]]
+    b_list = ([0.0, 0.0], [2.0, -1.0])
+    solve_lp = simplex.solve_lp
+
+    def maybe_stalled(c, *args, **kwargs):
+        if c[0] > 0.0:
+            return simplex.LPResult("stalled", None, 0.0)
+        return solve_lp(c, *args, **kwargs)
+
+    monkeypatch.setattr(simplex, "solve_lp", maybe_stalled)
+    rep = analysis.check_bbj_condition(A, b_list, count=8, seed=SEED)
+    dirs = analysis.sample_directions(1, 8, SEED, axes_first=True)
+    k = sum(bool(d[0] > 0.0) for d in dirs)
+    assert 0 < k < 8
+    assert rep.verdict == "inconclusive"
+    assert rep.samples == 8 - k
+    assert rep.notes == (
+        "bases considered: 2",
+        f"{k} of 8 samples not evaluated (optimizer stalled)",
+    )
+    monkeypatch.setattr(simplex, "solve_lp", lambda *a, **kw: simplex.LPResult("stalled", None, 0.0))
+    inst = tmp_path / "ex4.json"
+    inst.write_bytes(model.canonical_bytes(model.spec_doc(fixtures.load("ex4", "original"))))
+    rc = cli.main(["analyze", "--instance", str(inst), "--check", "bbj"])
+    assert "bbj: inconclusive (0 samples" in capsys.readouterr().out
+    assert rc == cli.EXIT_INCONCLUSIVE
 
 
 def test_basis_condition_two_intervals_not_refuted():

@@ -178,7 +178,7 @@ def test_zero_objective_returns_feasible_point():
 
 
 # ---------------------------------------------------------------------------
-# resumed solves: rows appended to an optimal LP
+# resumed solves: rows appended to an optimal master
 # ---------------------------------------------------------------------------
 
 
@@ -224,12 +224,15 @@ def test_resumed_solves_match_cold_and_vertex_oracle():
     resumed = infeasible_after_append = 0
     for case in range(CASES):
         c, G, h, A_eq, b_eq, lb, ub = random_instance(rng, with_eq=case % 3 == 0)
-        res = simplex.solve_lp(c, G, h, A_eq, b_eq, lb, ub)
+        master = simplex.Master(c, G, h, A_eq, b_eq, lb, ub)
+        res = master.solve()
         for _ in range(int(rng.integers(1, 4))):
             if res.status != "optimal":
                 break
-            G, h = appended(rng, G, h, int(rng.integers(1, 4)))
-            warm = simplex.solve_lp(c, G, h, A_eq, b_eq, lb, ub, warm=res)
+            k = int(rng.integers(1, 4))
+            G, h = appended(rng, G, h, k)
+            master.add_rows(G[-k:], h[-k:])
+            warm = master.solve()
             cold = simplex.solve_lp(c, G, h, A_eq, b_eq, lb, ub)
             status, value = brute_force(c, G, h, A_eq, b_eq, lb, ub)
             resumed += 1
@@ -257,51 +260,87 @@ def test_resumed_solve_does_not_rebuild_the_tableau(monkeypatch):
     rng = np.random.default_rng(SEED + 4)
     c, G, h, _, _, lb, ub = random_instance(rng)
     G, h = np.vstack([G, -np.eye(len(c))]), np.concatenate([h, np.full(len(c), 0.4)])
-    res = simplex.solve_lp(c, G, h, None, None, lb, ub)
+    master = simplex.Master(c, G, h, None, None, lb, ub)
+    res = master.solve()
     assert res.status == "optimal"
+    G2, h2 = appended(rng, G, h, 2)
+    cold = simplex.solve_lp(c, G2, h2, None, None, lb, ub)
 
     def cold_start(*args, **kwargs):
-        raise AssertionError("warm solve started from scratch")
+        raise AssertionError("resumed solve started from scratch")
 
     monkeypatch.setattr(simplex._Tableau, "__init__", cold_start)
     before = res.x.copy()
-    G2, h2 = appended(rng, G, h, 2)
-    warm = simplex.solve_lp(c, G2, h2, None, None, lb, ub, warm=res)
+    master.add_rows(G2[-2:], h2[-2:])
+    warm = master.solve()
     assert warm.status == "optimal"
+    assert warm.value == pytest.approx(cold.value, abs=1e-9 * (1 + abs(cold.value)))
     assert np.array_equal(res.x, before)  # the earlier result is left intact
-    again = simplex.solve_lp(c, G2, h2, None, None, lb, ub, warm=res)
-    assert again.value == warm.value
+    again = master.solve()  # nothing appended: the same result, no pivots
+    assert again is warm
 
 
-def test_warm_start_ignored_when_the_problem_changed():
-    c = np.array([1.0, 1.0])
-    G = np.array([[1.0, 1.0], [1.0, -1.0]])
-    h = np.array([0.5, 0.3])
-    lb, ub = np.full(2, -2.0), np.full(2, 2.0)
-    A, b = np.array([[0.0, 1.0]]), np.array([-1.0])
-    base = simplex.solve_lp(c, G, h, None, None, lb, ub)
-    with_eq = simplex.solve_lp(c, G, h, A, b, lb, ub)
-    assert base.value == pytest.approx(0.5)
-    assert with_eq.value == pytest.approx(-1.7)
-    changed = [
-        (base, (-c, G, h, None, None, lb, ub), 4.0),  # objective
-        (base, (c, G[1:], h[1:], None, None, lb, ub), 4.0),  # a solved row dropped
-        (base, (c, G, h + 0.1, None, None, lb, ub), 0.6),  # a solved row moved
-        (base, (c, 2.0 * G, h, None, None, lb, ub), 0.25),  # a solved row tilted
-        (base, (c, G, h, None, None, lb, np.full(2, 0.2)), 0.4),  # upper bounds
-        (base, (c, G, h, None, None, np.full(2, 0.5), ub), None),  # lower bounds
-        (base, (c, G, h, A, b, lb, ub), -1.7),  # an equality row added
-        (with_eq, (c, G, h, A[:, ::-1], b, lb, ub), 0.5),  # an equality row tilted
-        (with_eq, (c, G, h, A, b - 0.2, lb, ub), -2.1),  # an equality row moved
-    ]
-    for prev, args, want in changed:
-        res = simplex.solve_lp(*args, warm=prev)
-        if want is None:
-            assert res.status == "infeasible"
-        else:
-            assert res.value == pytest.approx(want)
-    lo = simplex.solve_lp(c, G, h, None, None, lb, ub, maximize=False, warm=base)
-    assert lo.value == pytest.approx(-4.0)
+def test_master_refuses_rows_after_a_nonoptimal_solve_or_of_the_wrong_width(monkeypatch):
+    infeasible = simplex.Master([1.0], [[1.0], [-1.0]], [0.0, -1.0], None, None, [-5.0], [5.0])
+    crossed = simplex.Master([1.0], None, None, None, None, [1.0], [0.0])
+    for master in (infeasible, crossed):
+        assert master.solve().status == "infeasible"
+        with pytest.raises(ValueError, match="infeasible"):
+            master.add_rows([[1.0]], [0.5])
+
+    monkeypatch.setattr(simplex._Tableau, "optimize", lambda self, tolerated=(): ("stalled", -1))
+    stalled = simplex.Master([1.0, 1.0], [[1.0, 1.0]], [1.0], None, None, [0.0, 0.0], [2.0, 2.0])
+    assert stalled.solve().status == "stalled"
+    with pytest.raises(ValueError, match="stalled"):
+        stalled.add_rows([[1.0, 0.0]], [0.5])
+    monkeypatch.undo()
+
+    master = simplex.Master([1.0, 1.0], [[1.0, 1.0]], [1.0], None, None, [0.0, 0.0], [2.0, 2.0])
+    res = master.solve()
+    assert res.value == pytest.approx(1.0)
+    for rows, rhs in (
+        ([[1.0, 0.0, 0.0]], [0.5]),  # a row too wide
+        ([[1.0]], [0.5]),  # a row too narrow
+        ([[1.0, 0.0], [0.0, 1.0]], [0.5]),  # one right-hand side for two rows
+    ):
+        with pytest.raises(ValueError):
+            master.add_rows(rows, rhs)
+    assert master.solve() is res  # refused rows leave the LP as it was
+    master.add_rows([[1.0, 0.0], [0.0, 1.0]], [0.25, 0.5])
+    assert master.solve().value == pytest.approx(0.75)
+
+
+def test_master_resumes_after_a_tolerated_row(monkeypatch):
+    """A row violated at rounding level (5e-9) that no pivot can repair is
+    tolerated; a resumed solve after it still matches a cold solve."""
+    priced = []
+    min_violation = simplex._min_violation
+    monkeypatch.setattr(
+        simplex, "_min_violation", lambda *a: priced.append(min_violation(*a)) or priced[-1]
+    )
+    c, lb, ub = np.array([1.0, 1.0]), np.zeros(2), np.ones(2)
+    G = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    h = np.array([0.5, -0.5 - 5e-9])
+    master = simplex.Master(c, G, h, None, None, lb, ub)
+    res = master.solve()
+    assert res.status == "optimal"
+    assert priced and 0.0 < priced[0] <= 1e-8  # the row was blocked, then tolerated
+    assert res.value == pytest.approx(1.5)
+    G2, h2 = np.vstack([G, [[0.0, 1.0]]]), np.concatenate([h, [0.3]])
+    master.add_rows(G2[-1:], h2[-1:])
+    warm = master.solve()
+    cold = simplex.solve_lp(c, G2, h2, None, None, lb, ub)
+    assert warm.status == cold.status == "optimal"
+    assert warm.value == pytest.approx(cold.value, abs=1e-12)
+    assert warm.value == pytest.approx(0.8)
+    assert np.allclose(warm.x, [0.5, 0.3])
+    G3, h3 = np.vstack([G2, [[1.0, 0.0]]]), np.concatenate([h2, [0.4]])
+    master.add_rows(G3[-1:], h3[-1:])  # now really infeasible
+    warm = master.solve()
+    cold = simplex.solve_lp(c, G3, h3, None, None, lb, ub)
+    assert warm.status == cold.status == "infeasible"
+    assert warm.residual == pytest.approx(cold.residual, abs=1e-12)
+    assert warm.residual == pytest.approx(0.1, abs=1e-7)
 
 
 def test_infeasible_residual_is_minimum_total_violation():
@@ -356,10 +395,14 @@ def test_matches_highs_cold_and_warm():
             b_eq = A_eq @ rng.uniform(lb, ub)
         res = simplex.solve_lp(c, G, h, A_eq, b_eq, lb, ub)
         check(res, c, G, h, A_eq, b_eq, lb, ub)
+        master = simplex.Master(c, G, h, A_eq, b_eq, lb, ub)
+        assert master.solve().value == res.value
         for _ in range(int(rng.integers(1, 4))):
             if res.status != "optimal":
                 break
-            G, h = appended(rng, G, h, int(rng.integers(1, 4)))
-            res = simplex.solve_lp(c, G, h, A_eq, b_eq, lb, ub, warm=res)
+            k = int(rng.integers(1, 4))
+            G, h = appended(rng, G, h, k)
+            master.add_rows(G[-k:], h[-k:])
+            res = master.solve()
             check(res, c, G, h, A_eq, b_eq, lb, ub)
     assert seen == {"optimal", "infeasible"}
