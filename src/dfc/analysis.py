@@ -39,6 +39,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -386,9 +387,15 @@ def _template(S: SetExpr) -> _Compiled:
     return compile_atoms(atoms, [(nm, -math.inf, math.inf) for nm in names])
 
 
-def _maximize_over_set(S: SetExpr, u, what: str) -> OptResult:
-    """Maximize u.w over S's template; ArithmeticError when it stalls.  The
-    result's point is the w part only."""
+class _SetOptimum(NamedTuple):
+    status: str  # optimal | infeasible
+    value: float
+    box_active: bool
+    point: np.ndarray | None  # the w part, read-only
+
+
+def _maximize_over_set(S: SetExpr, u, what: str) -> _SetOptimum:
+    """Maximize u.w over S's template; ArithmeticError when it stalls."""
     try:
         return _set_optimum(S, np.asarray(u, dtype=float).tobytes())
     except ArithmeticError:
@@ -396,7 +403,7 @@ def _maximize_over_set(S: SetExpr, u, what: str) -> OptResult:
 
 
 @lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
-def _set_optimum(S: SetExpr, u: bytes) -> OptResult:
+def _set_optimum(S: SetExpr, u: bytes) -> _SetOptimum:
     """The template optimization along u (float64 bytes), kept so that the
     support and exposed-point fallbacks along one direction share one cut
     loop.  A stall raises and is not kept."""
@@ -410,7 +417,7 @@ def _set_optimum(S: SetExpr, u: bytes) -> OptResult:
     if point is not None:
         point = point[: S.dim].copy()
         point.setflags(write=False)  # shared by every caller along u
-    return OptResult(res.status, res.value, point, None, res.box_active, res.rounds)
+    return _SetOptimum(res.status, res.value, res.box_active, point)
 
 
 def support_via_optimizer(S: SetExpr, u: np.ndarray) -> float:
