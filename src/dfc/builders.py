@@ -693,6 +693,28 @@ def _support_const(S: SetExpr, d: np.ndarray, what: str) -> float:
     return val
 
 
+def _signed_frames(basis, signs, flip=None) -> list[SignedBasis]:
+    """One validated signed frame per piece (t = flip, or all ones)."""
+    frames = [
+        SignedBasis(basis, s, flip if flip is not None else (1,) * len(s)) for s in signs
+    ]
+    for frame in frames:
+        frame.validate()
+    return frames
+
+
+def _check_cone_sum(pieces, frames) -> None:
+    """The cone-sum condition of each piece over its frame, naming the piece
+    in the error."""
+    for i, (piece, frame) in enumerate(zip(pieces, frames)):
+        try:
+            gauge_mod._probe_cone_sum_condition(
+                piece, frame, probes=200, seed=analysis.DEFAULT_SEED
+            )
+        except gauge_mod.ConditionViolated as exc:
+            raise gauge_mod.ConditionViolated(f"piece {i}: {exc}", exc.witness) from None
+
+
 def build_orthogonal(spec: ProblemSpec) -> Formulation:
     """Signed-frame gauge construction.
 
@@ -707,6 +729,7 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
         raise FamilyInvalid("orthogonal construction needs OrthogonalData")
     n, k = spec.dim, spec.k
     V = np.asarray(data.basis, dtype=float)
+    frames = _signed_frames(data.basis, data.signs, data.flip)
     xs, ys = _xy_vars(n, k)
     x_names = tuple(v.name for v in xs)
     y_names = tuple(v.name for v in ys)
@@ -741,15 +764,7 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
     else:
         t = np.asarray(data.flip, dtype=float)
         if data.check:
-            for i in range(k):
-                gauge_mod._probe_cone_sum_condition(
-                    data.pieces[i],
-                    SignedBasis(
-                        data.basis, data.signs[i], tuple(1 for _ in range(n))
-                    ),
-                    probes=200,
-                    seed=analysis.DEFAULT_SEED,
-                )
+            _check_cone_sum(data.pieces, frames)
         domains = []
         for i in range(k):
             body = sets.intersect(data.pieces[i], _frame_cone(V, data.signs[i]))
@@ -858,20 +873,13 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
     n, k = spec.dim, spec.k
     V = np.asarray(data.basis, dtype=float)
     disjuncts = spec.sets
+    frames = _signed_frames(data.basis, data.signs)
     if data.check:
-        for i in range(k):
-            b = data.base[i]
-            shifted = (
-                sets.translate(disjuncts[i], tuple(-v for v in b))
-                if any(b)
-                else disjuncts[i]
-            )
-            gauge_mod._probe_cone_sum_condition(
-                shifted,
-                SignedBasis(data.basis, data.signs[i], tuple(1 for _ in range(n))),
-                probes=200,
-                seed=analysis.DEFAULT_SEED,
-            )
+        shifted = [
+            sets.translate(S, tuple(-v for v in b)) if any(b) else S
+            for S, b in zip(disjuncts, data.base)
+        ]
+        _check_cone_sum(shifted, frames)
     xs, ys = _xy_vars(n, k)
     x_names = tuple(v.name for v in xs)
     y_names = tuple(v.name for v in ys)

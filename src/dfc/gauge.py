@@ -43,7 +43,16 @@ from .sets import (
 
 
 class ConditionViolated(DfcError):
-    """A probed structural precondition failed; the witness point is attached."""
+    """The cone-sum precondition of a positive-part gauge block fails.
+
+    The message names the frame direction j along which it fails and, from a
+    builder, the piece; ``witness`` is a point of K outside the piece.  When
+    C cap K is unbounded, the message and ``witness`` give an axis direction
+    along which it is unbounded instead.  The condition is decided exactly
+    on polyhedral parts of C and on curved parts whose recession cone holds
+    the frame rays; other curved parts are only sampled, so for them a
+    refutation is certain and a pass is not.
+    """
 
     def __init__(self, message: str, witness=None):
         super().__init__(message)
@@ -616,8 +625,13 @@ def epi_gauge_cone_sum(
     rays t_j v_j.  The block uses one gauge atom over C with a positive-part
     recombination plus sign rows, and is exact when C cap K is compact and
     ((C cap K) - K) cap K = C cap K.  With check=True that condition is
-    probed on sampled points and ConditionViolated (with a witness) is
-    raised when refuted; check=False skips the probe.
+    tested before building and ConditionViolated (with a witness) is raised
+    when it fails; check=False skips the test.  Compactness (2n axis
+    supports) and every polyhedral part of C (one support value per row and
+    frame direction) are decided exactly, as is a curved part whose
+    recession cone contains each -s_j v_j.  Any other curved part is tested
+    on exposed points of C cap K along ``probes`` seeded random directions,
+    so ``probes`` counts only those sampled directions.
     """
     basis.validate()
     n = C.dim
@@ -651,20 +665,27 @@ def epi_gauge_cone_sum(
 
 
 def _probe_cone_sum_condition(C: SetExpr, basis: SignedBasis, probes: int, seed: int):
-    rng = np.random.default_rng(seed)
+    """Raise ConditionViolated unless C cap K is compact and
+    ((C cap K) - K) cap K = C cap K.
+
+    With the frame orthonormal, take coordinates z_j = s_j v_j.x.  The
+    condition says C cap K is down-closed in z, and the box [0, z] is the hull
+    of z with any coordinates zeroed, so it holds exactly when P_j(C cap K)
+    lies in C for every j with s_j != 0, where P_j = I - v_j v_j^T.  A row
+    a.x <= b of a polyhedral part of C holds when h_{C cap K}(P_j a) <= b.  A
+    curved part L holds when -s_j v_j is in its recession cone, since
+    P_j p = p - z_j s_j v_j.  Only when that fails are exposed points of
+    C cap K along ``probes`` seeded random directions projected and tested,
+    which can refute the condition but not prove it.  A stalled oracle raises
+    ArithmeticError.
+    """
     n = C.dim
     V = _arr(basis.V)
     supp = [j for j in range(V.shape[0]) if basis.s[j] != 0]
-    ineq = [basis.s[j] * V[j] for j in supp]
-    zero = [V[j] for j in range(V.shape[0]) if basis.s[j] == 0]
-    k_rows = np.array(ineq) if ineq else np.zeros((0, n))
-    z_rows = np.array(zero) if zero else np.zeros((0, n))
+    k_rows = np.array([basis.s[j] * V[j] for j in supp]).reshape(-1, n)
+    z_rows = np.array([V[j] for j in range(V.shape[0]) if basis.s[j] == 0]).reshape(-1, n)
 
-    def in_k(p):
-        ok = bool(np.all(k_rows @ p >= -1e-9)) if ineq else True
-        return ok and (not zero or bool(np.all(np.abs(z_rows @ p) <= 1e-9)))
-
-    # compactness probe: support of C cap K along the coordinate axes
+    # compactness: support of C cap K along the coordinate axes
     cut = np.vstack([-k_rows, z_rows, -z_rows])
     CK = sets.intersect(C, sets.hpoly(cut, np.zeros(cut.shape[0]))) if cut.size else C
     for j in range(n):
@@ -673,25 +694,67 @@ def _probe_cone_sum_condition(C: SetExpr, basis: SignedBasis, probes: int, seed:
             e[j] = sgn
             if math.isinf(sets.support(CK, e)):
                 raise ConditionViolated(
-                    "cone-sum template needs a compact base piece", tuple(e)
+                    f"cone-sum template needs a compact base piece; it is unbounded "
+                    f"along {_point_text(e)}",
+                    tuple(e),
                 )
-    scale_hint = 1.0 + max(
-        abs(sets.support(CK, e))
-        for j in range(n)
-        for e in (np.eye(n)[j], -np.eye(n)[j])
-    )
+
+    proj = {j: np.eye(n) - np.outer(V[j], V[j]) for j in supp}
+
+    def escape(j, p):
+        w = tuple(float(v) for v in proj[j] @ p)
+        return ConditionViolated(
+            f"cone-sum condition fails along frame direction {j}: the point "
+            f"{_point_text(w)} of K is outside the base piece",
+            w,
+        )
+
+    curved = []
+    for part in _conjuncts(C):
+        try:
+            A, b = sets.collect_rows(part)
+        except sets.NotPolyhedral:
+            curved.append(part)
+            continue
+        for j in supp:
+            for a, bound in zip(A, b):
+                d = proj[j] @ a
+                flat = float(np.max(np.abs(d))) <= 1e-12
+                if (0.0 if flat else sets.support(CK, d)) > bound + 1e-6:
+                    # any point of C cap K escapes when P_j a = 0
+                    raise escape(j, sets.exposed_point(CK, np.eye(n)[0] if flat else d))
+    pending = [
+        (j, L)
+        for L in curved
+        for j in supp
+        if not sets.recession_contains(L, -basis.s[j] * V[j])
+    ]
+    if not pending:
+        return
+    rng = np.random.default_rng(seed)
     for _ in range(probes):
         u = rng.normal(size=n)
         nu = float(np.linalg.norm(u))
         if nu < 1e-9:
             continue
         p = sets.exposed_point(CK, u / nu)
-        alphas = np.abs(rng.normal(size=len(supp))) * scale_hint * rng.uniform(0, 1)
-        q = np.zeros(n)
-        for a, j in zip(alphas, supp):
-            q += a * basis.s[j] * V[j]
-        xpt = p - q
-        if in_k(xpt) and not sets.contains(C, xpt, 1e-6):
-            raise ConditionViolated(
-                "difference point escapes the base piece", tuple(float(v) for v in xpt)
-            )
+        for j, L in pending:
+            if not sets.contains(L, proj[j] @ p, 1e-6):
+                raise escape(j, p)
+
+
+def _conjuncts(S: SetExpr, offset=None) -> list:
+    """Sets whose intersection is S: Intersect nodes are split into their
+    children, with any translates above them moved down onto each child."""
+    if isinstance(S, Translate):
+        shift = _arr(S.offset) if offset is None else offset + _arr(S.offset)
+        return _conjuncts(S.child, shift)
+    if isinstance(S, Intersect):
+        return [p for c in S.children for p in _conjuncts(c, offset)]
+    if offset is None or not np.any(offset):
+        return [S]
+    return [Translate(S, tuple(float(v) for v in offset))]
+
+
+def _point_text(x) -> str:
+    return "(" + ", ".join(f"{float(v):.6g}" for v in x) + ")"

@@ -6,6 +6,7 @@ docstring).  Activation constants are checked against the closed-form gauge
 ratios of the example bodies.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -370,6 +371,111 @@ def test_isotone_probe_and_oracle_errors():
     )
     with pytest.raises(builders.OracleUnbounded):
         builders.build(unbounded)
+
+
+SKEWED = ((1.0, 0.0), (1.0, 1.0))  # not orthonormal
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_isotone_rejects_a_skewed_frame(check):
+    piece = sets.box((0.0, 0.0), (1.0, 1.0))
+    data = builders.IsotoneData(
+        pieces=(piece,), basis=SKEWED, signs=((1, 1),), base=((0.0, 0.0),), check=check
+    )
+    with pytest.raises(ValueError, match="orthonormal"):
+        builders.build(builders.ProblemSpec((piece,), None, "isotone", data))
+
+
+@pytest.mark.parametrize("flip", [None, (1, 1)])
+def test_orthogonal_rejects_a_skewed_frame(flip):
+    pieces = (sets.box((0.0, 0.0), (1.0, 1.0)), sets.box((-1.0, -1.0), (0.0, 0.0)))
+    data = builders.OrthogonalData(
+        pieces=pieces,
+        basis=SKEWED,
+        coord_sets=((0, 1), (0, 1)),
+        signs=((1, 1), (-1, -1)),
+        base=((0.0, 0.0), (0.0, 0.0)),
+        flip=flip,
+        check=False,
+    )
+    with pytest.raises(ValueError, match="orthonormal"):
+        builders.build(builders.ProblemSpec(pieces, ((0.0, 0.0),) * 2, "orthogonal", data))
+
+
+def thin_isotone_spec(eps: float = 0.01) -> builders.ProblemSpec:
+    """Two isotone pieces; the second, [0,1]^2 cut by x1 - eps x0 <= 0.5, is
+    not down-closed: zeroing x0 of (1, 0.5 + eps) leaves it."""
+    thin = sets.intersect(sets.box((0.0, 0.0), (1.0, 1.0)), sets.hpoly([[-eps, 1.0]], [0.5]))
+    low = sets.box((-1.0, -1.0), (0.0, 0.0))
+    data = builders.IsotoneData(
+        pieces=(low, thin),
+        basis=EYE2,
+        signs=((-1, -1), (1, 1)),
+        base=((0.0, 0.0), (0.0, 0.0)),
+    )
+    return builders.ProblemSpec((low, thin), None, "isotone", data)
+
+
+def test_cone_sum_error_names_piece_direction_and_witness():
+    with pytest.raises(ConditionViolated) as err:
+        builders.build(thin_isotone_spec())
+    assert np.allclose(err.value.witness, (0.0, 0.51), atol=1e-9)
+    assert str(err.value).startswith("piece 1: ")
+    assert "frame direction 0" in str(err.value)
+    assert "(0, 0.51)" in str(err.value)
+
+
+def clear_oracle_caches():
+    sets._support_cached.cache_clear()
+    analysis._set_optimum.cache_clear()
+
+
+@pytest.mark.parametrize("variant", fixtures.REGISTRY["ex7"])
+def test_ex7_condition_holds_without_sampled_fallback(variant, monkeypatch):
+    """The box rows of the ex7 pieces are decided by support values and the
+    curved body by its recession cone, so no exposed point is asked for."""
+    def refuse(S, u):
+        raise AssertionError("sampled fallback used")
+
+    clear_oracle_caches()
+    monkeypatch.setattr(sets, "exposed_point", refuse)
+    builders.build(fixtures.ex7(variant))
+    for j in range(3):
+        assert sets.recession_contains(fixtures._geo_body(), -np.eye(3)[j])
+
+
+def test_translated_ex7_condition_holds_without_sampled_fallback(monkeypatch):
+    """With base points the condition is tested on translate(piece, -base);
+    the translates move onto the intersected parts, so the box rows are still
+    decided by support values and the curved body by its recession cone."""
+    def refuse(S, u):
+        raise AssertionError("sampled fallback used")
+
+    spec = fixtures.ex7("plus")
+    b = (0.5, -0.25, 1.0)
+    moved = tuple(sets.translate(S, b) for S in spec.sets)
+    data = dataclasses.replace(spec.params, base=(b, b))
+    clear_oracle_caches()
+    monkeypatch.setattr(sets, "exposed_point", refuse)
+    builders.build(builders.ProblemSpec(moved, None, "isotone", data))
+
+
+@pytest.mark.parametrize("variant", fixtures.REGISTRY["ex7"])
+def test_ex7_build_runs_at_most_18_cut_loops(variant, monkeypatch):
+    """6 axis supports of each piece's C cap K for compactness and 6 frame
+    supports of the curved disjunct for the constants; the condition's row
+    tests reuse the axis supports."""
+    loops = []
+    maximize = analysis.maximize_over_atoms
+
+    def counted(*args, **kwargs):
+        loops.append(1)
+        return maximize(*args, **kwargs)
+
+    clear_oracle_caches()
+    monkeypatch.setattr(analysis, "maximize_over_atoms", counted)
+    builders.build(fixtures.ex7(variant))
+    assert len(loops) <= 18
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import dfc
-from dfc import analysis, fixtures, model, sets
+from dfc import analysis, builders, fixtures, model, sets
 from dfc.cli import main
 
 SEED = 20240
@@ -90,6 +90,29 @@ def test_build_method_override(tmp_path, capsys):
     ir = model.parse_model(out.read_bytes())
     assert len(ir.atoms) == 11
     capsys.readouterr()
+
+
+def test_build_reports_where_the_cone_sum_condition_fails(tmp_path, capsys):
+    """An isotone piece that is not down-closed in its frame is an error
+    (exit 1) naming the piece, the frame direction and the witness point."""
+    thin = sets.intersect(sets.box((0.0, 0.0), (1.0, 1.0)), sets.hpoly([[-0.01, 1.0]], [0.5]))
+    low = sets.box((-1.0, -1.0), (0.0, 0.0))
+    data = builders.IsotoneData(
+        pieces=(low, thin),
+        basis=((1.0, 0.0), (0.0, 1.0)),
+        signs=((-1, -1), (1, 1)),
+        base=((0.0, 0.0), (0.0, 0.0)),
+    )
+    spec = builders.ProblemSpec((low, thin), None, "isotone", data)
+    inst = tmp_path / "thin.json"
+    inst.write_bytes(model.canonical_bytes(model.spec_doc(spec)))
+    out = tmp_path / "m.json"
+    assert main(["build", "--instance", str(inst), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: piece 1: " in err
+    assert "frame direction 0" in err
+    assert "(0, 0.51)" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

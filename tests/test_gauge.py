@@ -353,6 +353,57 @@ def test_cone_sum_probe_rejects_unbounded_piece():
         gauge.epi_gauge_cone_sum(C, axis_basis((1, 1), (-1, -1)), ("x0", "x1"), "y")
 
 
+def in_axis_orthant(w) -> bool:
+    return bool(np.all(np.asarray(w) >= -1e-9))
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.001])
+def test_cone_sum_refutes_thin_piece(eps):
+    """[0,1]^2 cut by x1 - eps x0 <= 0.5: (1, 0.5 + eps) is in C but zeroing
+    its first coordinate leaves C.  One support value along (0, 1) shows it."""
+    C = sets.intersect(sets.box([0.0, 0.0], [1.0, 1.0]), sets.hpoly([[-eps, 1.0]], [0.5]))
+    with pytest.raises(gauge.ConditionViolated) as err:
+        gauge.epi_gauge_cone_sum(C, axis_basis((1, 1), (-1, -1)), ("x0", "x1"), "y")
+    w = np.asarray(err.value.witness)
+    assert in_axis_orthant(w)
+    assert not sets.contains(C, w, 1e-6)
+    assert np.allclose(w, [0.0, 0.5 + eps], atol=1e-9)
+    assert "frame direction 0" in str(err.value)
+
+
+def test_cone_sum_refutes_ball_through_sampled_fallback(monkeypatch):
+    """A ball has no rows and a trivial recession cone, so only projected
+    exposed points of C cap K can refute it."""
+    C = sets.ball((1.0, 1.0), 1.0)
+    exposed = []
+    real = sets.exposed_point
+
+    def counted(S, u):
+        exposed.append(u)
+        return real(S, u)
+
+    monkeypatch.setattr(sets, "exposed_point", counted)
+    with pytest.raises(gauge.ConditionViolated) as err:
+        gauge.epi_gauge_cone_sum(C, axis_basis((1, 1), (-1, -1)), ("x0", "x1"), "y")
+    w = np.asarray(err.value.witness)
+    assert exposed
+    assert in_axis_orthant(w)
+    assert not sets.contains(C, w, 1e-6)
+
+
+def test_cone_sum_stall_raises_instead_of_passing(monkeypatch):
+    """C cap K has no closed-form oracle; a stalled cut loop must surface."""
+    def stalled(*args, **kwargs):
+        return analysis.OptResult("stalled", math.nan, None, None, False, 1)
+
+    sets._support_cached.cache_clear()
+    analysis._set_optimum.cache_clear()
+    monkeypatch.setattr(analysis, "maximize_over_atoms", stalled)
+    C = sets.box([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ArithmeticError):
+        gauge.epi_gauge_cone_sum(C, axis_basis((1, 1), (-1, -1)), ("x0", "x1"), "y")
+
+
 def test_cone_sum_requires_square_basis():
     C = sets.box([0.0, 0.0], [1.0, 1.0])
     bad = sets.SignedBasis(((1.0, 0.0),), (1,), (-1,))
