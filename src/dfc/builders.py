@@ -693,13 +693,19 @@ def _support_const(S: SetExpr, d: np.ndarray, what: str) -> float:
     return val
 
 
-def _signed_frames(basis, signs, flip=None) -> list[SignedBasis]:
-    """One validated signed frame per piece (t = flip, or all ones)."""
-    frames = [
-        SignedBasis(basis, s, flip if flip is not None else (1,) * len(s)) for s in signs
-    ]
-    for frame in frames:
+def _signed_frames(basis, signs, dim: int, flip=None) -> list[SignedBasis]:
+    """One validated signed frame per piece (t = flip, or all ones); a frame
+    needs dim directions of length dim and dim signs."""
+    frames = []
+    for i, s in enumerate(signs):
+        if len(basis) != dim or len(s) != dim or any(len(v) != dim for v in basis):
+            raise sets.DimensionMismatch(
+                f"piece {i}: the frame has {len(basis)} directions and {len(s)} signs, "
+                f"the dimension is {dim}"
+            )
+        frame = SignedBasis(basis, s, flip if flip is not None else (1,) * len(s))
         frame.validate()
+        frames.append(frame)
     return frames
 
 
@@ -729,7 +735,7 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
         raise FamilyInvalid("orthogonal construction needs OrthogonalData")
     n, k = spec.dim, spec.k
     V = np.asarray(data.basis, dtype=float)
-    frames = _signed_frames(data.basis, data.signs, data.flip)
+    frames = _signed_frames(data.basis, data.signs, n, data.flip)
     xs, ys = _xy_vars(n, k)
     x_names = tuple(v.name for v in xs)
     y_names = tuple(v.name for v in ys)
@@ -873,7 +879,7 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
     n, k = spec.dim, spec.k
     V = np.asarray(data.basis, dtype=float)
     disjuncts = spec.sets
-    frames = _signed_frames(data.basis, data.signs)
+    frames = _signed_frames(data.basis, data.signs, n)
     if data.check:
         shifted = [
             sets.translate(S, tuple(-v for v in b)) if any(b) else S

@@ -263,6 +263,9 @@ def gauge_and_normal(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
     q satisfies q.z <= gauge(z) for all z and q.w = gamma.  When the gauge is
     +inf along w (the set is flat in that direction), q is a separating
     direction with q.x <= 0 on S and q.w > 0.  S must contain the origin.
+    Boxes, balls, H-polyhedra and level sets (_level_set_gauge) have exact
+    closed or Newton forms, V-polytopes one polar LP, and other bounded sets
+    the polar cut loop; none bisects, so the result scales with w.
     """
     n = S.dim
     w = np.asarray(w, dtype=float)
@@ -399,32 +402,24 @@ def _polar_gauge(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def _level_set_gauge(fn: CatalogFunction, w: np.ndarray) -> tuple[float, np.ndarray]:
-    # The perspective of fn is positively homogeneous in (x, t), so
-    # gauge(w) = inf {t > 0 : persp(w, t) <= 0} and bisection on t suffices.
-    def ok(t: float) -> bool:
-        return fn.persp_value(w, t) <= 0.0
-
-    lo_cap, hi_cap = sets.GAUGE_BRACKET
-    hi = 1.0
-    while hi <= sets.RAY_CAP and not ok(hi):
-        hi *= 4.0
-    if hi > sets.RAY_CAP:
-        # flat direction: no positive scaling is feasible.  A homogeneous
-        # valid row (a.x <= 0) that w violates separates it from the cone.
+    """Gauge of {fn <= 0} at w with subgradient grad(p) / (grad(p).p) at
+    p = w / gauge.  fn.persp_root gives the gauge in an exact form with no
+    bracket, so it scales with w; a few ulps are added where rounding left
+    persp(w, gauge) > 0.  Recession directions give 0, flat ones +inf with a
+    homogeneous valid row a.x <= 0 that w violates.
+    """
+    gamma = fn.persp_root(w)
+    if gamma == 0.0:
+        return 0.0, np.zeros(w.shape[0])
+    if math.isinf(gamma):
         for a, c in fn.persp_valid_rows():
             if c == 0.0 and float(a @ w) > 0.0:
                 return math.inf, a / float(np.linalg.norm(a))
         raise ValueError("gauge is unbounded along w with no separating row")
-    lo = max(lo_cap, hi / 4.0) if hi > 1.0 else lo_cap
-    if ok(lo):
-        return 0.0, np.zeros(w.shape[0])
-    for _ in range(sets.GAUGE_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    gamma = hi
+    k = -52
+    while fn.persp_value(w, gamma) > 0.0:
+        gamma *= 1.0 + 2.0**k
+        k += 1
     p = w / gamma
     u = fn.grad(p)
     up = float(u @ p)

@@ -119,6 +119,12 @@ class CatalogFunction:
         """Rows (a, c) with a.x <= c*t valid on {persp <= 0, t >= 0}."""
         return []
 
+    def persp_root(self, w: np.ndarray) -> float:
+        """Least t > 0 with persp(w, t) <= 0, the gauge of {f <= 0} at w: 0
+        when every t > 0 qualifies, +inf when none does.  Exact up to
+        rounding and homogeneous in w; f(0) <= 0 is required."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class AffineFn(CatalogFunction):
@@ -142,6 +148,17 @@ class AffineFn(CatalogFunction):
 
     def persp_grad(self, x, t):
         return _arr(self.a).copy(), float(self.beta)
+
+    def persp_valid_rows(self):
+        return [(_arr(self.a).copy(), -float(self.beta))]
+
+    def persp_root(self, w):
+        if self.beta > 0.0:
+            raise ValueError("gauge needs the origin in the level set")
+        c = float(_arr(self.a) @ w)
+        if c <= 0.0:
+            return 0.0
+        return c / -self.beta if self.beta < 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -190,6 +207,19 @@ class QuadraticPlus(CatalogFunction):
 
     def persp_valid_rows(self):
         return [(-_arr(self.w).copy(), 0.0)]
+
+    def persp_root(self, w):
+        # least t with ((c + beta t)+)^2 <= t lin, where c = a.w, lin = w.w
+        if self.beta > 0.0:
+            raise ValueError("gauge needs the origin in the level set")
+        c, lin = float(_arr(self.a) @ w), float(_arr(self.w) @ w)
+        if lin < 0.0:
+            return math.inf
+        if c <= 0.0:
+            return 0.0
+        # the smaller root has c + beta t > 0; this form avoids cancellation
+        den = lin - 2.0 * c * self.beta + math.sqrt(lin * (lin - 4.0 * c * self.beta))
+        return 2.0 * c * c / den if den > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -249,6 +279,43 @@ class GeoMeanDeficit(CatalogFunction):
             rows.append((a, self.shift))
         return rows
 
+    def persp_root(self, w):
+        """With u = 1/t and m = max(w) > 0, persp(w, t) <= 0 reads
+        q(u) = prod_j (shift - u w_j) / scale^n >= 1, feasible for u in
+        [0, 1/root].  The least factor is at most the geometric mean, so 1/root
+        lies in [(shift - scale) / m, shift / m].  Newton on q - 1 starts at
+        the feasible end; for w >= 0, q is convex and decreasing there, so the
+        steps climb to the root.  Where q does not fall (mixed signs can give
+        slope 0) or a step leaves the bracket, the chord is taken instead.
+        """
+        if self.shift <= self.scale:
+            raise ValueError("gauge needs the origin inside the level set")
+        m = float(np.max(w))
+        if m <= 0.0:
+            return 0.0
+        lo, hi, q_lo, q_hi = (self.shift - self.scale) / m, self.shift / m, 0.0, -1.0
+        u = lo
+        for _ in range(64):
+            q, slope = self._persp_excess(w, u)
+            if q >= 0.0:
+                lo, q_lo = u, q
+            else:
+                hi, q_hi = u, q
+            chord = lo + (hi - lo) * q_lo / (q_lo - q_hi)
+            nu = u - q / slope if slope < 0.0 else chord
+            if not lo < nu < hi:
+                nu = chord
+            if abs(nu - u) <= 1e-15 * u:
+                return 1.0 / nu
+            u = nu
+        return 1.0 / lo
+
+    def _persp_excess(self, w: np.ndarray, u: float) -> tuple[float, float]:
+        """q(u) - 1 and its slope (see persp_root); -inf where a factor is 0."""
+        f = self.shift - u * w
+        q = float(np.prod(f)) / self.scale**self.n
+        return q - 1.0, -q * float(np.sum(w / f)) if q > 0.0 else -math.inf
+
 
 @dataclass(frozen=True)
 class MaxOf(CatalogFunction):
@@ -279,6 +346,10 @@ class MaxOf(CatalogFunction):
         for p in self.parts:
             rows.extend(p.persp_valid_rows())
         return rows
+
+    def persp_root(self, w):
+        # {max_i f_i <= 0} is the intersection of the parts' level sets
+        return max(p.persp_root(w) for p in self.parts)
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,45 @@ def test_orthogonal_rejects_a_skewed_frame(flip):
         builders.build(builders.ProblemSpec(pieces, ((0.0, 0.0),) * 2, "orthogonal", data))
 
 
+SHORT = ((1.0, 0.0),)  # one direction in two dimensions
+HALVES = (sets.box((-1.0, -1.0), (0.0, 0.0)), sets.box((0.0, 0.0), (1.0, 1.0)))
+
+
+def short_frame_isotone_spec() -> builders.ProblemSpec:
+    data = builders.IsotoneData(
+        pieces=HALVES, basis=SHORT, signs=((-1,), (1,)), base=((0.0, 0.0),) * 2
+    )
+    return builders.ProblemSpec(HALVES, None, "isotone", data)
+
+
+def test_isotone_rejects_a_short_frame():
+    with pytest.raises(sets.DimensionMismatch, match="piece 0: the frame has 1 directions"):
+        builders.build(short_frame_isotone_spec())
+
+
+@pytest.mark.parametrize("flip", [None, (1,)])
+def test_orthogonal_rejects_a_short_frame(flip):
+    data = builders.OrthogonalData(
+        pieces=HALVES,
+        basis=SHORT,
+        coord_sets=((0,), (0,)),
+        signs=((-1,), (1,)),
+        base=((0.0, 0.0),) * 2,
+        flip=flip,
+    )
+    spec = builders.ProblemSpec(HALVES, ((-0.5, -0.5), (0.5, 0.5)), "orthogonal", data)
+    with pytest.raises(sets.DimensionMismatch, match="piece 0: the frame has 1 directions"):
+        builders.build(spec)
+
+
+def test_isotone_rejects_a_piece_with_short_signs():
+    data = builders.IsotoneData(
+        pieces=HALVES, basis=EYE2, signs=((-1, -1), (1,)), base=((0.0, 0.0),) * 2
+    )
+    with pytest.raises(sets.DimensionMismatch, match="piece 1: .* 1 signs"):
+        builders.build(builders.ProblemSpec(HALVES, None, "isotone", data))
+
+
 def thin_isotone_spec(eps: float = 0.01) -> builders.ProblemSpec:
     """Two isotone pieces; the second, [0,1]^2 cut by x1 - eps x0 <= 0.5, is
     not down-closed: zeroing x0 of (1, 0.5 + eps) leaves it."""

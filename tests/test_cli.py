@@ -115,6 +115,24 @@ def test_build_reports_where_the_cone_sum_condition_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_build_rejects_a_short_frame_without_traceback(tmp_path, capsys):
+    """A frame with fewer directions than the dimension is an error (exit 1)
+    naming the piece, not an escaped IndexError."""
+    halves = (sets.box((-1.0, -1.0), (0.0, 0.0)), sets.box((0.0, 0.0), (1.0, 1.0)))
+    data = builders.IsotoneData(
+        pieces=halves, basis=((1.0, 0.0),), signs=((-1,), (1,)), base=((0.0, 0.0),) * 2
+    )
+    spec = builders.ProblemSpec(halves, None, "isotone", data)
+    inst = tmp_path / "short.json"
+    inst.write_bytes(model.canonical_bytes(model.spec_doc(spec)))
+    out = tmp_path / "m.json"
+    assert main(["build", "--instance", str(inst), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: piece 0: the frame has 1 directions" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from dfc import analysis, gauge, sets
+from dfc import analysis, builders, fixtures, gauge, sets
 from dfc.gauge import Aff
 
 SEED = 20240
@@ -146,6 +146,181 @@ def test_gauge_and_normal_flat_direction_separates():
     assert math.isinf(gam)
     assert float(u @ np.array([0.0, 1.0])) > 0
     assert sets.support(S, u) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# level-set gauges: exact forms against membership bisection
+# ---------------------------------------------------------------------------
+
+AFFINE = sets.AffineFn((1.0, -0.5), -1.0)
+QUADRATIC = sets.QuadraticPlus((1.0, 0.5), -0.5, (0.2, 1.0))
+LEVEL_FNS = {
+    "affine": AFFINE,
+    "quadratic_plus": QUADRATIC,
+    "geomean_2": sets.GeoMeanDeficit(2.0, 1.0, 2),
+    "geomean_3": sets.GeoMeanDeficit(2.0, 1.0, 3),
+    "max_of": sets.MaxOf((AFFINE, QUADRATIC, sets.AffineFn((0.5, -1.0), -0.8))),
+}
+
+
+def finite_gauge_directions(fn, count, rng):
+    """Random w whose level-set gauge is positive and finite."""
+    S = sets.level_set(fn)
+    out = []
+    while len(out) < count:
+        w = rng.uniform(-2.0, 2.0, fn.dim)
+        gam, _ = gauge.gauge_and_normal(S, w)
+        if 0.0 < gam < INF:
+            out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_FNS))
+def test_level_set_gauge_scales_with_w(name):
+    """gauge(s w) = s gauge(w) from 1e-12 to 1e9: no bracket or floor."""
+    fn = LEVEL_FNS[name]
+    S = sets.level_set(fn)
+    rng = np.random.default_rng(SEED)
+    for w in finite_gauge_directions(fn, 20, rng) + [np.ones(fn.dim)]:
+        gam, _ = gauge.gauge_and_normal(S, w)
+        for s in (1e-12, 1e-6, 1.0, 1e4, 1e9):
+            got, _ = gauge.gauge_and_normal(S, s * w)
+            assert got == pytest.approx(s * gam, rel=1e-12, abs=0.0), (w, s)
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_FNS))
+def test_level_set_gauge_matches_membership_bisection(name):
+    """gauge_and_normal on a level set agrees with sets.gauge_value, whose
+    bisection only asks membership; the value is feasible and its normal a
+    subgradient."""
+    fn = LEVEL_FNS[name]
+    S = sets.level_set(fn)
+    origin = np.zeros(fn.dim)
+    rng = np.random.default_rng(SEED)
+    ws = finite_gauge_directions(fn, 40, rng)
+    for w in ws:
+        gam, q = gauge.gauge_and_normal(S, w)
+        want = sets.gauge_value(S, origin, w)
+        assert gam == pytest.approx(want, abs=1e-7 * (1.0 + want))
+        assert fn.persp_value(w, gam) <= 0.0
+        assert float(q @ w) == pytest.approx(gam, abs=1e-9 * (1.0 + gam))
+        for z in ws:
+            gz, _ = gauge.gauge_and_normal(S, z)
+            assert float(q @ z) <= gz + 1e-9 * (1.0 + gz)
+
+
+@pytest.mark.parametrize(
+    "fn,w",
+    [
+        (sets.AffineFn((1.0, -0.5), 0.0), (1.0, 0.5)),
+        (QUADRATIC, (0.3, -1.0)),
+        (LEVEL_FNS["max_of"], (0.3, -1.0)),
+    ],
+)
+def test_level_set_gauge_flat_direction_separates(fn, w):
+    S = sets.level_set(fn)
+    w = np.array(w)
+    gam, q = gauge.gauge_and_normal(S, w)
+    assert math.isinf(gam)
+    assert math.isinf(sets.gauge_value(S, np.zeros(2), w))
+    assert float(q @ w) > 0.0
+    points = np.random.default_rng(SEED).uniform(-3.0, 3.0, (2000, 2))
+    members = [x for x in points if sets.contains(S, x, 0.0)]
+    assert len(members) > 50
+    assert max(float(q @ x) for x in members) <= 0.0
+
+
+@pytest.mark.parametrize(
+    "fn,w",
+    [
+        (AFFINE, (-1.0, 0.5)),
+        (QUADRATIC, (-1.0, 1.0)),
+        (LEVEL_FNS["geomean_3"], (-1.0, 0.0, -2.5)),
+        (LEVEL_FNS["max_of"], (-1.0, 1.0)),
+    ],
+)
+def test_level_set_gauge_recession_direction_is_zero(fn, w):
+    S = sets.level_set(fn)
+    gam, q = gauge.gauge_and_normal(S, np.array(w))
+    assert gam == 0.0 and not np.any(q)
+    assert sets.gauge_value(S, np.zeros(len(w)), w) == 0.0
+
+
+def test_geomean_gauge_matches_the_two_dimensional_closed_form():
+    """For n = 2 the boundary (shift - u w_0)(shift - u w_1) = scale^2, with
+    u = 1 / gauge, is a quadratic in u; its least positive root fixes the
+    gauge to rounding, also where the root sits next to a zero factor."""
+    shift, scale = 2.0, 1.0
+    S = sets.level_set(sets.GeoMeanDeficit(shift, scale, 2))
+    rng = np.random.default_rng(SEED)
+    ws = [rng.uniform(-2.0, 2.0, 2) for _ in range(300)]
+    ws += [np.array([1.0, -(10.0 ** rng.uniform(0, 6))]) for _ in range(100)]
+    for w in ws:
+        if max(w) <= 0.0:
+            continue
+        a, b, c = w[0] * w[1], -shift * (w[0] + w[1]), shift**2 - scale**2
+        if a == 0.0:
+            roots = [-c / b]
+        else:
+            q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b))
+            roots = [q / a, c / q]
+        u = min(r for r in roots if r > 0.0)
+        gam, _ = gauge.gauge_and_normal(S, w)
+        assert gam == pytest.approx(1.0 / u, rel=1e-13), w
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0**-42, 2.0**30], ids=["1", "2^-42", "2^30"])
+def test_geomean_gauge_where_the_newton_slope_vanishes(s):
+    """On the ex7 body at w = (1, -2, -2) the first Newton point u = 1 has
+    factors (1, 4, 4), so sum(w / f) = 0 and q has slope 0 exactly; the
+    chord step takes over.  Power-of-two multiples, such as the LP-noise
+    argument (2^-42, -2^-41, -2^-41), hit the same zero."""
+    fn = sets.GeoMeanDeficit(2.0, 1.0, 3)
+    S = sets.level_set(fn)
+    w = s * np.array([1.0, -2.0, -2.0])
+    gam, q = gauge.gauge_and_normal(S, w)
+    want = s * sets.gauge_value(S, np.zeros(3), w / s)
+    assert gam == pytest.approx(want, rel=1e-7)
+    assert fn.persp_value(w, gam) <= 0.0
+    assert float(q @ w) == pytest.approx(gam, rel=1e-9)
+
+
+def test_ex7_level_set_gauges_take_few_perspective_evaluations(monkeypatch):
+    """The sampled ideal check of ex7/single (seed 20240, 64 directions)
+    evaluates the perspective at most 8 times per level-set gauge on
+    average, counting the Newton steps of the geometric-mean form."""
+    form = builders.build(fixtures.load("ex7", "single"))
+    sets._support_cached.cache_clear()
+    analysis._set_optimum.cache_clear()
+    calls, evals, depth = [0], [0], [0]
+    level_set_gauge = gauge._level_set_gauge
+
+    def counted_gauge(fn, w):
+        calls[0] += 1
+        depth[0] += 1
+        try:
+            return level_set_gauge(fn, w)
+        finally:
+            depth[0] -= 1
+
+    def counted(evaluate):
+        def wrapper(*args):
+            evals[0] += depth[0] > 0
+            return evaluate(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(gauge, "_level_set_gauge", counted_gauge)
+    monkeypatch.setattr(
+        sets.GeoMeanDeficit, "_persp_excess", counted(sets.GeoMeanDeficit._persp_excess)
+    )
+    monkeypatch.setattr(
+        sets.GeoMeanDeficit, "persp_value", counted(sets.GeoMeanDeficit.persp_value)
+    )
+    rep = analysis.check_ideal(form, count=64, seed=SEED)
+    assert rep.verdict == "not-refuted"
+    assert calls[0] > 0
+    assert evals[0] <= 8 * calls[0]
 
 
 # ---------------------------------------------------------------------------
