@@ -9,8 +9,15 @@ slack.  All optimization happens inside an explicit box (radius 1e3); a
 solution pressed against that box is flagged and read as "unbounded" by the
 support-function callers.  The optimizer fallbacks of sets.py share one
 compiled epigraph template per set, kept in a bounded cache, and a bounded
-memo of its optimizations by direction, so the support and the exposed point
-along one direction cost one cut loop.
+memo of its exact optimizations by direction, so the support and the exposed
+point along one direction cost one cut loop.
+
+The sharp and ideal bounds are a max over the pieces, max_i (h_i(u) + v_i),
+taken as a running max: closed-form pieces first, then each curved piece
+with the running max as its floor.  A piece's cut loop stops as soon as its
+LP value, an upper bound on its support, falls to the floor, since the piece
+can no longer raise the max; the bound is the same as with every loop run
+to convergence.
 
 Verification routines compare a formulation's linear relaxation against
 set-level oracles:
@@ -148,7 +155,9 @@ def compile_atoms(atoms, variables) -> _Compiled:
 
 @dataclass
 class OptResult:
-    status: str  # optimal | infeasible | stalled
+    # optimal | infeasible | stalled | dominated (the LP value fell to the
+    # floor; seen only by support_via_optimizer, which maps it to -inf)
+    status: str
     value: float
     point: np.ndarray | None
     env: dict[str, float] | None
@@ -277,11 +286,18 @@ def maximize_over_atoms(
     max_rounds: int = MAX_CUT_ROUNDS,
     extra_eq: tuple[list[np.ndarray], list[float]] | None = None,
     _gap: int | None = None,
+    _floor: float = -math.inf,
 ) -> OptResult:
     """Kelley's cutting-plane loop.  With ``_gap``, the column of a uniform
     slack that the rows subtract, atoms are violated only beyond slack + tol
     and their cuts subtract it too.  A stalled result keeps the last master
-    optimum, if any, in ``point``."""
+    optimum, if any, in ``point``.
+
+    With a ``_floor``, the loop stops as "dominated" at the first master
+    optimum whose value is at most the floor and whose point is off the
+    artificial box: every cut is valid, so that value bounds the true
+    maximum from above, and the caller only needs to know it cannot exceed
+    the floor."""
     if compiled.trivially_infeasible:
         return OptResult("infeasible", -math.inf, None, None, False, 0)
     lb = np.maximum(compiled.lb, -box_radius)
@@ -301,6 +317,8 @@ def maximize_over_atoms(
         if res.status != "optimal":
             return OptResult("stalled", math.nan, None, None, False, rounds)
         z = res.x
+        if res.value <= _floor and not _box_contact(z, lb, ub, compiled, box_radius):
+            return OptResult("dominated", float(res.value), z, None, False, rounds)
         limit = tol if _gap is None else z[_gap] + tol
         violated = False
         new_cuts = []
@@ -320,11 +338,18 @@ def maximize_over_atoms(
     else:
         return OptResult("stalled", math.nan, z, None, False, rounds)
 
-    at_box = (
-        ((ub - z) <= 1e-6 * box_radius) & (compiled.ub > box_radius)
-    ) | (((z - lb) <= 1e-6 * box_radius) & (compiled.lb < -box_radius))
     env = {nm: float(z[i]) for i, nm in enumerate(compiled.names)}
-    return OptResult("optimal", float(res.value), z, env, bool(np.any(at_box)), rounds)
+    at_box = _box_contact(z, lb, ub, compiled, box_radius)
+    return OptResult("optimal", float(res.value), z, env, at_box, rounds)
+
+
+def _box_contact(z, lb, ub, compiled: _Compiled, box_radius: float) -> bool:
+    """Whether z touches the artificial box on a variable only it bounds."""
+    near = 1e-6 * box_radius
+    at_box = (((ub - z) <= near) & (compiled.ub > box_radius)) | (
+        ((z - lb) <= near) & (compiled.lb < -box_radius)
+    )
+    return bool(np.any(at_box))
 
 
 def feasibility_gap(
@@ -388,16 +413,22 @@ def _template(S: SetExpr) -> _Compiled:
 
 
 class _SetOptimum(NamedTuple):
-    status: str  # optimal | infeasible
+    status: str  # optimal | infeasible | dominated
     value: float
     box_active: bool
     point: np.ndarray | None  # the w part, read-only
 
 
-def _maximize_over_set(S: SetExpr, u, what: str) -> _SetOptimum:
-    """Maximize u.w over S's template; ArithmeticError when it stalls."""
+def _maximize_over_set(
+    S: SetExpr, u, what: str, floor: float = -math.inf
+) -> _SetOptimum:
+    """Maximize u.w over S's template; ArithmeticError when it stalls.  Only
+    exact optima (no floor) are memoized."""
+    key = np.asarray(u, dtype=float).tobytes()
     try:
-        return _set_optimum(S, np.asarray(u, dtype=float).tobytes())
+        if floor == -math.inf:
+            return _set_optimum(S, key)
+        return _optimize_set(S, key, floor)
     except ArithmeticError:
         raise ArithmeticError(f"{what} stalled") from None
 
@@ -407,10 +438,15 @@ def _set_optimum(S: SetExpr, u: bytes) -> _SetOptimum:
     """The template optimization along u (float64 bytes), kept so that the
     support and exposed-point fallbacks along one direction share one cut
     loop.  A stall raises and is not kept."""
+    return _optimize_set(S, u, -math.inf)
+
+
+def _optimize_set(S: SetExpr, u: bytes, floor: float) -> _SetOptimum:
+    """One cut loop over S's template along u, stopped early at ``floor``."""
     compiled = _template(S)
     obj = np.zeros(len(compiled.names))
     obj[: S.dim] = np.frombuffer(u)
-    res = maximize_over_atoms(compiled, obj)
+    res = maximize_over_atoms(compiled, obj, _floor=floor)
     if res.status == "stalled":
         raise ArithmeticError("stalled")
     point = res.point
@@ -420,10 +456,14 @@ def _set_optimum(S: SetExpr, u: bytes) -> _SetOptimum:
     return _SetOptimum(res.status, res.value, res.box_active, point)
 
 
-def support_via_optimizer(S: SetExpr, u: np.ndarray) -> float:
-    res = _maximize_over_set(S, u, "support optimization")
+def support_via_optimizer(S: SetExpr, u: np.ndarray, floor: float = -math.inf) -> float:
+    """The support along u; -inf (the identity of a max) instead when the cut
+    loop shows it cannot exceed ``floor``."""
+    res = _maximize_over_set(S, u, "support optimization", floor)
     if res.status == "infeasible":
         raise sets.EmptySet("support of an empty set")
+    if res.status == "dominated":
+        return -math.inf
     return math.inf if res.box_active else res.value
 
 
@@ -728,13 +768,28 @@ def relaxation_max_violation(form, env: dict[str, float]) -> float:
 
 def _union_support(form, d: np.ndarray) -> float:
     u = d[: len(form.x_names)]
-    return max(sets.support(S, u) for S in form.sets)
+    return _max_support(form.sets, u, [0.0] * len(form.sets))
 
 
 def _embedded_support(form, d: np.ndarray) -> float:
     n = len(form.x_names)
     u, v = d[:n], d[n:]
-    return max(sets.support(S, u) + float(v[i]) for i, S in enumerate(form.sets))
+    return _max_support(form.sets, u, [float(c) for c in v])
+
+
+def _max_support(pieces, u: np.ndarray, shifts: list[float]) -> float:
+    """max_i (h_i(u) + shifts[i]) as a running max: closed-form pieces
+    first, then the rest in order, each with the running max as its floor,
+    so a cut loop stops as soon as its piece cannot win.  Exact: a piece
+    stopped early comes back as -inf and leaves the max as it is."""
+    order = sorted(range(len(pieces)), key=lambda i: not sets.has_closed_form_support(pieces[i]))
+    best = -math.inf
+    for i in order:
+        if best == math.inf:
+            break
+        floor = sets.shifted_floor(best, shifts[i])
+        best = max(best, sets.support(pieces[i], u, floor) + shifts[i])
+    return best
 
 
 def _average_support(form, d: np.ndarray) -> float:

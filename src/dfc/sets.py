@@ -6,7 +6,9 @@ sublevel sets of catalog functions, translates, scalings, conic sums,
 intersections).  Every variant supports the same oracle surface:
 
     contains(S, x)             membership at tolerance
-    support(S, u)              sup {u.x : x in S}, +inf when unbounded
+    support(S, u, floor)       sup {u.x : x in S}, +inf when unbounded; a
+                               cut-loop fallback may return -inf once it
+                               shows the value cannot exceed floor
     gauge_value(S, base, x)    Minkowski functional of S - base at x - base
     recession_contains(S, d)   membership of d in the recession cone
     exposed_point(S, u)        a maximizer of u.x over S
@@ -679,16 +681,30 @@ def _vpoly_contains(S: VPolytope, x: np.ndarray, tol: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def support(S: SetExpr, u) -> float:
-    """sup {u.x : x in S}; +inf when unbounded, EmptySet when S is empty."""
+def support(S: SetExpr, u, floor: float = -math.inf) -> float:
+    """sup {u.x : x in S}; +inf when unbounded, EmptySet when S is empty.
+
+    With a finite ``floor`` the caller only needs the support if it exceeds
+    the floor, as in a running max over pieces: a cut-loop fallback that
+    shows the support is at most the floor stops early and returns -inf.
+    Closed forms ignore the floor, and floored values are never cached.
+    """
     uv = _vec(u)
     if len(uv) != S.dim:
         raise DimensionMismatch("direction dimension differs from the set")
-    return _support_cached(S, uv)
+    return _support(S, uv, floor)
+
+
+def _support(S: SetExpr, u: tuple, floor: float) -> float:
+    return _support_cached(S, u) if floor == -math.inf else _support_floored(S, u, floor)
 
 
 @lru_cache(maxsize=65536)
 def _support_cached(S: SetExpr, u: tuple) -> float:
+    return _support_floored(S, u, -math.inf)
+
+
+def _support_floored(S: SetExpr, u: tuple, floor: float) -> float:
     uv = np.asarray(u, dtype=float)
     if isinstance(S, Box):
         lo, up = _arr(S.lower), _arr(S.upper)
@@ -708,16 +724,45 @@ def _support_cached(S: SetExpr, u: tuple) -> float:
     if isinstance(S, VPolytope):
         return float(np.max(_arr(S.vertices) @ uv))
     if isinstance(S, Translate):
-        return _support_cached(S.child, tuple(uv)) + float(_arr(S.offset) @ uv)
+        shift = float(_arr(S.offset) @ uv)
+        return _support(S.child, u, shifted_floor(floor, shift)) + shift
     if isinstance(S, Scale) and S.factor > 0.0:
-        return S.factor * _support_cached(S.child, tuple(uv))
+        return S.factor * _support(S.child, u, _scaled_floor(floor, S.factor))
     if isinstance(S, SumCone):
         if S.rays and float(np.max(_arr(S.rays) @ uv)) > FEASIBILITY_TOL:
             return math.inf
-        return _support_cached(S.child, tuple(uv))
+        return _support(S.child, u, floor)
     from . import analysis
 
-    return analysis.support_via_optimizer(S, uv)
+    return analysis.support_via_optimizer(S, uv, floor)
+
+
+# A floor handed down through a shift or a scaling is lowered by this much
+# relative to its operands, far above their rounding, so a piece found
+# dominated below it is dominated after the shift or scaling too.
+_FLOOR_GUARD = 1e-12
+
+
+def shifted_floor(floor: float, shift: float) -> float:
+    """The floor for h when h + shift is compared with ``floor``."""
+    if math.isinf(floor):
+        return floor
+    return floor - shift - _FLOOR_GUARD * (abs(floor) + abs(shift))
+
+
+def _scaled_floor(floor: float, factor: float) -> float:
+    """The floor for h when factor * h (factor > 0) is compared with ``floor``."""
+    if math.isinf(floor):
+        return floor
+    scaled = floor / factor
+    return scaled - _FLOOR_GUARD * abs(scaled)
+
+
+def has_closed_form_support(S: SetExpr) -> bool:
+    """Whether support(S, .) never runs the cut-loop fallback."""
+    while isinstance(S, (Translate, SumCone)) or (isinstance(S, Scale) and S.factor > 0.0):
+        S = S.child
+    return isinstance(S, (Box, Ball, VPolytope))
 
 
 def exposed_point(S: SetExpr, u) -> np.ndarray:

@@ -8,6 +8,7 @@ derivable on paper (a tight assignment form and a loose big-M form).
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -626,6 +627,107 @@ def test_basis_condition_cap():
     A = rng.normal(size=(42, 3))
     with pytest.raises(ValueError):
         analysis.check_bbj_condition(A, (np.ones(42),), count=2, seed=SEED)
+
+
+# ---------------------------------------------------------------------------
+# the union support bound: a running max that cuts dominated pieces short
+# ---------------------------------------------------------------------------
+
+BOUNDS = {"sharp": analysis._union_support, "ideal": analysis._embedded_support}
+BOUND_CASES = [
+    (name, variant, check)
+    for (name, variant), checks in sorted(fixtures.EXPECTED.items())
+    for check in sorted(BOUNDS)
+    if check in checks
+]
+BODY = fixtures.ex1_sets()[0]  # curved: its support runs the template cut loop
+BRANCH = sets.conic([[-1.0, -1.0], [0.0, 0.0], [1.0, -1.0]], (), [4.0, 2.0, 0.0], [("soc", 3)])
+SQUARE = sets.box([-1.25, -1.25], [1.25, 1.25])
+SYNTHETIC_UNIONS = {
+    "translated": (sets.translate(BODY, [0.3, -0.2]), SQUARE),
+    "scaled": (sets.scale(BODY, 0.8), sets.ball([0.2, 0.1], 1.3)),
+    "nested": (sets.translate(sets.scale(BODY, 1.5), [-0.4, 0.25]), BODY, SQUARE),
+    # one branch of the body: unbounded along every u with a negative entry.
+    # The square reaches past the optimizer's box (analysis.BOX_RADIUS), so
+    # the branch's LP values at that box stay below the floor it sets.
+    "unbounded": (BRANCH, sets.box([-5e3, -5e3], [5e3, 5e3])),
+}
+
+
+def assert_bound_is_exact(form, check, count=256):
+    """Along `count` directions, the pruned bound equals the max over the
+    pieces' exact supports (each shifted by its y-part for ideal), with ==
+    and +inf included; afterwards plain supports are still exact, so no
+    floored value was cached.  Returns the bound values."""
+    n = len(form.x_names)
+    dim = n + (len(form.sets) if check == "ideal" else 0)
+    dirs = analysis.sample_directions(dim, count, SEED)
+    clear_oracle_caches()
+    pruned = [BOUNDS[check](form, d) for d in dirs]
+    after = [[sets.support(S, d[:n]) for S in form.sets] for d in dirs]
+    clear_oracle_caches()
+    exact = [[sets.support(S, d[:n]) for S in form.sets] for d in dirs]
+    assert after == exact
+    for d, got, sup in zip(dirs, pruned, exact):
+        shifts = d[n:] if check == "ideal" else np.zeros(len(sup))
+        assert got == max(h + float(c) for h, c in zip(sup, shifts))
+    return pruned
+
+
+@pytest.mark.parametrize("name,variant,check", BOUND_CASES)
+def test_pruned_bound_equals_unpruned_max(name, variant, check):
+    form = builders.build(fixtures.load(name, variant))
+    assert_bound_is_exact(form, check)
+
+
+@pytest.mark.parametrize("check", sorted(BOUNDS))
+@pytest.mark.parametrize("case", sorted(SYNTHETIC_UNIONS))
+def test_pruned_bound_is_exact_through_shifts_scalings_and_unbounded_pieces(
+    case, check, monkeypatch
+):
+    """Floors pass through translates and scalings of a curved piece, and a
+    piece unbounded along u still gives +inf with a finite floor (the
+    closed-form square goes first, whatever the instance order)."""
+    form = SimpleNamespace(x_names=("x0", "x1"), sets=SYNTHETIC_UNIONS[case])
+    statuses = []
+    maximize = analysis.maximize_over_atoms
+
+    def recorded(*args, **kwargs):
+        res = maximize(*args, **kwargs)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(analysis, "maximize_over_atoms", recorded)
+    bound = assert_bound_is_exact(form, check)
+    assert "dominated" in statuses and "optimal" in statuses
+    if case == "unbounded":
+        assert 0 < bound.count(INF) < len(bound)
+
+
+def test_pruned_bound_runs_far_fewer_cut_rounds(monkeypatch):
+    """On ex1/extended the square beats the curved body along the directions
+    near the diagonals; there the body's cut loop stops once its LP value
+    falls to the square's support instead of converging."""
+    form = builders.build(fixtures.load("ex1", "extended"))
+    maximize = analysis.maximize_over_atoms
+    state = {"floor": True, "rounds": 0}
+
+    def counted(*args, **kwargs):
+        if not state["floor"]:
+            kwargs.pop("_floor", None)
+        res = maximize(*args, **kwargs)
+        state["rounds"] += res.rounds
+        return res
+
+    monkeypatch.setattr(analysis, "maximize_over_atoms", counted)
+    runs = {}
+    for floor in (False, True):
+        clear_oracle_caches()
+        state.update(floor=floor, rounds=0)
+        rep = analysis.check_sharp(form, count=24, seed=SEED)
+        runs[floor] = (state["rounds"], rep.verdict, rep.margin, rep.witnesses)
+    assert runs[True][1:] == runs[False][1:]
+    assert runs[True][0] <= 0.6 * runs[False][0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ in a separate process.
 """
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -229,13 +230,47 @@ def test_analyze_stalled_oracle_exits_with_error(tmp_path, capsys, monkeypatch):
     traceback."""
     inst = write_instance(tmp_path, "ex1", "extended")
 
-    def stalled(S, u):
+    def stalled(S, u, floor=-math.inf):
         raise ArithmeticError("support optimization stalled")
 
     monkeypatch.setattr(analysis, "support_via_optimizer", stalled)
     sets._support_cached.cache_clear()  # no support value may come from the cache
     rc = main(["analyze", "--instance", str(inst), "--check", "sharp", "--directions", "4"])
     assert rc == 1
+    assert "error: support optimization stalled" in capsys.readouterr().err
+
+
+def test_analyze_ignores_a_stall_of_a_dominated_piece(tmp_path, capsys, monkeypatch):
+    """A stall in the cut loop of a piece that cannot win the union's max,
+    after the round at which the loop can tell, does not end the check.
+
+    ex1/extended: along the 16 directions near the diagonals the box
+    [-1.25, 1.25]^2 beats the curved piece, whose cut loop shows it by round
+    4 but needs 16 or 17 rounds to converge; along the other 8 the curved
+    piece wins in 7 rounds.  The curved piece's loop stalls after round 8."""
+    inst = write_instance(tmp_path, "ex1", "extended")
+    conic = fixtures.ex1_sets()[0]
+    maximize = analysis.maximize_over_atoms
+    floors = {"on": True}
+
+    def stall_after_8(compiled, objective, *args, **kwargs):
+        if compiled is analysis._template(conic):
+            kwargs["max_rounds"] = 8
+            if not floors["on"]:
+                kwargs.pop("_floor", None)
+        return maximize(compiled, objective, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "maximize_over_atoms", stall_after_8)
+    argv = ["analyze", "--instance", str(inst), "--check", "sharp", "--directions", "24"]
+    sets._support_cached.cache_clear()
+    analysis._set_optimum.cache_clear()
+    assert main(argv) == 0
+    assert "sharp: not-refuted (24 samples" in capsys.readouterr().out
+
+    floors["on"] = False  # each dominated loop now runs on and stalls
+    sets._support_cached.cache_clear()
+    analysis._set_optimum.cache_clear()
+    assert main(argv) == 1
     assert "error: support optimization stalled" in capsys.readouterr().err
 
 
