@@ -173,8 +173,10 @@ def _atom_violation_and_cuts(atom, pre, z: np.ndarray, want_cut: bool):
         bval = bound[0] @ z + bound[1]
         nrm = float(np.linalg.norm(vals))
         viol = nrm - bval
-        if not want_cut or viol <= 0.0 or nrm == 0.0:
+        if not want_cut or viol <= 0.0:
             return viol, []
+        if nrm == 0.0:  # the bound itself is negative: cut -bound <= 0
+            return viol, [(-bound[0], bound[1])]
         g = vals / nrm
         vec = sum(float(g[i]) * arg[i][0] for i in range(len(arg))) - bound[0]
         const = sum(float(g[i]) * arg[i][1] for i in range(len(arg))) - bound[1]
@@ -497,6 +499,27 @@ def _template_member(S: SetExpr, x: np.ndarray, tau: float, tol: float) -> bool:
         return gauge_mod.block_feasible(atoms, {}, tol)
     gap, _ = feasibility_gap(atoms, [(nm, -math.inf, math.inf) for nm in aux])
     return gap <= tol
+
+
+def gauge_via_template(S: SetExpr, w: np.ndarray) -> float:
+    """Least tau with w in tau * S, minimized over S's epigraph template with
+    tau free.  It is homogeneous: w is scaled to unit max norm, and by 1e-3
+    more when no optimum fits in the artificial box, so gauges up to 1e6 are
+    found, as far as RAY_CAP reaches.  +inf when no tau in reach fits;
+    ArithmeticError when the cut loop stalls or still ends on the box."""
+    s = float(np.max(np.abs(w)))
+    for scale in (s, s * BOX_RADIUS):
+        point = tuple(Aff.const_of(float(v / scale)) for v in w)
+        atoms, aux = gauge_mod.lower_epigraph(S, point, Aff.var("tau"), gauge_mod.NameGen())
+        names = [(nm, -math.inf, math.inf) for nm in ["tau"] + list(aux)]
+        res = maximize_over_atoms(compile_atoms(atoms, names), -np.eye(len(names))[0])
+        if res.status == "stalled":
+            raise ArithmeticError("template gauge stalled")
+        if res.status == "optimal" and not res.box_active:
+            return max(-res.value, 0.0) * scale
+    if res.status == "infeasible":
+        return math.inf
+    raise ArithmeticError("template gauge reached the artificial box")
 
 
 def member_via_feasibility(S: SetExpr, x: np.ndarray, tol: float) -> bool:

@@ -741,13 +741,6 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
     y_names = tuple(v.name for v in ys)
     atoms, prov = [], []
 
-    def frame_expr(d: np.ndarray) -> Aff:
-        e = Aff.const_of(0.0)
-        for c in range(n):
-            if d[c]:
-                e = e + Aff.var(x_names[c]).scaled(float(d[c]))
-        return e
-
     if data.flip is None:
         if spec.base_points is None:
             raise FamilyInvalid("projection form needs base points")
@@ -756,7 +749,7 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
             terms = []
             for j in data.coord_sets[i]:
                 vj = V[j]
-                expr = frame_expr(vj) + Aff.var(y_names[i]).scaled(-float(vj @ b))
+                expr = combo(x_names, vj) + Aff.var(y_names[i]).scaled(-float(vj @ b))
                 terms.append((tuple(map(float, vj)), expr))
             shifted = (
                 sets.translate(spec.sets[i], tuple(-v for v in b))
@@ -782,7 +775,7 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
                 if s[j] == 0 or s[j] * data.flip[j] != -1:
                     continue
                 u = s[j] * V[j]
-                expr = frame_expr(u)
+                expr = combo(x_names, u)
                 for l in range(k):
                     if l == i:
                         bl = float(u @ np.asarray(data.base[i]))
@@ -800,7 +793,7 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
                 prov.append(ORTHOGONAL_LABEL)
         for j in range(n):
             d = t[j] * V[j]
-            expr = frame_expr(d).scaled(-1.0)
+            expr = combo(x_names, d).scaled(-1.0)
             for l in range(k):
                 lo = -_support_const(domains[l], -d, f"piece {l} sign row")
                 if lo:
@@ -890,13 +883,6 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
     x_names = tuple(v.name for v in xs)
     y_names = tuple(v.name for v in ys)
 
-    def frame_expr(d: np.ndarray) -> Aff:
-        e = Aff.const_of(0.0)
-        for c in range(n):
-            if d[c]:
-                e = e + Aff.var(x_names[c]).scaled(float(d[c]))
-        return e
-
     atoms, prov = [], []
     for i in range(k):
         s = data.signs[i]
@@ -905,7 +891,7 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
         levels = []
         for j in range(n):
             u = s[j] * V[j]
-            expr = frame_expr(u)
+            expr = combo(x_names, u)
             for l in range(k):
                 if l == i:
                     bl = float(u @ bi)
@@ -932,7 +918,7 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
         for i in range(k):
             ups.append(_support_const(disjuncts[i], V[j], f"piece {i} upper bound"))
             lows.append(-_support_const(disjuncts[i], -V[j], f"piece {i} lower bound"))
-        ve = frame_expr(V[j])
+        ve = combo(x_names, V[j])
         atoms.append(Linear(combo(y_names, lows) - ve))
         atoms.append(Linear(ve - combo(y_names, ups)))
         prov.extend([ISOTONE_LABEL, ISOTONE_LABEL])

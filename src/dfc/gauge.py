@@ -59,6 +59,10 @@ class ConditionViolated(DfcError):
         self.witness = witness
 
 
+class NeedsBoundedSet(DfcError, ArithmeticError):
+    """The polar gauge loop met an unbounded set that no rule covers."""
+
+
 # ---------------------------------------------------------------------------
 # affine expressions over named variables
 # ---------------------------------------------------------------------------
@@ -263,128 +267,115 @@ def gauge_and_normal(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
     q satisfies q.z <= gauge(z) for all z and q.w = gamma.  When the gauge is
     +inf along w (the set is flat in that direction), q is a separating
     direction with q.x <= 0 on S and q.w > 0.  S must contain the origin.
-    Boxes, balls, H-polyhedra and level sets (_level_set_gauge) have exact
-    closed or Newton forms, V-polytopes one polar LP, and other bounded sets
-    the polar cut loop; none bisects, so the result scales with w.
+    Translates fold into the set's data (_recenter); boxes and H-polyhedra
+    take row ratios, balls and conic sets a root per cone block, level sets
+    their persp_root, intersections the largest child gauge, and the rest
+    the polar loop (NeedsBoundedSet when unbounded).  None bisects.
     """
     n = S.dim
     w = np.asarray(w, dtype=float)
     if float(np.max(np.abs(w), initial=0.0)) == 0.0:
         return 0.0, np.zeros(n)
-    if isinstance(S, Box):
-        lo, up = _arr(S.lower), _arr(S.upper)
-        best, q, flat = 0.0, np.zeros(n), None
-        for j in range(n):
-            if w[j] > 0.0:
-                if up[j] <= 0.0:
-                    flat = (j, 1.0)
-                    break
-                if not math.isinf(up[j]) and w[j] / up[j] > best:
-                    best = w[j] / up[j]
-                    q = np.zeros(n)
-                    q[j] = 1.0 / up[j]
-            elif w[j] < 0.0:
-                if lo[j] >= 0.0:
-                    flat = (j, -1.0)
-                    break
-                if not math.isinf(lo[j]) and w[j] / lo[j] > best:
-                    best = w[j] / lo[j]
-                    q = np.zeros(n)
-                    q[j] = 1.0 / lo[j]
-        if flat is not None:
-            j, sgn = flat
-            qf = np.zeros(n)
-            qf[j] = sgn
-            return math.inf, qf
-        return best, q
-    if isinstance(S, Ball):
-        c, r = _arr(S.center), S.radius
-        a = float(c @ c) - r * r
-        if a >= 0.0:
-            raise ValueError("gauge needs the origin in the ball's interior")
-        wc = float(w @ c)
-        lam = (math.sqrt(wc * wc - a * float(w @ w)) - wc) / (-a)
-        p = w / lam
-        u = p - c
-        sigma = float(c @ u) + r * float(np.linalg.norm(u))
-        return lam, u / sigma
-    if isinstance(S, HPolyhedron):
-        A, b = _arr(S.A), _arr(S.b)
-        if np.any(b < 0.0):
-            raise ValueError("gauge needs the origin in the polyhedron")
-        vals = A @ w
-        best, q, flat = 0.0, np.zeros(n), None
-        for i in range(A.shape[0]):
-            if b[i] == 0.0:
-                if vals[i] > 0.0:
-                    flat = i
-                    break
-                continue
-            if vals[i] / b[i] > best:
-                best = vals[i] / b[i]
-                q = A[i] / b[i]
-        if flat is not None:
-            return math.inf, A[flat].copy()
-        return best, q
-    if isinstance(S, VPolytope):
-        return _vpolytope_gauge(S, w)
+    if isinstance(S, Translate):
+        S = _recenter(S.child, _arr(S.offset))
+    if isinstance(S, (Box, HPolyhedron)):
+        return _rows_gauge(*sets.collect_rows(S), w)
+    if isinstance(S, Ball):  # one soc block: (r, x - center) in the cone
+        A = np.vstack([np.zeros(n), np.eye(n)])
+        S = sets.conic(A, (), np.concatenate([[S.radius], -_arr(S.center)]), [("soc", n + 1)])
+    if isinstance(S, ConicRep) and not S.B:
+        return _conic_gauge(S, w)
     if isinstance(S, Scale) and S.factor > 0.0:
         g, q = gauge_and_normal(S.child, w)
         return g / S.factor, q / S.factor
     if isinstance(S, LevelSet):
         return _level_set_gauge(S.fn, w)
     if isinstance(S, Intersect):
-        best, bestq = -1.0, None
-        for child in S.children:
-            g, q = gauge_and_normal(child, w)
-            if g > best:
-                best, bestq = g, q
-            if math.isinf(g):
-                break
-        return best, bestq
-    return _polar_gauge(S, w)
+        return _max_gauge(gauge_and_normal(child, w) for child in S.children)
+    return _polar_gauge(S, w, _arr(S.vertices) if isinstance(S, VPolytope) else ())
 
 
-def _vpolytope_gauge(S: VPolytope, w: np.ndarray) -> tuple[float, np.ndarray]:
-    # gauge(w) = max {q.w : q.v <= 1 for every vertex v} by polarity;
-    # the maximizer is the subgradient itself.
-    from . import simplex
-
-    V = _arr(S.vertices)
-    n = V.shape[1]
-    cap = sets.RAY_CAP
-    res = simplex.solve_lp(
-        w,
-        [V[i] for i in range(V.shape[0])],
-        [1.0] * V.shape[0],
-        None,
-        None,
-        np.full(n, -cap),
-        np.full(n, cap),
-    )
-    if res.status != "optimal":
-        raise ValueError("polytope gauge needs the origin inside the hull")
-    q = res.x
-    if float(np.max(np.abs(q))) >= cap * (1.0 - 1e-9):
-        # flat direction: the polar is unbounded, so conv(V) lies in a
-        # halfspace through the origin that w violates
-        u = q / float(np.linalg.norm(q))
-        return math.inf, u
-    return float(res.value), q.copy()
+def _max_gauge(pairs) -> tuple[float, np.ndarray]:
+    """The first pair with the largest gauge, that of the parts' intersection."""
+    best = (-1.0, None)
+    for pair in pairs:
+        best = max(best, pair, key=lambda p: p[0])
+        if math.isinf(pair[0]):
+            break
+    return best
 
 
-def _polar_gauge(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
+def _rows_gauge(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Gauge of {x : A x <= b} at w: the largest ratio A_i.w / b_i, with
+    normal A_i / b_i; +inf with normal A_i on a row with b_i = 0 that w
+    violates."""
+    if np.any(b < 0.0):
+        raise ValueError("gauge needs the origin in the polyhedron")
+    vals = A @ w
+    best, q = 0.0, np.zeros(w.shape[0])
+    for i in range(A.shape[0]):
+        if b[i] == 0.0 and vals[i] > 0.0:
+            return math.inf, A[i].copy()
+        if b[i] > 0.0 and vals[i] / b[i] > best:
+            best = vals[i] / b[i]
+            q = A[i] / b[i]
+    return best, q
+
+
+def _conic_gauge(S: ConicRep, w: np.ndarray):
+    """Largest block gauge of a conic set without auxiliaries, 'nonneg' rows
+    as -A x <= c and 'zero' rows as both; the polar loop if an soc c is not
+    interior to its cone."""
+    A, c = _arr(S.A), _arr(S.c)
+    parts, at = [], 0
+    for sl in S.cones:
+        Ab, cb = A[at : at + sl.size], c[at : at + sl.size]
+        at += sl.size
+        if sl.kind == "soc":
+            if cb[0] <= float(np.linalg.norm(cb[1:])):
+                return _polar_gauge(S, w)
+            parts.append(_soc_gauge(Ab @ w, cb, Ab))
+        elif sl.kind == "nonneg":
+            parts.append(_rows_gauge(-Ab, cb, w))
+        else:
+            parts.append(_rows_gauge(np.vstack([-Ab, Ab]), np.concatenate([cb, -cb]), w))
+    return _max_gauge(parts)
+
+
+def _soc_gauge(v: np.ndarray, c: np.ndarray, A: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least t >= 0 with u = v + t c in the cone ||u[1:]|| <= u[0], for c
+    interior to it: the larger root of the Lorentz form <u, u> = 0, taken in
+    a form without cancellation.  Its normal -A^T y / (y.c), y = (u0, -u[1:]),
+    is the subgradient of the block {x : A x + c in cone} at v = A w.  At the
+    apex u = 0 any y of the cone serves; it takes y = e_0."""
+    nv, nc = float(np.linalg.norm(v[1:])), float(np.linalg.norm(c[1:]))
+    if v[0] >= nv:
+        return 0.0, np.zeros(A.shape[1])
+    alpha = (c[0] - nc) * (c[0] + nc)
+    beta = float(v[0] * c[0] - v[1:] @ c[1:])
+    gamma = (v[0] - nv) * (v[0] + nv)
+    disc = math.sqrt(max(beta * beta - alpha * gamma, 0.0))
+    t = (disc - beta) / alpha if beta < 0.0 else -gamma / (beta + disc)
+    y = v + t * c
+    y[1:] = -y[1:]
+    if y[0] <= 1e-12 * (abs(v[0]) + t * c[0]):  # w / t is the apex
+        y = np.eye(c.shape[0])[0]
+    return t, -(A.T @ y) / float(y @ c)
+
+
+def _polar_gauge(S: SetExpr, w: np.ndarray, rows=()) -> tuple[float, np.ndarray]:
     """Gauge and subgradient via cutting planes on the polar set.
 
     Maximizes q.w over {q : q.x <= 1 on S}, separating with exposed points
-    of S, so it only needs the set's support oracle.  Requires a bounded S;
-    unbounded sets must be covered by a structural rule above.
+    of S, so it only needs its support oracle; ``rows`` (a V-polytope's
+    vertices) seed the master.  A polar-feasible q at RAY_CAP means S is flat
+    along w: +inf, normal q / ||q||.  NeedsBoundedSet on an unbounded S.
     """
     from . import simplex
 
     n = w.shape[0]
     cap = sets.RAY_CAP
-    master = simplex.Master(w, None, None, None, None, np.full(n, -cap), np.full(n, cap))
+    master = simplex.Master(w, rows, [1.0] * len(rows), None, None, np.full(n, -cap), np.full(n, cap))
     for _ in range(5000):
         res = master.solve()
         if res.status != "optimal":
@@ -392,13 +383,41 @@ def _polar_gauge(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
         q = res.x
         sig = sets.support(S, q)
         if math.isinf(sig):
-            raise ArithmeticError("gauge subgradient fallback needs a bounded set")
+            raise NeedsBoundedSet("gauge subgradient fallback needs a bounded set")
         if sig <= 1.0 + 1e-9:
-            scale = max(sig, 1.0)
-            q = q / scale
+            if float(np.max(np.abs(q))) >= cap * (1.0 - 1e-9):
+                return math.inf, q / float(np.linalg.norm(q))
+            q = q / max(sig, 1.0)
             return float(q @ w), q.copy()
         master.add_rows([sets.exposed_point(S, q)], [1.0])
     raise ArithmeticError("polar gauge did not converge")
+
+
+def _recenter(S: SetExpr, offset: np.ndarray) -> SetExpr:
+    """S + offset folded into the data of boxes, balls, polyhedra, V-polytopes
+    and conic sets, and of scalings and intersections whose parts all fold;
+    any other set stays a Translate."""
+    if isinstance(S, Translate):
+        return _recenter(S.child, offset + _arr(S.offset))
+    if isinstance(S, Box):
+        return Box(sets._vec(_arr(S.lower) + offset), sets._vec(_arr(S.upper) + offset))
+    if isinstance(S, Ball):
+        return Ball(sets._vec(_arr(S.center) + offset), S.radius)
+    if isinstance(S, HPolyhedron):
+        return HPolyhedron(S.A, sets._vec(_arr(S.b) + _arr(S.A) @ offset))
+    if isinstance(S, VPolytope):
+        return VPolytope(sets._mat(_arr(S.vertices) + offset))
+    if isinstance(S, ConicRep):
+        return ConicRep(S.A, S.B, sets._vec(_arr(S.c) - _arr(S.A) @ offset), S.cones)
+    if isinstance(S, Intersect):
+        children = tuple(_recenter(child, offset) for child in S.children)
+        if not any(isinstance(child, Translate) for child in children):
+            return Intersect(children)
+    if isinstance(S, Scale) and S.factor > 0.0:
+        child = _recenter(S.child, offset / S.factor)
+        if not isinstance(child, Translate):
+            return Scale(child, S.factor)
+    return Translate(S, sets._vec(offset))
 
 
 def _level_set_gauge(fn: CatalogFunction, w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -740,15 +759,13 @@ def _probe_cone_sum_condition(C: SetExpr, basis: SignedBasis, probes: int, seed:
 
 def _conjuncts(S: SetExpr, offset=None) -> list:
     """Sets whose intersection is S: Intersect nodes are split into their
-    children, with any translates above them moved down onto each child."""
+    children, and any translates above them folded into each (_recenter)."""
     if isinstance(S, Translate):
         shift = _arr(S.offset) if offset is None else offset + _arr(S.offset)
         return _conjuncts(S.child, shift)
     if isinstance(S, Intersect):
         return [p for c in S.children for p in _conjuncts(c, offset)]
-    if offset is None or not np.any(offset):
-        return [S]
-    return [Translate(S, tuple(float(v) for v in offset))]
+    return [S if offset is None else _recenter(S, offset)]
 
 
 def _point_text(x) -> str:

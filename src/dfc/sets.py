@@ -9,7 +9,7 @@ intersections).  Every variant supports the same oracle surface:
     support(S, u, floor)       sup {u.x : x in S}, +inf when unbounded; a
                                cut-loop fallback may return -inf once it
                                shows the value cannot exceed floor
-    gauge_value(S, base, x)    Minkowski functional of S - base at x - base
+    gauge_value(S, base, x)    gauge of S - base at x - base (gauge.py rules)
     recession_contains(S, d)   membership of d in the recession cone
     exposed_point(S, u)        a maximizer of u.x over S
     validate_family(...)       shared-dimension / shared-recession report
@@ -35,8 +35,6 @@ MEMBERSHIP_TOL = 1e-7
 FEASIBILITY_TOL = 1e-8
 SUPPORT_EQ_TOL = 1e-6
 WITNESS_MARGIN = 1e-3
-GAUGE_BRACKET = (1e-9, 1e6)
-GAUGE_BISECT_ITERS = 80
 RAY_CAP = 1e6
 
 Vec = "tuple[float, ...]"
@@ -831,47 +829,23 @@ def recession_contains(S: SetExpr, d, tol: float = 1e-9) -> bool:
     return analysis.recession_member_via_template(S, dv, tol)
 
 
-def gauge_value(S: SetExpr, base, x, tol: float = 1e-9) -> float:
-    """Gauge of S - base evaluated at x - base.
+def gauge_value(S: SetExpr, base, x) -> float:
+    """Gauge of S - base at x - base (base in S) by gauge.gauge_and_normal,
+    or over S's template (analysis.gauge_via_template) where that needs a
+    bounded set; the template may raise ArithmeticError."""
+    from . import analysis, gauge
 
-    Bisection over the membership oracle on the bracket GAUGE_BRACKET, with a
-    recession-cone shortcut for the value 0 and +inf when no feasible scaling
-    exists below the bracket's upper end.  Requires base in S.
-    """
     bv = np.asarray(_vec(base), dtype=float)
     xv = np.asarray(_vec(x), dtype=float)
     if bv.shape[0] != S.dim or xv.shape[0] != S.dim:
         raise DimensionMismatch("gauge operands disagree with the set dimension")
     if not _contains(S, bv, 1e-6):
         raise BasePointNotInSet("gauge base point is outside the set")
-    w = xv - bv
-    scale_w = float(np.max(np.abs(w), initial=0.0))
-    if scale_w <= tol:
-        return 0.0
-    if recession_contains(S, w):
-        return 0.0
-
-    lo_cap, hi_cap = GAUGE_BRACKET
-
-    def feasible(lam: float) -> bool:
-        return _contains(S, bv + w / lam, tol)
-
-    hi = 1.0
-    while hi <= hi_cap and not feasible(hi):
-        hi *= 4.0
-    if hi > hi_cap:
-        return math.inf
-    lo = max(lo_cap, hi / 4.0) if hi > 1.0 else lo_cap
-    if feasible(lo):
-        # the whole bracket is feasible; gauge is at or below the floor
-        return lo if lo > lo_cap else 0.0
-    for _ in range(GAUGE_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    shifted = Translate(S, _vec(-bv)) if np.any(bv) else S
+    try:
+        return float(gauge.gauge_and_normal(shifted, xv - bv)[0])
+    except gauge.NeedsBoundedSet:
+        return analysis.gauge_via_template(shifted, xv - bv)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from dfc import analysis, builders, fixtures, gauge, model, sets
+from oracles import gauge_bisect
 
 SEED = analysis.DEFAULT_SEED
 
@@ -34,20 +35,6 @@ def witness_env(form_x_count: int = 3):
     env = {f"x{j}": v for j, v in enumerate(fixtures.EX7_WITNESS_X)}
     env.update({f"y{i}": v for i, v in enumerate(fixtures.EX7_WITNESS_Y)})
     return env
-
-
-def gauge_bisect(S, x, hi: float = 8.0, steps: int = 200) -> float:
-    """Gauge of x by bisection on scaled membership; independent of the
-    package's own gauge evaluators."""
-    x = np.asarray(x, dtype=float)
-    lo = 0.0
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        if sets.contains(S, x / mid, 1e-9):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def relaxation_vertices(form):

@@ -134,6 +134,26 @@ def test_build_rejects_a_short_frame_without_traceback(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_build_exits_1_when_a_template_gauge_reaches_the_box(tmp_path, capsys):
+    """The big-M constants of cone sums along a short ray (1e-8, 0) need
+    ray multipliers past the artificial box; the gauge fallback raises and
+    the build is an error (exit 1) instead of a box-limited constant."""
+    ray = [[1e-8, 0.0]]
+    pieces = (
+        sets.sum_cone(sets.box([-1.0, -1.0], [1.0, 1.0]), ray),
+        sets.sum_cone(sets.box([2.0, -0.1], [3.0, 0.1]), ray),
+    )
+    spec = builders.ProblemSpec(pieces, ((0.0, 0.0), (2.5, 0.0)), "bigm", builders.BigMData())
+    inst = tmp_path / "ray.json"
+    inst.write_bytes(model.canonical_bytes(model.spec_doc(spec)))
+    out = tmp_path / "m.json"
+    assert main(["build", "--instance", str(inst), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: template gauge reached the artificial box" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

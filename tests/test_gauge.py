@@ -12,6 +12,7 @@ import pytest
 
 from dfc import analysis, builders, fixtures, gauge, sets
 from dfc.gauge import Aff
+from oracles import gauge_bisect, unit_disk_conic
 
 SEED = 20240
 CASES = 200
@@ -129,15 +130,17 @@ def test_gauge_and_normal_subgradient_inequality():
 
 
 def test_gauge_and_normal_matches_bisection_value():
+    """The V-polytope tolerance covers membership, whose LP counts points
+    about 1e-7 outside the hull as members."""
     rng = np.random.default_rng(SEED)
     D = unit_disk_conic()
     V = sets.vpoly([[1.0, 0.2], [-0.3, 1.1], [-0.9, -0.8], [0.7, -1.0]])
     for _ in range(60):
         w = rng.uniform(-2, 2, 2)
-        for S in (D, V):
+        for S, tol in ((D, 1e-8), (V, 1e-6)):
             gam, _ = gauge.gauge_and_normal(S, w)
-            want = sets.gauge_value(S, [0.0, 0.0], w)
-            assert gam == pytest.approx(want, abs=1e-5 * (1 + want))
+            want = gauge_bisect(S, w)
+            assert gam == pytest.approx(want, abs=tol * (1 + want))
 
 
 def test_gauge_and_normal_flat_direction_separates():
@@ -190,18 +193,16 @@ def test_level_set_gauge_scales_with_w(name):
 
 @pytest.mark.parametrize("name", sorted(LEVEL_FNS))
 def test_level_set_gauge_matches_membership_bisection(name):
-    """gauge_and_normal on a level set agrees with sets.gauge_value, whose
-    bisection only asks membership; the value is feasible and its normal a
-    subgradient."""
+    """gauge_and_normal on a level set agrees with a bisection that only asks
+    membership; the value is feasible and its normal a subgradient."""
     fn = LEVEL_FNS[name]
     S = sets.level_set(fn)
-    origin = np.zeros(fn.dim)
     rng = np.random.default_rng(SEED)
     ws = finite_gauge_directions(fn, 40, rng)
     for w in ws:
         gam, q = gauge.gauge_and_normal(S, w)
-        want = sets.gauge_value(S, origin, w)
-        assert gam == pytest.approx(want, abs=1e-7 * (1.0 + want))
+        want = gauge_bisect(S, w)
+        assert gam == pytest.approx(want, abs=1e-8 * (1.0 + want))
         assert fn.persp_value(w, gam) <= 0.0
         assert float(q @ w) == pytest.approx(gam, abs=1e-9 * (1.0 + gam))
         for z in ws:
@@ -222,7 +223,7 @@ def test_level_set_gauge_flat_direction_separates(fn, w):
     w = np.array(w)
     gam, q = gauge.gauge_and_normal(S, w)
     assert math.isinf(gam)
-    assert math.isinf(sets.gauge_value(S, np.zeros(2), w))
+    assert math.isinf(gauge_bisect(S, w))
     assert float(q @ w) > 0.0
     points = np.random.default_rng(SEED).uniform(-3.0, 3.0, (2000, 2))
     members = [x for x in points if sets.contains(S, x, 0.0)]
@@ -243,7 +244,7 @@ def test_level_set_gauge_recession_direction_is_zero(fn, w):
     S = sets.level_set(fn)
     gam, q = gauge.gauge_and_normal(S, np.array(w))
     assert gam == 0.0 and not np.any(q)
-    assert sets.gauge_value(S, np.zeros(len(w)), w) == 0.0
+    assert gauge_bisect(S, w) < 1e-50
 
 
 def test_geomean_gauge_matches_the_two_dimensional_closed_form():
@@ -279,8 +280,8 @@ def test_geomean_gauge_where_the_newton_slope_vanishes(s):
     S = sets.level_set(fn)
     w = s * np.array([1.0, -2.0, -2.0])
     gam, q = gauge.gauge_and_normal(S, w)
-    want = s * sets.gauge_value(S, np.zeros(3), w / s)
-    assert gam == pytest.approx(want, rel=1e-7)
+    want = s * gauge_bisect(S, w / s)
+    assert gam == pytest.approx(want, rel=1e-9)
     assert fn.persp_value(w, gam) <= 0.0
     assert float(q @ w) == pytest.approx(gam, rel=1e-9)
 
@@ -324,17 +325,147 @@ def test_ex7_level_set_gauges_take_few_perspective_evaluations(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# template lowering: slice equivalence with plain membership
+# conic, translate and polar rules against membership bisection
 # ---------------------------------------------------------------------------
 
+# soc, nonneg and zero blocks: ||(x0, x1)|| <= 1, x0 <= 0.5, x2 = 0
+MIXED_BLOCKS = sets.conic(
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, 0, 1]],
+    (),
+    [1.0, 0.0, 0.0, 0.5, 0.0],
+    [("soc", 3), ("nonneg", 1), ("zero", 1)],
+)
+CONIC_BODIES = {
+    "ex1": fixtures.ex1_sets()[0],
+    "ex5_first": fixtures.ex5_sets()[0],
+    "ex5_second": fixtures.ex5_sets()[1],
+    "mixed": MIXED_BLOCKS,
+}
 
-def unit_disk_conic():
-    return sets.conic(
-        A=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-        B=None,
-        c=[1.0, 0.0, 0.0],
-        cones=[("soc", 3)],
-    )
+
+def assert_subgradients(S, ws, tol):
+    """q.w = gauge(w) and q.z <= gauge(z) for every pair of arguments."""
+    pairs = [gauge.gauge_and_normal(S, w) for w in ws]
+    for w, (gam, q) in zip(ws, pairs):
+        assert float(q @ w) == pytest.approx(gam, abs=tol * (1.0 + gam))
+        for z, (gz, _) in zip(ws, pairs):
+            assert float(q @ z) <= gz + tol * (1.0 + gz)
+
+
+@pytest.mark.parametrize("name", sorted(CONIC_BODIES))
+def test_conic_gauge_matches_membership_bisection(name):
+    """Conic sets without auxiliaries take the largest block gauge: a
+    quadratic root per soc block and row ratios for nonneg and zero rows.
+    Their membership is a direct residual, so bisection at tolerance 0 pins
+    the gauge to rounding, where a polar cut loop stops near 1e-9."""
+    S = CONIC_BODIES[name]
+    rng = np.random.default_rng(SEED)
+    ws = [rng.uniform(-2.0, 2.0, S.dim) for _ in range(40)]
+    if name == "mixed":
+        ws = [w * (1.0, 1.0, 0.0) for w in ws]
+    for w in ws:
+        gam, _ = gauge.gauge_and_normal(S, w)
+        assert gam == pytest.approx(gauge_bisect(S, w, tol=0.0), rel=1e-12)
+    assert_subgradients(S, ws, 1e-9)
+
+
+def test_conic_gauge_flat_direction_separates():
+    """Off the zero block's plane the gauge is +inf, and the zero row
+    itself separates: q.x = 0 on the set and q.w > 0."""
+    w = np.array([0.3, -0.2, 1.0])
+    gam, q = gauge.gauge_and_normal(MIXED_BLOCKS, w)
+    assert math.isinf(gam)
+    assert math.isinf(gauge_bisect(MIXED_BLOCKS, w))
+    assert float(q @ w) > 0.0
+    assert sets.support(MIXED_BLOCKS, q) <= 1e-9
+
+
+def test_conic_gauge_with_the_origin_on_a_cone_boundary():
+    """The disk ||(x0 + 1, x1)|| <= 1 has the origin on its boundary, so its
+    soc block has no interior root; the polar loop takes it without raising,
+    with +inf along the outward normal."""
+    S = sets.conic([[0, 0], [1, 0], [0, 1]], (), [1.0, 1.0, 0.0], [("soc", 3)])
+    gam, _ = gauge.gauge_and_normal(S, np.array([-1.0, 0.0]))
+    assert gam == pytest.approx(0.5, rel=1e-8)
+    gam, q = gauge.gauge_and_normal(S, np.array([1.0, 0.0]))
+    assert math.isinf(gam) and q[0] > 0.0
+
+
+def test_conic_gauge_at_the_apex_of_a_translated_cone():
+    """{x : |x1| <= x0 + 1} at w = (-1, 0): w / 1 is the cone's apex, where
+    the root's own normal is 0 / 0; any dual vector serves instead.  The
+    gauge is max(|z1| - z0, 0)."""
+    S = sets.conic([[1, 0], [0, 1]], (), [1.0, 0.0], [("soc", 2)])
+    gam, q = gauge.gauge_and_normal(S, np.array([-1.0, 0.0]))
+    assert gam == 1.0
+    assert np.all(np.isfinite(q)) and float(q @ [-1.0, 0.0]) == pytest.approx(1.0, rel=1e-12)
+    for z in np.random.default_rng(SEED).uniform(-3.0, 3.0, (200, 2)):
+        assert float(q @ z) <= max(abs(z[1]) - z[0], 0.0) + 1e-12
+
+
+RECENTERED_KINDS = {
+    "box": sets.box([-1.0, -0.5], [0.5, 2.0]),
+    "ball": sets.ball([0.2, -0.1], 1.2),
+    "hpoly": sets.hpoly([[1.0, 1.0], [-1.0, 0.5], [0.0, -1.0]], [1.0, 0.8, 0.6]),
+    "vpoly": sets.vpoly([[1.5, 0.0], [0.0, 1.5], [-1.0, -1.0], [-1.0, 1.0]]),
+    "conic": unit_disk_conic(),
+    "intersect": sets.intersect(sets.ball([0.0, 0.0], 1.4), sets.box([-1.0, -1.0], [2.0, 2.0])),
+    "scale": sets.scale(sets.box([-1.0, -1.0], [1.0, 1.0]), 1.7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECENTERED_KINDS))
+def test_translate_rule_with_a_nonzero_base(name):
+    """A translate with a nonzero base is folded into the set's data: the
+    gauge of translate(S, t) - (b + t) at x + t matches bisection of S - b,
+    keeps subgradients, and scales exactly with x - b.  V-polytope
+    membership counts points about 1e-7 outside the hull, hence its wider
+    tolerance."""
+    S = RECENTERED_KINDS[name]
+    t, b = np.array([0.7, -1.3]), np.array([0.15, -0.1])
+    T = sets.translate(S, t)
+    tol = 1e-6 if name == "vpoly" else 1e-8
+    rng = np.random.default_rng(SEED)
+    xs = [rng.uniform(-2.0, 2.0, 2) for _ in range(20)]
+    for x in xs:
+        g = sets.gauge_value(T, b + t, x + t)
+        assert g == pytest.approx(gauge_bisect(sets.translate(S, -b), x - b), abs=tol * (1.0 + g))
+        for s in (1e-12, 1e7):
+            got = sets.gauge_value(T, b + t, b + t + s * (x - b))
+            assert got == pytest.approx(s * g, rel=1e-9)
+    assert_subgradients(sets.translate(T, -(b + t)), [x - b for x in xs], 1e-9)
+
+
+def test_polar_gauge_flat_direction_is_infinite():
+    """A polar-feasible normal at the cap means the set is flat along w: the
+    segment [-1, 1] x {0} has gauge +inf along (0.3, 1), not cap + 0.3."""
+    S = sets.SumCone(sets.box([-1.0, 0.0], [1.0, 0.0]), ())
+    w = np.array([0.3, 1.0])
+    gam, q = gauge.gauge_and_normal(S, w)
+    assert math.isinf(gam)
+    assert float(q @ w) > 0.0
+    assert sets.support(S, q) <= 1e-5
+
+
+def test_translated_slab_gauge_by_polar_loop_and_template():
+    """ex6's slab shifted by its base (0, 0.5) leaves a translated parabola,
+    which no rule covers: gauge atoms take the polar loop on the whole slab,
+    and the template fallback gives the same value."""
+    slab = fixtures.ex6_sets()[1]
+    base = np.array([0.0, 0.5])
+    shifted = sets.translate(slab, -base)
+    rng = np.random.default_rng(SEED)
+    for _ in range(10):
+        w = rng.uniform(-1.0, 1.0, 2)
+        want = gauge_bisect(shifted, w)
+        assert gauge.gauge_and_normal(shifted, w)[0] == pytest.approx(want, abs=1e-7)
+        assert sets.gauge_value(slab, base, base + w) == pytest.approx(want, abs=1e-7)
+        assert analysis.gauge_via_template(shifted, w) == pytest.approx(want, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# template lowering: slice equivalence with plain membership
+# ---------------------------------------------------------------------------
 
 
 def block_holds(S, x, tau, tol=1e-7):

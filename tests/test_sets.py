@@ -2,7 +2,8 @@
 
 Every numeric comparison here is against an oracle computed by a different
 route than the library uses: corner scans for box supports, combinatorial
-basic solutions for polytope gauges, ratio formulas for H-form gauges.
+basic solutions for polytope gauges, ratio formulas for H-form gauges, and
+membership bisection (tests/oracles.py) where no closed form exists.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from dfc import sets
+from oracles import gauge_bisect, unit_disk_conic
 
 SEED = 20240
 CASES = 200
@@ -63,16 +65,6 @@ def vpoly_gauge_oracle(V, x):
             if err <= 1e-9 * (1.0 + float(np.linalg.norm(x))):
                 best = min(best, float(np.sum(mu)))
     return best
-
-
-def unit_disk_conic():
-    """{x in R^2 : ||x|| <= 1} as a single second-order-cone block."""
-    return sets.conic(
-        A=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-        B=None,
-        c=[1.0, 0.0, 0.0],
-        cones=[("soc", 3)],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +260,7 @@ def test_gauge_box_matches_ratio_oracle():
         S = sets.box(lo, up)
         x = rng.uniform(-5, 5, n)
         want = box_gauge_oracle(lo, up, x)
-        assert sets.gauge_value(S, np.zeros(n), x) == pytest.approx(want, abs=1e-6)
+        assert sets.gauge_value(S, np.zeros(n), x) == pytest.approx(want, abs=1e-12)
 
 
 def test_gauge_ball_matches_norm_ratio():
@@ -279,7 +271,7 @@ def test_gauge_ball_matches_norm_ratio():
         x = rng.uniform(-4, 4, 3)
         want = float(np.linalg.norm(x - c)) / r
         got = sets.gauge_value(sets.ball(c, r), c, x)
-        assert got == pytest.approx(want, abs=1e-6 * (1 + want))
+        assert got == pytest.approx(want, abs=1e-12 * (1 + want))
 
 
 def test_gauge_hpoly_matches_row_ratio_oracle():
@@ -294,7 +286,7 @@ def test_gauge_hpoly_matches_row_ratio_oracle():
         got = sets.gauge_value(S, [0.0, 0.0], x)
         if math.isinf(got):
             continue
-        assert got == pytest.approx(want, abs=1e-6 * (1 + want))
+        assert got == pytest.approx(want, abs=1e-12 * (1 + want))
 
 
 def test_gauge_vpoly_matches_combinatorial_oracle():
@@ -310,7 +302,7 @@ def test_gauge_vpoly_matches_combinatorial_oracle():
         x = rng.uniform(-2, 2, 2)
         want = vpoly_gauge_oracle(V, x)
         got = sets.gauge_value(S, [0.0, 0.0], x)
-        assert got == pytest.approx(want, abs=1e-5 * (1 + want))
+        assert got == pytest.approx(want, abs=1e-8 * (1 + want))
         kept += 1
 
 
@@ -327,7 +319,7 @@ def test_gauge_positive_homogeneity():
         t = float(rng.uniform(0.1, 8))
         g = sets.gauge_value(S, [0.0, 0.0], x)
         gt = sets.gauge_value(S, [0.0, 0.0], t * x)
-        assert gt == pytest.approx(t * g, abs=1e-5 * (1 + t * g))
+        assert gt == pytest.approx(t * g, abs=1e-9 * (1 + t * g))
 
 
 def test_gauge_level_set_boundary_consistency():
@@ -358,7 +350,7 @@ def test_gauge_translate_invariance():
         x = rng.uniform(-2, 2, 2)
         g0 = sets.gauge_value(S, b, x)
         g1 = sets.gauge_value(sets.translate(S, t), b + t, x + t)
-        assert g1 == pytest.approx(g0, abs=1e-6 * (1 + g0))
+        assert g1 == pytest.approx(g0, abs=1e-8 * (1 + g0))
 
 
 def test_gauge_conic_disk_matches_norm():
@@ -368,12 +360,97 @@ def test_gauge_conic_disk_matches_norm():
         x = rng.uniform(-2, 2, 2)
         want = float(np.linalg.norm(x))
         got = sets.gauge_value(D, [0.0, 0.0], x)
-        assert got == pytest.approx(want, abs=1e-5 * (1 + want))
+        assert got == pytest.approx(want, abs=1e-12 * (1 + want))
 
 
 def test_gauge_recession_direction_is_zero():
     S = sets.box([0, -1], [math.inf, 1])
     assert sets.gauge_value(S, [1.0, 0.0], [8.0, 0.0]) == 0.0
+
+
+def test_conic_with_auxiliaries_contains_its_apex():
+    """{x : ||x|| <= z <= 1} projected onto x is the unit disk.  At x = 0 the
+    lifted point sits at the cone's apex, where the norm argument is 0 and
+    only the cut -z <= 0 stops the feasibility gap at z = -1000."""
+    C = sets.conic(
+        [[0, 0], [1, 0], [0, 1], [0, 0]], [[1], [0], [0], [-1]], [0, 0, 0, 1],
+        [("soc", 3), ("nonneg", 1)],
+    )
+    assert sets.contains(C, (0.0, 0.0))
+    assert sets.contains(C, (1e-9, 0.0))
+    assert not sets.contains(C, (2.0, 0.0))
+    assert sets.gauge_value(C, (0.0, 0.0), (0.5, 0.0)) == pytest.approx(0.5, rel=1e-8)
+
+
+def test_gauge_value_scales_past_any_bracket():
+    """The exact rules have no bracket: tiny and huge arguments keep their
+    gauge to rounding, and the ex7 body's boundary point (1, 1, 1) has
+    gauge 1."""
+    B = sets.box([-1.0, -1.0], [1.0, 1.0])
+    assert sets.gauge_value(B, [0.0, 0.0], [1e-12, 0.0]) == 1e-12
+    assert sets.gauge_value(B, [0.0, 0.0], [1e7, 0.0]) == 1e7
+    body = sets.level_set(sets.GeoMeanDeficit(2.0, 1.0, 3))
+    assert sets.gauge_value(body, np.zeros(3), [1.0, 1.0, 1.0]) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_gauge_value_template_fallback_on_unbounded_sets():
+    """Sets that no exact rule covers and the polar loop refuses: a cone sum
+    with a ray and a translated parabola (ex6's slab without its cap) take
+    the least tau over their own template.  The cone sum has the closed form
+    max(|x1|, -x0); both agree with membership bisection, and the gauge
+    scales with x at any size."""
+    S = sets.sum_cone(sets.box([-1.0, -1.0], [1.0, 1.0]), [[1.0, 0.0]])
+    parab = sets.level_set(sets.QuadraticPlus((1.0, 0.0), 0.0, (0.0, 1.0)))
+    base = np.array([0.0, 0.5])
+    rng = np.random.default_rng(SEED)
+    for _ in range(20):
+        x = rng.uniform(-2.0, 2.0, 2)
+        g = sets.gauge_value(S, [0.0, 0.0], x)
+        assert g == pytest.approx(max(abs(x[1]), -x[0]), abs=1e-8)
+        assert g == pytest.approx(gauge_bisect(S, x), abs=1e-7)
+        for s in (1e-12, 1e7):
+            assert sets.gauge_value(S, [0.0, 0.0], s * x) == pytest.approx(s * g, rel=1e-12)
+        g = sets.gauge_value(parab, base, base + x)
+        assert g == pytest.approx(gauge_bisect(sets.translate(parab, -base), x), abs=1e-7)
+
+
+def test_gauge_value_template_fallback_past_the_box():
+    """Gauges whose template optimum lies past the artificial box (1e3) are
+    found on the argument scaled down by it.  A thin base (1e-4) with a ray
+    has the closed form max(|x1|, -x0) / 1e-4, up to 2e4 here; the short ray
+    (1e-4, 0) needs a ray multiplier of 5e3 at (1, 0.5), whose gauge is 0.5.
+    Membership bisection matches to its own accuracy on the thin base, whose
+    absolute feasibility tolerance is 1e-5 of its width."""
+    eps = 1e-4
+    slab = sets.sum_cone(sets.box([-eps, -eps], [eps, eps]), [[1.0, 0.0]])
+    for x in ([0.0, 1.0], [0.3, 1.0], [-2.0, 0.7], [1.0, -1.0]):
+        g = sets.gauge_value(slab, [0.0, 0.0], x)
+        assert g == pytest.approx(max(abs(x[1]), -x[0]) / eps, rel=1e-9)
+        assert g == pytest.approx(gauge_bisect(slab, x, tol=0.0), rel=1e-4)
+    ray = sets.sum_cone(sets.box([-1.0, -1.0], [1.0, 1.0]), [[eps, 0.0]])
+    assert sets.gauge_value(ray, [0.0, 0.0], [1.0, 0.5]) == pytest.approx(0.5, rel=1e-9)
+
+
+def test_gauge_value_template_fallback_on_the_box_raises():
+    """Along a ray (1e-8, 0) the gauge at (1, 0.5) needs a ray multiplier of
+    5e7, past the box even at the scaled argument; the fallback raises
+    rather than report a box-limited value."""
+    S = sets.sum_cone(sets.box([-1.0, -1.0], [1.0, 1.0]), [[1e-8, 0.0]])
+    with pytest.raises(ArithmeticError, match="artificial box"):
+        sets.gauge_value(S, [0.0, 0.0], [1.0, 0.5])
+
+
+def test_gauge_value_lets_a_rule_error_through(monkeypatch):
+    """Only NeedsBoundedSet sends a gauge to the template: an arithmetic
+    fault inside a rule shows instead of being rerouted."""
+    from dfc import gauge
+
+    def broken(A, b, w):
+        raise ZeroDivisionError("rule fault")
+
+    monkeypatch.setattr(gauge, "_rows_gauge", broken)
+    with pytest.raises(ZeroDivisionError, match="rule fault"):
+        sets.gauge_value(sets.box([-1.0, -1.0], [1.0, 1.0]), [0.0, 0.0], [0.5, 0.0])
 
 
 def test_gauge_base_outside_raises():
