@@ -7,6 +7,8 @@ Reports come from `dfc analyze --out` on every (example, variant, check) of
 `elapsed_s`.  The pooled checks (sharp, ideal, minkowski) must give the same
 document at `--jobs 1` and `--jobs 2`.  Models are the sha256 of every file
 `dfc build` writes, for every example variant in both lowering modes.
+Instances are the sha256 of `canonical_bytes(spec_doc(...))` for every
+example variant, without and with an options block.
 
 Regenerate the data (only when an output change is intended) with
 
@@ -39,6 +41,10 @@ REPORT_RUNS = [
     for name, variant, check in REPORT_CASES
     for jobs in ((1, 2) if check in POOLED else (1,))
 ]
+INSTANCE_CASES = [
+    (name, variant) for name in sorted(fixtures.REGISTRY) for variant in fixtures.REGISTRY[name]
+]
+INSTANCE_OPTIONS = {"directions": 40, "seed": 7, "tol": 1e-7}
 MODEL_CASES = [
     (name, variant, mode)
     for name in sorted(fixtures.REGISTRY)
@@ -80,6 +86,14 @@ def model_digests(out_dir: Path, name: str, variant: str, mode: str) -> dict:
     }
 
 
+def instance_digests(name: str, variant: str) -> dict:
+    spec = fixtures.load(name, variant)
+    return {
+        label: hashlib.sha256(model.canonical_bytes(model.spec_doc(spec, opts))).hexdigest()
+        for label, opts in (("plain", None), ("options", INSTANCE_OPTIONS))
+    }
+
+
 def _load(name: str) -> dict:
     return json.loads((GOLDEN / name).read_bytes())
 
@@ -105,13 +119,24 @@ def test_model_digests(work, capsys, name, variant, mode):
     assert got == expected
 
 
+@pytest.mark.parametrize("name,variant", INSTANCE_CASES)
+def test_instance_digests(name, variant):
+    expected = _load("instances.json")[f"{name}/{variant}"]
+    assert instance_digests(name, variant) == expected
+
+
 def _regenerate(out_dir: Path) -> None:
     reports = {
         f"{n}/{v}/{c}": report_doc(out_dir, n, v, c, 1) for n, v, c in REPORT_CASES
     }
     models = {f"{n}/{v}/{m}": model_digests(out_dir, n, v, m) for n, v, m in MODEL_CASES}
+    instances = {f"{n}/{v}": instance_digests(n, v) for n, v in INSTANCE_CASES}
     GOLDEN.mkdir(exist_ok=True)
-    for fname, doc in (("reports.json", reports), ("models.json", models)):
+    for fname, doc in (
+        ("reports.json", reports),
+        ("models.json", models),
+        ("instances.json", instances),
+    ):
         text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
         (GOLDEN / fname).write_text(text, encoding="utf-8")
 
