@@ -121,9 +121,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    raw = Path(args.instance).read_bytes()
-    spec = model.parse_instance(raw)
-    opts = model.parse_instance_options(raw)
+    spec, opts = model.load_instance(Path(args.instance).read_bytes())
     spec = _respec(spec, args.method)
     check = args.check
     count = args.directions or opts.get("directions") or _CHECK_DEFAULT_DIRS[check]

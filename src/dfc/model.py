@@ -9,6 +9,16 @@ continuous-relaxation optima for objectives in the original variables.
 Serialization is canonical: sorted keys, no whitespace, every float written
 as a decimal string (%.17g, which round-trips binary64) next to a parallel
 hex field, so emitted bytes are platform-stable and parse exactly.
+
+Every field of the instance and model documents is declared once, in the
+schema table below: one record per set expression (tagged by "set"), catalog
+function ("fn"), constraint atom ("type") and builder params (chosen by the
+instance's method), plus the instance's options block.  A record lists its
+fields as (JSON key, attribute, kind[, default]) and names the validating
+constructor; one encoder and one decoder walk the table, and a malformed
+document raises SchemaError at the offending JSON path.  The options block
+takes directions (a positive integer), seed (an integer) and tol (a number),
+each optional; any other key is rejected.
 """
 
 from __future__ import annotations
@@ -114,8 +124,20 @@ def lower_model(form: Formulation, mode: str = "plus") -> ModelIR:
 
 
 # ---------------------------------------------------------------------------
-# numeric leaves
+# field kinds: how one JSON value is written and read back
 # ---------------------------------------------------------------------------
+
+
+class _Kind:
+    __slots__ = ("enc", "dec")
+
+    def __init__(self, enc, dec):
+        self.enc = enc  # value -> JSON node
+        self.dec = dec  # (JSON node, path) -> value, or SchemaError at path
+
+
+def _same(v):
+    return v
 
 
 def _num(v: float) -> dict:
@@ -138,6 +160,8 @@ def _read_num(node, path: str) -> float:
         if not keys <= {"dec", "hex"} or not keys:
             raise SchemaError(path, "numeric object takes only dec/hex")
         if "hex" in node:
+            if not isinstance(node["hex"], str):
+                raise SchemaError(path, "bad hex float")
             try:
                 return float.fromhex(node["hex"])
             except ValueError:
@@ -149,323 +173,321 @@ def _read_num(node, path: str) -> float:
     raise SchemaError(path, "expected a number")
 
 
-def _read_vec(node, path: str) -> tuple:
-    if not isinstance(node, list):
-        raise SchemaError(path, "expected an array")
-    return tuple(_read_num(v, f"{path}[{i}]") for i, v in enumerate(node))
+def _check(ok, message: str, enc=_same, dec=_same) -> _Kind:
+    """A value accepted or rejected as a whole."""
+
+    def read(node, path):
+        if not ok(node):
+            raise SchemaError(path, message)
+        return dec(node)
+
+    return _Kind(enc, read)
 
 
-def _read_mat(node, path: str) -> tuple:
-    if not isinstance(node, list):
-        raise SchemaError(path, "expected an array of arrays")
-    return tuple(_read_vec(row, f"{path}[{i}]") for i, row in enumerate(node))
+def _choice(values: tuple, message: str) -> _Kind:
+    return _check(lambda node: node in values, message)
 
 
-def _require(node: dict, path: str, required: tuple, optional: tuple = ()):
+def _array_of(ok, message: str, enc=_same) -> _Kind:
+    """An array rejected as a whole, at its own path, if any item fails ok."""
+    return _check(
+        lambda node: isinstance(node, list) and all(map(ok, node)),
+        message,
+        lambda v: list(map(enc, v)),
+        tuple,
+    )
+
+
+def _list(kind, message: str = "expected an array", nonempty: bool = False) -> _Kind:
+    """An array of kind, each item read at its own path."""
+    enc, dec = kind.enc, kind.dec
+
+    def read(node, path):
+        if not isinstance(node, list) or (nonempty and not node):
+            raise SchemaError(path, message)
+        return tuple([dec(v, f"{path}[{i}]") for i, v in enumerate(node)])
+
+    return _Kind(lambda v: list(map(enc, v)), read)
+
+
+def _or(kind, *literals) -> _Kind:
+    """kind, or one of the literals, which pass through as they are."""
+    enc, dec = kind.enc, kind.dec
+    return _Kind(
+        lambda v: v if v in literals else enc(v),
+        lambda node, path: node if node in literals else dec(node, path),
+    )
+
+
+def _pair(first, second, message: str, head=object) -> _Kind:
+    """A [first, second] array whose first item is a head instance."""
+    (enc0, dec0), (enc1, dec1) = (first.enc, first.dec), (second.enc, second.dec)
+
+    def read(node, path):
+        if not (isinstance(node, list) and len(node) == 2 and isinstance(node[0], head)):
+            raise SchemaError(path, message)
+        return (dec0(node[0], path + "[0]"), dec1(node[1], path + "[1]"))
+
+    return _Kind(lambda v: [enc0(v[0]), enc1(v[1])], read)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int)
+
+
+_NUM = _Kind(_num, _read_num)
+_VEC = _list(_NUM)
+_MAT = _list(_VEC, "expected an array of arrays")
+_BOOL = _check(lambda v: isinstance(v, bool), "expected a boolean")
+_INT = _check(_is_int, "expected an integer")
+_POSINT = _check(lambda v: _is_int(v) and v >= 1, "expected a positive integer")
+_INTS = _array_of(_is_int, "expected an array of integers")
+_INT_MAT = _list(_INTS, "expected an array of arrays")
+_NAME = _Kind(_same, lambda node, path: node)
+_NAMES = _array_of(lambda v: isinstance(v, str), "expected an array of names")
+_CONES = _array_of(
+    lambda c: isinstance(c, list) and len(c) == 2 and isinstance(c[0], str) and _is_int(c[1]),
+    "expected [kind, size] pairs",
+    lambda cs: [cs.kind, cs.size],
+)
+
+
+# ---------------------------------------------------------------------------
+# records and tagged families
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _require(node, path: str, required: tuple, allowed: frozenset):
     if not isinstance(node, dict):
         raise SchemaError(path, "expected an object")
     for key in required:
         if key not in node:
             raise SchemaError(path, f"missing field {key!r}")
-    extra = set(node) - set(required) - set(optional)
-    if extra:
-        raise SchemaError(path, f"unknown field {sorted(extra)[0]!r}")
+    if not allowed.issuperset(node):
+        raise SchemaError(path, f"unknown field {sorted(node.keys() - allowed)[0]!r}")
+
+
+class _Record:
+    """A JSON object written from a cls instance and read back through build
+    (default cls), which takes the attributes as keywords.  Each field is
+    (JSON key, attribute, kind) or, when the key may be left out, (JSON key,
+    attribute, kind, default); fields are read in the order given."""
+
+    def __init__(self, cls, *fields, build=None):
+        self.cls = cls
+        self.build = build or cls
+        fields = tuple(f if len(f) == 4 else f + (_REQUIRED,) for f in fields)
+        self.required = tuple(key for key, _, _, d in fields if d is _REQUIRED)
+        self.allowed = frozenset(key for key, *_ in fields)
+        self._enc = tuple((key, attr, kind.enc) for key, attr, kind, _ in fields)
+        self._dec = tuple((key, "." + key, attr, kind.dec, d) for key, attr, kind, d in fields)
+
+    def enc(self, obj) -> dict:
+        return {key: enc(getattr(obj, attr)) for key, attr, enc in self._enc}
+
+    def dec(self, node, path: str):
+        _require(node, path, self.required, self.allowed)
+        return self.build(
+            **{
+                attr: dec(node[key], path + suffix) if key in node else default
+                for key, suffix, attr, dec, default in self._dec
+            }
+        )
+
+
+class _Family:
+    """Records told apart by the value of a tag field.  A loose family checks
+    its head fields, and every key against all its records, before it reads
+    the tag; a strict one reads the tag first.  errors raised by a record's
+    constructor are reported at the object's path."""
+
+    def __init__(self, tag, noun, unknown, head=None, loose=False, errors=()):
+        self.tag, self.noun, self.unknown = tag, noun, unknown
+        self.head = head or (tag,)
+        self.loose, self.errors = loose, errors
+
+    def define(self, **records):
+        for rec in records.values():
+            rec.required = self.head + rec.required
+            rec.allowed |= frozenset(self.head)
+        self.by_tag = records
+        self.by_type = {rec.cls: (tag, rec) for tag, rec in records.items()}
+        self.allowed = frozenset().union(*(rec.allowed for rec in records.values()))
+
+    def enc(self, obj) -> dict:
+        entry = self.by_type.get(type(obj))
+        if entry is None:
+            raise TypeError(f"unknown {self.noun} {obj!r}")
+        doc = entry[1].enc(obj)
+        doc[self.tag] = entry[0]
+        return doc
+
+    def dec(self, node, path: str):
+        if self.loose:
+            _require(node, path, self.head, self.allowed)
+        elif not isinstance(node, dict) or self.tag not in node:
+            raise SchemaError(path, f"expected a {self.noun} object with a {self.tag!r} tag")
+        tag = node[self.tag]
+        rec = self.by_tag.get(tag) if isinstance(tag, str) else None
+        if rec is None:
+            raise SchemaError(f"{path}.{self.tag}", f"{self.unknown} {tag!r}")
+        try:
+            return rec.dec(node, path)
+        except SchemaError:
+            raise
+        except self.errors as exc:
+            raise SchemaError(path, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
-# catalog functions and set expressions
+# the schema: every document field is declared here, once
 # ---------------------------------------------------------------------------
 
+_FNS = _Family("fn", "catalog function", "unknown function tag", loose=True)
+_FNS.define(
+    affine=_Record(sets.AffineFn, ("a", "a", _VEC), ("beta", "beta", _NUM)),
+    quadratic_plus=_Record(
+        sets.QuadraticPlus, ("a", "a", _VEC), ("beta", "beta", _NUM), ("w", "w", _VEC)
+    ),
+    geomean_deficit=_Record(
+        sets.GeoMeanDeficit, ("n", "n", _INT), ("shift", "shift", _NUM), ("scale", "scale", _NUM)
+    ),
+    max_of=_Record(sets.MaxOf, ("parts", "parts", _list(_FNS))),
+)
 
-def _fn_doc(fn) -> dict:
-    if isinstance(fn, sets.AffineFn):
-        return {"fn": "affine", "a": [_num(v) for v in fn.a], "beta": _num(fn.beta)}
-    if isinstance(fn, sets.QuadraticPlus):
-        return {
-            "fn": "quadratic_plus",
-            "a": [_num(v) for v in fn.a],
-            "beta": _num(fn.beta),
-            "w": [_num(v) for v in fn.w],
-        }
-    if isinstance(fn, sets.GeoMeanDeficit):
-        return {
-            "fn": "geomean_deficit",
-            "shift": _num(fn.shift),
-            "scale": _num(fn.scale),
-            "n": fn.n,
-        }
-    if isinstance(fn, sets.MaxOf):
-        return {"fn": "max_of", "parts": [_fn_doc(p) for p in fn.parts]}
-    raise TypeError(f"unknown catalog function {fn!r}")
+_SETS = _Family("set", "set", "unknown set tag", errors=(sets.DimensionMismatch, ValueError))
+_SET_LIST = _list(_SETS)
+_NONEMPTY_SETS = _list(_SETS, "expected a nonempty array", nonempty=True)
+_SETS.define(
+    hpoly=_Record(sets.HPolyhedron, ("A", "A", _MAT), ("b", "b", _VEC), build=sets.hpoly),
+    vpoly=_Record(sets.VPolytope, ("vertices", "vertices", _MAT), build=sets.vpoly),
+    box=_Record(sets.Box, ("lower", "lower", _VEC), ("upper", "upper", _VEC), build=sets.box),
+    ball=_Record(sets.Ball, ("center", "center", _VEC), ("radius", "radius", _NUM), build=sets.ball),
+    conic=_Record(
+        sets.ConicRep,
+        ("cones", "cones", _CONES),
+        ("A", "A", _MAT),
+        ("B", "B", _MAT),
+        ("c", "c", _VEC),
+        build=sets.conic,
+    ),
+    level=_Record(sets.LevelSet, ("fn", "fn", _FNS), build=sets.level_set),
+    translate=_Record(
+        sets.Translate, ("child", "child", _SETS), ("offset", "offset", _VEC), build=sets.translate
+    ),
+    scale=_Record(
+        sets.Scale, ("child", "child", _SETS), ("factor", "factor", _NUM), build=sets.scale
+    ),
+    sumcone=_Record(
+        sets.SumCone, ("child", "child", _SETS), ("rays", "rays", _MAT), build=sets.sum_cone
+    ),
+    intersect=_Record(
+        sets.Intersect,
+        ("children", "children", _NONEMPTY_SETS),
+        build=lambda children: sets.intersect(*children),
+    ),
+)
 
+_AFF = _Record(
+    Aff,
+    ("terms", "terms", _list(_pair(_NAME, _NUM, "expected [name, coeff]", str))),
+    ("const", "const", _NUM),
+)
+_AFFS = _list(_AFF)
+_ATOMS = _Family(
+    "type", "atom", "unknown atom type", head=("id", "type", "paper_ref"), loose=True
+)
+_ATOMS.define(
+    lin=_Record(
+        Linear,
+        ("rel", "relation", _choice(("le", "eq"), "expected 'le' or 'eq'")),
+        ("expr", "expr", _AFF),
+    ),
+    soc=_Record(SOC, ("arg", "arg", _AFFS), ("bound", "bound", _AFF)),
+    persp=_Record(Perspective, ("arg", "arg", _AFFS), ("fn", "fn", _FNS), ("scale", "scale", _AFF)),
+    gaugeplus=_Record(
+        GaugePlus,
+        ("plus", "positive_part", _BOOL),
+        ("terms", "terms", _list(_pair(_VEC, _AFF, "expected [direction, expr]"))),
+        ("of", "set_ref", _SETS),
+        ("rhs", "rhs", _AFF),
+    ),
+)
+_ATOM_LIST = _list(_ATOMS)
 
-def _read_fn(node, path: str):
-    _require(node, path, ("fn",), ("a", "beta", "w", "shift", "scale", "n", "parts"))
-    tag = node["fn"]
-    if tag == "affine":
-        _require(node, path, ("fn", "a", "beta"))
-        return sets.AffineFn(_read_vec(node["a"], path + ".a"), _read_num(node["beta"], path + ".beta"))
-    if tag == "quadratic_plus":
-        _require(node, path, ("fn", "a", "beta", "w"))
-        return sets.QuadraticPlus(
-            _read_vec(node["a"], path + ".a"),
-            _read_num(node["beta"], path + ".beta"),
-            _read_vec(node["w"], path + ".w"),
-        )
-    if tag == "geomean_deficit":
-        _require(node, path, ("fn", "shift", "scale", "n"))
-        if not isinstance(node["n"], int):
-            raise SchemaError(path + ".n", "expected an integer")
-        return sets.GeoMeanDeficit(
-            _read_num(node["shift"], path + ".shift"),
-            _read_num(node["scale"], path + ".scale"),
-            node["n"],
-        )
-    if tag == "max_of":
-        _require(node, path, ("fn", "parts"))
-        if not isinstance(node["parts"], list):
-            raise SchemaError(path + ".parts", "expected an array")
-        return sets.MaxOf(
-            tuple(_read_fn(p, f"{path}.parts[{i}]") for i, p in enumerate(node["parts"]))
-        )
-    raise SchemaError(path + ".fn", f"unknown function tag {tag!r}")
+_VARIABLES = _list(
+    _Record(
+        Variable,
+        ("name", "name", _NAME),
+        ("kind", "kind", _choice(("continuous", "binary"), "expected continuous or binary")),
+        ("lb", "lb", _NUM),
+        ("ub", "ub", _NUM),
+    )
+)
 
-
-def _set_doc(S) -> dict:
-    if isinstance(S, sets.HPolyhedron):
-        return {
-            "set": "hpoly",
-            "A": [[_num(v) for v in row] for row in S.A],
-            "b": [_num(v) for v in S.b],
-        }
-    if isinstance(S, sets.VPolytope):
-        return {"set": "vpoly", "vertices": [[_num(v) for v in p] for p in S.vertices]}
-    if isinstance(S, sets.Box):
-        return {
-            "set": "box",
-            "lower": [_num(v) for v in S.lower],
-            "upper": [_num(v) for v in S.upper],
-        }
-    if isinstance(S, sets.Ball):
-        return {"set": "ball", "center": [_num(v) for v in S.center], "radius": _num(S.radius)}
-    if isinstance(S, sets.ConicRep):
-        return {
-            "set": "conic",
-            "A": [[_num(v) for v in row] for row in S.A],
-            "B": [[_num(v) for v in row] for row in S.B],
-            "c": [_num(v) for v in S.c],
-            "cones": [[cs.kind, cs.size] for cs in S.cones],
-        }
-    if isinstance(S, sets.LevelSet):
-        return {"set": "level", "fn": _fn_doc(S.fn)}
-    if isinstance(S, sets.Translate):
-        return {
-            "set": "translate",
-            "child": _set_doc(S.child),
-            "offset": [_num(v) for v in S.offset],
-        }
-    if isinstance(S, sets.Scale):
-        return {"set": "scale", "child": _set_doc(S.child), "factor": _num(S.factor)}
-    if isinstance(S, sets.SumCone):
-        return {
-            "set": "sumcone",
-            "child": _set_doc(S.child),
-            "rays": [[_num(v) for v in r] for r in S.rays],
-        }
-    if isinstance(S, sets.Intersect):
-        return {"set": "intersect", "children": [_set_doc(c) for c in S.children]}
-    raise TypeError(f"unknown set expression {S!r}")
-
-
-_SET_FIELDS = {
-    "hpoly": ("A", "b"),
-    "vpoly": ("vertices",),
-    "box": ("lower", "upper"),
-    "ball": ("center", "radius"),
-    "conic": ("A", "B", "c", "cones"),
-    "level": ("fn",),
-    "translate": ("child", "offset"),
-    "scale": ("child", "factor"),
-    "sumcone": ("child", "rays"),
-    "intersect": ("children",),
+_HOMOTHETY = _Record(
+    builders.HomothetyData,
+    ("template", "template", _SETS),
+    ("base", "base", _MAT),
+    ("radii", "radii", _VEC),
+)
+# params by method; None takes no params block
+_PARAMS = {
+    "extended": None,
+    "bigm": _Record(builders.BigMData, ("M", "M", _or(_MAT, None), None)),
+    "homothetic": _HOMOTHETY,
+    "orthogonal": _Record(
+        builders.OrthogonalData,
+        ("check", "check", _BOOL, True),
+        ("pieces", "pieces", _SET_LIST),
+        ("basis", "basis", _MAT),
+        ("coord_sets", "coord_sets", _INT_MAT),
+        ("signs", "signs", _INT_MAT),
+        ("base", "base", _MAT),
+        ("flip", "flip", _or(_INTS, None), None),
+    ),
+    "piecewise": _Record(
+        builders.PiecewiseData,
+        ("families", "families", _list(_HOMOTHETY, "expected a nonempty array", nonempty=True)),
+    ),
+    "bbj": _Record(builders.BBJData, ("lhs", "lhs", _MAT), ("rhs", "rhs", _MAT)),
+    "isotone": _Record(
+        builders.IsotoneData,
+        ("hulls", "hulls", _or(_list(_or(_SETS, None, "free")), None), None),
+        ("positive_part", "positive_part", _BOOL, True),
+        ("check", "check", _BOOL, True),
+        ("pieces", "pieces", _SET_LIST),
+        ("basis", "basis", _MAT),
+        ("signs", "signs", _INT_MAT),
+        ("base", "base", _MAT),
+    ),
 }
+_PARAMS_BY_TYPE = {rec.cls: rec for rec in _PARAMS.values() if rec is not None}
+_METHODS = tuple(_PARAMS)
+
+# analysis options of an instance; a null value counts as left out
+_OPTIONS = _Record(
+    dict,
+    ("directions", "directions", _or(_POSINT, None), None),
+    ("seed", "seed", _or(_INT, None), None),
+    ("tol", "tol", _or(_NUM, None), None),
+    build=lambda **opts: {k: v for k, v in opts.items() if v is not None},
+)
 
 
 def read_set(node, path: str):
-    if not isinstance(node, dict) or "set" not in node:
-        raise SchemaError(path, "expected a set object with a 'set' tag")
-    tag = node["set"]
-    if tag not in _SET_FIELDS:
-        raise SchemaError(path + ".set", f"unknown set tag {tag!r}")
-    _require(node, path, ("set",) + _SET_FIELDS[tag])
+    return _SETS.dec(node, path)
+
+
+def _load_json(data):
+    if isinstance(data, (bytes, bytearray)):
+        data = data.decode("utf-8")
     try:
-        if tag == "hpoly":
-            return sets.hpoly(_read_mat(node["A"], path + ".A"), _read_vec(node["b"], path + ".b"))
-        if tag == "vpoly":
-            return sets.vpoly(_read_mat(node["vertices"], path + ".vertices"))
-        if tag == "box":
-            return sets.box(
-                _read_vec(node["lower"], path + ".lower"),
-                _read_vec(node["upper"], path + ".upper"),
-            )
-        if tag == "ball":
-            return sets.ball(
-                _read_vec(node["center"], path + ".center"),
-                _read_num(node["radius"], path + ".radius"),
-            )
-        if tag == "conic":
-            cones = node["cones"]
-            if not isinstance(cones, list) or not all(
-                isinstance(c, list) and len(c) == 2 and isinstance(c[0], str) and isinstance(c[1], int)
-                for c in cones
-            ):
-                raise SchemaError(path + ".cones", "expected [kind, size] pairs")
-            return sets.conic(
-                _read_mat(node["A"], path + ".A"),
-                _read_mat(node["B"], path + ".B"),
-                _read_vec(node["c"], path + ".c"),
-                [(c[0], c[1]) for c in cones],
-            )
-        if tag == "level":
-            return sets.level_set(_read_fn(node["fn"], path + ".fn"))
-        if tag == "translate":
-            return sets.translate(
-                read_set(node["child"], path + ".child"),
-                _read_vec(node["offset"], path + ".offset"),
-            )
-        if tag == "scale":
-            return sets.scale(
-                read_set(node["child"], path + ".child"),
-                _read_num(node["factor"], path + ".factor"),
-            )
-        if tag == "sumcone":
-            return sets.sum_cone(
-                read_set(node["child"], path + ".child"),
-                _read_mat(node["rays"], path + ".rays"),
-            )
-        children = node["children"]
-        if not isinstance(children, list) or not children:
-            raise SchemaError(path + ".children", "expected a nonempty array")
-        return sets.intersect(
-            *(read_set(c, f"{path}.children[{i}]") for i, c in enumerate(children))
-        )
-    except (sets.DimensionMismatch, ValueError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(path, str(exc)) from None
-
-
-# ---------------------------------------------------------------------------
-# atoms
-# ---------------------------------------------------------------------------
-
-
-def _aff_doc(e: Aff) -> dict:
-    return {
-        "terms": [[nm, _num(c)] for nm, c in e.terms],
-        "const": _num(e.const),
-    }
-
-
-def _read_aff(node, path: str) -> Aff:
-    _require(node, path, ("terms", "const"))
-    if not isinstance(node["terms"], list):
-        raise SchemaError(path + ".terms", "expected an array")
-    terms = []
-    for i, pair in enumerate(node["terms"]):
-        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)):
-            raise SchemaError(f"{path}.terms[{i}]", "expected [name, coeff]")
-        terms.append((pair[0], _read_num(pair[1], f"{path}.terms[{i}][1]")))
-    return Aff(tuple(terms), _read_num(node["const"], path + ".const"))
-
-
-def _atom_doc(atom, label: str, cid: str) -> dict:
-    if isinstance(atom, Linear):
-        return {
-            "id": cid,
-            "type": "lin",
-            "rel": atom.relation,
-            "expr": _aff_doc(atom.expr),
-            "paper_ref": label,
-        }
-    if isinstance(atom, SOC):
-        return {
-            "id": cid,
-            "type": "soc",
-            "arg": [_aff_doc(a) for a in atom.arg],
-            "bound": _aff_doc(atom.bound),
-            "paper_ref": label,
-        }
-    if isinstance(atom, Perspective):
-        return {
-            "id": cid,
-            "type": "persp",
-            "fn": _fn_doc(atom.fn),
-            "arg": [_aff_doc(a) for a in atom.arg],
-            "scale": _aff_doc(atom.scale),
-            "paper_ref": label,
-        }
-    if isinstance(atom, GaugePlus):
-        return {
-            "id": cid,
-            "type": "gaugeplus",
-            "of": _set_doc(atom.set_ref),
-            "terms": [[[_num(v) for v in d], _aff_doc(e)] for d, e in atom.terms],
-            "rhs": _aff_doc(atom.rhs),
-            "plus": atom.positive_part,
-            "paper_ref": label,
-        }
-    raise TypeError(f"unknown atom {atom!r}")
-
-
-def _read_atom(node, path: str):
-    _require(
-        node,
-        path,
-        ("id", "type", "paper_ref"),
-        ("rel", "expr", "arg", "bound", "fn", "scale", "of", "terms", "rhs", "plus"),
-    )
-    tag = node["type"]
-    if tag == "lin":
-        _require(node, path, ("id", "type", "rel", "expr", "paper_ref"))
-        if node["rel"] not in ("le", "eq"):
-            raise SchemaError(path + ".rel", "expected 'le' or 'eq'")
-        return Linear(_read_aff(node["expr"], path + ".expr"), node["rel"]), node["paper_ref"]
-    if tag == "soc":
-        _require(node, path, ("id", "type", "arg", "bound", "paper_ref"))
-        args = tuple(_read_aff(a, f"{path}.arg[{i}]") for i, a in enumerate(node["arg"]))
-        return SOC(args, _read_aff(node["bound"], path + ".bound")), node["paper_ref"]
-    if tag == "persp":
-        _require(node, path, ("id", "type", "fn", "arg", "scale", "paper_ref"))
-        args = tuple(_read_aff(a, f"{path}.arg[{i}]") for i, a in enumerate(node["arg"]))
-        return (
-            Perspective(_read_fn(node["fn"], path + ".fn"), args, _read_aff(node["scale"], path + ".scale")),
-            node["paper_ref"],
-        )
-    if tag == "gaugeplus":
-        _require(node, path, ("id", "type", "of", "terms", "rhs", "plus", "paper_ref"))
-        if not isinstance(node["plus"], bool):
-            raise SchemaError(path + ".plus", "expected a boolean")
-        terms = []
-        for i, pair in enumerate(node["terms"]):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SchemaError(f"{path}.terms[{i}]", "expected [direction, expr]")
-            terms.append(
-                (
-                    _read_vec(pair[0], f"{path}.terms[{i}][0]"),
-                    _read_aff(pair[1], f"{path}.terms[{i}][1]"),
-                )
-            )
-        return (
-            GaugePlus(
-                read_set(node["of"], path + ".of"),
-                tuple(terms),
-                _read_aff(node["rhs"], path + ".rhs"),
-                node["plus"],
-            ),
-            node["paper_ref"],
-        )
-    raise SchemaError(path + ".type", f"unknown atom type {tag!r}")
+        return json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"not valid JSON: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -492,17 +514,14 @@ def model_doc(ir: ModelIR) -> dict:
         "schema": MODEL_SCHEMA,
         "name": ir.name,
         "mode": ir.mode,
-        "vars": [
-            {"name": v.name, "kind": v.kind, "lb": _num(v.lb), "ub": _num(v.ub)}
-            for v in ir.variables
-        ],
+        "vars": _VARIABLES.enc(ir.variables),
         "cons": [
-            _atom_doc(atom, label, cid)
+            {**_ATOMS.enc(atom), "id": cid, "paper_ref": label}
             for atom, label, cid in zip(ir.atoms, ir.provenance, cids)
         ],
         "x": list(ir.x_names),
         "y": list(ir.y_names),
-        "sets": [_set_doc(S) for S in ir.sets],
+        "sets": _SET_LIST.enc(ir.sets),
         "notes": list(ir.notes),
         "objective": (
             None
@@ -521,45 +540,22 @@ def emit_json(ir: ModelIR) -> bytes:
     return canonical_bytes(model_doc(ir))
 
 
+_MODEL_REQUIRED = ("schema", "name", "mode", "vars", "cons", "x", "y", "sets")
+_MODEL_KEYS = frozenset(_MODEL_REQUIRED + ("notes", "objective", "simplex_row"))
+_MODE = _choice(("plus", "lifted"), "expected 'plus' or 'lifted'")
+
+
 def parse_model(data) -> ModelIR:
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"not valid JSON: {exc}") from None
-    _require(
-        doc,
-        "$",
-        ("schema", "name", "mode", "vars", "cons", "x", "y", "sets"),
-        ("notes", "objective", "simplex_row"),
-    )
+    doc = _load_json(data)
+    _require(doc, "$", _MODEL_REQUIRED, _MODEL_KEYS)
     if doc["schema"] != MODEL_SCHEMA:
         raise SchemaError("$.schema", f"expected {MODEL_SCHEMA!r}")
-    if doc["mode"] not in ("plus", "lifted"):
-        raise SchemaError("$.mode", "expected 'plus' or 'lifted'")
-    variables = []
-    for i, v in enumerate(doc["vars"]):
-        _require(v, f"$.vars[{i}]", ("name", "kind", "lb", "ub"))
-        if v["kind"] not in ("continuous", "binary"):
-            raise SchemaError(f"$.vars[{i}].kind", "expected continuous or binary")
-        variables.append(
-            Variable(
-                v["name"],
-                v["kind"],
-                _read_num(v["lb"], f"$.vars[{i}].lb"),
-                _read_num(v["ub"], f"$.vars[{i}].ub"),
-            )
-        )
-    atoms, prov = [], []
-    for i, c in enumerate(doc["cons"]):
-        atom, label = _read_atom(c, f"$.cons[{i}]")
-        atoms.append(atom)
-        prov.append(label)
-    for field, key in (("x", "x"), ("y", "y")):
-        if not isinstance(doc[key], list) or not all(isinstance(s, str) for s in doc[key]):
-            raise SchemaError(f"$.{key}", "expected an array of names")
-    set_list = [read_set(s, f"$.sets[{i}]") for i, s in enumerate(doc["sets"])]
+    mode = _MODE.dec(doc["mode"], "$.mode")
+    variables = _VARIABLES.dec(doc["vars"], "$.vars")
+    atoms = _ATOM_LIST.dec(doc["cons"], "$.cons")
+    x_names = _NAMES.dec(doc["x"], "$.x")
+    y_names = _NAMES.dec(doc["y"], "$.y")
+    set_list = _SET_LIST.dec(doc["sets"], "$.sets")
     objective = doc.get("objective")
     obj = None
     if objective is not None:
@@ -569,13 +565,13 @@ def parse_model(data) -> ModelIR:
         )
     return ModelIR(
         doc["name"],
-        doc["mode"],
-        tuple(variables),
-        tuple(atoms),
-        tuple(prov),
-        tuple(doc["x"]),
-        tuple(doc["y"]),
-        tuple(set_list),
+        mode,
+        variables,
+        atoms,
+        tuple(c["paper_ref"] for c in doc["cons"]),
+        x_names,
+        y_names,
+        set_list,
         notes=tuple(doc.get("notes", ())),
         objective=obj,
     )
@@ -640,224 +636,62 @@ def emit_lp(ir: ModelIR) -> bytes:
 # instance files
 # ---------------------------------------------------------------------------
 
-
-def _read_points(node, path: str, dim: int) -> tuple:
-    pts = _read_mat(node, path)
-    for i, p in enumerate(pts):
-        if len(p) != dim:
-            raise SchemaError(f"{path}[{i}]", f"expected {dim} coordinates")
-    return pts
+_INSTANCE_REQUIRED = ("dim", "sets", "method")
+_INSTANCE_KEYS = frozenset(_INSTANCE_REQUIRED + ("base_points", "params", "options"))
+_METHOD = _choice(_METHODS, f"expected one of {', '.join(_METHODS)}")
 
 
-def _read_homothety(node, path: str) -> builders.HomothetyData:
-    _require(node, path, ("template", "base", "radii"))
-    return builders.HomothetyData(
-        read_set(node["template"], path + ".template"),
-        _read_mat(node["base"], path + ".base"),
-        _read_vec(node["radii"], path + ".radii"),
-    )
-
-
-def _read_int_mat(node, path: str) -> tuple:
-    if not isinstance(node, list):
-        raise SchemaError(path, "expected an array of arrays")
-    out = []
-    for i, row in enumerate(node):
-        if not isinstance(row, list) or not all(isinstance(v, int) for v in row):
-            raise SchemaError(f"{path}[{i}]", "expected an array of integers")
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _read_params(method: str, node, path: str, k: int):
-    if method == "extended":
-        if node is not None:
-            raise SchemaError(path, "extended method takes no params")
-        return None
-    if method == "bigm":
-        if node is None:
-            return builders.BigMData()
-        _require(node, path, (), ("M",))
-        M = node.get("M")
-        return builders.BigMData(_read_mat(M, path + ".M") if M is not None else None)
-    if method == "homothetic":
-        return _read_homothety(node, path)
-    if method == "piecewise":
-        _require(node, path, ("families",))
-        fams = node["families"]
-        if not isinstance(fams, list) or not fams:
-            raise SchemaError(path + ".families", "expected a nonempty array")
-        return builders.PiecewiseData(
-            tuple(_read_homothety(f, f"{path}.families[{i}]") for i, f in enumerate(fams))
-        )
-    if method == "orthogonal":
-        _require(
-            node,
-            path,
-            ("pieces", "basis", "coord_sets", "signs", "base"),
-            ("flip", "check"),
-        )
-        flip = node.get("flip")
-        check = node.get("check", True)
-        if not isinstance(check, bool):
-            raise SchemaError(path + ".check", "expected a boolean")
-        return builders.OrthogonalData(
-            tuple(read_set(p, f"{path}.pieces[{i}]") for i, p in enumerate(node["pieces"])),
-            _read_mat(node["basis"], path + ".basis"),
-            _read_int_mat(node["coord_sets"], path + ".coord_sets"),
-            _read_int_mat(node["signs"], path + ".signs"),
-            _read_mat(node["base"], path + ".base"),
-            tuple(flip) if flip is not None else None,
-            check,
-        )
-    if method == "bbj":
-        _require(node, path, ("lhs", "rhs"))
-        return builders.BBJData(
-            _read_mat(node["lhs"], path + ".lhs"), _read_mat(node["rhs"], path + ".rhs")
-        )
-    if method == "isotone":
-        _require(
-            node,
-            path,
-            ("pieces", "basis", "signs", "base"),
-            ("hulls", "positive_part", "check"),
-        )
-        hulls = node.get("hulls")
-        parsed_hulls = None
-        if hulls is not None:
-            if not isinstance(hulls, list):
-                raise SchemaError(path + ".hulls", "expected an array")
-            parsed = []
-            for i, h in enumerate(hulls):
-                if h is None or h == "free":
-                    parsed.append(h)
-                else:
-                    parsed.append(read_set(h, f"{path}.hulls[{i}]"))
-            parsed_hulls = tuple(parsed)
-        pp = node.get("positive_part", True)
-        check = node.get("check", True)
-        if not isinstance(pp, bool):
-            raise SchemaError(path + ".positive_part", "expected a boolean")
-        if not isinstance(check, bool):
-            raise SchemaError(path + ".check", "expected a boolean")
-        return builders.IsotoneData(
-            tuple(read_set(p, f"{path}.pieces[{i}]") for i, p in enumerate(node["pieces"])),
-            _read_mat(node["basis"], path + ".basis"),
-            _read_int_mat(node["signs"], path + ".signs"),
-            _read_mat(node["base"], path + ".base"),
-            parsed_hulls,
-            pp,
-            check,
-        )
-    raise SchemaError(path, f"unknown method {method!r}")
-
-
-_METHODS = ("extended", "bigm", "homothetic", "orthogonal", "piecewise", "bbj", "isotone")
-
-
-def parse_instance(data) -> ProblemSpec:
-    """Instance JSON to a ProblemSpec, rejecting unknown fields."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise SchemaError("$", f"not valid JSON: {exc}") from None
-    _require(doc, "$", ("dim", "sets", "method"), ("base_points", "params", "options"))
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise SchemaError("$.dim", "expected a positive integer")
-    if doc["method"] not in _METHODS:
-        raise SchemaError("$.method", f"expected one of {', '.join(_METHODS)}")
-    if not isinstance(doc["sets"], list) or not doc["sets"]:
-        raise SchemaError("$.sets", "expected a nonempty array")
-    set_list = tuple(read_set(s, f"$.sets[{i}]") for i, s in enumerate(doc["sets"]))
+def load_instance(data) -> tuple:
+    """Instance JSON to (ProblemSpec, analysis options), rejecting unknown fields."""
+    doc = _load_json(data)
+    _require(doc, "$", _INSTANCE_REQUIRED, _INSTANCE_KEYS)
+    dim = _POSINT.dec(doc["dim"], "$.dim")
+    method = _METHOD.dec(doc["method"], "$.method")
+    set_list = _NONEMPTY_SETS.dec(doc["sets"], "$.sets")
     for i, S in enumerate(set_list):
         if S.dim != dim:
             raise SchemaError(f"$.sets[{i}]", f"set has dim {S.dim}, expected {dim}")
-    base = doc.get("base_points")
-    base_points = _read_points(base, "$.base_points", dim) if base is not None else None
-    if base_points is not None and len(base_points) != len(set_list):
-        raise SchemaError("$.base_points", "expected one base point per set")
-    params = _read_params(doc["method"], doc.get("params"), "$.params", len(set_list))
+    base_points = doc.get("base_points")
+    if base_points is not None:
+        base_points = _MAT.dec(base_points, "$.base_points")
+        for i, p in enumerate(base_points):
+            if len(p) != dim:
+                raise SchemaError(f"$.base_points[{i}]", f"expected {dim} coordinates")
+        if len(base_points) != len(set_list):
+            raise SchemaError("$.base_points", "expected one base point per set")
+    rec, params = _PARAMS[method], doc.get("params")
+    if rec is None and params is not None:
+        raise SchemaError("$.params", "extended method takes no params")
+    if rec is not None:
+        params = rec.dec({} if params is None and not rec.required else params, "$.params")
+    options = _OPTIONS.dec(doc.get("options") or {}, "$.options")
     try:
-        return ProblemSpec(set_list, base_points, doc["method"], params)
+        return ProblemSpec(set_list, base_points, method, params), options
     except (builders.FamilyInvalid, sets.DimensionMismatch) as exc:
         raise SchemaError("$", str(exc)) from None
 
 
+def parse_instance(data) -> ProblemSpec:
+    """Instance JSON to a ProblemSpec, rejecting unknown fields."""
+    return load_instance(data)[0]
+
+
 def parse_instance_options(data) -> dict:
-    """The optional analysis-options block of an instance file."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    doc = json.loads(data)
-    opts = doc.get("options") or {}
-    _require(
-        opts,
-        "$.options",
-        (),
-        ("directions", "seed", "tol", "box_radius", "jobs", "mode", "check"),
-    )
-    return dict(opts)
+    """The analysis options of an instance file, read with the whole instance."""
+    return load_instance(data)[1]
 
 
 def spec_doc(spec: ProblemSpec, options: dict | None = None) -> dict:
-    """Instance JSON document for a ProblemSpec (inverse of parse_instance)."""
-    doc = {
-        "dim": spec.dim,
-        "sets": [_set_doc(S) for S in spec.sets],
-        "method": spec.method,
-    }
+    """Instance JSON document for a ProblemSpec (inverse of load_instance);
+    options hold plain JSON scalars and are written as given."""
+    doc = {"dim": spec.dim, "sets": _SET_LIST.enc(spec.sets), "method": spec.method}
     if spec.base_points is not None:
-        doc["base_points"] = [[_num(v) for v in b] for b in spec.base_points]
-    p = spec.params
-    if isinstance(p, builders.BigMData):
-        doc["params"] = {
-            "M": None if p.M is None else [[_num(v) for v in row] for row in p.M]
-        }
-    elif isinstance(p, builders.HomothetyData):
-        doc["params"] = _homothety_doc(p)
-    elif isinstance(p, builders.PiecewiseData):
-        doc["params"] = {"families": [_homothety_doc(f) for f in p.families]}
-    elif isinstance(p, builders.OrthogonalData):
-        doc["params"] = {
-            "pieces": [_set_doc(g) for g in p.pieces],
-            "basis": [[_num(v) for v in row] for row in p.basis],
-            "coord_sets": [list(J) for J in p.coord_sets],
-            "signs": [list(s) for s in p.signs],
-            "base": [[_num(v) for v in b] for b in p.base],
-            "flip": list(p.flip) if p.flip is not None else None,
-            "check": p.check,
-        }
-    elif isinstance(p, builders.BBJData):
-        doc["params"] = {
-            "lhs": [[_num(v) for v in row] for row in p.lhs],
-            "rhs": [[_num(v) for v in b] for b in p.rhs],
-        }
-    elif isinstance(p, builders.IsotoneData):
-        hulls = None
-        if p.hulls is not None:
-            hulls = [h if h is None or h == "free" else _set_doc(h) for h in p.hulls]
-        doc["params"] = {
-            "pieces": [_set_doc(g) for g in p.pieces],
-            "basis": [[_num(v) for v in row] for row in p.basis],
-            "signs": [list(s) for s in p.signs],
-            "base": [[_num(v) for v in b] for b in p.base],
-            "hulls": hulls,
-            "positive_part": p.positive_part,
-            "check": p.check,
-        }
+        doc["base_points"] = _MAT.enc(spec.base_points)
+    if spec.params is not None:
+        doc["params"] = _PARAMS_BY_TYPE[type(spec.params)].enc(spec.params)
     if options:
-        doc["options"] = options
+        doc["options"] = dict(options)
     return doc
-
-
-def _homothety_doc(f: builders.HomothetyData) -> dict:
-    return {
-        "template": _set_doc(f.template),
-        "base": [[_num(v) for v in b] for b in f.base],
-        "radii": [_num(r) for r in f.radii],
-    }
 
 
 def report_doc(report) -> dict:

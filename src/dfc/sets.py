@@ -588,7 +588,7 @@ def scale(child: SetExpr, factor: float) -> Scale:
 
 
 def sum_cone(child: SetExpr, rays) -> SumCone:
-    R = _mat(rays)
+    R = _mat(rays) if len(rays) > 0 else ()
     if R and len(R[0]) != child.dim:
         raise DimensionMismatch("ray dimension differs from the set")
     return SumCone(child, R)

@@ -228,6 +228,50 @@ def test_analyze_instance_options_supply_defaults(tmp_path, capsys):
     assert "(8 samples, seed 11)" in out
 
 
+@pytest.mark.parametrize(
+    "options,where",
+    [
+        ({"directions": "many"}, "$.options.directions"),
+        ({"tol": "x"}, "$.options.tol"),
+        ({"seed": 1.5}, "$.options.seed"),
+        ({"jobs": 2}, "$.options"),
+    ],
+)
+def test_malformed_instance_options_exit_1(tmp_path, capsys, options, where):
+    spec = fixtures.load("ex4", "augmented")
+    path = tmp_path / "inst.json"
+    path.write_bytes(model.canonical_bytes(model.spec_doc(spec, options)))
+    assert main(["analyze", "--instance", str(path), "--check", "bbj"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+    assert main(["build", "--instance", str(path), "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {where}: ")
+
+
+def test_build_rejects_a_malformed_flip(tmp_path, capsys):
+    pieces = (sets.box((0.0, 0.0), (1.0, 1.0)), sets.box((-1.0, -1.0), (0.0, 0.0)))
+    data = builders.OrthogonalData(
+        pieces,
+        ((1.0, 0.0), (0.0, 1.0)),
+        ((0, 1), (0, 1)),
+        ((1, 1), (-1, -1)),
+        ((0.0, 0.0), (0.0, 0.0)),
+        (1, 1),
+    )
+    doc = json.loads(
+        model.canonical_bytes(model.spec_doc(builders.ProblemSpec(pieces, None, "orthogonal", data)))
+    )
+    inst, out = tmp_path / "inst.json", tmp_path / "m.json"
+    for flip in (5, [1.5, -1]):
+        doc["params"]["flip"] = flip
+        inst.write_text(json.dumps(doc))
+        assert main(["build", "--instance", str(inst), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: $.params.flip: expected an array of integers\n"
+    doc["params"]["flip"] = [1, 1]
+    inst.write_text(json.dumps(doc))
+    assert main(["build", "--instance", str(inst), "--out", str(out)]) == 0
+
+
 def test_analyze_usage_and_error_paths(tmp_path, capsys):
     assert main([]) == 64
     assert main(["analyze", "--instance", "x.json"]) == 64

@@ -1,9 +1,10 @@
 """Document schema: every set, function, atom and params class round-trips.
 
-A hand-built object of each class goes through its public document (an
-instance for sets and params, a model for atoms) and must come back equal,
-with identical bytes on a second write.  Malformed documents must fail with
-a SchemaError at the offending path.
+Each of those classes has exactly one entry in the schema table of
+`dfc.model`.  A hand-built object of each class goes through its public
+document (an instance for sets and params, a model for atoms) and must come
+back equal, with identical bytes on a second write.  Malformed documents
+must fail with a SchemaError at the offending path.
 """
 
 import json
@@ -11,7 +12,7 @@ import math
 
 import pytest
 
-from dfc import builders, model, sets
+from dfc import builders, gauge, model, sets
 from dfc.gauge import Aff, GaugePlus, Linear, Perspective, SOC
 
 EYE2 = ((1.0, 0.0), (0.0, 1.0))
@@ -43,6 +44,7 @@ SETS = {
     "scale": sets.scale(SQUARE, 3.0),
     "scale_zero": sets.scale(SQUARE, 0.0),
     "sumcone": sets.sum_cone(SQUARE, [[1.0, 0.0], [1.0, 1.0]]),
+    "sumcone_no_rays": sets.sum_cone(SQUARE, []),
     "intersect": sets.intersect(SQUARE, DISK, sets.translate(TRI, (-0.5, -0.5))),
 }
 
@@ -103,6 +105,36 @@ ATOMS = {
         SETS["level_nested_max"], (((1.0, -1.0), X),), Aff.of({}, 0.0), False
     ),
 }
+
+
+def concrete(base) -> set:
+    found = set()
+    for sub in base.__subclasses__():
+        found |= concrete(sub) | {sub}
+    return found
+
+
+def test_one_table_entry_per_class():
+    tables = {
+        "sets": (model._SETS.by_tag.values(), concrete(sets.SetExpr)),
+        "functions": (model._FNS.by_tag.values(), concrete(sets.CatalogFunction)),
+        "atoms": (
+            model._ATOMS.by_tag.values(),
+            {getattr(gauge, name) for name in gauge.Atom.split(" | ")},
+        ),
+        "params": (
+            [rec for rec in model._PARAMS.values() if rec is not None],
+            {
+                obj
+                for name, obj in vars(builders).items()
+                if name.endswith("Data") and isinstance(obj, type)
+            },
+        ),
+    }
+    for name, (records, classes) in tables.items():
+        declared = [rec.cls for rec in records]
+        assert len(declared) == len(set(declared)), name
+        assert set(declared) == classes, name
 
 
 def spec_of(S, method="extended", params=None):
@@ -195,6 +227,9 @@ SET_CASES = [
     ("level_affine", lambda d: d["fn"].update(fn="cubic"), ".fn.fn"),
     ("level_affine", lambda d: d["fn"].pop("beta"), ".fn"),
     ("level_affine", lambda d: d["fn"].update(n=2), ".fn"),
+    ("level_affine", lambda d: d["fn"].update(fn="cubic", zz=1), ".fn"),
+    ("level_affine", lambda d: d["fn"].update(fn=["affine"]), ".fn.fn"),
+    ("box", lambda d: d.update(set="cube", zz=1), ".set"),
     ("level_geomean", lambda d: d["fn"].update(n=2.5), ".fn.n"),
     ("level_nested_max", lambda d: d["fn"].update(parts={}), ".fn.parts"),
     (
@@ -240,6 +275,9 @@ PARAM_CASES = [
     ("piecewise", lambda p: p.update(families=[]), "$.params.families"),
     ("piecewise", lambda p: p["families"][1].update(base="x"), "$.params.families[1].base"),
     ("bbj", lambda p: p.update(lhs=[1.0]), "$.params.lhs[0]"),
+    ("orthogonal_flip", lambda p: p.update(flip=5), "$.params.flip"),
+    ("orthogonal_flip", lambda p: p.update(flip=[1.5, -1]), "$.params.flip"),
+    ("orthogonal_flip", lambda p: p.update(flip=[1, "-1"]), "$.params.flip"),
 ]
 
 
@@ -285,6 +323,7 @@ ATOM_CASES = [
     ),
     ("gaugeplus_plain", lambda c: c["of"].update(set="blob"), "$.cons[0].of.set"),
     ("gaugeplus_plain", lambda c: c.update(type="cone"), "$.cons[0].type"),
+    ("gaugeplus_plain", lambda c: c.update(type="cone", zz=1), "$.cons[0]"),
 ]
 
 
@@ -309,3 +348,75 @@ def test_model_top_level_errors_name_the_path():
         doc = json.loads(json.dumps(good))
         mutate(doc)
         assert model_error(doc).path == path
+
+
+def test_sum_cone_takes_an_empty_ray_list():
+    assert sets.sum_cone(SQUARE, []) == sets.SumCone(SQUARE, ())
+    doc = instance_doc(spec_of(SETS["sumcone_no_rays"]))
+    assert doc["sets"][0]["rays"] == []
+
+
+def test_flip_left_out_or_null_reads_as_none():
+    method, params = PARAMS["orthogonal_flip"]
+    doc = instance_doc(builders.ProblemSpec((SQUARE, DISK), None, method, params))
+    assert model.parse_instance(json.dumps(doc)).params.flip == (1, -1)
+    doc["params"]["flip"] = None
+    assert model.parse_instance(json.dumps(doc)).params.flip is None
+    del doc["params"]["flip"]
+    assert model.parse_instance(json.dumps(doc)).params.flip is None
+
+
+# ---------------------------------------------------------------------------
+# the options block
+# ---------------------------------------------------------------------------
+
+
+def options_doc(options):
+    doc = instance_doc(spec_of(SQUARE))
+    doc["options"] = options
+    return doc
+
+
+@pytest.mark.parametrize(
+    "options,expected",
+    [
+        ({"directions": 40, "seed": -3, "tol": 1e-7}, {"directions": 40, "seed": -3, "tol": 1e-7}),
+        ({"tol": {"dec": "0.5"}}, {"tol": 0.5}),
+        ({"tol": 0}, {"tol": 0.0}),
+        ({"directions": None, "seed": 0}, {"seed": 0}),
+        ({}, {}),
+        (None, {}),
+    ],
+)
+def test_options_block_is_read_with_the_instance(options, expected):
+    blob = json.dumps(options_doc(options))
+    spec, opts = model.load_instance(blob)
+    assert spec == spec_of(SQUARE)
+    assert opts == expected
+    assert model.parse_instance_options(blob) == expected
+
+
+@pytest.mark.parametrize(
+    "options,path",
+    [
+        ({"directions": "many"}, "$.options.directions"),
+        ({"directions": 0}, "$.options.directions"),
+        ({"directions": 2.5}, "$.options.directions"),
+        ({"seed": 1.5}, "$.options.seed"),
+        ({"seed": "7"}, "$.options.seed"),
+        ({"tol": "x"}, "$.options.tol"),
+        ({"tol": [1e-7]}, "$.options.tol"),
+        ({"box_radius": 10.0}, "$.options"),
+        ({"jobs": 2}, "$.options"),
+        ({"mode": "lifted"}, "$.options"),
+        ({"check": "ideal"}, "$.options"),
+        ({"verbosity": 3}, "$.options"),
+        (5, "$.options"),
+    ],
+)
+def test_options_block_errors_name_the_path(options, path):
+    doc = options_doc(options)
+    assert instance_error(doc).path == path
+    with pytest.raises(model.SchemaError) as err:
+        model.parse_instance_options(json.dumps(doc))
+    assert err.value.path == path
