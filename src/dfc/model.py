@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from . import builders, sets
@@ -128,12 +129,8 @@ def lower_model(form: Formulation, mode: str = "plus") -> ModelIR:
 # ---------------------------------------------------------------------------
 
 
-class _Kind:
-    __slots__ = ("enc", "dec")
-
-    def __init__(self, enc, dec):
-        self.enc = enc  # value -> JSON node
-        self.dec = dec  # (JSON node, path) -> value, or SchemaError at path
+# enc: value -> JSON node; dec: (JSON node, path) -> value, or SchemaError at path
+_Kind = namedtuple("_Kind", "enc dec")
 
 
 def _same(v):
@@ -160,10 +157,10 @@ def _read_num(node, path: str) -> float:
         if not keys <= {"dec", "hex"} or not keys:
             raise SchemaError(path, "numeric object takes only dec/hex")
         if "hex" in node:
-            if not isinstance(node["hex"], str):
-                raise SchemaError(path, "bad hex float")
             try:
                 return float.fromhex(node["hex"])
+            except TypeError:
+                raise SchemaError(path, "bad hex float") from None
             except ValueError:
                 try:
                     return float(node["hex"])
@@ -219,16 +216,22 @@ def _or(kind, *literals) -> _Kind:
     )
 
 
-def _pair(first, second, message: str, head=object) -> _Kind:
-    """A [first, second] array whose first item is a head instance."""
+def _pair(first, second, message: str) -> _Kind:
+    """A [first, second] array."""
     (enc0, dec0), (enc1, dec1) = (first.enc, first.dec), (second.enc, second.dec)
 
     def read(node, path):
-        if not (isinstance(node, list) and len(node) == 2 and isinstance(node[0], head)):
+        if not (isinstance(node, list) and len(node) == 2):
             raise SchemaError(path, message)
         return (dec0(node[0], path + "[0]"), dec1(node[1], path + "[1]"))
 
     return _Kind(lambda v: [enc0(v[0]), enc1(v[1])], read)
+
+
+def _read_term(node, path: str) -> tuple:
+    if not (isinstance(node, list) and len(node) == 2 and isinstance(node[0], str)):
+        raise SchemaError(path, "expected [name, coeff]")
+    return (node[0], _read_num(node[1], path + "[1]"))
 
 
 def _is_int(v) -> bool:
@@ -244,6 +247,7 @@ _POSINT = _check(lambda v: _is_int(v) and v >= 1, "expected a positive integer")
 _INTS = _array_of(_is_int, "expected an array of integers")
 _INT_MAT = _list(_INTS, "expected an array of arrays")
 _NAME = _Kind(_same, lambda node, path: node)
+_TERM = _Kind(lambda t: [t[0], _num(t[1])], _read_term)  # [name, coeff]
 _NAMES = _array_of(lambda v: isinstance(v, str), "expected an array of names")
 _CONES = _array_of(
     lambda c: isinstance(c, list) and len(c) == 2 and isinstance(c[0], str) and _is_int(c[1]),
@@ -282,7 +286,7 @@ class _Record:
         self.required = tuple(key for key, _, _, d in fields if d is _REQUIRED)
         self.allowed = frozenset(key for key, *_ in fields)
         self._enc = tuple((key, attr, kind.enc) for key, attr, kind, _ in fields)
-        self._dec = tuple((key, "." + key, attr, kind.dec, d) for key, attr, kind, d in fields)
+        self._dec = tuple((key, attr, kind.dec, d) for key, attr, kind, d in fields)
 
     def enc(self, obj) -> dict:
         return {key: enc(getattr(obj, attr)) for key, attr, enc in self._enc}
@@ -291,8 +295,8 @@ class _Record:
         _require(node, path, self.required, self.allowed)
         return self.build(
             **{
-                attr: dec(node[key], path + suffix) if key in node else default
-                for key, suffix, attr, dec, default in self._dec
+                attr: dec(node[key], f"{path}.{key}") if key in node else default
+                for key, attr, dec, default in self._dec
             }
         )
 
@@ -364,7 +368,9 @@ _SETS.define(
     hpoly=_Record(sets.HPolyhedron, ("A", "A", _MAT), ("b", "b", _VEC), build=sets.hpoly),
     vpoly=_Record(sets.VPolytope, ("vertices", "vertices", _MAT), build=sets.vpoly),
     box=_Record(sets.Box, ("lower", "lower", _VEC), ("upper", "upper", _VEC), build=sets.box),
-    ball=_Record(sets.Ball, ("center", "center", _VEC), ("radius", "radius", _NUM), build=sets.ball),
+    ball=_Record(
+        sets.Ball, ("center", "center", _VEC), ("radius", "radius", _NUM), build=sets.ball
+    ),
     conic=_Record(
         sets.ConicRep,
         ("cones", "cones", _CONES),
@@ -392,7 +398,7 @@ _SETS.define(
 
 _AFF = _Record(
     Aff,
-    ("terms", "terms", _list(_pair(_NAME, _NUM, "expected [name, coeff]", str))),
+    ("terms", "terms", _list(_TERM)),
     ("const", "const", _NUM),
 )
 _AFFS = _list(_AFF)

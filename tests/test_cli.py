@@ -257,9 +257,8 @@ def test_build_rejects_a_malformed_flip(tmp_path, capsys):
         ((0.0, 0.0), (0.0, 0.0)),
         (1, 1),
     )
-    doc = json.loads(
-        model.canonical_bytes(model.spec_doc(builders.ProblemSpec(pieces, None, "orthogonal", data)))
-    )
+    spec = builders.ProblemSpec(pieces, None, "orthogonal", data)
+    doc = json.loads(model.canonical_bytes(model.spec_doc(spec)))
     inst, out = tmp_path / "inst.json", tmp_path / "m.json"
     for flip in (5, [1.5, -1]):
         doc["params"]["flip"] = flip

@@ -219,6 +219,7 @@ SET_CASES = [
     ("hpoly", lambda d: d.update(b=[1.0]), ""),
     ("ball", lambda d: d.update(radius="wide"), ".radius"),
     ("ball", lambda d: d.update(radius={"dec": "1", "bin": "1"}), ".radius"),
+    ("ball", lambda d: d.update(radius={"dec": "1", "hex": 5}), ".radius"),
     ("box", lambda d: d.update(set="cube"), ".set"),
     ("box", lambda d: d.pop("set"), ""),
     ("conic", lambda d: d.update(cones=[["soc", "3"]]), ".cones"),
@@ -230,6 +231,7 @@ SET_CASES = [
     ("level_affine", lambda d: d["fn"].update(fn="cubic", zz=1), ".fn"),
     ("level_affine", lambda d: d["fn"].update(fn=["affine"]), ".fn.fn"),
     ("box", lambda d: d.update(set="cube", zz=1), ".set"),
+    ("box", lambda d: d.update(set=["box"]), ".set"),
     ("level_geomean", lambda d: d["fn"].update(n=2.5), ".fn.n"),
     ("level_nested_max", lambda d: d["fn"].update(parts={}), ".fn.parts"),
     (
@@ -275,6 +277,7 @@ PARAM_CASES = [
     ("piecewise", lambda p: p.update(families=[]), "$.params.families"),
     ("piecewise", lambda p: p["families"][1].update(base="x"), "$.params.families[1].base"),
     ("bbj", lambda p: p.update(lhs=[1.0]), "$.params.lhs[0]"),
+    ("orthogonal_flip", lambda p: p.update(pieces="ab"), "$.params.pieces"),
     ("orthogonal_flip", lambda p: p.update(flip=5), "$.params.flip"),
     ("orthogonal_flip", lambda p: p.update(flip=[1.5, -1]), "$.params.flip"),
     ("orthogonal_flip", lambda p: p.update(flip=[1, "-1"]), "$.params.flip"),
