@@ -286,7 +286,7 @@ class _Record:
         self.required = tuple(key for key, _, _, d in fields if d is _REQUIRED)
         self.allowed = frozenset(key for key, *_ in fields)
         self._enc = tuple((key, attr, kind.enc) for key, attr, kind, _ in fields)
-        self._dec = tuple((key, attr, kind.dec, d) for key, attr, kind, d in fields)
+        self._dec = tuple((key, "." + key, attr, kind.dec, d) for key, attr, kind, d in fields)
 
     def enc(self, obj) -> dict:
         return {key: enc(getattr(obj, attr)) for key, attr, enc in self._enc}
@@ -295,8 +295,8 @@ class _Record:
         _require(node, path, self.required, self.allowed)
         return self.build(
             **{
-                attr: dec(node[key], f"{path}.{key}") if key in node else default
-                for key, attr, dec, default in self._dec
+                attr: dec(node[key], path + suffix) if key in node else default
+                for key, suffix, attr, dec, default in self._dec
             }
         )
 
