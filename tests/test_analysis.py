@@ -505,6 +505,52 @@ def test_cover_conditions_membership_violation():
     assert "membership" in kinds
 
 
+def _cover_witness(sample, direction, point):
+    return {
+        "condition": "membership",
+        "sample": sample,
+        "direction": direction,
+        "disjunct": 0,
+        "family": 0,
+        "point": point,
+    }
+
+
+MIXED_COVER_REPORT = {
+    "check": "cover-conditions",
+    "verdict": "fail",
+    "tolerance": 1e-06,
+    "seed": SEED,
+    "directions": 12,
+    "samples": 12,
+    "margin": 0.29218192902430096,
+    "witnesses": [
+        _cover_witness(0, [0.988219599767768, 0.15304255171302], [1.0, 1.0]),
+        _cover_witness(1, [0.7793020020600677, 0.626648537527353], [1.0, 1.0]),
+        _cover_witness(2, [0.3615710622404152, 0.9323445537730876], [1.0, 1.0]),
+        _cover_witness(3, [-0.1530425517130199, 0.9882195997677681], [0.0, 1.0]),
+        _cover_witness(4, [-0.6266485375273527, 0.7793020020600678], [0.0, 1.0]),
+        _cover_witness(5, [-0.9323445537730877, 0.361571062240415], [0.0, 1.0]),
+        _cover_witness(9, [0.15304255171301978, -0.9882195997677681], [1.0, 0.0]),
+        _cover_witness(10, [0.6266485375273531, -0.7793020020600676], [1.0, 0.0]),
+    ],
+    "notes": [],
+}
+
+
+def test_cover_conditions_pinned_report_with_both_witness_kinds():
+    """A cover that misses part of its disjunct fails both conditions: the
+    membership witnesses of 8 samples come first and fill the cut at 8,
+    ahead of every support-match witness; the margin is the largest finite
+    best gap."""
+    disjuncts = (sets.box([0.0, 0.0], [1.0, 1.0]),)
+    small = (sets.box([0.0, 0.0], [0.5, 0.5]),)
+    rep = analysis.check_par_conditions(disjuncts, (small,), count=12, seed=SEED)
+    doc = rep.to_json_dict()
+    doc.pop("elapsed_s")
+    assert doc == MIXED_COVER_REPORT
+
+
 def test_cover_conditions_support_mismatch():
     disjuncts = (sets.box([0.0, 0.0], [1.0, 1.0]),)
     big = (sets.box([0.0, 0.0], [2.0, 2.0]),)

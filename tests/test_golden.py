@@ -4,9 +4,9 @@ every build, pinned so that refactors keep them identical.
 Reports come from `dfc analyze --out` on every (example, variant, check) of
 `fixtures.EXPECTED` at seed 20240, with the direction counts of the benchmark
 (`perfbench/run.py`).  The stored document is the canonical report without
-`elapsed_s`.  The pooled checks (sharp, ideal, minkowski) must give the same
-document at `--jobs 1` and `--jobs 2`.  Models are the sha256 of every file
-`dfc build` writes, for every example variant in both lowering modes.
+`elapsed_s`.  Every check must give the same document at `--jobs 1` and
+`--jobs 2`.  Models are the sha256 of every file `dfc build` writes, for
+every example variant in both lowering modes.
 Instances are the sha256 of `canonical_bytes(spec_doc(...))` for every
 example variant, without and with an options block.
 
@@ -28,7 +28,7 @@ from dfc.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = 20240
 DIRECTIONS = {"sharp": 24, "ideal": 64, "minkowski": 24, "par": 24, "bbj": 100}
-POOLED = ("sharp", "ideal", "minkowski")
+POOLED = ("sharp", "ideal", "minkowski", "par", "bbj")
 MODES = ("plus", "lifted")
 
 REPORT_CASES = [
@@ -123,6 +123,20 @@ def test_model_digests(work, capsys, name, variant, mode):
 def test_instance_digests(name, variant):
     expected = _load("instances.json")[f"{name}/{variant}"]
     assert instance_digests(name, variant) == expected
+
+
+@pytest.mark.parametrize(
+    "fname,cases",
+    [
+        ("reports.json", REPORT_CASES),
+        ("models.json", MODEL_CASES),
+        ("instances.json", INSTANCE_CASES),
+    ],
+)
+def test_golden_files_hold_exactly_the_cases_read(fname, cases):
+    """An entry whose case is gone from the fixtures, or a case with no
+    entry, shows here rather than passing unnoticed."""
+    assert sorted(_load(fname)) == sorted("/".join(case) for case in cases)
 
 
 def _regenerate(out_dir: Path) -> None:
