@@ -29,13 +29,19 @@ set-level oracles:
     check_bbj_condition    basis-subsystem optimum matching
     check_minkowski_ideal  slice-vs-average support comparison
 
-The sampled sharp, ideal and minkowski checks are front ends of one engine
-that differ only in directions, bound and witness names.  Sampled checks
-return "not-refuted" rather than "pass"; only exact modes may say "pass".  A
-sample whose optimizer stalled is not counted, and leaves the verdict
-"inconclusive" unless another fails.  Every report records the seed,
-direction count, tolerance and reproducible witnesses, and multi-process runs
-merge results by sample index so the output is identical at any job count.
+All five sampled checks are front ends of one engine, _sampled_check, that
+differ only in their directions and their per-sample evaluator: the
+relaxation evaluator (sharp, ideal, minkowski) compares the compiled
+relaxation's maximum with a support bound, the cover evaluator (par) and the
+basis evaluator (bbj) test their conditions.  An evaluator gives a sample's
+margin term and witnesses; the engine alone runs the process pool, counts
+the samples not evaluated, takes the margin, orders and cuts the witnesses
+and gives the verdict.  Sampled checks return "not-refuted" rather than
+"pass"; only exact modes may say "pass".  A sample whose optimizer stalled is
+not counted, and leaves the verdict "inconclusive" unless another fails.
+Every report records the seed, direction count, tolerance and reproducible
+witnesses, and multi-process runs merge results by sample index so the
+output is identical at any job count.
 """
 
 from __future__ import annotations
@@ -785,6 +791,51 @@ def relaxation_max_violation(form, env: dict[str, float]) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the sampled-check engine
+# ---------------------------------------------------------------------------
+
+
+def _eval_chunk(args):
+    """Worker: the evaluator's result for each of a run of samples."""
+    evaluate, eargs, dirs, idx0 = args
+    return [evaluate(eargs, idx0 + off, d) for off, d in enumerate(dirs)]
+
+
+def _sampled_check(check, dirs, evaluate, args, tol, seed, jobs, notes=()) -> AnalysisReport:
+    """The sampled-check engine.  ``evaluate(args, idx, d)`` judges sample
+    idx along direction d: None when it could not be evaluated, else its
+    margin term and its witnesses as (sort key, witness) pairs.  Chunks run
+    in a process pool at jobs > 1 and come back in sample order.  The margin
+    is the largest term, at least 0; the witnesses are sorted by key and cut
+    to 8, and any witness fails the check."""
+    t0 = time.perf_counter()
+    if jobs > 1:
+        size = max(1, (len(dirs) + jobs - 1) // jobs)
+        payload = [(evaluate, args, dirs[i : i + size], i) for i in range(0, len(dirs), size)]
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            results = [r for part in ex.map(_eval_chunk, payload) for r in part]
+    else:
+        results = _eval_chunk((evaluate, args, dirs, 0))
+    done = [r for r in results if r is not None]
+    stalled = len(results) - len(done)
+    if stalled:
+        notes += (f"{stalled} of {len(results)} samples not evaluated (optimizer stalled)",)
+    found = sorted((kw for _, kws in done for kw in kws), key=lambda kw: kw[0])
+    return AnalysisReport(
+        check=check,
+        verdict="fail" if found else "inconclusive" if stalled else "not-refuted",
+        tolerance=tol,
+        seed=seed,
+        directions=len(dirs),
+        samples=len(done),
+        margin=float(max([0.0] + [term for term, _ in done])),
+        witnesses=tuple(w for _, w in found[:8]),
+        notes=tuple(notes),
+        elapsed_s=time.perf_counter() - t0,
+    )
+
+
+# ---------------------------------------------------------------------------
 # sampled support comparisons (sharp / ideal / minkowski)
 # ---------------------------------------------------------------------------
 
@@ -819,84 +870,35 @@ def _average_support(form, d: np.ndarray) -> float:
     return sum(sets.support(S, d) for S in form.sets) / len(form.y_names)
 
 
-def _eval_chunk(args):
-    """Worker: relaxation optimum (nan when stalled) and bound per direction."""
-    form, dirs, idx0, bound, fixed = args
-    compiled = compile_relaxation(form)
-    names = list(form.x_names) + list(form.y_names)
-    recs = []
-    for off, d in enumerate(dirs):
-        obj = {nm: float(c) for nm, c in zip(names, d)}
-        res = _maximize_named(compiled, obj, fixed)
-        relax = math.inf if res.box_active else res.value
-        if res.status == "infeasible":
-            relax = -math.inf
-        recs.append((idx0 + off, _vec_list(d), relax, bound(form, d)))
-    return recs
+def _relaxation_sample(args, idx, d):
+    """The compiled relaxation's maximum along d (x part, then y part;
+    ``fixed`` variables held) must not exceed ``bound(form, d)`` beyond tol;
+    ``keys`` name the two values.  A stalled relaxation leaves the sample
+    out; a stalled bound raises."""
+    compiled, form, bound, keys, fixed, tol = args
+    obj = {nm: float(c) for nm, c in zip((*form.x_names, *form.y_names), d)}
+    res = _maximize_named(compiled, obj, fixed)
+    relax = math.inf if res.box_active else res.value
+    if res.status == "infeasible":
+        relax = -math.inf
+    bnd = bound(form, d)
+    if math.isnan(relax):
+        return None
+    if bnd == math.inf:
+        return 0.0, []  # relaxation cannot exceed an infinite bound
+    excess = relax - bnd
+    term = excess if math.isfinite(excess) else 0.0
+    if not excess > tol * (1.0 + abs(bnd) if math.isfinite(bnd) else 1.0):
+        return term, []
+    witness = {
+        "sample": idx, "direction": _vec_list(d), keys[0]: relax, keys[1]: bnd, "excess": excess
+    }
+    return term, [((-excess, idx), witness)]
 
 
-def _sampled_check(
-    check, form, dirs, bound, keys, tol, seed, jobs, fixed=None
-) -> AnalysisReport:
-    """The sampled-check engine: the relaxation's maximum along each direction
-    d (x part, then y part; ``fixed`` variables held) must not exceed
-    ``bound(form, d)`` beyond tol; ``keys`` name the two witness values."""
-    t0 = time.perf_counter()
-    if jobs and jobs > 1:
-        size = max(1, (len(dirs) + jobs - 1) // jobs)
-        starts = range(0, len(dirs), size)
-        payload = [(form, dirs[i : i + size], i, bound, fixed) for i in starts]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            recs = [rec for part in ex.map(_eval_chunk, payload) for rec in part]
-    else:
-        recs = _eval_chunk((form, dirs, 0, bound, fixed))
-    recs.sort(key=lambda r: r[0])
-    failures = []
-    margin = 0.0
-    stalled = 0
-    for idx, d, relax, bnd in recs:
-        if math.isnan(relax):
-            stalled += 1
-            continue
-        if math.isinf(bnd) and bnd > 0:
-            continue  # relaxation cannot exceed an infinite bound
-        if math.isinf(relax) and relax > 0:
-            failures.append((math.inf, idx, d, relax, bnd))
-            continue
-        excess = relax - bnd
-        scale = 1.0 + abs(bnd) if math.isfinite(bnd) else 1.0
-        if excess > tol * scale:
-            failures.append((excess, idx, d, relax, bnd))
-        margin = max(margin, excess if math.isfinite(excess) else 0.0)
-    failures.sort(key=lambda f: (-f[0], f[1]))
-    witnesses = tuple(
-        {"sample": idx, "direction": d, keys[0]: relax, keys[1]: bnd, "excess": exc}
-        for exc, idx, d, relax, bnd in failures[:8]
-    )
-    return AnalysisReport(
-        check=check,
-        verdict=_verdict(failures, stalled),
-        tolerance=tol,
-        seed=seed,
-        directions=len(dirs),
-        samples=len(recs) - stalled,
-        margin=float(margin),
-        witnesses=witnesses,
-        notes=_stall_notes(stalled, len(recs)),
-        elapsed_s=time.perf_counter() - t0,
-    )
-
-
-def _verdict(failures, stalled: int) -> str:
-    """A sampled verdict: a failure refutes; otherwise an unevaluated sample
-    leaves it open."""
-    return "fail" if failures else "inconclusive" if stalled else "not-refuted"
-
-
-def _stall_notes(stalled: int, total: int) -> tuple[str, ...]:
-    if not stalled:
-        return ()
-    return (f"{stalled} of {total} samples not evaluated (optimizer stalled)",)
+def _relaxation_check(check, form, dirs, bound, keys, tol, seed, jobs, fixed=None):
+    args = (compile_relaxation(form), form, bound, keys, fixed, tol)
+    return _sampled_check(check, dirs, _relaxation_sample, args, tol, seed, jobs)
 
 
 def check_sharp(
@@ -909,7 +911,7 @@ def check_sharp(
     """Projected support equality along sampled x-space directions."""
     dirs = sample_directions(len(form.x_names), count, seed)
     keys = ("relaxation_value", "union_support")
-    return _sampled_check("sharp", form, dirs, _union_support, keys, tol, seed, jobs)
+    return _relaxation_check("sharp", form, dirs, _union_support, keys, tol, seed, jobs)
 
 
 def _ideal_exact(form, tol: float) -> AnalysisReport:
@@ -990,7 +992,7 @@ def check_ideal(
                 dirs[i, n:] = 0.0
                 dirs[i, :n] = u / nu
     keys = ("relaxation_value", "embedded_support")
-    return _sampled_check("ideal", form, dirs, _embedded_support, keys, tol, seed, jobs)
+    return _relaxation_check("ideal", form, dirs, _embedded_support, keys, tol, seed, jobs)
 
 
 def check_minkowski_ideal(
@@ -1005,7 +1007,7 @@ def check_minkowski_ideal(
     weights = {nm: 1.0 / len(form.y_names) for nm in form.y_names}
     dirs = sample_directions(len(form.x_names), count, seed)
     keys = ("slice_value", "average_support")
-    return _sampled_check(
+    return _relaxation_check(
         "minkowski-slice", form, dirs, _average_support, keys, tol, seed, jobs, weights
     )
 
@@ -1021,6 +1023,7 @@ def check_par_conditions(
     count: int = 360,
     seed: int = DEFAULT_SEED,
     tol: float = sets.SUPPORT_EQ_TOL,
+    jobs: int = 1,
 ) -> AnalysisReport:
     """Cover-family conditions behind the combined homothety formulation.
 
@@ -1028,46 +1031,25 @@ def check_par_conditions(
     sampled direction some cover family must reproduce all disjunct support
     values at once.  A sample whose set oracle stalled is not counted.
     """
-    t0 = time.perf_counter()
-    n = disjuncts[0].dim
-    dirs = sample_directions(n, count, seed)
-    member = {}  # sample -> its membership witnesses; stalled samples left out
-    for idx, u in enumerate(dirs):
-        try:
-            member[idx] = _membership_witnesses(disjuncts, covers, idx, u)
-        except ArithmeticError:
-            continue
-    best_gaps = {}
-    for idx in member:
-        try:
-            best_gaps[idx] = _best_cover_gap(disjuncts, covers, dirs[idx])
-        except ArithmeticError:
-            continue
-    witnesses = [w for idx in best_gaps for w in member[idx]]
-    margin = 0.0
-    for idx, best_gap in best_gaps.items():
-        margin = max(margin, 0.0 if math.isinf(best_gap) else best_gap)
-        if best_gap > tol:
-            witnesses.append(
-                {
-                    "condition": "support-match",
-                    "sample": idx,
-                    "direction": _vec_list(dirs[idx]),
-                    "best_gap": float(best_gap) if math.isfinite(best_gap) else "inf",
-                }
-            )
-    return AnalysisReport(
-        check="cover-conditions",
-        verdict=_verdict(witnesses, len(dirs) - len(best_gaps)),
-        tolerance=tol,
-        seed=seed,
-        directions=count,
-        samples=len(best_gaps),
-        margin=float(margin),
-        witnesses=tuple(witnesses[:8]),
-        notes=_stall_notes(len(dirs) - len(best_gaps), len(dirs)),
-        elapsed_s=time.perf_counter() - t0,
-    )
+    dirs = sample_directions(disjuncts[0].dim, count, seed)
+    args = (disjuncts, covers, tol)
+    return _sampled_check("cover-conditions", dirs, _cover_sample, args, tol, seed, jobs)
+
+
+def _cover_sample(args, idx: int, u: np.ndarray):
+    """Membership witnesses of sample idx, ordered ahead of every
+    support-match witness, and its best cover gap as the margin term."""
+    disjuncts, covers, tol = args
+    try:
+        found = [((0, idx), w) for w in _membership_witnesses(disjuncts, covers, idx, u)]
+        gap = _best_cover_gap(disjuncts, covers, u)
+    except ArithmeticError:
+        return None
+    if gap > tol:
+        witness = {"condition": "support-match", "sample": idx, "direction": _vec_list(u)}
+        witness["best_gap"] = float(gap) if math.isfinite(gap) else "inf"
+        found.append(((1, idx), witness))
+    return (gap if math.isfinite(gap) else 0.0), found
 
 
 def _membership_witnesses(disjuncts, covers, idx: int, u: np.ndarray) -> list[dict]:
@@ -1138,11 +1120,11 @@ def check_bbj_condition(
     count: int = 100,
     seed: int = DEFAULT_SEED,
     tol: float = sets.SUPPORT_EQ_TOL,
+    jobs: int = 1,
 ) -> AnalysisReport:
     """For sampled objectives, some full-rank row basis must reproduce every
     disjunct's optimum from its own subsystem alone.  A sample whose LP
     stalled is not counted."""
-    t0 = time.perf_counter()
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     rank = int(np.linalg.matrix_rank(A, tol=1e-9))
@@ -1155,36 +1137,24 @@ def check_bbj_condition(
     ]
     b_arr = [np.asarray(b, dtype=float).reshape(-1) for b in b_list]
     dirs = sample_directions(n, count, seed, axes_first=True)
-    witnesses = []
-    margin = 0.0
-    stalled = 0
-    for idx, c in enumerate(dirs):
-        try:
-            matched, best = _basis_match(A, b_arr, bases, c, tol)
-        except ArithmeticError:
-            stalled += 1
-            continue
-        if not matched:
-            margin = max(margin, best if math.isfinite(best) else 0.0)
-            witnesses.append(
-                {
-                    "sample": idx,
-                    "direction": _vec_list(c),
-                    "best_gap": float(best) if math.isfinite(best) else "inf",
-                }
-            )
-    return AnalysisReport(
-        check="basis-condition",
-        verdict=_verdict(witnesses, stalled),
-        tolerance=tol,
-        seed=seed,
-        directions=count,
-        samples=len(dirs) - stalled,
-        margin=float(margin),
-        witnesses=tuple(witnesses[:8]),
-        notes=(f"bases considered: {len(bases)}",) + _stall_notes(stalled, len(dirs)),
-        elapsed_s=time.perf_counter() - t0,
-    )
+    notes = (f"bases considered: {len(bases)}",)
+    args = (A, b_arr, bases, tol)
+    return _sampled_check("basis-condition", dirs, _basis_sample, args, tol, seed, jobs, notes)
+
+
+def _basis_sample(args, idx: int, c: np.ndarray):
+    """A witness when no basis reproduces every disjunct's optimum along c,
+    with the smallest worst relative gap as the margin term."""
+    A, b_arr, bases, tol = args
+    try:
+        matched, best = _basis_match(A, b_arr, bases, c, tol)
+    except ArithmeticError:
+        return None
+    if matched:
+        return 0.0, []
+    witness = {"sample": idx, "direction": _vec_list(c)}
+    witness["best_gap"] = float(best) if math.isfinite(best) else "inf"
+    return (best if math.isfinite(best) else 0.0), [(idx, witness)]
 
 
 def _basis_match(A, b_arr, bases, c, tol) -> tuple[bool, float]:

@@ -9,17 +9,19 @@ Exit codes: 0 pass or not-refuted, 2 fail with witness, 3 inconclusive (no
 failure found, but some samples were not evaluated because the optimizer
 stalled), 1 error, 64 usage.
 Outputs are byte-stable for fixed inputs and seeds; DFC_SEED overrides the
-default seed when --seed is not given.
+default seed when --seed is not given.  --jobs splits the directions of every
+sampled check over that many processes, with the same report bytes at any
+job count; --directions and --jobs must be at least 1, --tol finite and at
+least 0.  Each check's default direction count is its function's default.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis, builders, fixtures, gauge, model, sets
 
@@ -28,15 +30,6 @@ EXIT_ERROR = 1
 EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
-
-_CHECK_DEFAULT_DIRS = {
-    "sharp": 500,
-    "ideal": 500,
-    "minkowski": 200,
-    "par": 360,
-    "bbj": 100,
-}
-
 
 class UsageError(Exception):
     pass
@@ -57,16 +50,16 @@ def _build_parser() -> _Parser:
     b.add_argument("--mode", choices=("plus", "lifted"), default="plus")
     b.add_argument("--out", required=True)
 
+    count = _flag(int, lambda v: v >= 1, "an integer >= 1")
+    tol = _flag(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
     a = sub.add_parser("analyze", help="run a strength check on an instance")
     a.add_argument("--instance", required=True)
     a.add_argument("--method", default=None)
-    a.add_argument(
-        "--check", required=True, choices=("ideal", "sharp", "par", "bbj", "minkowski")
-    )
-    a.add_argument("--directions", type=int, default=None)
+    a.add_argument("--check", required=True, choices=tuple(_CHECKS))
+    a.add_argument("--directions", type=count, default=None)
     a.add_argument("--seed", type=int, default=None)
-    a.add_argument("--tol", type=float, default=None)
-    a.add_argument("--jobs", type=int, default=1)
+    a.add_argument("--tol", type=tol, default=None)
+    a.add_argument("--jobs", type=count, default=1)
     a.add_argument("--out", default=None, help="report JSON path")
 
     e = sub.add_parser("emit", help="re-serialize a model file")
@@ -81,9 +74,19 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _positive(value, what: str):
-    if value is not None and value <= 0:
-        raise UsageError(f"{what} must be positive")
+def _flag(convert, ok, expected: str):
+    """An argparse type: the converted text, if ok accepts it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _seed(args) -> int:
@@ -120,48 +123,43 @@ def _cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _cover_operands(spec: builders.ProblemSpec) -> tuple:
+    if not isinstance(spec.params, builders.PiecewiseData):
+        raise builders.FamilyInvalid("the par check needs piecewise families")
+    return spec.sets, [f.cover_sets() for f in spec.params.families]
+
+
+def _basis_operands(spec: builders.ProblemSpec) -> tuple:
+    if not isinstance(spec.params, builders.BBJData):
+        raise builders.FamilyInvalid("the bbj check needs shared-matrix data")
+    return spec.params.lhs, spec.params.rhs
+
+
+def _form_operand(spec: builders.ProblemSpec) -> tuple:
+    return (builders.build(spec),)
+
+
+# check name -> (check function, its operands from the problem spec)
+_CHECKS = {
+    "ideal": (analysis.check_ideal, _form_operand),
+    "sharp": (analysis.check_sharp, _form_operand),
+    "par": (analysis.check_par_conditions, _cover_operands),
+    "bbj": (analysis.check_bbj_condition, _basis_operands),
+    "minkowski": (analysis.check_minkowski_ideal, _form_operand),
+}
+
+
 def _cmd_analyze(args) -> int:
     spec, opts = model.load_instance(Path(args.instance).read_bytes())
     spec = _respec(spec, args.method)
     check = args.check
-    count = args.directions or opts.get("directions") or _CHECK_DEFAULT_DIRS[check]
-    _positive(count, "--directions")
+    count = args.directions if args.directions is not None else opts.get("directions")
     seed = args.seed if args.seed is not None else opts.get("seed")
     seed = seed if seed is not None else _seed(args)
-    jobs = args.jobs or 1
-    _positive(jobs, "--jobs")
     tol = args.tol if args.tol is not None else opts.get("tol")
-
-    if check == "par":
-        if not isinstance(spec.params, builders.PiecewiseData):
-            raise builders.FamilyInvalid("the par check needs piecewise families")
-        covers = [f.cover_sets() for f in spec.params.families]
-        kw = {"count": count, "seed": seed}
-        if tol is not None:
-            kw["tol"] = tol
-        report = analysis.check_par_conditions(spec.sets, covers, **kw)
-    elif check == "bbj":
-        if not isinstance(spec.params, builders.BBJData):
-            raise builders.FamilyInvalid("the bbj check needs shared-matrix data")
-        kw = {"count": count, "seed": seed}
-        if tol is not None:
-            kw["tol"] = tol
-        report = analysis.check_bbj_condition(
-            np.asarray(spec.params.lhs, dtype=float),
-            [np.asarray(b, dtype=float) for b in spec.params.rhs],
-            **kw,
-        )
-    else:
-        form = builders.build(spec)
-        fn = {
-            "sharp": analysis.check_sharp,
-            "ideal": analysis.check_ideal,
-            "minkowski": analysis.check_minkowski_ideal,
-        }[check]
-        kw = {"count": count, "seed": seed, "jobs": jobs}
-        if tol is not None:
-            kw["tol"] = tol
-        report = fn(form, **kw)
+    kw = {key: v for key, v in (("count", count), ("tol", tol)) if v is not None}
+    fn, operands = _CHECKS[check]
+    report = fn(*operands(spec), seed=seed, jobs=args.jobs, **kw)
 
     doc = model.report_doc(report)
     if args.out:

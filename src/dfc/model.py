@@ -17,8 +17,8 @@ instance's method), plus the instance's options block.  A record lists its
 fields as (JSON key, attribute, kind[, default]) and names the validating
 constructor; one encoder and one decoder walk the table, and a malformed
 document raises SchemaError at the offending JSON path.  The options block
-takes directions (a positive integer), seed (an integer) and tol (a number),
-each optional; any other key is rejected.
+takes directions (a positive integer), seed (an integer) and tol (a finite
+nonnegative number), each optional; any other key is rejected.
 """
 
 from __future__ import annotations
@@ -232,6 +232,13 @@ def _read_term(node, path: str) -> tuple:
     if not (isinstance(node, list) and len(node) == 2 and isinstance(node[0], str)):
         raise SchemaError(path, "expected [name, coeff]")
     return (node[0], _read_num(node[1], path + "[1]"))
+
+
+def _read_tol(node, path: str) -> float:
+    tol = _read_num(node, path)
+    if not 0.0 <= tol < math.inf:
+        raise SchemaError(path, "expected a finite nonnegative number")
+    return tol
 
 
 def _is_int(v) -> bool:
@@ -478,7 +485,7 @@ _OPTIONS = _Record(
     dict,
     ("directions", "directions", _or(_POSINT, None), None),
     ("seed", "seed", _or(_INT, None), None),
-    ("tol", "tol", _or(_NUM, None), None),
+    ("tol", "tol", _or(_Kind(_num, _read_tol), None), None),
     build=lambda **opts: {k: v for k, v in opts.items() if v is not None},
 )
 
@@ -562,13 +569,8 @@ def parse_model(data) -> ModelIR:
     x_names = _NAMES.dec(doc["x"], "$.x")
     y_names = _NAMES.dec(doc["y"], "$.y")
     set_list = _SET_LIST.dec(doc["sets"], "$.sets")
-    objective = doc.get("objective")
-    obj = None
-    if objective is not None:
-        obj = tuple(
-            (pair[0], _read_num(pair[1], f"$.objective[{i}][1]"))
-            for i, pair in enumerate(objective)
-        )
+    objective = _or(_list(_TERM), None).dec(doc.get("objective"), "$.objective")
+    notes = _NAMES.dec(doc["notes"], "$.notes") if "notes" in doc else ()
     return ModelIR(
         doc["name"],
         mode,
@@ -578,8 +580,8 @@ def parse_model(data) -> ModelIR:
         x_names,
         y_names,
         set_list,
-        notes=tuple(doc.get("notes", ())),
-        objective=obj,
+        notes=notes,
+        objective=objective,
     )
 
 

@@ -30,11 +30,10 @@ from functools import lru_cache
 import numpy as np
 
 # Tolerance ladder.  Membership is looser than feasibility residuals; support
-# equality sits in between; witness margins are far above all three.
+# equality sits in between.
 MEMBERSHIP_TOL = 1e-7
 FEASIBILITY_TOL = 1e-8
 SUPPORT_EQ_TOL = 1e-6
-WITNESS_MARGIN = 1e-3
 RAY_CAP = 1e6
 
 Vec = "tuple[float, ...]"

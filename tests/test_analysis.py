@@ -545,10 +545,11 @@ def test_cover_conditions_pinned_report_with_both_witness_kinds():
     best gap."""
     disjuncts = (sets.box([0.0, 0.0], [1.0, 1.0]),)
     small = (sets.box([0.0, 0.0], [0.5, 0.5]),)
-    rep = analysis.check_par_conditions(disjuncts, (small,), count=12, seed=SEED)
-    doc = rep.to_json_dict()
-    doc.pop("elapsed_s")
-    assert doc == MIXED_COVER_REPORT
+    for jobs in (1, 2):
+        rep = analysis.check_par_conditions(disjuncts, (small,), count=12, seed=SEED, jobs=jobs)
+        doc = rep.to_json_dict()
+        doc.pop("elapsed_s")
+        assert doc == MIXED_COVER_REPORT
 
 
 def test_cover_conditions_support_mismatch():

@@ -235,6 +235,9 @@ def test_analyze_instance_options_supply_defaults(tmp_path, capsys):
         ({"tol": "x"}, "$.options.tol"),
         ({"seed": 1.5}, "$.options.seed"),
         ({"jobs": 2}, "$.options"),
+        ({"tol": "nan"}, "$.options.tol"),
+        ({"tol": "inf"}, "$.options.tol"),
+        ({"tol": -1.0}, "$.options.tol"),
     ],
 )
 def test_malformed_instance_options_exit_1(tmp_path, capsys, options, where):
@@ -286,6 +289,60 @@ def test_analyze_usage_and_error_paths(tmp_path, capsys):
                  "--check", "ideal"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        ("--directions", "0"),
+        ("--jobs", "0"),
+        ("--tol", "-1"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+    ],
+)
+def test_analyze_rejects_bad_counts_and_tolerances(tmp_path, capsys, flag, value):
+    """A count below 1 is not read as "left out", and a negative or
+    non-finite tolerance would turn verdicts around: each is a usage error."""
+    inst = write_instance(tmp_path, "ex1", "extended")
+    assert main(["analyze", "--instance", str(inst), "--check", "sharp", flag, value]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {flag}: ")
+    assert err.count("\n") == 1
+
+
+def test_analyze_accepts_the_smallest_counts_and_tolerance(tmp_path, capsys):
+    inst = write_instance(tmp_path, "ex4", "augmented")
+    args = ["--directions", "1", "--jobs", "1", "--tol", "0"]
+    assert main(["analyze", "--instance", str(inst), "--check", "bbj", *args]) == 0
+    assert "bbj: not-refuted (1 samples" in capsys.readouterr().out
+
+
+def test_analyze_passes_jobs_to_every_sampled_check(tmp_path, capsys, monkeypatch):
+    """--jobs reaches the engine for par and bbj too; an in-process pool
+    records the worker count it was given."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InlinePool)
+    for name, variant, check in (("ex4", "original", "bbj"), ("ex5", "pair", "par")):
+        inst = write_instance(tmp_path, name, variant)
+        main(["analyze", "--instance", str(inst), "--check", check,
+              "--directions", "8", "--jobs", "2"])
+    capsys.readouterr()
+    assert pools == [2, 2]
 
 
 def test_analyze_stalled_oracle_exits_with_error(tmp_path, capsys, monkeypatch):
@@ -384,6 +441,29 @@ def test_emit_round_trip_and_lp(tmp_path, capsys):
                  "--out", str(lp)]) == 0
     assert lp.read_bytes() == mpath.with_suffix(".lp").read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "key,value,where",
+    [
+        ("notes", 5, "$.notes"),
+        ("notes", [5], "$.notes"),
+        ("objective", [5], "$.objective[0]"),
+        ("objective", 3, "$.objective"),
+    ],
+)
+def test_emit_rejects_malformed_notes_and_objective(tmp_path, capsys, key, value, where):
+    inst = write_instance(tmp_path, "ex4", "original")
+    mpath = tmp_path / "m.json"
+    main(["build", "--instance", str(inst), "--out", str(mpath)])
+    capsys.readouterr()
+    doc = json.loads(mpath.read_bytes())
+    doc[key] = value
+    mpath.write_text(json.dumps(doc))
+    assert main(["emit", "--model", str(mpath), "--format", "json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: ")
+    assert err.count("\n") == 1
 
 
 def test_emit_lp_rejects_nonlinear_model(tmp_path, capsys):
