@@ -135,17 +135,17 @@ def _basis_operands(spec: builders.ProblemSpec) -> tuple:
     return spec.params.lhs, spec.params.rhs
 
 
-def _form_operand(spec: builders.ProblemSpec) -> tuple:
+def _form_operands(spec: builders.ProblemSpec) -> tuple:
     return (builders.build(spec),)
 
 
 # check name -> (check function, its operands from the problem spec)
 _CHECKS = {
-    "ideal": (analysis.check_ideal, _form_operand),
-    "sharp": (analysis.check_sharp, _form_operand),
+    "ideal": (analysis.check_ideal, _form_operands),
+    "sharp": (analysis.check_sharp, _form_operands),
     "par": (analysis.check_par_conditions, _cover_operands),
     "bbj": (analysis.check_bbj_condition, _basis_operands),
-    "minkowski": (analysis.check_minkowski_ideal, _form_operand),
+    "minkowski": (analysis.check_minkowski_ideal, _form_operands),
 }
 
 

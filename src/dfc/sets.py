@@ -29,8 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-# Tolerance ladder.  Membership is looser than feasibility residuals; support
-# equality sits in between.
+# Tolerance ladder.  Membership is looser than feasibility residuals, and
+# support equality is looser than both.
 MEMBERSHIP_TOL = 1e-7
 FEASIBILITY_TOL = 1e-8
 SUPPORT_EQ_TOL = 1e-6

@@ -28,7 +28,6 @@ from dfc.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = 20240
 DIRECTIONS = {"sharp": 24, "ideal": 64, "minkowski": 24, "par": 24, "bbj": 100}
-POOLED = ("sharp", "ideal", "minkowski", "par", "bbj")
 MODES = ("plus", "lifted")
 
 REPORT_CASES = [
@@ -39,7 +38,7 @@ REPORT_CASES = [
 REPORT_RUNS = [
     (name, variant, check, jobs)
     for name, variant, check in REPORT_CASES
-    for jobs in ((1, 2) if check in POOLED else (1,))
+    for jobs in (1, 2)
 ]
 INSTANCE_CASES = [
     (name, variant) for name in sorted(fixtures.REGISTRY) for variant in fixtures.REGISTRY[name]
