@@ -830,7 +830,7 @@ def _sampled_check(check, dirs, evaluate, args, tol, seed, jobs, notes=()) -> An
         samples=len(done),
         margin=float(max([0.0] + [term for term, _ in done])),
         witnesses=tuple(w for _, w in found[:8]),
-        notes=tuple(notes),
+        notes=notes,
         elapsed_s=time.perf_counter() - t0,
     )
 
