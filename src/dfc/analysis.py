@@ -34,9 +34,11 @@ differ only in their directions and their per-sample evaluator: the
 relaxation evaluator (sharp, ideal, minkowski) compares the compiled
 relaxation's maximum with a support bound, the cover evaluator (par) and the
 basis evaluator (bbj) test their conditions.  An evaluator gives a sample's
-margin term and witnesses; the engine alone runs the process pool, counts
-the samples not evaluated, takes the margin, orders and cuts the witnesses
-and gives the verdict.  Sampled checks return "not-refuted" rather than
+margin term and witnesses; the engine alone splits the samples between this
+process and at most jobs - 1 forked children (in-process where os.fork is
+missing; a child that dies without a result is a DfcError), counts the
+samples not evaluated, takes the margin, orders and cuts the witnesses and
+gives the verdict.  Sampled checks return "not-refuted" rather than
 "pass"; only exact modes may say "pass".  A sample whose optimizer stalled is
 not counted, and leaves the verdict "inconclusive" unless another fails.
 Every report records the seed, direction count, tolerance and reproducible
@@ -48,8 +50,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -795,27 +799,90 @@ def relaxation_max_violation(form, env: dict[str, float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _eval_chunk(args):
-    """Worker: the evaluator's result for each of a run of samples."""
-    evaluate, eargs, dirs, idx0 = args
-    return [evaluate(eargs, idx0 + off, d) for off, d in enumerate(dirs)]
+def _eval_chunk(evaluate, args, dirs, idx0=0):
+    """The evaluator's result for each of a run of samples."""
+    return [evaluate(args, idx0 + off, d) for off, d in enumerate(dirs)]
+
+
+def _fork_chunk(evaluate, args, dirs, idx0):
+    """Fork a child that evaluates one chunk, pickles ("ok", results) or
+    ("err", exception) into a pipe and leaves by os._exit; the child's pid
+    and the pipe's read end, whose write end is closed here."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    status = 1
+    try:  # child: never returns
+        os.close(r)
+        try:
+            msg = pickle.dumps(("ok", _eval_chunk(evaluate, args, dirs, idx0)))
+        except Exception as exc:
+            msg = pickle.dumps(("err", exc))
+        with open(w, "wb") as fh:
+            fh.write(msg)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _forked_chunks(evaluate, args, chunks):
+    """Each (first sample, directions) chunk after the first in a child
+    forked before this process evaluates the first; the results in sample
+    order.  A failure here or in a child kills and reaps the children still
+    running before it is raised; a child that ends without a result raises
+    DfcError naming its chunk."""
+    kids, reaped = [], 0  # (pid, read end) per chunk after the first
+    try:
+        for idx0, part in chunks[1:]:
+            kids.append(_fork_chunk(evaluate, args, part, idx0))
+        results = _eval_chunk(evaluate, args, chunks[0][1])
+        for (pid, fh), (idx0, part) in zip(kids, chunks[1:]):
+            data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped += 1
+            try:
+                kind, value = pickle.loads(data)
+            except Exception:
+                how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                raise sets.DfcError(
+                    f"the worker of chunk {reaped} (samples {idx0}-{idx0 + len(part) - 1}) "
+                    f"ended without a result ({how})"
+                ) from None
+            if kind == "err":
+                raise value
+            results += value
+        return results
+    finally:
+        for pid, _ in kids[reaped:]:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for _, fh in kids:
+            fh.close()
 
 
 def _sampled_check(check, dirs, evaluate, args, tol, seed, jobs, notes=()) -> AnalysisReport:
     """The sampled-check engine.  ``evaluate(args, idx, d)`` judges sample
     idx along direction d: None when it could not be evaluated, else its
-    margin term and its witnesses as (sort key, witness) pairs.  Chunks run
-    in a process pool at jobs > 1 and come back in sample order.  The margin
-    is the largest term, at least 0; the witnesses are sorted by key and cut
-    to 8, and any witness fails the check."""
+    margin term and its witnesses as (sort key, witness) pairs.  At jobs > 1
+    the samples fall into contiguous chunks: this process evaluates the
+    first and a forked child each of the others (all in this process where
+    os.fork is missing), and the results come back in sample order.  The
+    margin is the largest term, at least 0; the witnesses are sorted by key
+    and cut to 8, and any witness fails the check."""
     t0 = time.perf_counter()
-    if jobs > 1:
-        size = max(1, (len(dirs) + jobs - 1) // jobs)
-        payload = [(evaluate, args, dirs[i : i + size], i) for i in range(0, len(dirs), size)]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = [r for part in ex.map(_eval_chunk, payload) for r in part]
+    size = max(1, (len(dirs) + jobs - 1) // jobs)
+    chunks = [(i, dirs[i : i + size]) for i in range(0, len(dirs), size)]
+    if len(chunks) > 1 and hasattr(os, "fork"):
+        results = _forked_chunks(evaluate, args, chunks)
     else:
-        results = _eval_chunk((evaluate, args, dirs, 0))
+        results = _eval_chunk(evaluate, args, dirs)
     done = [r for r in results if r is not None]
     stalled = len(results) - len(done)
     if stalled:

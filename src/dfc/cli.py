@@ -9,10 +9,12 @@ Exit codes: 0 pass or not-refuted, 2 fail with witness, 3 inconclusive (no
 failure found, but some samples were not evaluated because the optimizer
 stalled), 1 error, 64 usage.
 Outputs are byte-stable for fixed inputs and seeds; DFC_SEED overrides the
-default seed when --seed is not given.  --jobs splits the directions of every
-sampled check over that many processes, with the same report bytes at any
-job count; --directions and --jobs must be at least 1, --tol finite and at
-least 0.  Each check's default direction count is its function's default.
+default seed when --seed is not given.  --jobs N splits the directions of
+every sampled check between this process and at most N - 1 forked children
+(in-process where os.fork is missing), with the same report bytes at any job
+count; a child that dies without a result is an error (exit 1).
+--directions and --jobs must be at least 1, --tol finite and at least 0.
+Each check's default direction count is its function's default.
 """
 
 from __future__ import annotations

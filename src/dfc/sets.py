@@ -668,9 +668,10 @@ def _vpoly_contains(S: VPolytope, x: np.ndarray, tol: float) -> bool:
     res = simplex.solve_lp(
         np.zeros(m), None, None, eq, rhs, np.zeros(m), np.ones(m)
     )
-    if res.status == "optimal":
-        return True
-    return res.status == "infeasible" and res.residual <= tol * (1.0 + float(np.linalg.norm(rhs)))
+    bound = tol * (1.0 + float(np.linalg.norm(rhs)))
+    if res.status == "optimal":  # the simplex tolerates rows off by 1e-7 of scale
+        return float(np.sum(np.abs(eq @ res.x - rhs))) <= bound
+    return res.status == "infeasible" and res.residual <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +818,8 @@ def recession_contains(S: SetExpr, d, tol: float = 1e-9) -> bool:
         return True
     if isinstance(S, (Ball, VPolytope)):
         return float(np.linalg.norm(dv)) <= tol
+    if isinstance(S, ConicRep) and not S.B:  # rec S = {d : A d in K}
+        return _cone_residual(_arr(S.A) @ dv, S.cones) <= tol
     if isinstance(S, Translate):
         return recession_contains(S.child, dv, tol)
     if isinstance(S, Scale):

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import entry_points
 from pathlib import Path
 
@@ -318,31 +319,148 @@ def test_analyze_accepts_the_smallest_counts_and_tolerance(tmp_path, capsys):
     assert "bbj: not-refuted (1 samples" in capsys.readouterr().out
 
 
-def test_analyze_passes_jobs_to_every_sampled_check(tmp_path, capsys, monkeypatch):
-    """--jobs reaches the engine for par and bbj too; an in-process pool
-    records the worker count it was given."""
-    pools = []
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork gives the parent, in order."""
+    pids, real = [], os.fork
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    def counting_fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InlinePool)
+
+def test_analyze_passes_jobs_to_every_sampled_check(tmp_path, capsys, forks):
+    """--jobs reaches the engine for par and bbj too: at --jobs 2 each
+    forks one child for the second half of its directions."""
+    counts = []
     for name, variant, check in (("ex4", "original", "bbj"), ("ex5", "pair", "par")):
         inst = write_instance(tmp_path, name, variant)
+        before = len(forks)
         main(["analyze", "--instance", str(inst), "--check", check,
               "--directions", "8", "--jobs", "2"])
+        counts.append(len(forks) - before)
     capsys.readouterr()
-    assert pools == [2, 2]
+    assert counts == [1, 1]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("directions,jobs,children", [(8, 3, 2), (3, 5, 2), (8, 1, 0)])
+def test_analyze_forks_one_child_per_chunk_after_the_first(
+    tmp_path, capsys, forks, directions, jobs, children
+):
+    """Chunks hold ceil(directions / jobs) samples; this process takes the
+    first, and the report is the one --jobs 1 writes."""
+    inst = write_instance(tmp_path, "ex4", "original")
+    docs = []
+    for j in (1, jobs):
+        out = tmp_path / f"jobs{j}.json"
+        main(["analyze", "--instance", str(inst), "--check", "bbj", "--directions",
+              str(directions), "--jobs", str(j), "--out", str(out)])
+        docs.append(drop_elapsed(out.read_bytes()))
+    capsys.readouterr()
+    assert len(forks) == children
+    assert docs[0] == docs[1]
+    assert_no_child_left()
+
+
+def test_analyze_without_fork_runs_the_chunks_in_process(tmp_path, capsys, monkeypatch):
+    inst = write_instance(tmp_path, "ex4", "original")
+
+    def report(jobs):
+        out = tmp_path / f"jobs{jobs}.json"
+        main(["analyze", "--instance", str(inst), "--check", "bbj",
+              "--directions", "8", "--jobs", jobs, "--out", str(out)])
+        return drop_elapsed(out.read_bytes())
+
+    serial = report("1")
+    monkeypatch.delattr(os, "fork")
+    assert report("2") == serial
+    capsys.readouterr()
+
+
+def _basis_sample_from(first, action):
+    """analysis._basis_sample, but running action(idx) from sample first on."""
+    real = analysis._basis_sample
+
+    def sample(args, idx, c):
+        if idx >= first:
+            action(idx)
+        return real(args, idx, c)
+
+    return sample
+
+
+def _stall(idx):
+    raise ArithmeticError(f"basis condition subproblem stalled at sample {idx}")
+
+
+def test_analyze_stall_in_a_worker_exits_with_error(tmp_path, capsys, monkeypatch):
+    """Samples 4-7 of 8 at --jobs 2 run in the forked child only."""
+    monkeypatch.setattr(analysis, "_basis_sample", _basis_sample_from(4, _stall))
+    inst = write_instance(tmp_path, "ex4", "original")
+    rc = main(["analyze", "--instance", str(inst), "--check", "bbj",
+               "--directions", "8", "--jobs", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: basis condition subproblem stalled at sample 4\n"
+    )
+    assert_no_child_left()
+
+
+def test_analyze_dead_worker_exits_with_error_naming_its_chunk(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "_basis_sample", _basis_sample_from(4, lambda idx: os._exit(7)))
+    inst = write_instance(tmp_path, "ex4", "original")
+    rc = main(["analyze", "--instance", str(inst), "--check", "bbj",
+               "--directions", "8", "--jobs", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: the worker of chunk 1 (samples 4-7) ended without a result (exit status 7)\n"
+    )
+    assert_no_child_left()
+
+
+def test_analyze_failure_of_its_own_chunk_kills_the_workers(tmp_path, capsys, monkeypatch):
+    """The workers of samples 3-7 would sleep for a minute: the error of
+    sample 0 must not wait for them."""
+    def sample(args, idx, c):
+        if idx == 0:
+            _stall(idx)
+        time.sleep(60)
+
+    monkeypatch.setattr(analysis, "_basis_sample", sample)
+    inst = write_instance(tmp_path, "ex4", "original")
+    t0 = time.monotonic()
+    rc = main(["analyze", "--instance", str(inst), "--check", "bbj",
+               "--directions", "8", "--jobs", "3"])
+    assert time.monotonic() - t0 < 30
+    assert rc == 1
+    assert "error: basis condition subproblem stalled at sample 0" in capsys.readouterr().err
+    assert_no_child_left()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    package_root = str(Path(dfc.__file__).resolve().parents[1])
+    pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    code = (
+        "import sys, dfc.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_analyze_stalled_oracle_exits_with_error(tmp_path, capsys, monkeypatch):

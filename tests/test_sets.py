@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from dfc import sets
+from dfc import analysis, fixtures, gauge, sets
 from oracles import gauge_bisect, unit_disk_conic
 
 SEED = 20240
@@ -114,6 +114,19 @@ def test_level_set_membership_is_function_sign():
     assert sets.contains(S, [0.5, 0.25])
     assert sets.contains(S, [-2.0, 0.0])
     assert not sets.contains(S, [1.0, 0.5])
+
+
+def test_vpolytope_membership_holds_its_tolerance():
+    """The simplex accepts rows off by 1e-7 of the instance scale; a point
+    2e-7 outside the hull is still no member at tol 0 or 1e-9."""
+    verts = [[1, 0.2], [-0.3, 1.1], [-0.9, -0.8], [0.7, -1]]
+    V = sets.vpoly(verts)
+    outside = [-0.46132476, 0.58913886]
+    assert not sets.contains(V, outside, 0.0)
+    assert not sets.contains(V, outside, 1e-9)
+    assert sets.contains(V, outside, 1e-6)
+    for x in [*verts, np.mean(verts, axis=0)]:
+        assert sets.contains(V, x)
 
 
 def test_scale_zero_is_recession_cone():
@@ -244,6 +257,44 @@ def test_recession_membership_intersect_and_template():
     assert sets.recession_contains(S, [1, 1])
     assert sets.recession_contains(S, [0, 1])
     assert not sets.recession_contains(S, [1, 0])
+
+
+@pytest.mark.parametrize(
+    "S",
+    [
+        fixtures.ex1_sets()[0],
+        *fixtures.ex5_sets(),
+        sets.conic([[1, 0], [0, 1]], (), [0, 0], [("soc", 2)]),
+    ],
+    ids=["ex1-body", "ex5-body0", "ex5-body1", "cone"],
+)
+def test_conic_recession_matches_the_template(S):
+    """rec {x : A x + c in K} = {d : A d in K}, read off without a solve."""
+    rng = np.random.default_rng(SEED)
+    dirs = [sgn * e for e in np.eye(S.dim) for sgn in (1.0, -1.0)]
+    dirs += list(rng.normal(size=(CASES, S.dim)))
+    for d in dirs:
+        assert sets.recession_contains(S, d) == analysis.recession_member_via_template(
+            S, d, 1e-9
+        )
+
+
+def test_validate_family_of_conic_sets_lowers_no_template(monkeypatch):
+    """Once each member's point is known (find_point is cached), the 64
+    recession probes of ex1's family need no epigraph lowering."""
+    members = fixtures.ex1_sets()
+    for S in members:
+        sets.find_point(S)
+    calls = []
+    real = gauge.lower_epigraph
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gauge, "lower_epigraph", counting)
+    assert sets.validate_family(members).verdict == "pass"
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
