@@ -16,7 +16,7 @@ deterministic counter so repeated builds of one instance are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,19 +168,6 @@ class GaugePlus:
 Atom = "Linear | SOC | Perspective | GaugePlus"
 
 
-@dataclass(frozen=True)
-class ConstraintBlock:
-    """Atoms over named variables, with one provenance label per atom."""
-
-    variables: tuple[str, ...]
-    atoms: tuple[object, ...]
-    provenance: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.atoms) != len(self.provenance):
-            raise ValueError("provenance must label every atom")
-
-
 class NameGen:
     """Deterministic fresh-name counter (one per build)."""
 
@@ -192,27 +179,6 @@ class NameGen:
         name = f"{prefix or self.prefix}{self._n}"
         self._n += 1
         return name
-
-
-def atom_names(atom) -> set[str]:
-    if isinstance(atom, Linear):
-        return atom.expr.names()
-    if isinstance(atom, SOC):
-        out = atom.bound.names()
-        for e in atom.arg:
-            out |= e.names()
-        return out
-    if isinstance(atom, Perspective):
-        out = atom.scale.names()
-        for e in atom.arg:
-            out |= e.names()
-        return out
-    if isinstance(atom, GaugePlus):
-        out = atom.rhs.names()
-        for _, e in atom.terms:
-            out |= e.names()
-        return out
-    raise TypeError(f"not an atom: {atom!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -591,96 +557,15 @@ def _lower_fn(fn: CatalogFunction, w, tau):
 
 
 # ---------------------------------------------------------------------------
-# public template ops
+# the cone-sum condition of positive-part gauge blocks
 # ---------------------------------------------------------------------------
-
-GAUGE_EPIGRAPH_LABEL = "gaugeconechar"
-CONE_SUM_LABEL = "finalfinalgaugelemma"
-
-
-def epi_gauge(
-    S: SetExpr,
-    base,
-    x_names: "tuple[str, ...] | list[str]",
-    y_name: str,
-    gen: NameGen | None = None,
-) -> ConstraintBlock:
-    """Constraint block encoding gauge_{S - base}(x) <= y over named variables.
-
-    Lowering goes through the homogenized template of S shifted by -base, so
-    the base point cancels out of the atoms wherever the data allows.
-    """
-    bv = np.asarray(base, dtype=float).reshape(-1)
-    if bv.shape[0] != S.dim:
-        raise sets.DimensionMismatch("base dimension differs from the set")
-    if not sets.contains(S, bv, 1e-6):
-        raise sets.BasePointNotInSet("epigraph base point is outside the set")
-    gen = gen or NameGen()
-    shifted = Translate(S, tuple(float(-v) for v in bv)) if np.any(bv != 0.0) else S
-    w = tuple(Aff.var(n) for n in x_names)
-    atoms, aux = lower_epigraph(shifted, w, Aff.var(y_name), gen)
-    names = tuple(x_names) + (y_name,) + tuple(aux)
-    return ConstraintBlock(names, tuple(atoms), (GAUGE_EPIGRAPH_LABEL,) * len(atoms))
-
-
-def epi_gauge_cone_sum(
-    C: SetExpr,
-    basis: SignedBasis,
-    x_names: "tuple[str, ...] | list[str]",
-    y_name: str,
-    check: bool = True,
-    probes: int = 500,
-    seed: int = 20240,
-) -> ConstraintBlock:
-    """Epigraph block for the gauge of (C cap K) + M via positive parts.
-
-    K is the cone spanned by the rays s_j v_j (so s_j v_j . x >= 0 where
-    s_j != 0 and v_j . x = 0 where s_j = 0) and M the cone spanned by the
-    rays t_j v_j.  The block uses one gauge atom over C with a positive-part
-    recombination plus sign rows, and is exact when C cap K is compact and
-    ((C cap K) - K) cap K = C cap K.  With check=True that condition is
-    tested before building and ConditionViolated (with a witness) is raised
-    when it fails; check=False skips the test.  Compactness (2n axis
-    supports) and every polyhedral part of C (one support value per row and
-    frame direction) are decided exactly, as is a curved part whose
-    recession cone contains each -s_j v_j.  Any other curved part is tested
-    on exposed points of C cap K along ``probes`` seeded random directions,
-    so ``probes`` counts only those sampled directions.
-    """
-    basis.validate()
-    n = C.dim
-    V = _arr(basis.V)
-    if V.shape != (n, n):
-        raise sets.DimensionMismatch("cone-sum template needs a full square basis")
-    if check:
-        _probe_cone_sum_condition(C, basis, probes, seed)
-    x = tuple(Aff.var(nm) for nm in x_names)
-    y = Aff.var(y_name)
-    terms = []
-    rows = []
-    for j in range(V.shape[0]):
-        sj, tj = basis.s[j], basis.t[j]
-        vj = V[j]
-        proj = Aff.const_of(0.0)
-        for i in range(n):
-            if vj[i] != 0.0:
-                proj = proj + x[i].scaled(float(vj[i]))
-        if sj * tj == -1:
-            d = tuple(float(sj * v) for v in vj)
-            terms.append((d, proj.scaled(float(sj))))
-        else:
-            # s_j = 0 or s_j t_j = 1: the component grows freely along t_j v_j
-            rows.append(Linear(proj.scaled(float(-tj))))
-    atoms: list = [GaugePlus(C, tuple(terms), y, True)]
-    atoms.extend(rows)
-    atoms.append(Linear(y.scaled(-1.0)))
-    names = tuple(x_names) + (y_name,)
-    return ConstraintBlock(names, tuple(atoms), (CONE_SUM_LABEL,) * len(atoms))
 
 
 def _probe_cone_sum_condition(C: SetExpr, basis: SignedBasis, probes: int, seed: int):
     """Raise ConditionViolated unless C cap K is compact and
-    ((C cap K) - K) cap K = C cap K.
+    ((C cap K) - K) cap K = C cap K, the condition under which a positive-part
+    GaugePlus block over C is exact.  K is the frame's cone: s_j v_j.x >= 0
+    where s_j != 0 and v_j.x = 0 where s_j = 0.
 
     With the frame orthonormal, take coordinates z_j = s_j v_j.x.  The
     condition says C cap K is down-closed in z, and the box [0, z] is the hull

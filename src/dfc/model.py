@@ -490,10 +490,6 @@ _OPTIONS = _Record(
 )
 
 
-def read_set(node, path: str):
-    return _SETS.dec(node, path)
-
-
 def _load_json(data):
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
@@ -682,11 +678,6 @@ def load_instance(data) -> tuple:
 def parse_instance(data) -> ProblemSpec:
     """Instance JSON to a ProblemSpec, rejecting unknown fields."""
     return load_instance(data)[0]
-
-
-def parse_instance_options(data) -> dict:
-    """The analysis options of an instance file, read with the whole instance."""
-    return load_instance(data)[1]
 
 
 def spec_doc(spec: ProblemSpec, options: dict | None = None) -> dict:

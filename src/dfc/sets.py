@@ -12,8 +12,8 @@ intersections).  Every variant supports the same oracle surface:
     gauge_value(S, base, x)    gauge of S - base at x - base (gauge.py rules)
     recession_contains(S, d)   membership of d in the recession cone
     exposed_point(S, u)        a maximizer of u.x over S
+    find_point(S)              some point of S, None when S is empty
     validate_family(...)       shared-dimension / shared-recession report
-    tangent_cone_polyhedral    active-row cone for H-described sets
 
 Oracles are pure functions of the expression; nothing here mutates state, so
 they are safe to call from worker threads.  Variants without a closed form
@@ -57,10 +57,6 @@ class BasePointNotInSet(DfcError):
 
 class UnboundedDirection(DfcError):
     """A support or exposed-point query is unbounded in the given direction."""
-
-
-class PointNotInSet(DfcError):
-    """A query point required to be a member is not one."""
 
 
 class NotPolyhedral(DfcError):
@@ -685,7 +681,8 @@ def support(S: SetExpr, u, floor: float = -math.inf) -> float:
     With a finite ``floor`` the caller only needs the support if it exceeds
     the floor, as in a running max over pieces: a cut-loop fallback that
     shows the support is at most the floor stops early and returns -inf.
-    Closed forms ignore the floor, and floored values are never cached.
+    Closed forms ignore the floor.  Nothing is cached here; the fallback
+    memoizes its exact optima (no floor) per set and direction.
     """
     uv = _vec(u)
     if len(uv) != S.dim:
@@ -694,15 +691,6 @@ def support(S: SetExpr, u, floor: float = -math.inf) -> float:
 
 
 def _support(S: SetExpr, u: tuple, floor: float) -> float:
-    return _support_cached(S, u) if floor == -math.inf else _support_floored(S, u, floor)
-
-
-@lru_cache(maxsize=65536)
-def _support_cached(S: SetExpr, u: tuple) -> float:
-    return _support_floored(S, u, -math.inf)
-
-
-def _support_floored(S: SetExpr, u: tuple, floor: float) -> float:
     uv = np.asarray(u, dtype=float)
     if isinstance(S, Box):
         lo, up = _arr(S.lower), _arr(S.upper)
@@ -818,8 +806,12 @@ def recession_contains(S: SetExpr, d, tol: float = 1e-9) -> bool:
         return True
     if isinstance(S, (Ball, VPolytope)):
         return float(np.linalg.norm(dv)) <= tol
+    if isinstance(S, HPolyhedron):  # rec S = {d : A d <= 0}
+        return bool(np.all(_arr(S.A) @ dv <= tol))
     if isinstance(S, ConicRep) and not S.B:  # rec S = {d : A d in K}
         return _cone_residual(_arr(S.A) @ dv, S.cones) <= tol
+    if isinstance(S, LevelSet):  # rec S = {d : persp(d, 0) <= 0}
+        return S.fn.persp_value(dv, 0.0) <= tol
     if isinstance(S, Translate):
         return recession_contains(S.child, dv, tol)
     if isinstance(S, Scale):
@@ -851,7 +843,7 @@ def gauge_value(S: SetExpr, base, x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# family validation and tangent cones
+# family validation and point finding
 # ---------------------------------------------------------------------------
 
 
@@ -911,9 +903,10 @@ def validate_family(
     return FamilyReport("pass")
 
 
-@lru_cache(maxsize=1024)
 def find_point(S: SetExpr):
-    """Some point of S, or None when S is empty.  Cached per expression."""
+    """Some point of S, or None when S is empty.  Not cached: a set without
+    a closed form takes one fixed-direction optimum, which the fallback
+    memoizes."""
     if isinstance(S, Box):
         lo, up = _arr(S.lower), _arr(S.upper)
         pt = np.zeros(S.dim)
@@ -947,31 +940,6 @@ def find_point(S: SetExpr):
     from . import analysis
 
     return analysis.find_point_via_optimizer(S)
-
-
-def tangent_cone_polyhedral(
-    S: SetExpr, x, tol: float = MEMBERSHIP_TOL
-) -> tuple[HPolyhedron, tuple[int, ...]]:
-    """Active-row cone of an H-described set at a member point.
-
-    Returns the cone {d : A_active d <= 0} together with the indices of the
-    active rows in the set's collected row order.  Raises NotPolyhedral when
-    the expression is not built from H-form pieces and PointNotInSet when x
-    is infeasible beyond tol.
-    """
-    xv = np.asarray(_vec(x), dtype=float)
-    A, b = collect_rows(S)
-    resid = A @ xv - b
-    if float(np.max(resid, initial=0.0)) > tol:
-        raise PointNotInSet("tangent cone asked at an infeasible point")
-    active = tuple(
-        int(i) for i in range(A.shape[0]) if resid[i] >= -tol * (1.0 + abs(b[i]))
-    )
-    if active:
-        cone = HPolyhedron(_mat(A[list(active)]), (0.0,) * len(active))
-    else:
-        cone = HPolyhedron(((0.0,) * S.dim,), (0.0,))
-    return cone, active
 
 
 def collect_rows(S: SetExpr) -> tuple[np.ndarray, np.ndarray]:

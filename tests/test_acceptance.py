@@ -263,19 +263,20 @@ def test_criterion_9_property_suites(capsys):
                     return float(np.linalg.norm(x)) / r
 
             names = tuple(f"x{j}" for j in range(d))
-            block = gauge.epi_gauge(S, np.zeros(d), names, "y")
+            w = tuple(gauge.Aff.var(nm) for nm in names)
+            block, _ = gauge.lower_epigraph(S, w, gauge.Aff.var("y"), gauge.NameGen())
             x = rng.normal(size=d)
             g = gauge_of(x)
             env = {nm: float(x[j]) for j, nm in enumerate(names)}
             if abs(g - 1.0) > 1e-7:
                 env["y"] = 1.0
-                assert gauge.block_feasible(block.atoms, env, 1e-9) == (g <= 1.0)
+                assert gauge.block_feasible(block, env, 1e-9) == (g <= 1.0)
             if g > 1e-7:
                 env["y"] = 0.0
-                assert not gauge.block_feasible(block.atoms, env, 1e-9)
+                assert not gauge.block_feasible(block, env, 1e-9)
             env = {nm: 0.0 for nm in names}
             env["y"] = 0.0
-            assert gauge.block_feasible(block.atoms, env, 1e-9)
+            assert gauge.block_feasible(block, env, 1e-9)
 
         # cutting-plane optimizer against brute vertex enumeration
         rng = np.random.default_rng(11)

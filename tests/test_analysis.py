@@ -569,11 +569,6 @@ def fallback_polygons():
     return tri, sq
 
 
-def clear_oracle_caches():
-    sets._support_cached.cache_clear()
-    analysis._set_optimum.cache_clear()
-
-
 def test_cover_conditions_run_one_cut_loop_per_set_and_direction(monkeypatch):
     """check_par_conditions asks for the exposed point and later the support
     of each disjunct along each direction; both share one optimization."""
@@ -587,7 +582,6 @@ def test_cover_conditions_run_one_cut_loop_per_set_and_direction(monkeypatch):
             loops.append((id(compiled), objective.tobytes()))
         return maximize(compiled, objective, *args, **kwargs)
 
-    clear_oracle_caches()
     monkeypatch.setattr(analysis, "maximize_over_atoms", counted)
     rep = analysis.check_par_conditions(disjuncts, (disjuncts,), count=12, seed=SEED)
     assert rep.verdict == "not-refuted"
@@ -608,7 +602,6 @@ def stall_along_positive_first_axis(monkeypatch):
             return analysis.OptResult("stalled", math.nan, None, None, False, 1)
         return maximize(compiled, objective, *args, **kwargs)
 
-    clear_oracle_caches()
     monkeypatch.setattr(analysis, "maximize_over_atoms", maybe_stalled)
     return stalls
 
@@ -630,7 +623,6 @@ def test_cover_conditions_leave_stalled_samples_out(monkeypatch):
     assert (rep.verdict, rep.samples, rep.notes) == ("fail", 12 - k, note)
     assert rep.witnesses
     assert all(not stalls(dirs[w["sample"]]) for w in rep.witnesses)
-    clear_oracle_caches()
 
 
 def test_basis_condition_leaves_stalled_samples_out(tmp_path, capsys, monkeypatch):
@@ -709,10 +701,10 @@ def assert_bound_is_exact(form, check, count=256):
     n = len(form.x_names)
     dim = n + (len(form.sets) if check == "ideal" else 0)
     dirs = analysis.sample_directions(dim, count, SEED)
-    clear_oracle_caches()
+    analysis._set_optimum.cache_clear()
     pruned = [BOUNDS[check](form, d) for d in dirs]
     after = [[sets.support(S, d[:n]) for S in form.sets] for d in dirs]
-    clear_oracle_caches()
+    analysis._set_optimum.cache_clear()
     exact = [[sets.support(S, d[:n]) for S in form.sets] for d in dirs]
     assert after == exact
     for d, got, sup in zip(dirs, pruned, exact):
@@ -769,7 +761,7 @@ def test_pruned_bound_runs_far_fewer_cut_rounds(monkeypatch):
     monkeypatch.setattr(analysis, "maximize_over_atoms", counted)
     runs = {}
     for floor in (False, True):
-        clear_oracle_caches()
+        analysis._set_optimum.cache_clear()
         state.update(floor=floor, rounds=0)
         rep = analysis.check_sharp(form, count=24, seed=SEED)
         runs[floor] = (state["rounds"], rep.verdict, rep.margin, rep.witnesses)

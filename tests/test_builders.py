@@ -464,11 +464,6 @@ def test_cone_sum_error_names_piece_direction_and_witness():
     assert "(0, 0.51)" in str(err.value)
 
 
-def clear_oracle_caches():
-    sets._support_cached.cache_clear()
-    analysis._set_optimum.cache_clear()
-
-
 @pytest.mark.parametrize("variant", fixtures.REGISTRY["ex7"])
 def test_ex7_condition_holds_without_sampled_fallback(variant, monkeypatch):
     """The box rows of the ex7 pieces are decided by support values and the
@@ -476,7 +471,6 @@ def test_ex7_condition_holds_without_sampled_fallback(variant, monkeypatch):
     def refuse(S, u):
         raise AssertionError("sampled fallback used")
 
-    clear_oracle_caches()
     monkeypatch.setattr(sets, "exposed_point", refuse)
     builders.build(fixtures.ex7(variant))
     for j in range(3):
@@ -494,7 +488,6 @@ def test_translated_ex7_condition_holds_without_sampled_fallback(monkeypatch):
     b = (0.5, -0.25, 1.0)
     moved = tuple(sets.translate(S, b) for S in spec.sets)
     data = dataclasses.replace(spec.params, base=(b, b))
-    clear_oracle_caches()
     monkeypatch.setattr(sets, "exposed_point", refuse)
     builders.build(builders.ProblemSpec(moved, None, "isotone", data))
 
@@ -511,7 +504,6 @@ def test_ex7_build_runs_at_most_18_cut_loops(variant, monkeypatch):
         loops.append(1)
         return maximize(*args, **kwargs)
 
-    clear_oracle_caches()
     monkeypatch.setattr(analysis, "maximize_over_atoms", counted)
     builders.build(fixtures.ex7(variant))
     assert len(loops) <= 18

@@ -14,6 +14,7 @@ import time
 from importlib.metadata import entry_points
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dfc
@@ -472,7 +473,6 @@ def test_analyze_stalled_oracle_exits_with_error(tmp_path, capsys, monkeypatch):
         raise ArithmeticError("support optimization stalled")
 
     monkeypatch.setattr(analysis, "support_via_optimizer", stalled)
-    sets._support_cached.cache_clear()  # no support value may come from the cache
     rc = main(["analyze", "--instance", str(inst), "--check", "sharp", "--directions", "4"])
     assert rc == 1
     assert "error: support optimization stalled" in capsys.readouterr().err
@@ -485,14 +485,17 @@ def test_analyze_ignores_a_stall_of_a_dominated_piece(tmp_path, capsys, monkeypa
     ex1/extended: along the 16 directions near the diagonals the box
     [-1.25, 1.25]^2 beats the curved piece, whose cut loop shows it by round
     4 but needs 16 or 17 rounds to converge; along the other 8 the curved
-    piece wins in 7 rounds.  The curved piece's loop stalls after round 8."""
+    piece wins in 7 rounds.  The curved piece's support loops stall after
+    round 8; the builder's feasibility probe along -(1, 1)/sqrt(2) is not
+    capped."""
     inst = write_instance(tmp_path, "ex1", "extended")
     conic = fixtures.ex1_sets()[0]
+    probe = np.full(2, -1.0 / math.sqrt(2.0))
     maximize = analysis.maximize_over_atoms
     floors = {"on": True}
 
     def stall_after_8(compiled, objective, *args, **kwargs):
-        if compiled is analysis._template(conic):
+        if compiled is analysis._template(conic) and not np.array_equal(objective[:2], probe):
             kwargs["max_rounds"] = 8
             if not floors["on"]:
                 kwargs.pop("_floor", None)
@@ -500,13 +503,10 @@ def test_analyze_ignores_a_stall_of_a_dominated_piece(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(analysis, "maximize_over_atoms", stall_after_8)
     argv = ["analyze", "--instance", str(inst), "--check", "sharp", "--directions", "24"]
-    sets._support_cached.cache_clear()
-    analysis._set_optimum.cache_clear()
     assert main(argv) == 0
     assert "sharp: not-refuted (24 samples" in capsys.readouterr().out
 
     floors["on"] = False  # each dominated loop now runs on and stalls
-    sets._support_cached.cache_clear()
     analysis._set_optimum.cache_clear()
     assert main(argv) == 1
     assert "error: support optimization stalled" in capsys.readouterr().err

@@ -291,7 +291,6 @@ def test_ex7_level_set_gauges_take_few_perspective_evaluations(monkeypatch):
     evaluates the perspective at most 8 times per level-set gauge on
     average, counting the Newton steps of the geometric-mean form."""
     form = builders.build(fixtures.load("ex7", "single"))
-    sets._support_cached.cache_clear()
     analysis._set_optimum.cache_clear()
     calls, evals, depth = [0], [0], [0]
     level_set_gauge = gauge._level_set_gauge
@@ -571,14 +570,15 @@ def test_template_with_tau_row_appends_sign_row():
 
 
 # ---------------------------------------------------------------------------
-# epi_gauge blocks
+# gauge epigraph blocks
 # ---------------------------------------------------------------------------
 
 
-def test_epi_gauge_block_matches_gauge_values():
-    S = sets.ball([3.0, 3.0], 2.0)
-    block = gauge.epi_gauge(S, [3.0, 3.0], ("x0", "x1"), "y")
-    assert set(block.provenance) == {gauge.GAUGE_EPIGRAPH_LABEL}
+def test_translated_ball_epigraph_matches_gauge_values():
+    """The template of S - base for the ball of radius 2 around base."""
+    S = sets.translate(sets.ball([3.0, 3.0], 2.0), [-3.0, -3.0])
+    w = (Aff.var("x0"), Aff.var("x1"))
+    atoms, _ = gauge.lower_epigraph(S, w, Aff.var("y"), gauge.NameGen())
     rng = np.random.default_rng(SEED)
     for _ in range(CASES):
         x = rng.uniform(-3, 3, 2)
@@ -587,21 +587,7 @@ def test_epi_gauge_block_matches_gauge_values():
         want = float(np.linalg.norm(x)) / 2.0 <= y
         if abs(float(np.linalg.norm(x)) / 2.0 - y) < 1e-9:
             continue
-        assert gauge.block_feasible(block.atoms, env, 1e-9) == want
-
-
-def test_epi_gauge_rejects_outside_base():
-    with pytest.raises(sets.BasePointNotInSet):
-        gauge.epi_gauge(sets.ball([0.0, 0.0], 1.0), [4.0, 0.0], ("a", "b"), "y")
-
-
-def test_epi_gauge_names_cover_aux():
-    S = sets.vpoly([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-    block = gauge.epi_gauge(S, [0.0, 0.0], ("x0", "x1"), "y")
-    used = set()
-    for atom in block.atoms:
-        used |= gauge.atom_names(atom)
-    assert used <= set(block.variables)
+        assert gauge.block_feasible(atoms, env, 1e-9) == want
 
 
 # ---------------------------------------------------------------------------
@@ -614,11 +600,16 @@ def axis_basis(s, t):
     return sets.SignedBasis(tuple(tuple(float(v) for v in row) for row in np.eye(n)), tuple(s), tuple(t))
 
 
+def probe_cone_sum(C, basis):
+    gauge._probe_cone_sum_condition(C, basis, probes=500, seed=SEED)
+
+
 def test_cone_sum_block_monotone_box():
     # C = [0,1]^2 grown downward: the result is {x : x <= 1}
     C = sets.box([0.0, 0.0], [1.0, 1.0])
-    block = gauge.epi_gauge_cone_sum(C, axis_basis((1, 1), (-1, -1)), ("x0", "x1"), "y")
-    assert set(block.provenance) == {gauge.CONE_SUM_LABEL}
+    probe_cone_sum(C, axis_basis((1, 1), (-1, -1)))
+    terms = (((1.0, 0.0), Aff.var("x0")), ((0.0, 1.0), Aff.var("x1")))
+    atoms = [gauge.GaugePlus(C, terms, Aff.var("y")), gauge.Linear(Aff.var("y", -1.0))]
     rng = np.random.default_rng(SEED)
     for _ in range(CASES):
         x = rng.uniform(-3, 3, 2)
@@ -627,27 +618,13 @@ def test_cone_sum_block_monotone_box():
         want = max(x[0], x[1], 0.0) <= y
         if abs(max(x[0], x[1], 0.0) - y) < 1e-9:
             continue
-        assert gauge.block_feasible(block.atoms, env, 1e-9) == want
-
-
-def test_cone_sum_block_free_directions_get_sign_rows():
-    # s = 0 on the second axis: membership constrains the projection only
-    C = sets.box([0.0, -1.0], [1.0, 1.0])
-    block = gauge.epi_gauge_cone_sum(
-        C, axis_basis((1, 0), (-1, 1)), ("x0", "x1"), "y", check=False
-    )
-    gauges = [a for a in block.atoms if isinstance(a, gauge.GaugePlus)]
-    rows = [a for a in block.atoms if isinstance(a, gauge.Linear)]
-    assert len(gauges) == 1
-    assert len(gauges[0].terms) == 1
-    # one sign row for the free direction plus the y >= 0 row
-    assert len(rows) == 2
+        assert gauge.block_feasible(atoms, env, 1e-9) == want
 
 
 def test_cone_sum_probe_rejects_escaping_difference():
     C = sets.box([0.5, 0.0], [1.0, 1.0])
     with pytest.raises(gauge.ConditionViolated) as err:
-        gauge.epi_gauge_cone_sum(C, axis_basis((1, 1), (-1, -1)), ("x0", "x1"), "y")
+        probe_cone_sum(C, axis_basis((1, 1), (-1, -1)))
     w = np.asarray(err.value.witness)
     assert np.all(w >= -1e-9)
     assert not sets.contains(C, w, 1e-6)
@@ -656,7 +633,7 @@ def test_cone_sum_probe_rejects_escaping_difference():
 def test_cone_sum_probe_rejects_unbounded_piece():
     C = sets.box([0.0, 0.0], [INF, 1.0])
     with pytest.raises(gauge.ConditionViolated):
-        gauge.epi_gauge_cone_sum(C, axis_basis((1, 1), (-1, -1)), ("x0", "x1"), "y")
+        probe_cone_sum(C, axis_basis((1, 1), (-1, -1)))
 
 
 def in_axis_orthant(w) -> bool:
@@ -669,7 +646,7 @@ def test_cone_sum_refutes_thin_piece(eps):
     its first coordinate leaves C.  One support value along (0, 1) shows it."""
     C = sets.intersect(sets.box([0.0, 0.0], [1.0, 1.0]), sets.hpoly([[-eps, 1.0]], [0.5]))
     with pytest.raises(gauge.ConditionViolated) as err:
-        gauge.epi_gauge_cone_sum(C, axis_basis((1, 1), (-1, -1)), ("x0", "x1"), "y")
+        probe_cone_sum(C, axis_basis((1, 1), (-1, -1)))
     w = np.asarray(err.value.witness)
     assert in_axis_orthant(w)
     assert not sets.contains(C, w, 1e-6)
@@ -690,7 +667,7 @@ def test_cone_sum_refutes_ball_through_sampled_fallback(monkeypatch):
 
     monkeypatch.setattr(sets, "exposed_point", counted)
     with pytest.raises(gauge.ConditionViolated) as err:
-        gauge.epi_gauge_cone_sum(C, axis_basis((1, 1), (-1, -1)), ("x0", "x1"), "y")
+        probe_cone_sum(C, axis_basis((1, 1), (-1, -1)))
     w = np.asarray(err.value.witness)
     assert exposed
     assert in_axis_orthant(w)
@@ -702,19 +679,10 @@ def test_cone_sum_stall_raises_instead_of_passing(monkeypatch):
     def stalled(*args, **kwargs):
         return analysis.OptResult("stalled", math.nan, None, None, False, 1)
 
-    sets._support_cached.cache_clear()
-    analysis._set_optimum.cache_clear()
     monkeypatch.setattr(analysis, "maximize_over_atoms", stalled)
     C = sets.box([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(ArithmeticError):
-        gauge.epi_gauge_cone_sum(C, axis_basis((1, 1), (-1, -1)), ("x0", "x1"), "y")
-
-
-def test_cone_sum_requires_square_basis():
-    C = sets.box([0.0, 0.0], [1.0, 1.0])
-    bad = sets.SignedBasis(((1.0, 0.0),), (1,), (-1,))
-    with pytest.raises(sets.DimensionMismatch):
-        gauge.epi_gauge_cone_sum(C, bad, ("x0", "x1"), "y")
+        probe_cone_sum(C, axis_basis((1, 1), (-1, -1)))
 
 
 def test_signed_basis_validation():

@@ -249,15 +249,13 @@ def test_instance_options_block():
     blob = model.canonical_bytes(
         model.spec_doc(spec, {"seed": 7, "directions": 40})
     )
-    opts = model.parse_instance_options(blob)
+    opts = model.load_instance(blob)[1]
     assert opts == {"seed": 7, "directions": 40}
-    assert model.parse_instance_options(
-        model.canonical_bytes(model.spec_doc(spec))
-    ) == {}
+    assert model.load_instance(model.canonical_bytes(model.spec_doc(spec)))[1] == {}
     bad = json.loads(blob)
     bad["options"]["verbosity"] = 3
     with pytest.raises(model.SchemaError):
-        model.parse_instance_options(json.dumps(bad))
+        model.load_instance(json.dumps(bad))
 
 
 # ---------------------------------------------------------------------------

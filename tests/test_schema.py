@@ -396,7 +396,6 @@ def test_options_block_is_read_with_the_instance(options, expected):
     spec, opts = model.load_instance(blob)
     assert spec == spec_of(SQUARE)
     assert opts == expected
-    assert model.parse_instance_options(blob) == expected
 
 
 @pytest.mark.parametrize(
@@ -421,5 +420,5 @@ def test_options_block_errors_name_the_path(options, path):
     doc = options_doc(options)
     assert instance_error(doc).path == path
     with pytest.raises(model.SchemaError) as err:
-        model.parse_instance_options(json.dumps(doc))
+        model.load_instance(json.dumps(doc))
     assert err.value.path == path

@@ -265,11 +265,20 @@ def test_recession_membership_intersect_and_template():
         fixtures.ex1_sets()[0],
         *fixtures.ex5_sets(),
         sets.conic([[1, 0], [0, 1]], (), [0, 0], [("soc", 2)]),
+        sets.hpoly([[-1.0, 0.0], [1.0, -1.0]], [0.0, 0.5]),
+        sets.level_set(sets.AffineFn((1.0, -2.0), -1.0)),
+        sets.level_set(sets.QuadraticPlus((1.0, 0.0), 0.0, (0.0, 1.0))),
+        sets.level_set(sets.GeoMeanDeficit(2.0, 1.0, 3)),
+        sets.level_set(
+            sets.MaxOf((sets.AffineFn((0.0, 1.0), -2.0), sets.QuadraticPlus((1.0, 1.0), -1.0, (1.0, 0.0))))
+        ),
     ],
-    ids=["ex1-body", "ex5-body0", "ex5-body1", "cone"],
+    ids=["ex1-body", "ex5-body0", "ex5-body1", "cone", "hpoly", "affine", "quadratic-plus", "geomean", "max-of"],
 )
 def test_conic_recession_matches_the_template(S):
-    """rec {x : A x + c in K} = {d : A d in K}, read off without a solve."""
+    """rec {x : A x + c in K} = {d : A d in K}, rec {x : A x <= b} =
+    {d : A d <= 0} and rec {x : f(x) <= 0} = {d : persp_f(d, 0) <= 0}, read
+    off without a solve."""
     rng = np.random.default_rng(SEED)
     dirs = [sgn * e for e in np.eye(S.dim) for sgn in (1.0, -1.0)]
     dirs += list(rng.normal(size=(CASES, S.dim)))
@@ -280,8 +289,9 @@ def test_conic_recession_matches_the_template(S):
 
 
 def test_validate_family_of_conic_sets_lowers_no_template(monkeypatch):
-    """Once each member's point is known (find_point is cached), the 64
-    recession probes of ex1's family need no epigraph lowering."""
+    """Once the conic member's template and feasibility-probe optimum are
+    memoized (analysis._template, analysis._set_optimum), the point check and
+    the 64 recession probes of ex1's family need no epigraph lowering."""
     members = fixtures.ex1_sets()
     for S in members:
         sets.find_point(S)
@@ -578,28 +588,6 @@ def test_validate_family_errors():
         sets.validate_family([])
 
 
-# ---------------------------------------------------------------------------
-# tangent cones
-# ---------------------------------------------------------------------------
-
-
-def test_tangent_cone_active_rows_at_vertex():
-    S = sets.box([0, 0], [1, 1])
-    cone, active = sets.tangent_cone_polyhedral(S, [1.0, 1.0])
-    assert len(active) == 2
-    assert sets.contains(cone, [-1.0, -1.0])
-    assert not sets.contains(cone, [1.0, 0.0], 1e-9)
-
-
-def test_tangent_cone_interior_point_is_everything():
-    S = sets.box([0, 0], [1, 1])
-    cone, active = sets.tangent_cone_polyhedral(S, [0.5, 0.5])
-    assert active == ()
-    assert sets.contains(cone, [17.0, -23.0])
-
-
-def test_tangent_cone_errors():
-    with pytest.raises(sets.PointNotInSet):
-        sets.tangent_cone_polyhedral(sets.box([0, 0], [1, 1]), [2.0, 0.0])
+def test_collect_rows_needs_halfspace_form():
     with pytest.raises(sets.NotPolyhedral):
-        sets.tangent_cone_polyhedral(sets.vpoly([[0, 0], [1, 0]]), [0.0, 0.0])
+        sets.collect_rows(sets.vpoly([[0, 0], [1, 0]]))
