@@ -55,7 +55,7 @@ import pickle
 import signal
 import time
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -99,6 +99,17 @@ class _Compiled:
     eq_rhs: list[float]
     nonlinear: list  # (atom, precomputed data)
     trivially_infeasible: bool = False
+
+    @cached_property
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """rows, rhs, eq_rows and eq_rhs as arrays, which masters only read."""
+        n = len(self.names)
+        return (
+            np.array(self.rows, dtype=float).reshape(len(self.rows), n),
+            np.array(self.rhs, dtype=float),
+            np.array(self.eq_rows, dtype=float).reshape(len(self.eq_rows), n),
+            np.array(self.eq_rhs, dtype=float),
+        )
 
 
 def compile_atoms(atoms, variables) -> _Compiled:
@@ -181,15 +192,15 @@ def _atom_violation_and_cuts(atom, pre, z: np.ndarray, want_cut: bool):
         arg, bound = pre
         vals = np.array([a @ z + c for a, c in arg])
         bval = bound[0] @ z + bound[1]
-        nrm = float(np.linalg.norm(vals))
+        nrm = math.sqrt(float(vals.dot(vals)))  # what np.linalg.norm computes
         viol = nrm - bval
         if not want_cut or viol <= 0.0:
             return viol, []
         if nrm == 0.0:  # the bound itself is negative: cut -bound <= 0
             return viol, [(-bound[0], bound[1])]
-        g = vals / nrm
-        vec = sum(float(g[i]) * arg[i][0] for i in range(len(arg))) - bound[0]
-        const = sum(float(g[i]) * arg[i][1] for i in range(len(arg))) - bound[1]
+        g = (vals / nrm).tolist()
+        vec = sum(gi * a for gi, (a, _) in zip(g, arg)) - bound[0]
+        const = sum(gi * c for gi, (_, c) in zip(g, arg)) - bound[1]
         return viol, [(vec, -const)]
     if isinstance(atom, Perspective):
         arg, sc = pre
@@ -300,10 +311,11 @@ def maximize_over_atoms(
     _gap: int | None = None,
     _floor: float = -math.inf,
 ) -> OptResult:
-    """Kelley's cutting-plane loop.  With ``_gap``, the column of a uniform
-    slack that the rows subtract, atoms are violated only beyond slack + tol
-    and their cuts subtract it too.  A stalled result keeps the last master
-    optimum, if any, in ``point``.
+    """Kelley's cutting-plane loop over ``compiled.stacked``, the rows a
+    template or relaxation stacks once for every direction.  With ``_gap``,
+    the column of a uniform slack that the rows subtract, atoms are violated
+    only beyond slack + tol and their cuts subtract it too.  A stalled result
+    keeps the last master optimum, if any, in ``point``.
 
     With a ``_floor``, the loop stops as "dominated" at the first master
     optimum whose value is at most the floor and whose point is off the
@@ -314,10 +326,11 @@ def maximize_over_atoms(
         return OptResult("infeasible", -math.inf, None, None, False, 0)
     lb = np.maximum(compiled.lb, -box_radius)
     ub = np.minimum(compiled.ub, box_radius)
-    eq_rows, eq_rhs = compiled.eq_rows, compiled.eq_rhs
+    rows, rhs, eq_rows, eq_rhs = compiled.stacked
     if extra_eq is not None:
-        eq_rows, eq_rhs = eq_rows + list(extra_eq[0]), eq_rhs + list(extra_eq[1])
-    master = simplex.Master(objective, compiled.rows, compiled.rhs, eq_rows, eq_rhs, lb, ub)
+        eq_rows = compiled.eq_rows + list(extra_eq[0])
+        eq_rhs = compiled.eq_rhs + list(extra_eq[1])
+    master = simplex.Master(objective, rows, rhs, eq_rows, eq_rhs, lb, ub)
 
     rounds = 0
     res = None
@@ -346,11 +359,11 @@ def maximize_over_atoms(
         G_new = np.array([vec for vec, _ in new_cuts])
         if _gap is not None:
             G_new[:, _gap] -= 1.0
-        master.add_rows(G_new, [r for _, r in new_cuts])
+        master.add_rows(G_new, np.array([r for _, r in new_cuts]))
     else:
         return OptResult("stalled", math.nan, z, None, False, rounds)
 
-    env = {nm: float(z[i]) for i, nm in enumerate(compiled.names)}
+    env = dict(zip(compiled.names, z.tolist()))
     at_box = _box_contact(z, lb, ub, compiled, box_radius)
     return OptResult("optimal", float(res.value), z, env, at_box, rounds)
 
@@ -361,7 +374,7 @@ def _box_contact(z, lb, ub, compiled: _Compiled, box_radius: float) -> bool:
     at_box = (((ub - z) <= near) & (compiled.ub > box_radius)) | (
         ((z - lb) <= near) & (compiled.lb < -box_radius)
     )
-    return bool(np.any(at_box))
+    return bool(at_box.any())
 
 
 def feasibility_gap(
@@ -753,18 +766,6 @@ def compile_relaxation(form) -> _Compiled:
             lo, hi = max(lo, 0.0), min(hi, 1.0)
         variables.append((v.name, lo, hi))
     return compile_atoms(list(form.atoms), variables)
-
-
-def maximize_over_relaxation(
-    form,
-    objective: dict[str, float],
-    box_radius: float = BOX_RADIUS,
-    tol: float = CUT_TOL,
-    extra_eq: dict[str, float] | None = None,
-) -> OptResult:
-    return _maximize_named(
-        compile_relaxation(form), objective, extra_eq, box_radius=box_radius, tol=tol
-    )
 
 
 def _maximize_named(compiled: _Compiled, objective, fixed=None, **kw) -> OptResult:
@@ -1169,7 +1170,7 @@ def _polyhedron_max(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     n = A.shape[1]
     lb = np.full(n, -BOX_RADIUS)
     ub = np.full(n, BOX_RADIUS)
-    res = simplex.solve_lp(c, list(A), list(b), None, None, lb, ub)
+    res = simplex.solve_lp(c, A, b, None, None, lb, ub)
     if res.status == "infeasible":
         return -math.inf
     if res.status != "optimal":

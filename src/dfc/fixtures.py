@@ -71,14 +71,6 @@ def ex1(variant: str = "extended") -> ProblemSpec:
     raise KeyError(f"ex1 has no variant {variant!r}")
 
 
-def ex1_outside_point(t: float) -> tuple:
-    """Curve of points feasible for the big-M relaxation at y = (t, 1-t)
-    but outside the convex hull of the union, for t in (0, 1)."""
-    x1 = (5.0 + t) / 4.0
-    x2 = 1.25 * (5.0 - t) * (t - 1.0) / (3.0 * t - 5.0)
-    return (x1, x2)
-
-
 def ex3() -> ProblemSpec:
     """Same disjunction as ex1, built from four single-branch covers."""
     fams = []
@@ -173,11 +165,6 @@ def ex5(variant: str = "pair") -> ProblemSpec:
     return ProblemSpec(ex5_sets(), None, "piecewise", PiecewiseData(tuple(fams)))
 
 
-def ex5_covers(spec: ProblemSpec) -> list:
-    """Cover sets per family, for the pairwise-condition check."""
-    return [fam.cover_sets() for fam in spec.params.families]
-
-
 # ---------------------------------------------------------------------------
 # ex6: segment and parabolic slab
 # ---------------------------------------------------------------------------
@@ -206,18 +193,6 @@ def ex6() -> ProblemSpec:
         HomothetyData(_parab_template(1), ((1.0, 0.0), (0.0, 0.0)), (0.0, 1.0)),
     )
     return ProblemSpec(ex6_sets(), None, "piecewise", PiecewiseData(fams))
-
-
-def ex6_closed_form_member(point, tol: float = 1e-7) -> bool:
-    """The closed-form relaxation membership test:
-    +-x1 - y1 <= sqrt(x2 y2), 0 <= x2 <= y2, -1 <= x1 <= 1, y simplex."""
-    x1, x2, y1, y2 = (float(v) for v in point)
-    if y1 < -tol or y2 < -tol or abs(y1 + y2 - 1.0) > tol:
-        return False
-    if x2 < -tol or x2 > y2 + tol or abs(x1) > 1.0 + tol:
-        return False
-    root = math.sqrt(max(x2, 0.0) * max(y2, 0.0))
-    return x1 - y1 <= root + tol and -x1 - y1 <= root + tol
 
 
 # ---------------------------------------------------------------------------

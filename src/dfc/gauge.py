@@ -341,7 +341,7 @@ def _polar_gauge(S: SetExpr, w: np.ndarray, rows=()) -> tuple[float, np.ndarray]
 
     n = w.shape[0]
     cap = sets.RAY_CAP
-    master = simplex.Master(w, rows, [1.0] * len(rows), None, None, np.full(n, -cap), np.full(n, cap))
+    master = simplex.Master(w, rows, np.ones(len(rows)), None, None, np.full(n, -cap), np.full(n, cap))
     for _ in range(5000):
         res = master.solve()
         if res.status != "optimal":
@@ -355,7 +355,7 @@ def _polar_gauge(S: SetExpr, w: np.ndarray, rows=()) -> tuple[float, np.ndarray]
                 return math.inf, q / float(np.linalg.norm(q))
             q = q / max(sig, 1.0)
             return float(q @ w), q.copy()
-        master.add_rows([sets.exposed_point(S, q)], [1.0])
+        master.add_rows(sets.exposed_point(S, q)[None], np.ones(1))
     raise ArithmeticError("polar gauge did not converge")
 
 

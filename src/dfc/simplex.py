@@ -35,6 +35,11 @@ equality rows never change.  Rows cannot be added after an infeasible or
 stalled solve.  Resumed and cold solves reach the same optimal value; when
 the optimum is not unique they may return different optimal vertices.
 ``solve_lp`` is a one-shot master.
+
+State.  At desk size a solve costs numpy calls, not arithmetic, so the state
+needs few: the reduced costs are the tableau's last row, and one array holds
+every variable's value, bounds and sign.  Float64 inputs are read as given,
+never copied or written, so callers may pass shared arrays (template rows).
 """
 
 from __future__ import annotations
@@ -64,21 +69,23 @@ class Master:
     resume from its final basis."""
 
     def __init__(self, c, G, h, A_eq, b_eq, lb, ub, maximize: bool = True):
-        self.c = c = np.array(c, dtype=float).reshape(-1)
+        self.c = c = np.asarray(c, dtype=float).reshape(-1)
         n = c.shape[0]
-        self.lb = lb = np.array(lb, dtype=float).reshape(-1)
-        self.ub = ub = np.array(ub, dtype=float).reshape(-1)
-        if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(ub))):
+        self.lb = lb = np.asarray(lb, dtype=float).reshape(-1)
+        self.ub = ub = np.asarray(ub, dtype=float).reshape(-1)
+        if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
             raise ValueError("solve_lp needs finite variable bounds")
         self.result = None  # of the current rows, once solved
-        if np.any(ub < lb - 1e-12):
+        if (ub < lb - 1e-12).any():
             self.result = LPResult("infeasible", None, 0.0, float(np.max(lb - ub)))
             return
         G, h = _rows(G, h, n)
         self.A, self.b = A, b = _rows(A_eq, b_eq, n)
         self.G, self.h = [G], [h]  # inequality row blocks, stacked only when blocked
         cost = -c if maximize else c  # the tableau minimizes
-        self.tab = _Tableau(np.vstack([G, A]), np.concatenate([h, b]), A.shape[0], cost, lb, ub)
+        if A.shape[0]:
+            G, h = np.vstack([G, A]), np.concatenate([h, b])
+        self.tab = _Tableau(G, h, A.shape[0], cost, lb, ub)
 
     def add_rows(self, G_new, h_new) -> None:
         """Append rows G_new x <= h_new, reduced against the current basis."""
@@ -116,58 +123,65 @@ class Master:
             tolerated.append(var)
         if status != "optimal":
             return LPResult("stalled", None, 0.0)
-        x = np.minimum(np.maximum(tab.xv[: lb.shape[0]], lb), ub)
+        x = np.minimum(np.maximum(tab.S[0, : lb.shape[0]], lb), ub)
         return LPResult("optimal", x, float(self.c @ x))
 
 
 def _rows(M, r, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """M and r as float arrays, copied only if not already C-ordered float."""
     if M is None or len(M) == 0:
         return np.zeros((0, n)), np.zeros(0)
-    return np.array(M, dtype=float).reshape(len(M), n), np.array(r, dtype=float).reshape(len(M))
+    m = len(M)
+    return np.ascontiguousarray(M, dtype=float).reshape(m, n), np.asarray(r, dtype=float).reshape(m)
 
 
 class _Tableau:
     """B^-1 [M I] over n structural and m slack columns, with every value.
 
-    ``xv`` holds the current value of all n + m variables, basic or not, and
-    ``d`` the reduced costs of the minimization.  ``sgn`` is +1 for a
-    nonbasic variable at its lower bound, -1 at its upper bound, and 0 for a
-    basic or fixed one, which never enters.
+    ``T`` is that with the reduced costs of the minimization as a last row.
+    ``S`` rows are xv, lo, hi and sgn over all n + m variables: the current
+    value, the bounds, and +1 for a nonbasic variable at its lower bound, -1
+    at its upper bound, 0 for a basic or fixed one, which never enters.
     """
 
-    __slots__ = ("T", "basis", "xv", "d", "lo", "hi", "sgn")
+    __slots__ = ("T", "basis", "S")
 
     def __init__(self, M, rhs, n_eq, cost, lb, ub):
         m, n = M.shape
-        self.T = T = np.zeros((m, n + m))
-        T[:, :n] = M
-        T[:, n:][np.diag_indices(m)] = 1.0
-        self.basis = np.arange(n, n + m)
+        N = n + m
+        self.T = T = np.zeros((m + 1, N))
+        T[:m, :n] = M
+        T.flat[n :: N + 1] = 1.0  # slack identity: entry (i, n + i) for each row i < m
+        T[m, :n] = cost
+        self.basis = np.arange(n, N)
         up = cost < 0.0  # the bound the minimization favours
         x = np.where(up, ub, lb)
-        self.xv = np.concatenate([x, rhs - M @ x])
-        self.d = np.concatenate([cost, np.zeros(m)])
-        self.lo = np.concatenate([lb, np.zeros(m)])
-        self.hi = np.concatenate([ub, np.full(m - n_eq, np.inf), np.zeros(n_eq)])
-        self.sgn = np.concatenate([np.where(lb < ub, np.where(up, -1.0, 1.0), 0.0), np.zeros(m)])
+        self.S = S = np.zeros((4, N))
+        S[0, :n] = x
+        S[0, n:] = rhs - M @ x
+        S[1, :n] = lb
+        S[2, :n] = ub
+        S[2, n : N - n_eq] = np.inf
+        S[3, :n] = np.where(up, -1.0, 1.0)
+        S[3, :n][lb >= ub] = 0.0  # a fixed variable never enters
 
     def extended(self, G_new: np.ndarray, h_new: np.ndarray) -> _Tableau:
         """A copy with rows G_new x <= h_new appended, their slacks basic."""
         k, n = G_new.shape
-        m, N = self.T.shape
+        m, N = self.T.shape[0] - 1, self.T.shape[1]
         new = object.__new__(_Tableau)
-        new.T = T = np.zeros((m + k, N + k))
-        T[:m, :N] = self.T
-        R = T[m:]
+        new.T = T = np.zeros((m + k + 1, N + k))
+        T[:m, :N] = self.T[:m]
+        T[m + k, :N] = self.T[m]
+        R = T[m : m + k]
         R[:, :n] = G_new
-        R[:, N:][np.diag_indices(k)] = 1.0
-        R[:, :N] -= R[:, self.basis] @ self.T
+        R.flat[N :: N + k + 1] = 1.0  # entry (i, N + i) of each new row i
+        R[:, :N] -= R[:, self.basis] @ self.T[:m]
         new.basis = np.concatenate([self.basis, np.arange(N, N + k)])
-        new.xv = np.concatenate([self.xv, h_new - G_new @ self.xv[:n]])
-        new.d = np.concatenate([self.d, np.zeros(k)])
-        new.lo = np.concatenate([self.lo, np.zeros(k)])
-        new.hi = np.concatenate([self.hi, np.full(k, np.inf)])
-        new.sgn = np.concatenate([self.sgn, np.zeros(k)])
+        new.S = S = np.empty((4, N + k))
+        S[:, :N] = self.S
+        S[:, N:] = _NEW_SLACK
+        S[0, N:] = h_new - G_new @ self.S[0, :n]
         return new
 
     def optimize(self, tolerated=()) -> tuple[str, int]:
@@ -175,12 +189,13 @@ class _Tableau:
         within its bounds.  Returns ("optimal", -1), ("stalled", -1), or
         ("blocked", j) when basic variable j violates a bound that no
         entering variable can repair."""
-        T, basis, xv, d = self.T, self.basis, self.xv, self.d
-        lo, hi, sgn = self.lo, self.hi, self.sgn
-        m, N = T.shape
+        T, basis, S = self.T, self.basis, self.S
+        m, N = T.shape[0] - 1, T.shape[1]
         if m == 0:
             return "optimal", -1
-        xb, lo_b, hi_b = xv[basis], lo[basis], hi[basis]
+        xv, lo, hi, sgn, d = S[0], S[1], S[2], S[3], T[m]
+        B = S.take(basis, axis=1)  # the basic variables' columns of S
+        xb, lo_b, hi_b = B[0], B[1], B[2]
         for j in tolerated:  # still basic: a tolerated variable never leaves
             lo_b[basis == j] = -np.inf
             hi_b[basis == j] = np.inf
@@ -194,37 +209,37 @@ class _Tableau:
                 status, leave = "optimal", -1
                 break
             if it >= stall_at:  # Bland: the violated basic variable of smallest index
-                rows = np.flatnonzero(viol > _EPS)
+                rows = (viol > _EPS).nonzero()[0]
                 r = int(rows[basis[rows].argmin()])
             leave = int(basis[r])
             increase = below[r] > 0.0
             alpha = T[r]
             # entering candidates move x_B(r) toward its bound from theirs
             s = sgn * alpha
-            cand = np.flatnonzero(s < -_EPS) if increase else np.flatnonzero(s > _EPS)
+            cand = (s < -_EPS if increase else s > _EPS).nonzero()[0]
             if cand.size == 0:
                 status = "blocked"
                 break
             q = int(cand[0])
-            if cand.size > 1:
-                ratios = np.abs(d[cand] / alpha[cand])
-                ties = cand[ratios <= ratios.min() + 1e-12]
-                if ties.size > 1 and it < stall_at:
-                    q = int(ties[np.abs(alpha[ties]).argmax()])
+            if cand.size > 1:  # ratio test, in Python floats: a few candidates
+                ratios = np.abs(d.take(cand) / alpha.take(cand)).tolist()
+                lim = min(ratios) + 1e-12
+                ties = [j for j, t in zip(cand.tolist(), ratios) if t <= lim]
+                if len(ties) > 1 and it < stall_at:
+                    q = ties[int(np.abs(alpha.take(ties)).argmax())]
                 else:
-                    q = int(ties[0])
+                    q = ties[0]
 
             target = lo_b[r] if increase else hi_b[r]
             piv = alpha[q]
             step = (xb[r] - target) / piv
-            col = T[:, q].copy()
-            xb -= step * col
+            col = T[:, q].copy()  # its last entry is d[q]
+            xb -= step * col[:m]
             xb[r] = xv[q] + step
             xv[leave] = target
             T[r] /= piv
             col[r] = 0.0
-            T -= np.outer(col, T[r])
-            d -= d[q] * T[r]
+            T -= col[:, None] * T[r]  # d -= d[q] * T[r] in the last row
             d[q] = 0.0
             basis[r] = q
             lo_b[r], hi_b[r] = lo[q], hi[q]
@@ -233,6 +248,10 @@ class _Tableau:
                 sgn[leave] = 1.0 if increase else -1.0
         xv[basis] = xb
         return status, leave
+
+
+# S column of an appended row's basic slack; its value is set from the row
+_NEW_SLACK = np.array([[0.0], [0.0], [np.inf], [0.0]])
 
 
 def _min_violation(G, h, A, b, lb, ub) -> float:
@@ -267,4 +286,4 @@ def _min_violation(G, h, A, b, lb, ub) -> float:
     while status == "blocked":  # rounding only: the elastic LP is feasible
         tolerated.append(var)
         status, var = tab.optimize(tolerated)
-    return max(float(cost @ tab.xv[: n + k]), 0.0)
+    return max(float(cost @ tab.S[0, : n + k]), 0.0)

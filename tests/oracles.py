@@ -1,15 +1,16 @@
-"""Oracles shared by the test modules, independent of the package's gauges.
+"""Oracles and example helpers shared by the test modules.
 
 gauge_bisect only asks the membership predicate, so tests can hold
 gauge.gauge_and_normal and sets.gauge_value against it without comparing
-either with itself.
+either with itself.  The example helpers give closed forms and cover sets of
+the bundled examples that only the tests read.
 """
 
 import math
 
 import numpy as np
 
-from dfc import sets
+from dfc import analysis, sets
 
 
 def gauge_bisect(
@@ -44,3 +45,34 @@ def unit_disk_conic():
         c=[1.0, 0.0, 0.0],
         cones=[("soc", 3)],
     )
+
+
+def maximize_over_relaxation(form, objective: dict):
+    """Maximize a linear objective, given by variable name, over a
+    formulation's relaxation (binaries in [0, 1])."""
+    return analysis._maximize_named(analysis.compile_relaxation(form), objective)
+
+
+def ex1_outside_point(t: float) -> tuple:
+    """Curve of points feasible for the big-M relaxation of ex1 at
+    y = (t, 1-t) but outside the convex hull of the union, for t in (0, 1)."""
+    x1 = (5.0 + t) / 4.0
+    x2 = 1.25 * (5.0 - t) * (t - 1.0) / (3.0 * t - 5.0)
+    return (x1, x2)
+
+
+def ex5_covers(spec) -> list:
+    """Cover sets per family of an ex5 spec, for the pairwise-condition check."""
+    return [fam.cover_sets() for fam in spec.params.families]
+
+
+def ex6_closed_form_member(point, tol: float = 1e-7) -> bool:
+    """The closed-form membership test of ex6's relaxation:
+    +-x1 - y1 <= sqrt(x2 y2), 0 <= x2 <= y2, -1 <= x1 <= 1, y simplex."""
+    x1, x2, y1, y2 = (float(v) for v in point)
+    if y1 < -tol or y2 < -tol or abs(y1 + y2 - 1.0) > tol:
+        return False
+    if x2 < -tol or x2 > y2 + tol or abs(x1) > 1.0 + tol:
+        return False
+    root = math.sqrt(max(x2, 0.0) * max(y2, 0.0))
+    return x1 - y1 <= root + tol and -x1 - y1 <= root + tol

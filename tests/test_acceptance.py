@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from dfc import analysis, builders, fixtures, gauge, model, sets
-from oracles import gauge_bisect
+from oracles import (
+    ex1_outside_point,
+    ex5_covers,
+    ex6_closed_form_member,
+    gauge_bisect,
+    maximize_over_relaxation,
+)
 
 SEED = analysis.DEFAULT_SEED
 
@@ -73,7 +79,7 @@ def test_criterion_1_activation_constants(capsys):
 
 def test_criterion_2_loose_relaxation_witness(capsys):
     with announced(capsys, 2, "loose relaxation witness point"):
-        point = fixtures.ex1_outside_point(0.5)
+        point = ex1_outside_point(0.5)
         assert point[0] == pytest.approx(1.375, abs=1e-12)
         assert point[1] == pytest.approx(0.8035714285714286, abs=1e-12)
         form = builders.build(fixtures.load("ex1", "bigm"))
@@ -165,7 +171,7 @@ def test_criterion_6_cover_conditions_versus_idealness(capsys):
         assert pair_keys == triple_keys
         assert triple.dedup_removed == 2
         par = analysis.check_par_conditions(
-            pair_spec.sets, fixtures.ex5_covers(pair_spec), count=120
+            pair_spec.sets, ex5_covers(pair_spec), count=120
         )
         assert par.verdict == "fail"
         assert par.witnesses and par.witnesses[0]["condition"] == "support-match"
@@ -185,7 +191,7 @@ def test_criterion_7_membership_classifier_agreement(capsys):
             t = float(rng.uniform(0.0, 1.0))
             env = {"x0": float(x[0]), "x1": float(x[1]), "y0": t, "y1": 1.0 - t}
             got = analysis.relaxation_max_violation(form, env) <= 1e-7
-            want = fixtures.ex6_closed_form_member((x[0], x[1], t, 1.0 - t))
+            want = ex6_closed_form_member((x[0], x[1], t, 1.0 - t))
             mismatches += got != want
             inside += want
         assert mismatches == 0
@@ -304,7 +310,7 @@ def test_criterion_9_property_suites(capsys):
                 names,
                 (),
             )
-            res = analysis.maximize_over_relaxation(
+            res = maximize_over_relaxation(
                 form, {nm: float(c[j]) for j, nm in enumerate(names)}
             )
             assert res.status == "optimal"
@@ -319,8 +325,8 @@ def test_criterion_9_property_suites(capsys):
         for _ in range(200):
             c = rng.normal(size=len(names))
             obj = {nm: float(c[j]) for j, nm in enumerate(names)}
-            ra = analysis.maximize_over_relaxation(plus, obj)
-            rb = analysis.maximize_over_relaxation(lifted, obj)
+            ra = maximize_over_relaxation(plus, obj)
+            rb = maximize_over_relaxation(lifted, obj)
             assert ra.status == "optimal" and rb.status == "optimal"
             assert abs(ra.value - rb.value) <= 1e-6 * (1.0 + abs(ra.value))
 

@@ -281,6 +281,25 @@ def test_cut_loop_converges_on_ex1_extended_stall_direction(tmp_path, capsys):
     assert "ideal: not-refuted" in capsys.readouterr().out
 
 
+def test_support_fallbacks_leave_the_shared_template_unwritten():
+    """Every cut loop over a set reads its cached template's rows, and the
+    stacked copy of them, without copying: 16 exact supports and one floored
+    one leave each byte as it was."""
+    body = fixtures.ex1_sets()[0]  # no closed form: the template answers
+    template = analysis._template(body)
+
+    def snapshot():
+        arrays = [*template.rows, template.rhs, *template.eq_rows, template.eq_rhs]
+        return [np.asarray(a).tobytes() for a in arrays + list(template.stacked)]
+
+    before = snapshot()
+    for u in analysis.sample_directions(2, 16, SEED):
+        assert math.isfinite(sets.support(body, u))
+    assert sets.support(body, np.array([1.0, 0.5]), floor=100.0) == -math.inf
+    assert analysis._template.cache_info().hits >= 17
+    assert snapshot() == before
+
+
 def test_feasibility_gap_measures_uniform_slack():
     atoms = [Linear(Aff.of({"x": 1.0})), Linear(Aff.of({"x": -1.0}, 1.0))]
     gap, env = analysis.feasibility_gap(atoms, [("x", -5.0, 5.0)])

@@ -12,6 +12,7 @@ import pytest
 
 from dfc import analysis, builders, fixtures, model, sets
 from dfc.gauge import Aff, GaugePlus, Linear
+from oracles import maximize_over_relaxation
 
 SEED = 20240
 
@@ -175,8 +176,8 @@ def test_lift_preserves_relaxation_optima():
     for _ in range(20):
         u = rng.normal(size=len(names))
         obj = {nm: float(c) for nm, c in zip(names, u)}
-        a = analysis.maximize_over_relaxation(plus, obj)
-        b = analysis.maximize_over_relaxation(lifted, obj)
+        a = maximize_over_relaxation(plus, obj)
+        b = maximize_over_relaxation(lifted, obj)
         assert a.status == "optimal" and b.status == "optimal"
         assert b.value == pytest.approx(a.value, abs=1e-6 * (1 + abs(a.value)))
 

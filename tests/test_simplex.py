@@ -343,6 +343,29 @@ def test_master_resumes_after_a_tolerated_row(monkeypatch):
     assert warm.residual == pytest.approx(0.1, abs=1e-7)
 
 
+def test_master_reads_its_input_arrays_and_never_writes_them():
+    """Float64 inputs are used as given, not copied: a solve, an append and a
+    resumed solve leave each byte for byte, and no result shares memory
+    with any of them."""
+    rng = np.random.default_rng(SEED + 8)
+    for _ in range(CASES):
+        c, G, h, A_eq, b_eq, lb, ub = random_instance(rng, with_eq=True)
+        if simplex.solve_lp(c, G, h, A_eq, b_eq, lb, ub).status == "optimal":
+            break
+    G_new, h_new = rng.normal(size=(2, len(c))), rng.uniform(-0.5, 2.0, 2)
+    inputs = (c, G, h, A_eq, b_eq, lb, ub, G_new, h_new)
+    before = [a.tobytes() for a in inputs]
+    master = simplex.Master(c, G, h, A_eq, b_eq, lb, ub)
+    first = master.solve()
+    assert first.status == "optimal"
+    master.add_rows(G_new, h_new)
+    second = master.solve()
+    assert [a.tobytes() for a in inputs] == before
+    for res in (first, second):
+        if res.x is not None:
+            assert not any(np.shares_memory(res.x, a) for a in inputs)
+
+
 def test_infeasible_residual_is_minimum_total_violation():
     rng = np.random.default_rng(SEED + 6)
     seen = 0
