@@ -3,14 +3,19 @@
 gauge_bisect only asks the membership predicate, so tests can hold
 gauge.gauge_and_normal and sets.gauge_value against it without comparing
 either with itself.  The example helpers give closed forms and cover sets of
-the bundled examples that only the tests read.
+the bundled examples that only the tests read.  The spec helpers give the
+builder forms that no bundled example reaches: the homothetic block, both
+orthogonal forms and big-M with activation constants computed by
+`builders.bigm_table`.
 """
 
 import math
 
 import numpy as np
 
-from dfc import analysis, sets
+from dfc import analysis, builders, fixtures, sets
+
+EYE2 = ((1.0, 0.0), (0.0, 1.0))
 
 
 def gauge_bisect(
@@ -76,3 +81,47 @@ def ex6_closed_form_member(point, tol: float = 1e-7) -> bool:
         return False
     root = math.sqrt(max(x2, 0.0) * max(y2, 0.0))
     return x1 - y1 <= root + tol and -x1 - y1 <= root + tol
+
+
+def homothetic_spec() -> builders.ProblemSpec:
+    """Two unit boxes three apart as one homothety family."""
+    template = sets.box((-1.0, -1.0), (1.0, 1.0))
+    disjuncts = (template, sets.box((2.0, -1.0), (4.0, 1.0)))
+    fam = builders.HomothetyData(template, ((0.0, 0.0), (3.0, 0.0)), (1.0, 1.0))
+    return builders.ProblemSpec(disjuncts, None, "homothetic", fam)
+
+
+def orthogonal_projection_spec() -> builders.ProblemSpec:
+    """Two diagonal unit boxes, each owning one frame coordinate (no flip)."""
+    disjuncts = (sets.box((0.0, 0.0), (1.0, 1.0)), sets.box((2.0, 2.0), (3.0, 3.0)))
+    bases = ((0.0, 0.0), (2.0, 2.0))
+    data = builders.OrthogonalData(
+        pieces=disjuncts,
+        basis=EYE2,
+        coord_sets=((0,), (1,)),
+        signs=((1, 1), (1, 1)),
+        base=bases,
+        flip=None,
+    )
+    return builders.ProblemSpec(disjuncts, bases, "orthogonal", data)
+
+
+def orthogonal_flip_spec() -> builders.ProblemSpec:
+    """The positive and negative unit quadrant boxes under flip (1, 1)."""
+    pieces = (sets.box((0.0, 0.0), (1.0, 1.0)), sets.box((-1.0, -1.0), (0.0, 0.0)))
+    data = builders.OrthogonalData(
+        pieces=pieces,
+        basis=EYE2,
+        coord_sets=((0, 1), (0, 1)),
+        signs=((1, 1), (-1, -1)),
+        base=((0.0, 0.0), (0.0, 0.0)),
+        flip=(1, 1),
+    )
+    return builders.ProblemSpec(pieces, None, "orthogonal", data)
+
+
+def bigm_computed_spec() -> builders.ProblemSpec:
+    """ex1's pieces and base points with no activation matrix, so the
+    builder computes it (one entry is a sampled bound)."""
+    spec = fixtures.ex1("bigm")
+    return builders.ProblemSpec(spec.sets, spec.base_points, "bigm", builders.BigMData())

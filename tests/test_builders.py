@@ -14,6 +14,12 @@ import pytest
 
 from dfc import analysis, builders, fixtures, sets
 from dfc.gauge import Aff, ConditionViolated, GaugePlus, Linear, SOC
+from oracles import (
+    EYE2,
+    homothetic_spec,
+    orthogonal_flip_spec,
+    orthogonal_projection_spec,
+)
 
 SEED = 20240
 INF = math.inf
@@ -199,15 +205,11 @@ def test_homothety_data_validation():
 
 
 def test_homothetic_matches_piecewise_single_family():
-    template = sets.box((-1.0, -1.0), (1.0, 1.0))
-    disjuncts = (template, sets.box((2.0, -1.0), (4.0, 1.0)))
-    fam = builders.HomothetyData(template, ((0.0, 0.0), (3.0, 0.0)), (1.0, 1.0))
-    single = builders.build(
-        builders.ProblemSpec(disjuncts, None, "homothetic", fam)
-    )
+    spec = homothetic_spec()
+    single = builders.build(spec)
     wrapped = builders.build(
         builders.ProblemSpec(
-            disjuncts, None, "piecewise", builders.PiecewiseData((fam,))
+            spec.sets, None, "piecewise", builders.PiecewiseData((spec.params,))
         )
     )
     assert len(single.atoms) == len(wrapped.atoms)
@@ -276,21 +278,9 @@ def test_bbj_data_validation():
 # signed-frame builders
 # ---------------------------------------------------------------------------
 
-EYE2 = ((1.0, 0.0), (0.0, 1.0))
-
 
 def test_orthogonal_projection_form():
-    disjuncts = (sets.box((0.0, 0.0), (1.0, 1.0)), sets.box((2.0, 2.0), (3.0, 3.0)))
-    data = builders.OrthogonalData(
-        pieces=disjuncts,
-        basis=EYE2,
-        coord_sets=((0,), (1,)),
-        signs=((1, 1), (1, 1)),
-        base=((0.0, 0.0), (2.0, 2.0)),
-        flip=None,
-    )
-    spec = builders.ProblemSpec(disjuncts, ((0.0, 0.0), (2.0, 2.0)), "orthogonal", data)
-    form = builders.build(spec)
+    form = builders.build(orthogonal_projection_spec())
     gp = [a for a in form.atoms if isinstance(a, GaugePlus)]
     assert len(gp) == 2
     assert all(not a.positive_part for a in gp)
@@ -300,17 +290,7 @@ def test_orthogonal_projection_form():
 
 
 def test_orthogonal_flip_form_structure_and_validity():
-    pieces = (sets.box((0.0, 0.0), (1.0, 1.0)), sets.box((-1.0, -1.0), (0.0, 0.0)))
-    data = builders.OrthogonalData(
-        pieces=pieces,
-        basis=EYE2,
-        coord_sets=((0, 1), (0, 1)),
-        signs=((1, 1), (-1, -1)),
-        base=((0.0, 0.0), (0.0, 0.0)),
-        flip=(1, 1),
-    )
-    spec = builders.ProblemSpec(pieces, None, "orthogonal", data)
-    form = builders.build(spec)
+    form = builders.build(orthogonal_flip_spec())
     gp = [a for a in form.atoms if isinstance(a, GaugePlus)]
     # only the piece anti-aligned with the flip carries gauge terms
     assert len(gp) == 1

@@ -6,7 +6,8 @@ Reports come from `dfc analyze --out` on every (example, variant, check) of
 (`perfbench/run.py`).  The stored document is the canonical report without
 `elapsed_s`.  Every check must give the same document at `--jobs 1` and
 `--jobs 2`.  Models are the sha256 of every file `dfc build` writes, for
-every example variant in both lowering modes.
+every example variant in both lowering modes, and of the builder forms no
+example reaches (`FORMS`, specs from `oracles`).
 Instances are the sha256 of `canonical_bytes(spec_doc(...))` for every
 example variant, without and with an options block.
 
@@ -22,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from dfc import fixtures, model
+import oracles
+from dfc import builders, fixtures, model
 from dfc.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -44,19 +46,27 @@ INSTANCE_CASES = [
     (name, variant) for name in sorted(fixtures.REGISTRY) for variant in fixtures.REGISTRY[name]
 ]
 INSTANCE_OPTIONS = {"directions": 40, "seed": 7, "tol": 1e-7}
+FORMS = {
+    "homothetic": oracles.homothetic_spec,
+    "orthogonal_projection": oracles.orthogonal_projection_spec,
+    "orthogonal_flip": oracles.orthogonal_flip_spec,
+    "bigm_computed": oracles.bigm_computed_spec,
+}
 MODEL_CASES = [
     (name, variant, mode)
-    for name in sorted(fixtures.REGISTRY)
-    for variant in fixtures.REGISTRY[name]
+    for name, variant in INSTANCE_CASES + [("forms", form) for form in FORMS]
     for mode in MODES
 ]
+
+
+def _spec(name: str, variant: str) -> builders.ProblemSpec:
+    return FORMS[variant]() if name == "forms" else fixtures.load(name, variant)
 
 
 def _instance(out_dir: Path, name: str, variant: str) -> Path:
     path = out_dir / f"{name}_{variant}.json"
     if not path.exists():
-        spec = fixtures.load(name, variant)
-        path.write_bytes(model.canonical_bytes(model.spec_doc(spec)))
+        path.write_bytes(model.canonical_bytes(model.spec_doc(_spec(name, variant))))
     return path
 
 
@@ -116,6 +126,11 @@ def test_model_digests(work, capsys, name, variant, mode):
     got = model_digests(work, name, variant, mode)
     capsys.readouterr()
     assert got == expected
+
+
+def test_every_builder_has_a_golden_model():
+    methods = {_spec(name, variant).method for name, variant, _ in MODEL_CASES}
+    assert methods >= set(builders.BUILDERS)
 
 
 @pytest.mark.parametrize("name,variant", INSTANCE_CASES)
