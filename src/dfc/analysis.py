@@ -70,9 +70,15 @@ CUT_TOL = 1e-8
 MAX_CUT_ROUNDS = 5000
 VERTEX_ROW_CAP = 64
 VERTEX_DIM_CAP = 10
+VERTEX_TOL = 1e-9  # sign threshold of the double description
 BASIS_CAP = 10_000
 DEFAULT_SEED = 20240
 TEMPLATE_CACHE_SIZE = 256  # compiled set templates kept per process
+
+
+class ExactModeUnavailable(sets.DfcError, ValueError):
+    """The exact ideal check cannot run: the formulation is not purely
+    linear, or its vertex enumeration is over the caps."""
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +311,6 @@ def maximize_over_atoms(
     compiled: _Compiled,
     objective: np.ndarray,
     box_radius: float = BOX_RADIUS,
-    tol: float = CUT_TOL,
     max_rounds: int = MAX_CUT_ROUNDS,
     extra_eq: tuple[list[np.ndarray], list[float]] | None = None,
     _gap: int | None = None,
@@ -314,7 +319,7 @@ def maximize_over_atoms(
     """Kelley's cutting-plane loop over ``compiled.stacked``, the rows a
     template or relaxation stacks once for every direction.  With ``_gap``,
     the column of a uniform slack that the rows subtract, atoms are violated
-    only beyond slack + tol and their cuts subtract it too.  A stalled result
+    only beyond slack + CUT_TOL and their cuts subtract it too.  A stalled result
     keeps the last master optimum, if any, in ``point``.
 
     With a ``_floor``, the loop stops as "dominated" at the first master
@@ -344,7 +349,7 @@ def maximize_over_atoms(
         z = res.x
         if res.value <= _floor and not _box_contact(z, lb, ub, compiled, box_radius):
             return OptResult("dominated", float(res.value), z, None, False, rounds)
-        limit = tol if _gap is None else z[_gap] + tol
+        limit = CUT_TOL if _gap is None else z[_gap] + CUT_TOL
         violated = False
         new_cuts = []
         for atom, pre in compiled.nonlinear:
@@ -377,9 +382,7 @@ def _box_contact(z, lb, ub, compiled: _Compiled, box_radius: float) -> bool:
     return bool(at_box.any())
 
 
-def feasibility_gap(
-    atoms, variables, box_radius: float = BOX_RADIUS, tol: float = CUT_TOL
-) -> tuple[float, dict[str, float] | None]:
+def feasibility_gap(atoms, variables) -> tuple[float, dict[str, float] | None]:
     """Smallest uniform slack s >= 0 making all atoms hold, with a witness env.
 
     maximize_over_atoms minimizes s with every row and cut relaxed by s, in
@@ -387,7 +390,7 @@ def feasibility_gap(
     violation at its last master optimum.  Returns (inf, None) when even the
     linear outer approximation is empty.
     """
-    boxed = [(v[0], max(v[1], -box_radius), min(v[2], box_radius)) for v in variables]
+    boxed = [(v[0], max(v[1], -BOX_RADIUS), min(v[2], BOX_RADIUS)) for v in variables]
     gidx = len(boxed)
     # only the nonlinear atoms' separation data; their own rows are not used
     cp = compile_atoms(
@@ -404,9 +407,7 @@ def feasibility_gap(
     obj = np.zeros(gidx + 1)
     obj[gidx] = -1.0  # maximize -gap
     # the box is already in the bounds; the gap keeps its own upper bound
-    res = maximize_over_atoms(
-        cp, obj, box_radius=math.inf, tol=tol, max_rounds=200, _gap=gidx
-    )
+    res = maximize_over_atoms(cp, obj, box_radius=math.inf, max_rounds=200, _gap=gidx)
     if res.point is None:
         return math.inf, None
     z = res.point
@@ -612,12 +613,13 @@ class VertexSet:
     lineality: np.ndarray
 
 
-def enumerate_vertices(G, h, A_eq=None, b_eq=None, tol: float = 1e-9) -> VertexSet:
+def enumerate_vertices(G, h, A_eq=None, b_eq=None) -> VertexSet:
     """Vertices and extreme rays of {x : G x <= h, A_eq x = b_eq}.
 
     Double description over the homogenization cone, with combinatorial
     adjacency.  Capped at VERTEX_ROW_CAP rows and VERTEX_DIM_CAP dimensions.
     """
+    tol = VERTEX_TOL
     G = np.asarray(G, dtype=float) if G is not None and len(G) else np.zeros((0, 0))
     d = G.shape[1] if G.size else (
         np.asarray(A_eq, dtype=float).shape[1] if A_eq is not None else 0
@@ -634,9 +636,9 @@ def enumerate_vertices(G, h, A_eq=None, b_eq=None, tol: float = 1e-9) -> VertexS
             rows.append(np.concatenate([Am[i], [-bv[i]]]))
             rows.append(np.concatenate([-Am[i], [bv[i]]]))
     if len(rows) > VERTEX_ROW_CAP:
-        raise ValueError(f"vertex enumeration capped at {VERTEX_ROW_CAP} rows")
+        raise ExactModeUnavailable(f"vertex enumeration capped at {VERTEX_ROW_CAP} rows")
     if d > VERTEX_DIM_CAP:
-        raise ValueError(f"vertex enumeration capped at dim {VERTEX_DIM_CAP}")
+        raise ExactModeUnavailable(f"vertex enumeration capped at dim {VERTEX_DIM_CAP}")
 
     trow = np.zeros(d + 1)
     trow[d] = -1.0  # -t <= 0 first
@@ -768,7 +770,7 @@ def compile_relaxation(form) -> _Compiled:
     return compile_atoms(list(form.atoms), variables)
 
 
-def _maximize_named(compiled: _Compiled, objective, fixed=None, **kw) -> OptResult:
+def _maximize_named(compiled: _Compiled, objective, fixed=None) -> OptResult:
     """maximize_over_atoms with the objective and the variables held fixed
     given by name."""
     obj = np.zeros(len(compiled.names))
@@ -778,7 +780,7 @@ def _maximize_named(compiled: _Compiled, objective, fixed=None, **kw) -> OptResu
     if fixed:
         eye = np.eye(len(compiled.names))
         eq = ([eye[compiled.index[nm]] for nm in fixed], list(fixed.values()))
-    return maximize_over_atoms(compiled, obj, extra_eq=eq, **kw)
+    return maximize_over_atoms(compiled, obj, extra_eq=eq)
 
 
 def relaxation_max_violation(form, env: dict[str, float]) -> float:
@@ -986,7 +988,7 @@ def _ideal_exact(form, tol: float) -> AnalysisReport:
     t0 = time.perf_counter()
     for atom in form.atoms:
         if not isinstance(atom, Linear):
-            raise ValueError("exact mode needs a purely linear formulation")
+            raise ExactModeUnavailable("exact mode needs a purely linear formulation")
     compiled = compile_relaxation(form)
     G = list(compiled.rows)
     h = list(compiled.rhs)
@@ -1047,7 +1049,7 @@ def check_ideal(
     if mode in ("auto", "exact"):
         try:
             return _ideal_exact(form, tol=1e-7 if tol < 1e-7 else tol)
-        except ValueError:
+        except ExactModeUnavailable:
             if mode == "exact":
                 raise
     n = len(form.x_names)

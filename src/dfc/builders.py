@@ -38,15 +38,21 @@ from . import gauge as gauge_mod
 from .gauge import Aff, GaugePlus, Linear, NameGen, Perspective, SOC, combo
 from .sets import DfcError, SetExpr, SignedBasis
 
-EXTENDED_LABEL = "extendedformulation"
-BIGM_LABEL = "bigMformulation"
-HOMOTHETIC_LABEL = "projectedgauge"
-PIECEWISE_LABEL = "complexform"
-ORTHOGONAL_LABEL = "orthogonalplusprojcone"
-BBJ_LABEL = "blairform"
-ISOTONE_LABEL = "isotonegeneralform"
+# the paper's name for each construction, written as every constraint's paper_ref
+LABELS = {
+    "extended": "extendedformulation",
+    "bigm": "bigMformulation",
+    "homothetic": "projectedgauge",
+    "piecewise": "complexform",
+    "orthogonal": "orthogonalplusprojcone",
+    "bbj": "blairform",
+    "isotone": "isotonegeneralform",
+}
 
 DEDUP_TOL = 1e-9
+BIGM_DIRS = 64  # sampled directions when a disjunct's extreme points are not enumerable
+BIGM_PROBE_DIRS = 8  # directions of the level-set probe of a given activation matrix
+HOMOTHETY_PROBES = 32  # directions of the support probe of a declared homothety
 
 
 class FamilyInvalid(DfcError, ValueError):
@@ -235,7 +241,7 @@ class Formulation:
     name: str
     variables: tuple
     atoms: tuple
-    provenance: tuple
+    label: str
     sets: tuple
     x_names: tuple
     y_names: tuple
@@ -243,21 +249,50 @@ class Formulation:
     dedup_removed: int = 0
 
     def __post_init__(self):
-        if len(self.atoms) != len(self.provenance):
-            raise ValueError("one provenance label per atom")
         names = [v.name for v in self.variables]
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
 
 
-def _xy_vars(n: int, k: int):
-    xs = tuple(Variable(f"x{j}", "continuous") for j in range(n))
-    ys = tuple(Variable(f"y{i}", "binary", 0.0, 1.0) for i in range(k))
-    return xs, ys
+def _xy_names(spec: ProblemSpec):
+    return (
+        tuple(f"x{j}" for j in range(spec.dim)),
+        tuple(f"y{i}" for i in range(spec.k)),
+    )
 
 
-def _simplex_atom(y_names) -> Linear:
-    return Linear(combo(y_names, [1.0] * len(y_names), -1.0), "eq")
+def _formulation(
+    method: str, spec: ProblemSpec, atoms, aux=(), notes=(), dedup: bool = False
+) -> Formulation:
+    """Finish a construction: the shared x, the binary y and the auxiliary
+    continuous variables, in that order, the unit-sum row after the given
+    atoms, later duplicate atoms dropped when asked, and the method's label."""
+    x_names, y_names = _xy_names(spec)
+    variables = (
+        *(Variable(nm, "continuous") for nm in x_names),
+        *(Variable(nm, "binary", 0.0, 1.0) for nm in y_names),
+        *(Variable(nm, "continuous") for nm in aux),
+    )
+    atoms = (*atoms, Linear(combo(y_names, [1.0] * len(y_names), -1.0), "eq"))
+    removed = 0
+    if dedup:
+        atoms, removed = dedup_atoms(atoms)
+    return Formulation(
+        method,
+        variables,
+        atoms,
+        LABELS[method],
+        spec.sets,
+        x_names,
+        y_names,
+        notes=notes,
+        dedup_removed=removed,
+    )
+
+
+def _shifted(S: SetExpr, b) -> SetExpr:
+    """S moved so that base point b sits at the origin."""
+    return sets.translate(S, tuple(-v for v in b)) if any(b) else S
 
 
 def _require_bases(spec: ProblemSpec):
@@ -340,19 +375,18 @@ def atom_key(atom):
     raise TypeError(f"unknown atom {atom!r}")
 
 
-def dedup_atoms(atoms, provenance):
+def dedup_atoms(atoms):
     """Drop later duplicates, keeping first-occurrence order.  Returns the
-    reduced atom and provenance tuples plus the number removed."""
+    reduced atom tuple and the number removed."""
     seen = set()
-    out_a, out_p = [], []
-    for atom, label in zip(atoms, provenance):
+    out = []
+    for atom in atoms:
         key = atom_key(atom)
         if key in seen:
             continue
         seen.add(key)
-        out_a.append(atom)
-        out_p.append(label)
-    return tuple(out_a), tuple(out_p), len(atoms) - len(out_a)
+        out.append(atom)
+    return tuple(out), len(atoms) - len(out)
 
 
 # ---------------------------------------------------------------------------
@@ -368,41 +402,27 @@ def build_extended(spec: ProblemSpec) -> Formulation:
     """
     _require_bases(spec)
     n, k = spec.dim, spec.k
-    xs, ys = _xy_vars(n, k)
     gen = NameGen()
-    variables = list(xs) + list(ys)
-    atoms, prov = [], []
+    atoms, aux = [], []
     copy_names = []
     for i, (S, b) in enumerate(zip(spec.sets, spec.base_points)):
         names = tuple(f"x{i}_{j}" for j in range(n))
         copy_names.append(names)
-        variables.extend(Variable(nm, "continuous") for nm in names)
         y = Aff.var(f"y{i}")
         w = tuple(
             Aff.var(names[j]) + y.scaled(-b[j]) if b[j] else Aff.var(names[j])
             for j in range(n)
         )
-        shifted = sets.translate(S, tuple(-v for v in b)) if any(b) else S
-        block, aux = gauge_mod.lower_epigraph(shifted, w, y, gen, with_tau_row=False)
-        variables.extend(Variable(nm, "continuous") for nm in aux)
+        block, block_aux = gauge_mod.lower_epigraph(
+            _shifted(S, b), w, y, gen, with_tau_row=False
+        )
+        aux += [*names, *block_aux]
         atoms.extend(block)
-        prov.extend([EXTENDED_LABEL] * len(block))
     for j in range(n):
         names = [cp[j] for cp in copy_names] + [f"x{j}"]
         coeffs = [1.0] * k + [-1.0]
         atoms.append(Linear(combo(names, coeffs), "eq"))
-        prov.append(EXTENDED_LABEL)
-    atoms.append(_simplex_atom([v.name for v in ys]))
-    prov.append(EXTENDED_LABEL)
-    return Formulation(
-        "extended",
-        tuple(variables),
-        tuple(atoms),
-        tuple(prov),
-        spec.sets,
-        tuple(v.name for v in xs),
-        tuple(v.name for v in ys),
-    )
+    return _formulation("extended", spec, atoms, aux)
 
 
 @dataclass(frozen=True)
@@ -421,7 +441,7 @@ class BigMTable:
     coordinate_values: tuple  # per row: gauge values times the box half-width
 
 
-def _gauge_sup_candidates(S: SetExpr, dirs: int, seed: int):
+def _gauge_sup_candidates(S: SetExpr):
     """Candidate maximizers of a convex function over S, plus an exactness
     flag (extreme-point enumeration when S is a polytope or finite box)."""
     if isinstance(S, sets.VPolytope):
@@ -439,7 +459,7 @@ def _gauge_sup_candidates(S: SetExpr, dirs: int, seed: int):
             return pts, True
     n = S.dim
     out = []
-    for u in analysis.sample_directions(n, dirs, seed, axes_first=True):
+    for u in analysis.sample_directions(n, BIGM_DIRS, analysis.DEFAULT_SEED, axes_first=True):
         try:
             out.append(sets.exposed_point(S, u))
         except sets.UnboundedDirection:
@@ -447,9 +467,7 @@ def _gauge_sup_candidates(S: SetExpr, dirs: int, seed: int):
     return out, False
 
 
-def minimal_bigm(
-    spec: ProblemSpec, i: int, j: int, dirs: int = 64, seed: int = analysis.DEFAULT_SEED
-) -> BigMEntry:
+def minimal_bigm(spec: ProblemSpec, i: int, j: int) -> BigMEntry:
     """Smallest activation coefficient for pair (i, j): the largest gauge
     value of disjunct i's unit (base-shifted) body over disjunct j.  Exact
     when disjunct j's extreme points are enumerable, otherwise a sampled
@@ -459,7 +477,7 @@ def minimal_bigm(
     _require_bases(spec)
     Ci, Cj = spec.sets[i], spec.sets[j]
     bi = np.asarray(spec.base_points[i], dtype=float)
-    cands, exact = _gauge_sup_candidates(Cj, dirs, seed)
+    cands, exact = _gauge_sup_candidates(Cj)
     best = 0.0
     for p in cands:
         g = sets.gauge_value(Ci, bi, p)
@@ -483,9 +501,7 @@ def _uniform_box_halfwidth(S: SetExpr, base) -> float | None:
     return None
 
 
-def bigm_table(
-    spec: ProblemSpec, dirs: int = 64, seed: int = analysis.DEFAULT_SEED
-) -> BigMTable:
+def bigm_table(spec: ProblemSpec) -> BigMTable:
     """Full activation matrix with exactness flags and, for rows whose unit
     body is a uniform box, the equivalent coordinate-unit values."""
     _require_bases(spec)
@@ -498,7 +514,7 @@ def bigm_table(
             if i == j:
                 entry = BigMEntry(1.0, True)
             else:
-                entry = minimal_bigm(spec, i, j, dirs, seed)
+                entry = minimal_bigm(spec, i, j)
             vr.append(entry.value)
             er.append(entry.exact)
             cr.append(entry.value * half if half is not None else None)
@@ -508,23 +524,21 @@ def bigm_table(
     return BigMTable(tuple(values), tuple(exact), tuple(coord))
 
 
-def build_bigm(
-    spec: ProblemSpec, probe_dirs: int = 8, seed: int = analysis.DEFAULT_SEED
-) -> Formulation:
+def build_bigm(spec: ProblemSpec) -> Formulation:
     """Gauge bound per disjunct on the shared x, activated through M."""
     _require_bases(spec)
     n, k = spec.dim, spec.k
     data = spec.params if isinstance(spec.params, BigMData) else BigMData()
-    notes = []
+    notes = ()
     if data.M is not None:
         M = [list(row) for row in data.M]
         if len(M) != k or any(len(r) != k for r in M):
             raise MMatrixInvalid("activation matrix must be k by k")
     else:
-        table = bigm_table(spec, seed=seed)
+        table = bigm_table(spec)
         M = [list(row) for row in table.values]
         if not all(all(r) for r in table.exact):
-            notes.append("constants-approximate")
+            notes = ("constants-approximate",)
     for i in range(k):
         if abs(M[i][i] - 1.0) > 1e-9:
             raise MMatrixInvalid(f"diagonal entry {i} must be one")
@@ -533,7 +547,7 @@ def build_bigm(
         for j in range(k):
             if i == j:
                 continue
-            for u in analysis.sample_directions(n, probe_dirs, seed):
+            for u in analysis.sample_directions(n, BIGM_PROBE_DIRS, analysis.DEFAULT_SEED):
                 try:
                     p = sets.exposed_point(spec.sets[j], u)
                 except sets.UnboundedDirection:
@@ -543,40 +557,27 @@ def build_bigm(
                     raise MMatrixInvalid(
                         f"disjunct {j} escapes the level set of pair ({i}, {j})"
                     )
-    xs, ys = _xy_vars(n, k)
+    _, y_names = _xy_names(spec)
     gen = NameGen()
-    variables = list(xs) + list(ys)
-    atoms, prov = [], []
-    y_names = [v.name for v in ys]
+    atoms, aux = [], []
     for i, (S, b) in enumerate(zip(spec.sets, spec.base_points)):
         w = tuple(
             Aff.var(f"x{j}") + Aff.const_of(-b[j]) if b[j] else Aff.var(f"x{j}")
             for j in range(n)
         )
-        shifted = sets.translate(S, tuple(-v for v in b)) if any(b) else S
         tau = combo(y_names, M[i])
-        block, aux = gauge_mod.lower_epigraph(shifted, w, tau, gen, with_tau_row=False)
-        variables.extend(Variable(nm, "continuous") for nm in aux)
+        block, block_aux = gauge_mod.lower_epigraph(
+            _shifted(S, b), w, tau, gen, with_tau_row=False
+        )
+        aux.extend(block_aux)
         atoms.extend(block)
-        prov.extend([BIGM_LABEL] * len(block))
-    atoms.append(_simplex_atom(y_names))
-    prov.append(BIGM_LABEL)
-    return Formulation(
-        "bigm",
-        tuple(variables),
-        tuple(atoms),
-        tuple(prov),
-        spec.sets,
-        tuple(v.name for v in xs),
-        tuple(y_names),
-        notes=tuple(notes),
-    )
+    return _formulation("bigm", spec, atoms, aux, notes)
 
 
-def _probe_homothety(disjuncts, fam: HomothetyData, count: int, seed: int):
+def _probe_homothety(disjuncts, fam: HomothetyData):
     """Sampled support-equality probe of the declared translate/scale map."""
     n = fam.template.dim
-    for idx, u in enumerate(analysis.sample_directions(n, count, seed)):
+    for u in analysis.sample_directions(n, HOMOTHETY_PROBES, analysis.DEFAULT_SEED):
         s0 = sets.support(fam.template, u)
         for i, (S, b, r) in enumerate(zip(disjuncts, fam.base, fam.radii)):
             si = sets.support(S, u)
@@ -608,9 +609,7 @@ def _homothetic_block(fam: HomothetyData, x_names, y_names, gen: NameGen):
     return gauge_mod.lower_epigraph(fam.template, tuple(w), tau, gen, with_tau_row=False)
 
 
-def build_homothetic(
-    spec: ProblemSpec, probe_count: int = 32, seed: int = analysis.DEFAULT_SEED
-) -> Formulation:
+def build_homothetic(spec: ProblemSpec) -> Formulation:
     """Single gauge block: x minus the indicator-weighted base points lies in
     the indicator-weighted multiple of the template."""
     fam = spec.params
@@ -618,26 +617,9 @@ def build_homothetic(
         raise FamilyInvalid("homothetic construction needs HomothetyData")
     if len(fam.radii) != spec.k:
         raise sets.DimensionMismatch("one radius per disjunct")
-    if probe_count:
-        _probe_homothety(spec.sets, fam, probe_count, seed)
-    n, k = spec.dim, spec.k
-    xs, ys = _xy_vars(n, k)
-    gen = NameGen()
-    x_names = tuple(v.name for v in xs)
-    y_names = tuple(v.name for v in ys)
-    block, aux = _homothetic_block(fam, x_names, y_names, gen)
-    atoms = list(block) + [_simplex_atom(y_names)]
-    prov = [HOMOTHETIC_LABEL] * len(atoms)
-    variables = list(xs) + list(ys) + [Variable(nm, "continuous") for nm in aux]
-    return Formulation(
-        "homothetic",
-        tuple(variables),
-        tuple(atoms),
-        tuple(prov),
-        spec.sets,
-        x_names,
-        y_names,
-    )
+    _probe_homothety(spec.sets, fam)
+    block, aux = _homothetic_block(fam, *_xy_names(spec), NameGen())
+    return _formulation("homothetic", spec, block, aux)
 
 
 def build_piecewise(spec: ProblemSpec) -> Formulation:
@@ -646,33 +628,15 @@ def build_piecewise(spec: ProblemSpec) -> Formulation:
     data = spec.params
     if not isinstance(data, PiecewiseData):
         raise FamilyInvalid("piecewise construction needs PiecewiseData")
-    n, k = spec.dim, spec.k
-    xs, ys = _xy_vars(n, k)
     gen = NameGen()
-    x_names = tuple(v.name for v in xs)
-    y_names = tuple(v.name for v in ys)
-    variables = list(xs) + list(ys)
-    atoms, prov = [], []
+    atoms, aux = [], []
     for fam in data.families:
-        if len(fam.radii) != k:
+        if len(fam.radii) != spec.k:
             raise sets.DimensionMismatch("one radius per disjunct in each family")
-        block, aux = _homothetic_block(fam, x_names, y_names, gen)
-        variables.extend(Variable(nm, "continuous") for nm in aux)
+        block, block_aux = _homothetic_block(fam, *_xy_names(spec), gen)
+        aux.extend(block_aux)
         atoms.extend(block)
-        prov.extend([PIECEWISE_LABEL] * len(block))
-    atoms.append(_simplex_atom(y_names))
-    prov.append(PIECEWISE_LABEL)
-    atoms, prov, removed = dedup_atoms(atoms, prov)
-    return Formulation(
-        "piecewise",
-        tuple(variables),
-        tuple(atoms),
-        tuple(prov),
-        spec.sets,
-        x_names,
-        y_names,
-        dedup_removed=removed,
-    )
+    return _formulation("piecewise", spec, atoms, aux, dedup=True)
 
 
 def _frame_cone(basis: np.ndarray, signs) -> SetExpr:
@@ -736,10 +700,8 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
     n, k = spec.dim, spec.k
     V = np.asarray(data.basis, dtype=float)
     frames = _signed_frames(data.basis, data.signs, n, data.flip)
-    xs, ys = _xy_vars(n, k)
-    x_names = tuple(v.name for v in xs)
-    y_names = tuple(v.name for v in ys)
-    atoms, prov = [], []
+    x_names, y_names = _xy_names(spec)
+    atoms = []
 
     if data.flip is None:
         if spec.base_points is None:
@@ -751,15 +713,10 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
                 vj = V[j]
                 expr = combo(x_names, vj) + Aff.var(y_names[i]).scaled(-float(vj @ b))
                 terms.append((tuple(map(float, vj)), expr))
-            shifted = (
-                sets.translate(spec.sets[i], tuple(-v for v in b))
-                if any(b)
-                else spec.sets[i]
-            )
+            shifted = _shifted(spec.sets[i], b)
             atoms.append(
                 GaugePlus(shifted, tuple(terms), Aff.var(y_names[i]), positive_part=False)
             )
-            prov.append(ORTHOGONAL_LABEL)
     else:
         t = np.asarray(data.flip, dtype=float)
         if data.check:
@@ -790,7 +747,6 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
                         data.pieces[i], tuple(terms), Aff.var(y_names[i]), positive_part=True
                     )
                 )
-                prov.append(ORTHOGONAL_LABEL)
         for j in range(n):
             d = t[j] * V[j]
             expr = combo(x_names, d).scaled(-1.0)
@@ -799,19 +755,7 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
                 if lo:
                     expr = expr + Aff.var(y_names[l]).scaled(lo)
             atoms.append(Linear(expr))
-            prov.append(ORTHOGONAL_LABEL)
-    atoms.append(_simplex_atom(y_names))
-    prov.append(ORTHOGONAL_LABEL)
-    variables = list(xs) + list(ys)
-    return Formulation(
-        "orthogonal",
-        tuple(variables),
-        tuple(atoms),
-        tuple(prov),
-        spec.sets,
-        x_names,
-        y_names,
-    )
+    return _formulation("orthogonal", spec, atoms)
 
 
 def build_bbj(spec: ProblemSpec) -> Formulation:
@@ -828,10 +772,8 @@ def build_bbj(spec: ProblemSpec) -> Formulation:
     for i, b in enumerate(data.rhs):
         if sets.find_point(sets.hpoly(A, b)) is None:
             raise EmptyPiece(f"disjunct {i} is empty")
-    xs, ys = _xy_vars(n, k)
-    x_names = tuple(v.name for v in xs)
-    y_names = tuple(v.name for v in ys)
-    atoms, prov = [], []
+    x_names, y_names = _xy_names(spec)
+    atoms = []
     for r in range(A.shape[0]):
         names, coeffs = [], []
         for c in range(n):
@@ -843,18 +785,7 @@ def build_bbj(spec: ProblemSpec) -> Formulation:
                 names.append(y_names[i])
                 coeffs.append(-float(data.rhs[i][r]))
         atoms.append(Linear(combo(names, coeffs)))
-        prov.append(BBJ_LABEL)
-    atoms.append(_simplex_atom(y_names))
-    prov.append(BBJ_LABEL)
-    return Formulation(
-        "bbj",
-        tuple(xs) + tuple(ys),
-        tuple(atoms),
-        tuple(prov),
-        spec.sets,
-        x_names,
-        y_names,
-    )
+    return _formulation("bbj", spec, atoms)
 
 
 def build_isotone_general(spec: ProblemSpec) -> Formulation:
@@ -874,16 +805,9 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
     disjuncts = spec.sets
     frames = _signed_frames(data.basis, data.signs, n)
     if data.check:
-        shifted = [
-            sets.translate(S, tuple(-v for v in b)) if any(b) else S
-            for S, b in zip(disjuncts, data.base)
-        ]
-        _check_cone_sum(shifted, frames)
-    xs, ys = _xy_vars(n, k)
-    x_names = tuple(v.name for v in xs)
-    y_names = tuple(v.name for v in ys)
-
-    atoms, prov = [], []
+        _check_cone_sum([_shifted(S, b) for S, b in zip(disjuncts, data.base)], frames)
+    x_names, y_names = _xy_names(spec)
+    atoms = []
     for i in range(k):
         s = data.signs[i]
         bi = np.asarray(data.base[i], dtype=float)
@@ -912,7 +836,6 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
         atoms.append(
             GaugePlus(set_ref, tuple(terms), Aff.var(y_names[i]), data.positive_part)
         )
-        prov.append(ISOTONE_LABEL)
     for j in range(n):
         lows, ups = [], []
         for i in range(k):
@@ -921,20 +844,7 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
         ve = combo(x_names, V[j])
         atoms.append(Linear(combo(y_names, lows) - ve))
         atoms.append(Linear(ve - combo(y_names, ups)))
-        prov.extend([ISOTONE_LABEL, ISOTONE_LABEL])
-    atoms.append(_simplex_atom(y_names))
-    prov.append(ISOTONE_LABEL)
-    atoms_t, prov_t, removed = dedup_atoms(atoms, prov)
-    return Formulation(
-        "isotone",
-        tuple(xs) + tuple(ys),
-        tuple(atoms_t),
-        tuple(prov_t),
-        spec.sets,
-        x_names,
-        y_names,
-        dedup_removed=removed,
-    )
+    return _formulation("isotone", spec, atoms, dedup=True)
 
 
 BUILDERS = {

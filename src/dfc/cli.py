@@ -33,8 +33,9 @@ EXIT_FAIL = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
 
-class UsageError(Exception):
-    pass
+
+class UsageError(sets.DfcError):
+    """Bad command line; main reports it with exit 64."""
 
 
 class _Parser(argparse.ArgumentParser):

@@ -77,9 +77,9 @@ def lower_model(form: Formulation, mode: str = "plus") -> ModelIR:
     if mode not in ("plus", "lifted"):
         raise ValueError("mode must be 'plus' or 'lifted'")
     variables = list(form.variables)
-    atoms, prov = [], []
+    atoms = []
     if mode == "plus":
-        atoms, prov = list(form.atoms), list(form.provenance)
+        atoms = list(form.atoms)
     else:
         taken = {v.name for v in variables}
         counter = 0
@@ -93,30 +93,26 @@ def lower_model(form: Formulation, mode: str = "plus") -> ModelIR:
                     taken.add(nm)
                     return nm
 
-        for atom, label in zip(form.atoms, form.provenance):
+        for atom in form.atoms:
             if not (isinstance(atom, GaugePlus) and atom.positive_part):
                 atoms.append(atom)
-                prov.append(label)
                 continue
             new_terms = []
             for d, expr in atom.terms:
                 z = fresh()
                 variables.append(Variable(z, "continuous"))
                 atoms.append(Linear(expr - Aff.var(z)))
-                prov.append(label)
                 atoms.append(Linear(Aff.var(z).scaled(-1.0)))
-                prov.append(label)
                 new_terms.append((d, Aff.var(z)))
             atoms.append(
                 GaugePlus(atom.set_ref, tuple(new_terms), atom.rhs, positive_part=False)
             )
-            prov.append(label)
     return ModelIR(
         form.name,
         mode,
         tuple(variables),
         tuple(atoms),
-        tuple(prov),
+        (form.label,) * len(atoms),
         form.x_names,
         form.y_names,
         form.sets,

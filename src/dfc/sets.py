@@ -15,10 +15,11 @@ intersections).  Every variant supports the same oracle surface:
     find_point(S)              some point of S, None when S is empty
     validate_family(...)       shared-dimension / shared-recession report
 
-Oracles are pure functions of the expression; nothing here mutates state, so
-they are safe to call from worker threads.  Variants without a closed form
-fall back to a cutting-plane optimizer (see analysis.py); those imports stay
-inside function bodies to keep this module importable on its own.
+Oracles are pure functions of the expression.  dfc starts no threads: the
+--jobs workers are forked processes, each with its own copy of the template
+memo of the optimizer fallbacks.  Variants without a closed form fall back
+to a cutting-plane optimizer (see analysis.py); those imports stay inside
+function bodies to keep this module importable on its own.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ MEMBERSHIP_TOL = 1e-7
 FEASIBILITY_TOL = 1e-8
 SUPPORT_EQ_TOL = 1e-6
 RAY_CAP = 1e6
+FAMILY_PROBES = 64  # directions of the shared-recession probe of validate_family
+FAMILY_SEED = 20240
 
 Vec = "tuple[float, ...]"
 
@@ -859,8 +862,6 @@ class FamilyReport:
 def validate_family(
     sets: "list[SetExpr] | tuple[SetExpr, ...]",
     base_points=None,
-    probes: int = 64,
-    seed: int = 20240,
 ) -> FamilyReport:
     """Check shared dimension, nonemptiness, base membership, shared recession.
 
@@ -885,14 +886,14 @@ def validate_family(
                 return FamilyReport(
                     "fail", _vec(b), f"base point {idx} lies outside member {idx}"
                 )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(FAMILY_SEED)
     dirs = [np.eye(n)[j] * sgn for j in range(n) for sgn in (1.0, -1.0)]
-    while len(dirs) < probes:
+    while len(dirs) < FAMILY_PROBES:
         d = rng.normal(size=n)
         nm = float(np.linalg.norm(d))
         if nm > 1e-9:
             dirs.append(d / nm)
-    for d in dirs[:probes]:
+    for d in dirs[:FAMILY_PROBES]:
         flags = [recession_contains(S, d) for S in members]
         if any(flags) and not all(flags):
             return FamilyReport(

@@ -161,9 +161,9 @@ def test_enumerate_vertices_empty_region():
 
 
 def test_enumerate_vertices_caps():
-    with pytest.raises(ValueError):
+    with pytest.raises(analysis.ExactModeUnavailable):
         analysis.enumerate_vertices(np.eye(65), np.ones(65))
-    with pytest.raises(ValueError):
+    with pytest.raises(analysis.ExactModeUnavailable):
         analysis.enumerate_vertices(np.eye(11), np.ones(11))
 
 
@@ -364,7 +364,7 @@ def tight_assignment_form():
         "tight",
         variables,
         atoms,
-        ("test", "test"),
+        "test",
         POINT_SETS,
         ("x0",),
         ("y0", "y1"),
@@ -394,7 +394,7 @@ def loose_bigm_form():
         "loose",
         variables,
         atoms,
-        ("test",) * 5,
+        "test",
         POINT_SETS,
         ("x0",),
         ("y0", "y1"),
@@ -444,13 +444,32 @@ def test_check_ideal_mode_validation():
         "soc",
         (builders.Variable("x0", "continuous", -1.0, 1.0),),
         (SOC((Aff.var("x0"),), Aff.const_of(1.0)),),
-        ("test",),
+        "test",
         (sets.box([-1.0], [1.0]),),
         ("x0",),
         (),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(analysis.ExactModeUnavailable):
         analysis.check_ideal(soc_form, mode="exact")
+
+
+def test_auto_ideal_falls_back_only_when_exact_mode_is_unavailable(monkeypatch):
+    form = loose_bigm_form()
+
+    def capped(*args):
+        raise analysis.ExactModeUnavailable("vertex enumeration capped")
+
+    monkeypatch.setattr(analysis, "enumerate_vertices", capped)
+    sampled = analysis.check_ideal(form, count=40, seed=SEED)
+    assert "exact vertex enumeration" not in sampled.notes
+    assert sampled.verdict == "fail"
+
+    def broken(*args):
+        raise ValueError("a defect in the exact path")
+
+    monkeypatch.setattr(analysis, "enumerate_vertices", broken)
+    with pytest.raises(ValueError, match="a defect in the exact path"):
+        analysis.check_ideal(form, count=40, seed=SEED)
 
 
 def test_parallel_jobs_merge_identically():

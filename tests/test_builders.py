@@ -65,8 +65,7 @@ def test_catalog_structure_frozen():
         assert kind_histogram(form) == kinds, where
         assert len(form.variables) == n_vars, where
         assert form.dedup_removed == removed, where
-        assert len(form.provenance) == len(form.atoms), where
-        assert set(form.provenance) == {LABELS[name][variant]}, where
+        assert form.label == LABELS[name][variant], where
 
 
 def simplex_row_present(form):
@@ -285,7 +284,7 @@ def test_orthogonal_projection_form():
     assert len(gp) == 2
     assert all(not a.positive_part for a in gp)
     assert len(gp[0].terms) == 1 and len(gp[1].terms) == 1
-    assert set(form.provenance) == {"orthogonalplusprojcone"}
+    assert form.label == "orthogonalplusprojcone"
     assert simplex_row_present(form)
 
 
@@ -499,22 +498,17 @@ def test_dedup_collapses_scaled_and_sign_flipped_rows():
     a2 = Linear(Aff.of({"x0": 2.0}, -2.0))
     a3 = Linear(Aff.of({"x0": -1.0}, 1.0), "eq")
     a4 = Linear(Aff.of({"x0": 1.0}, -1.0), "eq")
-    atoms, prov, removed = builders.dedup_atoms(
-        [a1, a2, a3, a4, a1], ["p1", "p2", "p3", "p4", "p5"]
-    )
-    assert [type(a) for a in atoms] == [Linear, Linear]
+    atoms, removed = builders.dedup_atoms([a1, a2, a3, a4, a1])
+    assert atoms == (a1, a3)
     assert removed == 3
-    assert prov == ("p1", "p3")
-    assert atoms[0].relation == "le" and atoms[1].relation == "eq"
 
 
 def test_dedup_keeps_distinct_nonlinear_atoms():
     s1 = SOC((Aff.var("x0"),), Aff.const_of(1.0))
     s2 = SOC((Aff.var("x0"),), Aff.const_of(2.0))
-    atoms, prov, removed = builders.dedup_atoms([s1, s2, s1], ["a", "b", "c"])
-    assert len(atoms) == 2
+    atoms, removed = builders.dedup_atoms([s1, s2, s1])
+    assert atoms == (s1, s2)
     assert removed == 1
-    assert prov == ("a", "b")
 
 
 def test_extended_copies_sum_to_x():

@@ -4,9 +4,11 @@ Runs main() in process and checks the declared `dfc` entry point end to end
 in a separate process.
 """
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -462,6 +464,19 @@ def test_importing_the_cli_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_every_dfc_exception_is_a_dfc_error():
+    defined = [
+        cls
+        for info in pkgutil.iter_modules(dfc.__path__)
+        for cls in vars(importlib.import_module(f"dfc.{info.name}")).values()
+        if isinstance(cls, type)
+        and issubclass(cls, BaseException)
+        and cls.__module__ == f"dfc.{info.name}"
+    ]
+    assert "UsageError" in {cls.__name__ for cls in defined}
+    assert [cls for cls in defined if not issubclass(cls, sets.DfcError)] == []
 
 
 def test_analyze_stalled_oracle_exits_with_error(tmp_path, capsys, monkeypatch):
