@@ -43,15 +43,19 @@ gives the verdict.  Sampled checks return "not-refuted" rather than
 not counted, and leaves the verdict "inconclusive" unless another fails.
 Every report records the seed, direction count, tolerance and reproducible
 witnesses, and multi-process runs merge results by sample index so the
-output is identical at any job count.
+output is identical at any job count.  Every seeded direction in the
+package, the builder, family and cone-sum probes included, comes from
+sample_directions, which draws from a stdlib random.Random.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import pickle
+import random
 import signal
 import time
 from dataclasses import asdict, dataclass, replace
@@ -79,6 +83,11 @@ TEMPLATE_CACHE_SIZE = 256  # compiled set templates kept per process
 class ExactModeUnavailable(sets.DfcError, ValueError):
     """The exact ideal check cannot run: the formulation is not purely
     linear, or its vertex enumeration is over the caps."""
+
+
+class FormulationShapeError(sets.DfcError, ValueError):
+    """A sampled sharp, ideal or minkowski check needs one y variable per
+    set of the formulation, since its bounds pair y_i with set i."""
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +573,19 @@ def sample_directions(
 ) -> np.ndarray:
     """Deterministic unit directions: an angle grid in the plane, a Fibonacci
     sphere in dimension three, normalized Gaussians beyond.  With axes_first
-    the signed coordinate axes occupy the first 2*dim slots of the budget."""
-    rng = np.random.default_rng(seed)
+    the signed coordinate axes occupy the first 2*dim slots of the budget.
+
+    The seed, a non-negative integer, drives a stdlib random.Random: one
+    uniform draw for the plane's grid offset or the sphere's phase, and
+    gauss(0, 1) for each Gaussian coordinate.  Python keeps the stream of
+    random() for a given integer seed across versions, and uniform and gauss
+    are computed from it in pure Python.  A negative seed raises ValueError,
+    because random.Random would seed the same stream as its absolute
+    value."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    rng = random.Random(seed)
     out = []
     if axes_first:
         for j in range(dim):
@@ -594,7 +614,7 @@ def sample_directions(
             out.append(np.array([rad * math.cos(th), rad * math.sin(th), zc]))
     else:
         while len(out) < count:
-            v = rng.normal(size=dim)
+            v = np.array([rng.gauss(0.0, 1.0) for _ in range(dim)])
             nm = float(np.linalg.norm(v))
             if nm > 1e-9:
                 out.append(v / nm)
@@ -967,6 +987,11 @@ def _relaxation_sample(args, idx, d):
 
 
 def _relaxation_check(check, form, dirs, bound, keys, tol, seed, jobs, fixed=None):
+    if len(form.y_names) != len(form.sets):
+        raise FormulationShapeError(
+            f"the {check} check needs one y variable per set; the formulation has "
+            f"{len(form.y_names)} for {len(form.sets)} sets"
+        )
     args = (compile_relaxation(form), form, bound, keys, fixed, tol)
     return _sampled_check(check, dirs, _relaxation_sample, args, tol, seed, jobs)
 

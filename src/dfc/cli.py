@@ -13,7 +13,8 @@ default seed when --seed is not given.  --jobs N splits the directions of
 every sampled check between this process and at most N - 1 forked children
 (in-process where os.fork is missing), with the same report bytes at any job
 count; a child that dies without a result is an error (exit 1).
---directions and --jobs must be at least 1, --tol finite and at least 0.
+--directions and --jobs must be at least 1, --seed (and DFC_SEED) at least
+0, --tol finite and at least 0.
 Each check's default direction count is its function's default.
 """
 
@@ -60,7 +61,7 @@ def _build_parser() -> _Parser:
     a.add_argument("--method", default=None)
     a.add_argument("--check", required=True, choices=tuple(_CHECKS))
     a.add_argument("--directions", type=count, default=None)
-    a.add_argument("--seed", type=int, default=None)
+    a.add_argument("--seed", type=_seed_value, default=None)
     a.add_argument("--tol", type=tol, default=None)
     a.add_argument("--jobs", type=count, default=1)
     a.add_argument("--out", default=None, help="report JSON path")
@@ -92,15 +93,18 @@ def _flag(convert, ok, expected: str):
     return parse
 
 
+_seed_value = _flag(int, lambda v: v >= 0, "an integer >= 0")
+
+
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("DFC_SEED")
     if env:
         try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"DFC_SEED must be an integer, got {env!r}") from None
+            return _seed_value(env)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"DFC_SEED: {exc}") from None
     return analysis.DEFAULT_SEED
 
 

@@ -574,9 +574,9 @@ def _probe_cone_sum_condition(C: SetExpr, basis: SignedBasis, probes: int, seed:
     a.x <= b of a polyhedral part of C holds when h_{C cap K}(P_j a) <= b.  A
     curved part L holds when -s_j v_j is in its recession cone, since
     P_j p = p - z_j s_j v_j.  Only when that fails are exposed points of
-    C cap K along ``probes`` seeded random directions projected and tested,
-    which can refute the condition but not prove it.  A stalled oracle raises
-    ArithmeticError.
+    C cap K along ``probes`` seeded directions (analysis.sample_directions)
+    projected and tested, which can refute the condition but not prove it.
+    A stalled oracle raises ArithmeticError.
     """
     n = C.dim
     V = _arr(basis.V)
@@ -630,13 +630,10 @@ def _probe_cone_sum_condition(C: SetExpr, basis: SignedBasis, probes: int, seed:
     ]
     if not pending:
         return
-    rng = np.random.default_rng(seed)
-    for _ in range(probes):
-        u = rng.normal(size=n)
-        nu = float(np.linalg.norm(u))
-        if nu < 1e-9:
-            continue
-        p = sets.exposed_point(CK, u / nu)
+    from . import analysis
+
+    for u in analysis.sample_directions(n, probes, seed):
+        p = sets.exposed_point(CK, u)
         for j, L in pending:
             if not sets.contains(L, proj[j] @ p, 1e-6):
                 raise escape(j, p)

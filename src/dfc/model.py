@@ -17,8 +17,8 @@ instance's method), plus the instance's options block.  A record lists its
 fields as (JSON key, attribute, kind[, default]) and names the validating
 constructor; one encoder and one decoder walk the table, and a malformed
 document raises SchemaError at the offending JSON path.  The options block
-takes directions (a positive integer), seed (an integer) and tol (a finite
-nonnegative number), each optional; any other key is rejected.
+takes directions (a positive integer), seed (a non-negative integer) and tol
+(a finite nonnegative number), each optional; any other key is rejected.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import builders, sets
 from .builders import Formulation, ProblemSpec, Variable
@@ -247,6 +247,7 @@ _MAT = _list(_VEC, "expected an array of arrays")
 _BOOL = _check(lambda v: isinstance(v, bool), "expected a boolean")
 _INT = _check(_is_int, "expected an integer")
 _POSINT = _check(lambda v: _is_int(v) and v >= 1, "expected a positive integer")
+_NATINT = _check(lambda v: _is_int(v) and v >= 0, "expected a non-negative integer")
 _INTS = _array_of(_is_int, "expected an array of integers")
 _INT_MAT = _list(_INTS, "expected an array of arrays")
 _NAME = _Kind(_same, lambda node, path: node)
@@ -480,7 +481,7 @@ _METHODS = tuple(_PARAMS)
 _OPTIONS = _Record(
     dict,
     ("directions", "directions", _or(_POSINT, None), None),
-    ("seed", "seed", _or(_INT, None), None),
+    ("seed", "seed", _or(_NATINT, None), None),
     ("tol", "tol", _or(_Kind(_num, _read_tol), None), None),
     build=lambda **opts: {k: v for k, v in opts.items() if v is not None},
 )

@@ -886,14 +886,9 @@ def validate_family(
                 return FamilyReport(
                     "fail", _vec(b), f"base point {idx} lies outside member {idx}"
                 )
-    rng = np.random.default_rng(FAMILY_SEED)
-    dirs = [np.eye(n)[j] * sgn for j in range(n) for sgn in (1.0, -1.0)]
-    while len(dirs) < FAMILY_PROBES:
-        d = rng.normal(size=n)
-        nm = float(np.linalg.norm(d))
-        if nm > 1e-9:
-            dirs.append(d / nm)
-    for d in dirs[:FAMILY_PROBES]:
+    from . import analysis
+
+    for d in analysis.sample_directions(n, FAMILY_PROBES, FAMILY_SEED, axes_first=True):
         flags = [recession_contains(S, d) for S in members]
         if any(flags) and not all(flags):
             return FamilyReport(

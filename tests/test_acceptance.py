@@ -91,8 +91,8 @@ def test_criterion_2_loose_relaxation_witness(capsys):
             assert rep.verdict == "fail"
             assert rep.margin >= 1e-3
             assert rep.witnesses and len(rep.witnesses[0]["direction"]) >= 2
-        assert sharp.margin == pytest.approx(0.03660598425359174, abs=1e-9)
-        assert ideal.margin == pytest.approx(0.041161469165767794, abs=1e-9)
+        assert sharp.margin == pytest.approx(0.03521975903164942, abs=1e-9)
+        assert ideal.margin == pytest.approx(0.04203570752340546, abs=1e-9)
 
 
 def test_criterion_3_extended_formulation_strength(capsys):

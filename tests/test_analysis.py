@@ -342,6 +342,35 @@ def test_sample_directions_axes_first():
     assert d.shape == (40, 3)
 
 
+def test_sample_directions_pin_the_stream():
+    """The rows random.Random(20240) gives in five dimensions (Gaussians),
+    the plane (grid offset) and three dimensions (sphere phase).  A change of
+    generator or of the order of its draws fails here, by name, before it
+    moves every golden report."""
+    want = {
+        (5, 3): [
+            [-0.5317479663856045, -0.5782252063928978, 0.16029103372266676,
+             -0.35629197448011124, -0.47985677484625283],
+            [-0.48890766732079644, 0.14719926989422666, -0.8323904773399751,
+             -0.1998008589952795, 0.08066831940744162],
+            [0.06841615608658753, -0.6140579380599431, 0.0672301066207876,
+             0.47151899438115813, 0.62562131436952],
+        ],
+        (2, 4): [[0.5468411620915178, 0.8372363725032486]],
+        (3, 4): [[-0.44773082093916994, -0.48686457252621806, 0.75]],
+    }
+    for (dim, count), rows in want.items():
+        got = analysis.sample_directions(dim, count, SEED)
+        np.testing.assert_allclose(got[: len(rows)], rows, rtol=0, atol=1e-15)
+
+
+def test_sample_directions_reject_a_negative_seed():
+    """random.Random(-s) seeds the stream of s, so a negative seed is refused."""
+    with pytest.raises(ValueError, match="non-negative"):
+        analysis.sample_directions(2, 4, -1)
+    assert analysis.sample_directions(2, 4, 0).shape == (4, 2)
+
+
 # ---------------------------------------------------------------------------
 # hand-built formulations with paper-derivable verdicts
 # ---------------------------------------------------------------------------
@@ -436,11 +465,9 @@ def test_loose_form_fails_with_exact_margins():
     assert mink.margin == pytest.approx(0.5, abs=1e-6)
 
 
-def test_check_ideal_mode_validation():
-    form = tight_assignment_form()
-    with pytest.raises(ValueError):
-        analysis.check_ideal(form, mode="quick")
-    soc_form = builders.Formulation(
+def one_set_soc_form():
+    """One set and no y variable: not a formulation any builder makes."""
+    return builders.Formulation(
         "soc",
         (builders.Variable("x0", "continuous", -1.0, 1.0),),
         (SOC((Aff.var("x0"),), Aff.const_of(1.0)),),
@@ -449,8 +476,33 @@ def test_check_ideal_mode_validation():
         ("x0",),
         (),
     )
+
+
+def test_check_ideal_mode_validation():
+    form = tight_assignment_form()
+    with pytest.raises(ValueError):
+        analysis.check_ideal(form, mode="quick")
     with pytest.raises(analysis.ExactModeUnavailable):
-        analysis.check_ideal(soc_form, mode="exact")
+        analysis.check_ideal(one_set_soc_form(), mode="exact")
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda form: analysis.check_ideal(form, count=8),
+        lambda form: analysis.check_ideal(form, count=8, mode="sampled"),
+        lambda form: analysis.check_sharp(form, count=8),
+        lambda form: analysis.check_minkowski_ideal(form, count=8),
+    ],
+    ids=["ideal-auto", "ideal-sampled", "sharp", "minkowski"],
+)
+def test_sampled_relaxation_checks_need_one_y_per_set(check):
+    """The bounds pair y_i with set i, so a form with fewer y variables than
+    sets is refused up front, not with an IndexError mid-sample."""
+    with pytest.raises(analysis.FormulationShapeError, match="one y variable per set") as err:
+        check(one_set_soc_form())
+    assert isinstance(err.value, sets.DfcError)
+    assert isinstance(err.value, ValueError)
 
 
 def test_auto_ideal_falls_back_only_when_exact_mode_is_unavailable(monkeypatch):
@@ -561,16 +613,16 @@ MIXED_COVER_REPORT = {
     "seed": SEED,
     "directions": 12,
     "samples": 12,
-    "margin": 0.29218192902430096,
+    "margin": 0.2926046540448931,
     "witnesses": [
-        _cover_witness(0, [0.988219599767768, 0.15304255171302], [1.0, 1.0]),
-        _cover_witness(1, [0.7793020020600677, 0.626648537527353], [1.0, 1.0]),
-        _cover_witness(2, [0.3615710622404152, 0.9323445537730876], [1.0, 1.0]),
-        _cover_witness(3, [-0.1530425517130199, 0.9882195997677681], [0.0, 1.0]),
-        _cover_witness(4, [-0.6266485375273527, 0.7793020020600678], [0.0, 1.0]),
-        _cover_witness(5, [-0.9323445537730877, 0.361571062240415], [0.0, 1.0]),
-        _cover_witness(9, [0.15304255171301978, -0.9882195997677681], [1.0, 0.0]),
-        _cover_witness(10, [0.6266485375273531, -0.7793020020600676], [1.0, 0.0]),
+        _cover_witness(0, [0.9458034084267064, 0.3247397613604236], [1.0, 1.0]),
+        _cover_witness(1, [0.6567198980032249, 0.7541345871703762], [1.0, 1.0]),
+        _cover_witness(2, [0.19166882125633014, 0.9814596593636485], [1.0, 1.0]),
+        _cover_witness(3, [-0.3247397613604236, 0.9458034084267064], [0.0, 1.0]),
+        _cover_witness(4, [-0.7541345871703762, 0.656719898003225], [0.0, 1.0]),
+        _cover_witness(5, [-0.9814596593636485, 0.19166882125632997], [0.0, 1.0]),
+        _cover_witness(9, [0.3247397613604231, -0.9458034084267065], [1.0, 0.0]),
+        _cover_witness(10, [0.7541345871703761, -0.6567198980032252], [1.0, 0.0]),
     ],
     "notes": [],
 }

@@ -215,9 +215,10 @@ def test_analyze_seed_sources(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("DFC_SEED")
     assert main(args) == 0
     assert f"seed {SEED}" in capsys.readouterr().out
-    monkeypatch.setenv("DFC_SEED", "ten")
-    assert main(args) == 64
-    capsys.readouterr()
+    for bad in ("ten", "-1"):
+        monkeypatch.setenv("DFC_SEED", bad)
+        assert main(args) == 64
+        assert capsys.readouterr().err == f"usage error: DFC_SEED: expected an integer >= 0, got {bad!r}\n"
 
 
 def test_analyze_instance_options_supply_defaults(tmp_path, capsys):
@@ -242,6 +243,7 @@ def test_analyze_instance_options_supply_defaults(tmp_path, capsys):
         ({"tol": "nan"}, "$.options.tol"),
         ({"tol": "inf"}, "$.options.tol"),
         ({"tol": -1.0}, "$.options.tol"),
+        ({"seed": -1}, "$.options.seed"),
     ],
 )
 def test_malformed_instance_options_exit_1(tmp_path, capsys, options, where):
@@ -303,11 +305,13 @@ def test_analyze_usage_and_error_paths(tmp_path, capsys):
         ("--tol", "-1"),
         ("--tol", "nan"),
         ("--tol", "inf"),
+        ("--seed", "-1"),
     ],
 )
 def test_analyze_rejects_bad_counts_and_tolerances(tmp_path, capsys, flag, value):
-    """A count below 1 is not read as "left out", and a negative or
-    non-finite tolerance would turn verdicts around: each is a usage error."""
+    """A count below 1 is not read as "left out", a negative seed would seed
+    the stream of its absolute value, and a negative or non-finite tolerance
+    would turn verdicts around: each is a usage error."""
     inst = write_instance(tmp_path, "ex1", "extended")
     assert main(["analyze", "--instance", str(inst), "--check", "sharp", flag, value]) == 64
     err = capsys.readouterr().err
@@ -317,9 +321,9 @@ def test_analyze_rejects_bad_counts_and_tolerances(tmp_path, capsys, flag, value
 
 def test_analyze_accepts_the_smallest_counts_and_tolerance(tmp_path, capsys):
     inst = write_instance(tmp_path, "ex4", "augmented")
-    args = ["--directions", "1", "--jobs", "1", "--tol", "0"]
+    args = ["--directions", "1", "--jobs", "1", "--tol", "0", "--seed", "0"]
     assert main(["analyze", "--instance", str(inst), "--check", "bbj", *args]) == 0
-    assert "bbj: not-refuted (1 samples" in capsys.readouterr().out
+    assert "bbj: not-refuted (1 samples, seed 0)" in capsys.readouterr().out
 
 
 @pytest.fixture
@@ -449,6 +453,37 @@ def test_analyze_failure_of_its_own_chunk_kills_the_workers(tmp_path, capsys, mo
     assert rc == 1
     assert "error: basis condition subproblem stalled at sample 0" in capsys.readouterr().err
     assert_no_child_left()
+
+
+def test_sampled_commands_never_import_numpy_random(tmp_path):
+    """Sampled directions come from the stdlib random.Random, so no sampled
+    analyze and no probing build loads numpy.random, an import that would
+    cost each such command about 12 ms.  The test process has numpy.random
+    loaded already, so a fresh interpreter runs the commands."""
+    ex1 = str(write_instance(tmp_path, "ex1", "bigm"))
+    ex3 = str(write_instance(tmp_path, "ex3", "default"))
+    ex4 = str(write_instance(tmp_path, "ex4", "augmented"))
+    runs = [
+        ["analyze", "--instance", inst, "--check", check, "--directions", "8"]
+        for inst, check in ((ex1, "sharp"), (ex1, "ideal"), (ex3, "par"), (ex4, "bbj"))
+    ] + [["build", "--instance", ex1, "--out", str(tmp_path / "ex1_bigm.model.json")]]
+    package_root = str(Path(dfc.__file__).resolve().parents[1])
+    pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    code = (
+        "import json, sys\n"
+        "from dfc.cli import main\n"
+        "codes = [main(args) for args in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(" (8 samples, seed 20240") == 4
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert set(codes) <= {0, 2} and codes[-1] == 0
+    assert not loaded
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -383,7 +383,7 @@ def options_doc(options):
 @pytest.mark.parametrize(
     "options,expected",
     [
-        ({"directions": 40, "seed": -3, "tol": 1e-7}, {"directions": 40, "seed": -3, "tol": 1e-7}),
+        ({"directions": 40, "seed": 3, "tol": 1e-7}, {"directions": 40, "seed": 3, "tol": 1e-7}),
         ({"tol": {"dec": "0.5"}}, {"tol": 0.5}),
         ({"tol": 0}, {"tol": 0.0}),
         ({"directions": None, "seed": 0}, {"seed": 0}),
@@ -414,6 +414,7 @@ def test_options_block_is_read_with_the_instance(options, expected):
         ({"check": "ideal"}, "$.options"),
         ({"verbosity": 3}, "$.options"),
         (5, "$.options"),
+        ({"seed": -3}, "$.options.seed"),
     ],
 )
 def test_options_block_errors_name_the_path(options, path):
