@@ -218,7 +218,8 @@ def test_analyze_seed_sources(tmp_path, capsys, monkeypatch):
     for bad in ("ten", "-1"):
         monkeypatch.setenv("DFC_SEED", bad)
         assert main(args) == 64
-        assert capsys.readouterr().err == f"usage error: DFC_SEED: expected an integer >= 0, got {bad!r}\n"
+        err = capsys.readouterr().err
+        assert err == f"usage error: DFC_SEED: expected an integer >= 0, got {bad!r}\n"
 
 
 def test_analyze_instance_options_supply_defaults(tmp_path, capsys):
@@ -464,7 +465,7 @@ def test_sampled_commands_never_import_numpy_random(tmp_path):
     ex3 = str(write_instance(tmp_path, "ex3", "default"))
     ex4 = str(write_instance(tmp_path, "ex4", "augmented"))
     runs = [
-        ["analyze", "--instance", inst, "--check", check, "--directions", "8"]
+        ["analyze", "--instance", inst, "--check", check, "--directions", "8", "--seed", "7"]
         for inst, check in ((ex1, "sharp"), (ex1, "ideal"), (ex3, "par"), (ex4, "bbj"))
     ] + [["build", "--instance", ex1, "--out", str(tmp_path / "ex1_bigm.model.json")]]
     package_root = str(Path(dfc.__file__).resolve().parents[1])
@@ -480,7 +481,7 @@ def test_sampled_commands_never_import_numpy_random(tmp_path):
         timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count(" (8 samples, seed 20240") == 4
+    assert proc.stdout.count(" (8 samples, seed 7") == 4
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert set(codes) <= {0, 2} and codes[-1] == 0
     assert not loaded
