@@ -750,7 +750,7 @@ def enumerate_vertices(G, h, A_eq=None, b_eq=None) -> VertexSet:
 @dataclass
 class AnalysisReport:
     check: str
-    verdict: str  # pass | fail | not-refuted
+    verdict: str  # pass | fail | not-refuted | inconclusive
     tolerance: float
     seed: int | None = None
     directions: int | None = None
@@ -930,29 +930,22 @@ def _sampled_check(check, dirs, evaluate, args, tol, seed, jobs, notes=()) -> An
 # ---------------------------------------------------------------------------
 
 
-def _union_support(form, d: np.ndarray) -> float:
-    u = d[: len(form.x_names)]
-    return _max_support(form.sets, u, [0.0] * len(form.sets))
-
-
 def _embedded_support(form, d: np.ndarray) -> float:
-    n = len(form.x_names)
-    u, v = d[:n], d[n:]
-    return _max_support(form.sets, u, [float(c) for c in v])
-
-
-def _max_support(pieces, u: np.ndarray, shifts: list[float]) -> float:
-    """max_i (h_i(u) + shifts[i]) as a running max: closed-form pieces
-    first, then the rest in order, each with the running max as its floor,
-    so a cut loop stops as soon as its piece cannot win.  Exact: a piece
-    stopped early comes back as -inf and leaves the max as it is."""
+    """max_i (h_i(u) + v_i) for d = (u, v), with v = 0 when d has no y part
+    (the union's support), as a running max: closed-form pieces first, then
+    the rest in order, each with the running max as its floor, so a cut loop
+    stops as soon as its piece cannot win.  Exact: a piece stopped early
+    comes back as -inf and leaves the max as it is."""
+    n, pieces = len(form.x_names), form.sets
+    u = d[:n]
+    v = d[n:] if len(d) > n else np.zeros(len(pieces))
     order = sorted(range(len(pieces)), key=lambda i: not sets.has_closed_form_support(pieces[i]))
     best = -math.inf
     for i in order:
         if best == math.inf:
             break
-        floor = sets.shifted_floor(best, shifts[i])
-        best = max(best, sets.support(pieces[i], u, floor) + shifts[i])
+        floor = sets.shifted_floor(best, float(v[i]))
+        best = max(best, sets.support(pieces[i], u, floor) + float(v[i]))
     return best
 
 
@@ -1006,7 +999,7 @@ def check_sharp(
     """Projected support equality along sampled x-space directions."""
     dirs = sample_directions(len(form.x_names), count, seed)
     keys = ("relaxation_value", "union_support")
-    return _relaxation_check("sharp", form, dirs, _union_support, keys, tol, seed, jobs)
+    return _relaxation_check("sharp", form, dirs, _embedded_support, keys, tol, seed, jobs)
 
 
 def _ideal_exact(form, tol: float) -> AnalysisReport:
@@ -1137,7 +1130,11 @@ def _cover_sample(args, idx: int, u: np.ndarray):
     disjuncts, covers, tol = args
     try:
         found = [((0, idx), w) for w in _membership_witnesses(disjuncts, covers, idx, u)]
-        gap = _best_cover_gap(disjuncts, covers, u)
+        base_sup = [sets.support(C, u) for C in disjuncts]
+        gap = math.inf  # the best family's worst gap
+        for fam in covers:
+            pairs = ((s0, sets.support(fam[i], u)) for i, s0 in enumerate(base_sup))
+            gap = min(gap, _worst_gap(pairs))
     except ArithmeticError:
         return None
     if gap > tol:
@@ -1170,22 +1167,18 @@ def _membership_witnesses(disjuncts, covers, idx: int, u: np.ndarray) -> list[di
     return out
 
 
-def _best_cover_gap(disjuncts, covers, u: np.ndarray) -> float:
-    """Smallest, over cover families, of the worst relative support gap."""
-    base_sup = [sets.support(C, u) for C in disjuncts]
-    best_gap = math.inf
-    for fam in covers:
-        gap = 0.0
-        for i in range(len(disjuncts)):
-            s0, s1 = base_sup[i], sets.support(fam[i], u)
-            if math.isinf(s0) and math.isinf(s1):
-                continue
-            if math.isinf(s0) or math.isinf(s1):
-                gap = math.inf
-                break
-            gap = max(gap, abs(s1 - s0) / (1.0 + abs(s0)))
-        best_gap = min(best_gap, gap)
-    return best_gap
+def _worst_gap(pairs) -> float:
+    """The largest relative gap |value - ref| / (1 + |ref|) over (ref, value)
+    pairs, read lazily: +inf at the first pair with one side infinite, and
+    pairs with both sides infinite are skipped."""
+    worst = 0.0
+    for ref, value in pairs:
+        if math.isinf(ref) or math.isinf(value):
+            if math.isinf(ref) != math.isinf(value):
+                return math.inf
+            continue
+        worst = max(worst, abs(value - ref) / (1.0 + abs(ref)))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -1242,33 +1235,17 @@ def _basis_sample(args, idx: int, c: np.ndarray):
     with the smallest worst relative gap as the margin term."""
     A, b_arr, bases, tol = args
     try:
-        matched, best = _basis_match(A, b_arr, bases, c, tol)
+        full = [_polyhedron_max(A, b, c) for b in b_arr]
+        best = math.inf
+        for B in bases:
+            rows = list(B)
+            pairs = ((f, _polyhedron_max(A[rows], b[rows], c)) for f, b in zip(full, b_arr))
+            worst = _worst_gap(pairs)
+            best = min(best, worst)
+            if worst <= tol:
+                return 0.0, []
     except ArithmeticError:
         return None
-    if matched:
-        return 0.0, []
     witness = {"sample": idx, "direction": _vec_list(c)}
     witness["best_gap"] = float(best) if math.isfinite(best) else "inf"
     return (best if math.isfinite(best) else 0.0), [(idx, witness)]
-
-
-def _basis_match(A, b_arr, bases, c, tol) -> tuple[bool, float]:
-    """Whether some basis reproduces every disjunct's optimum along c, and
-    the smallest worst relative gap over the bases tried."""
-    full = [_polyhedron_max(A, b, c) for b in b_arr]
-    best = math.inf
-    for B in bases:
-        rowsB = list(B)
-        worst = 0.0
-        for i, b in enumerate(b_arr):
-            sub = _polyhedron_max(A[rowsB], b[rowsB], c)
-            if math.isinf(full[i]) and math.isinf(sub):
-                continue
-            if math.isinf(full[i]) != math.isinf(sub):
-                worst = math.inf
-                break
-            worst = max(worst, abs(sub - full[i]) / (1.0 + abs(full[i])))
-        best = min(best, worst)
-        if worst <= tol:
-            return True, best
-    return False, best

@@ -397,24 +397,21 @@ def dedup_atoms(atoms):
 def build_extended(spec: ProblemSpec) -> Formulation:
     """One homogenized copy of x per disjunct, tied by a linking row.
 
-    Copy i must lie in y_i times the (base-shifted) disjunct; the copies sum
-    to the shared x and the indicators sum to one.
+    Copy i must lie in y_i times the disjunct itself, the closed perspective
+    of S_i at (x_i, y_i); the copies sum to the shared x and the indicators
+    sum to one.  The base points are checked but do not enter the model.
     """
     _require_bases(spec)
     n, k = spec.dim, spec.k
     gen = NameGen()
     atoms, aux = [], []
     copy_names = []
-    for i, (S, b) in enumerate(zip(spec.sets, spec.base_points)):
+    for i, S in enumerate(spec.sets):
         names = tuple(f"x{i}_{j}" for j in range(n))
         copy_names.append(names)
-        y = Aff.var(f"y{i}")
-        w = tuple(
-            Aff.var(names[j]) + y.scaled(-b[j]) if b[j] else Aff.var(names[j])
-            for j in range(n)
-        )
+        w = tuple(Aff.var(nm) for nm in names)
         block, block_aux = gauge_mod.lower_epigraph(
-            _shifted(S, b), w, y, gen, with_tau_row=False
+            S, w, Aff.var(f"y{i}"), gen, with_tau_row=False
         )
         aux += [*names, *block_aux]
         atoms.extend(block)
@@ -475,6 +472,11 @@ def minimal_bigm(spec: ProblemSpec, i: int, j: int) -> BigMEntry:
     if i == j:
         raise ValueError("activation coefficients are defined for distinct pairs")
     _require_bases(spec)
+    return _pair_bigm(spec, i, j)
+
+
+def _pair_bigm(spec: ProblemSpec, i: int, j: int) -> BigMEntry:
+    """minimal_bigm for a family already validated."""
     Ci, Cj = spec.sets[i], spec.sets[j]
     bi = np.asarray(spec.base_points[i], dtype=float)
     cands, exact = _gauge_sup_candidates(Cj)
@@ -514,7 +516,7 @@ def bigm_table(spec: ProblemSpec) -> BigMTable:
             if i == j:
                 entry = BigMEntry(1.0, True)
             else:
-                entry = minimal_bigm(spec, i, j)
+                entry = _pair_bigm(spec, i, j)
             vr.append(entry.value)
             er.append(entry.exact)
             cr.append(entry.value * half if half is not None else None)
@@ -526,16 +528,16 @@ def bigm_table(spec: ProblemSpec) -> BigMTable:
 
 def build_bigm(spec: ProblemSpec) -> Formulation:
     """Gauge bound per disjunct on the shared x, activated through M."""
-    _require_bases(spec)
     n, k = spec.dim, spec.k
     data = spec.params if isinstance(spec.params, BigMData) else BigMData()
     notes = ()
     if data.M is not None:
+        _require_bases(spec)
         M = [list(row) for row in data.M]
         if len(M) != k or any(len(r) != k for r in M):
             raise MMatrixInvalid("activation matrix must be k by k")
     else:
-        table = bigm_table(spec)
+        table = bigm_table(spec)  # validates the family
         M = [list(row) for row in table.values]
         if not all(all(r) for r in table.exact):
             notes = ("constants-approximate",)
@@ -657,6 +659,17 @@ def _support_const(S: SetExpr, d: np.ndarray, what: str) -> float:
     return val
 
 
+def _activation(x_names, y_names, u: np.ndarray, i: int, base, pieces, what: str) -> Aff:
+    """u.x - sum_l c_l y_l, with c_i = u.base the constant of piece i itself
+    and c_l the support of piece l along u for the others."""
+    expr = combo(x_names, u)
+    for l, S in enumerate(pieces):
+        c = float(u @ base) if l == i else _support_const(S, u, f"piece {l} {what}")
+        if c:
+            expr = expr + Aff.var(y_names[l]).scaled(-c)
+    return expr
+
+
 def _signed_frames(basis, signs, dim: int, flip=None) -> list[SignedBasis]:
     """One validated signed frame per piece (t = flip, or all ones); a frame
     needs dim directions of length dim and dim signs."""
@@ -732,14 +745,7 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
                 if s[j] == 0 or s[j] * data.flip[j] != -1:
                     continue
                 u = s[j] * V[j]
-                expr = combo(x_names, u)
-                for l in range(k):
-                    if l == i:
-                        bl = float(u @ np.asarray(data.base[i]))
-                    else:
-                        bl = _support_const(domains[l], u, f"piece {l} bound")
-                    if bl:
-                        expr = expr + Aff.var(y_names[l]).scaled(-bl)
+                expr = _activation(x_names, y_names, u, i, data.base[i], domains, "bound")
                 terms.append((tuple(map(float, u)), expr))
             if terms:
                 atoms.append(
@@ -815,14 +821,7 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
         levels = []
         for j in range(n):
             u = s[j] * V[j]
-            expr = combo(x_names, u)
-            for l in range(k):
-                if l == i:
-                    bl = float(u @ bi)
-                else:
-                    bl = _support_const(disjuncts[l], u, f"piece {l} activation")
-                if bl:
-                    expr = expr + Aff.var(y_names[l]).scaled(-bl)
+            expr = _activation(x_names, y_names, u, i, bi, disjuncts, "activation")
             terms.append((tuple(map(float, u)), expr))
             levels.append(
                 _support_const(disjuncts[i], u, f"piece {i} level") - float(u @ bi)

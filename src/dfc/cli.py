@@ -96,9 +96,8 @@ def _flag(convert, ok, expected: str):
 _seed_value = _flag(int, lambda v: v >= 0, "an integer >= 0")
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
+def _seed() -> int:
+    """The seed of DFC_SEED, else the default."""
     env = os.environ.get("DFC_SEED")
     if env:
         try:
@@ -162,7 +161,7 @@ def _cmd_analyze(args) -> int:
     check = args.check
     count = args.directions if args.directions is not None else opts.get("directions")
     seed = args.seed if args.seed is not None else opts.get("seed")
-    seed = seed if seed is not None else _seed(args)
+    seed = seed if seed is not None else _seed()
     tol = args.tol if args.tol is not None else opts.get("tol")
     kw = {key: v for key, v in (("count", count), ("tol", tol)) if v is not None}
     fn, operands = _CHECKS[check]

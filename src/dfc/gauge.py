@@ -96,9 +96,6 @@ class Aff:
     def coeff_map(self) -> dict[str, float]:
         return dict(self.terms)
 
-    def names(self) -> set[str]:
-        return {n for n, _ in self.terms}
-
     def __add__(self, other: "Aff") -> "Aff":
         coeffs = self.coeff_map()
         for n, c in other.terms:
@@ -387,11 +384,11 @@ def _recenter(S: SetExpr, offset: np.ndarray) -> SetExpr:
 
 
 def _level_set_gauge(fn: CatalogFunction, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Gauge of {fn <= 0} at w with subgradient grad(p) / (grad(p).p) at
-    p = w / gauge.  fn.persp_root gives the gauge in an exact form with no
-    bracket, so it scales with w; a few ulps are added where rounding left
-    persp(w, gauge) > 0.  Recession directions give 0, flat ones +inf with a
-    homogeneous valid row a.x <= 0 that w violates.
+    """Gauge of {fn <= 0} at w with subgradient g / (g.p) at p = w / gauge,
+    g the x part of persp_grad(p, 1).  fn.persp_root gives the gauge in an
+    exact form with no bracket, so it scales with w; a few ulps are added
+    where rounding left persp(w, gauge) > 0.  Recession directions give 0,
+    flat ones +inf with a homogeneous valid row a.x <= 0 that w violates.
     """
     gamma = fn.persp_root(w)
     if gamma == 0.0:
@@ -406,7 +403,7 @@ def _level_set_gauge(fn: CatalogFunction, w: np.ndarray) -> tuple[float, np.ndar
         gamma *= 1.0 + 2.0**k
         k += 1
     p = w / gamma
-    u = fn.grad(p)
+    u = fn.persp_grad(p, 1.0)[0]
     up = float(u @ p)
     if up <= 1e-12:
         return gamma, np.zeros(w.shape[0])

@@ -238,7 +238,7 @@ def _read_tol(node, path: str) -> float:
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, int)
+    return isinstance(v, int) and not isinstance(v, bool)  # JSON true is no integer
 
 
 _NUM = _Kind(_num, _read_num)

@@ -39,8 +39,6 @@ RAY_CAP = 1e6
 FAMILY_PROBES = 64  # directions of the shared-recession probe of validate_family
 FAMILY_SEED = 20240
 
-Vec = "tuple[float, ...]"
-
 
 class DfcError(Exception):
     """Root of every exception the dfc package defines."""
@@ -90,21 +88,16 @@ def _arr(t) -> np.ndarray:
 
 
 class CatalogFunction:
-    """Convex function with an explicit perspective closure.
+    """Convex function given by its closed perspective.
 
-    Implementations provide value/subgradient data for both f(x) and the
-    closed perspective t*f(x/t) (with its t -> 0+ limit), plus any linear
+    Implementations provide the value and a subgradient of the closed
+    perspective t*f(x/t) (with its t -> 0+ limit), plus any linear
     inequalities valid for the homogenized epigraph set
-    {(x, t) : t >= 0, persp(x, t) <= 0}.
+    {(x, t) : t >= 0, persp(x, t) <= 0}.  The function itself is the
+    perspective at t = 1: f(x) = persp(x, 1).
     """
 
     dim: int
-
-    def value(self, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def persp_value(self, x: np.ndarray, t: float) -> float:
         raise NotImplementedError
@@ -134,12 +127,6 @@ class AffineFn(CatalogFunction):
     @property
     def dim(self) -> int:
         return len(self.a)
-
-    def value(self, x):
-        return float(_arr(self.a) @ x + self.beta)
-
-    def grad(self, x):
-        return _arr(self.a).copy()
 
     def persp_value(self, x, t):
         return float(_arr(self.a) @ x + self.beta * t)
@@ -175,17 +162,6 @@ class QuadraticPlus(CatalogFunction):
     @property
     def dim(self) -> int:
         return len(self.a)
-
-    def value(self, x):
-        q = float(_arr(self.a) @ x + self.beta)
-        return max(q, 0.0) ** 2 - float(_arr(self.w) @ x)
-
-    def grad(self, x):
-        q = float(_arr(self.a) @ x + self.beta)
-        g = -_arr(self.w).copy()
-        if q > 0.0:
-            g = g + 2.0 * q * _arr(self.a)
-        return g
 
     def persp_value(self, x, t):
         lin = float(_arr(self.w) @ x)
@@ -245,17 +221,6 @@ class GeoMeanDeficit(CatalogFunction):
             return 0.0
         return float(np.exp(np.mean(np.log(f))))
 
-    def value(self, x):
-        factors = self.shift - np.asarray(x, dtype=float)
-        if np.any(factors < 0.0):
-            return math.inf
-        return self.scale - self._geomean(factors)
-
-    def grad(self, x):
-        factors = np.maximum(self.shift - np.asarray(x, dtype=float), 1e-12)
-        p = float(np.exp(np.mean(np.log(factors))))
-        return (p / self.n) / factors
-
     def persp_value(self, x, t):
         factors = self.shift * t - np.asarray(x, dtype=float)
         if np.any(factors < 0.0):
@@ -263,7 +228,7 @@ class GeoMeanDeficit(CatalogFunction):
         return self.scale * t - self._geomean(factors)
 
     def persp_grad(self, x, t):
-        factors = np.maximum(self.shift * t - np.asarray(x, dtype=float), 1e-9)
+        factors = np.maximum(self.shift * t - np.asarray(x, dtype=float), 1e-12)
         p = float(np.exp(np.mean(np.log(factors))))
         gx = (p / self.n) / factors
         gt = self.scale - (self.shift / self.n) * p * float(np.sum(1.0 / factors))
@@ -324,13 +289,6 @@ class MaxOf(CatalogFunction):
     @property
     def dim(self) -> int:
         return self.parts[0].dim
-
-    def value(self, x):
-        return max(p.value(x) for p in self.parts)
-
-    def grad(self, x):
-        best = max(self.parts, key=lambda p: p.value(x))
-        return best.grad(x)
 
     def persp_value(self, x, t):
         return max(p.persp_value(x, t) for p in self.parts)

@@ -762,7 +762,7 @@ def test_basis_condition_cap():
 # the union support bound: a running max that cuts dominated pieces short
 # ---------------------------------------------------------------------------
 
-BOUNDS = {"sharp": analysis._union_support, "ideal": analysis._embedded_support}
+BOUNDS = {"sharp": analysis._embedded_support, "ideal": analysis._embedded_support}
 BOUND_CASES = [
     (name, variant, check)
     for (name, variant), checks in sorted(fixtures.EXPECTED.items())

@@ -12,10 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from dfc import analysis, builders, fixtures, sets
+from dfc import analysis, builders, fixtures, model, sets
 from dfc.gauge import Aff, ConditionViolated, GaugePlus, Linear, SOC
 from oracles import (
     EYE2,
+    bigm_computed_spec,
     homothetic_spec,
     orthogonal_flip_spec,
     orthogonal_projection_spec,
@@ -92,6 +93,18 @@ def test_variable_naming_and_simplex_row():
         assert simplex_row_present(form), f"{name}/{variant}"
 
 
+@pytest.mark.parametrize("mode", ["plus", "lifted"])
+def test_extended_model_does_not_depend_on_base_points(mode):
+    """Each copy is the perspective of its piece itself, so the base points
+    (checked, and inside the pieces) leave the model bytes as they are."""
+    pieces = fixtures.ex1_sets()
+    blobs = set()
+    for base in (((0.0, 0.0), (0.0, 0.0)), ((0.1, 0.2), (0.3, -0.1)), ((-0.5, 0.25), (1.0, 1.0))):
+        form = builders.build(builders.ProblemSpec(pieces, base, "extended", None))
+        blobs.add(model.emit_json(model.lower_model(form, mode)))
+    assert len(blobs) == 1
+
+
 def test_ex7_variants_differ_only_in_positive_part_and_radius():
     plus = builders.build(fixtures.load("ex7", "plus"))
     single = builders.build(fixtures.load("ex7", "single"))
@@ -142,6 +155,19 @@ def test_bigm_builder_notes_approximate_constants():
         builders.ProblemSpec(spec.sets, spec.base_points, "bigm", None)
     )
     assert auto.notes == ("constants-approximate",)
+
+
+def test_bigm_entry_points_validate_the_family_once(monkeypatch):
+    calls = []
+    validate = sets.validate_family
+    monkeypatch.setattr(sets, "validate_family", lambda *a: calls.append(a) or validate(*a))
+    spec = bigm_computed_spec()
+    builders.build_bigm(spec)
+    assert len(calls) == 1
+    builders.bigm_table(spec)
+    assert len(calls) == 2
+    builders.minimal_bigm(spec, 0, 1)
+    assert len(calls) == 3
 
 
 def test_bigm_matrix_validation():

@@ -245,6 +245,9 @@ def test_analyze_instance_options_supply_defaults(tmp_path, capsys):
         ({"tol": "inf"}, "$.options.tol"),
         ({"tol": -1.0}, "$.options.tol"),
         ({"seed": -1}, "$.options.seed"),
+        ({"seed": True}, "$.options.seed"),
+        ({"seed": False}, "$.options.seed"),
+        ({"directions": True}, "$.options.directions"),
     ],
 )
 def test_malformed_instance_options_exit_1(tmp_path, capsys, options, where):

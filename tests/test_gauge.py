@@ -166,6 +166,28 @@ LEVEL_FNS = {
 }
 
 
+@pytest.mark.parametrize("name", sorted(LEVEL_FNS))
+def test_persp_grad_at_one_is_a_subgradient_of_the_function(name):
+    """f = persp(., 1), and the x part of persp_grad(x, 1), which the
+    level-set normal reads, satisfies f(y) >= f(x) + g.(y - x)."""
+    fn = LEVEL_FNS[name]
+    rng = np.random.default_rng(SEED)
+    for _ in range(CASES):
+        x, y = rng.uniform(-2.0, 1.9, (2, fn.dim))  # inside every domain
+        fx, fy = fn.persp_value(x, 1.0), fn.persp_value(y, 1.0)
+        lin = float(fn.persp_grad(x, 1.0)[0] @ (y - x))
+        assert fy >= fx + lin - 1e-12 * (1.0 + abs(fx) + abs(fy) + abs(lin)), (x, y)
+
+
+def test_geomean_level_set_normal_near_a_zero_factor_is_pinned():
+    """At w = (1e-3, -100, -100) the first factor of w / gauge is 2.5e-11:
+    the normal takes it as it is, not floored at 1e-9."""
+    w = np.array((1e-3, -100.0, -100.0))
+    gam, q = gauge._level_set_gauge(sets.GeoMeanDeficit(2, 1, 3), w)
+    assert gam == 0.0005000000000062499
+    assert q.tolist() == [0.5000000000187496, 6.249826996867375e-17, 6.249826996867375e-17]
+
+
 def finite_gauge_directions(fn, count, rng):
     """Random w whose level-set gauge is positive and finite."""
     S = sets.level_set(fn)

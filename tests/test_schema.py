@@ -292,6 +292,44 @@ def test_params_errors_name_the_path(key, mutate, path):
     assert instance_error(doc).path == path
 
 
+FLIP_SPEC = builders.ProblemSpec((SQUARE, DISK), None, *PARAMS["orthogonal_flip"])
+BOOL_CASES = {
+    # integer kind: (spec, mutation of the instance document, expected path)
+    "dim": (spec_of(SQUARE), lambda d: d.update(dim=True), "$.dim"),
+    "geomean_n": (
+        spec_of(SETS["level_geomean"]),
+        lambda d: d["sets"][0]["fn"].update(n=True),
+        "$.sets[0].fn.n",
+    ),
+    "cone_size": (
+        spec_of(SETS["conic_with_B"]),
+        lambda d: d["sets"][0]["cones"][1].__setitem__(1, True),
+        "$.sets[0].cones",
+    ),
+    "flip": (FLIP_SPEC, lambda d: d["params"].update(flip=[True, -1]), "$.params.flip"),
+    "coord_sets": (
+        FLIP_SPEC,
+        lambda d: d["params"]["coord_sets"][0].__setitem__(0, False),
+        "$.params.coord_sets[0]",
+    ),
+    "signs": (
+        FLIP_SPEC,
+        lambda d: d["params"]["signs"][0].__setitem__(0, True),
+        "$.params.signs[0]",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOOL_CASES))
+def test_json_booleans_are_not_integers(kind):
+    """bool subclasses int in Python, so each integer field must turn away
+    true and false itself; read as 1 or 0, every case here got past it."""
+    spec, mutate, path = BOOL_CASES[kind]
+    doc = instance_doc(spec)
+    mutate(doc)
+    assert instance_error(doc).path == path
+
+
 def test_params_presence_follows_the_method():
     doc = instance_doc(spec_of(SQUARE))
     doc["params"] = {}
@@ -415,6 +453,9 @@ def test_options_block_is_read_with_the_instance(options, expected):
         ({"verbosity": 3}, "$.options"),
         (5, "$.options"),
         ({"seed": -3}, "$.options.seed"),
+        ({"seed": True}, "$.options.seed"),
+        ({"seed": False}, "$.options.seed"),
+        ({"directions": True}, "$.options.directions"),
     ],
 )
 def test_options_block_errors_name_the_path(options, path):
