@@ -59,8 +59,7 @@ import random
 import signal
 import time
 from dataclasses import asdict, dataclass, replace
-from functools import cached_property, lru_cache
-from typing import NamedTuple
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,27 +103,23 @@ def _aff_vec(e: Aff, index: dict[str, int], n: int) -> tuple[np.ndarray, float]:
 
 @dataclass
 class _Compiled:
+    """Rows ``rows`` z <= ``rhs`` and ``eq_rows`` z = ``eq_rhs`` as arrays,
+    which masters only read, so one compile serves every direction."""
+
     names: list[str]
     index: dict[str, int]
     lb: np.ndarray
     ub: np.ndarray
-    rows: list[np.ndarray]
-    rhs: list[float]
-    eq_rows: list[np.ndarray]
-    eq_rhs: list[float]
+    rows: np.ndarray
+    rhs: np.ndarray
+    eq_rows: np.ndarray
+    eq_rhs: np.ndarray
     nonlinear: list  # (atom, precomputed data)
     trivially_infeasible: bool = False
 
-    @cached_property
-    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """rows, rhs, eq_rows and eq_rhs as arrays, which masters only read."""
-        n = len(self.names)
-        return (
-            np.array(self.rows, dtype=float).reshape(len(self.rows), n),
-            np.array(self.rhs, dtype=float),
-            np.array(self.eq_rows, dtype=float).reshape(len(self.eq_rows), n),
-            np.array(self.eq_rhs, dtype=float),
-        )
+
+def _stack(rows: list, n: int) -> np.ndarray:
+    return np.array(rows, dtype=float).reshape(len(rows), n)
 
 
 def compile_atoms(atoms, variables) -> _Compiled:
@@ -134,16 +129,18 @@ def compile_atoms(atoms, variables) -> _Compiled:
     n = len(names)
     lb = np.array([v[1] for v in variables], dtype=float) if n else np.zeros(0)
     ub = np.array([v[2] for v in variables], dtype=float) if n else np.zeros(0)
-    cp = _Compiled(names, index, lb, ub, [], [], [], [], [])
+    rows, rhs, eq_rows, eq_rhs, nonlinear = [], [], [], [], []
+    infeasible = False
 
     def add_row(vec, const):
         # vec.z + const <= 0
+        nonlocal infeasible
         if not np.any(vec):
             if const > 1e-9:
-                cp.trivially_infeasible = True
+                infeasible = True
             return
-        cp.rows.append(vec)
-        cp.rhs.append(-const)
+        rows.append(vec)
+        rhs.append(-const)
 
     for atom in atoms:
         if isinstance(atom, Linear):
@@ -151,21 +148,21 @@ def compile_atoms(atoms, variables) -> _Compiled:
             if atom.relation == "eq":
                 if not np.any(vec):
                     if abs(const) > 1e-9:
-                        cp.trivially_infeasible = True
+                        infeasible = True
                     continue
-                cp.eq_rows.append(vec)
-                cp.eq_rhs.append(-const)
+                eq_rows.append(vec)
+                eq_rhs.append(-const)
             else:
                 add_row(vec, const)
         elif isinstance(atom, SOC):
             arg = [_aff_vec(e, index, n) for e in atom.arg]
             bound = _aff_vec(atom.bound, index, n)
-            cp.nonlinear.append((atom, (arg, bound)))
+            nonlinear.append((atom, (arg, bound)))
             add_row(-bound[0], -bound[1])  # bound expression must be nonnegative
         elif isinstance(atom, Perspective):
             arg = [_aff_vec(e, index, n) for e in atom.arg]
             sc = _aff_vec(atom.scale, index, n)
-            cp.nonlinear.append((atom, (arg, sc)))
+            nonlinear.append((atom, (arg, sc)))
             add_row(-sc[0], -sc[1])
             for a, c in atom.fn.persp_valid_rows():
                 vec = sum(float(a[j]) * arg[j][0] for j in range(len(arg))) - c * sc[0]
@@ -176,12 +173,15 @@ def compile_atoms(atoms, variables) -> _Compiled:
                 (np.asarray(d, dtype=float), _aff_vec(e, index, n))
                 for d, e in atom.terms
             ]
-            rhs = _aff_vec(atom.rhs, index, n)
-            cp.nonlinear.append((atom, (terms, rhs)))
-            add_row(-rhs[0], -rhs[1])
+            bound = _aff_vec(atom.rhs, index, n)
+            nonlinear.append((atom, (terms, bound)))
+            add_row(-bound[0], -bound[1])
         else:
             raise TypeError(f"cannot compile atom {atom!r}")
-    return cp
+    return _Compiled(
+        names, index, lb, ub, _stack(rows, n), np.array(rhs, dtype=float),
+        _stack(eq_rows, n), np.array(eq_rhs, dtype=float), nonlinear, infeasible,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +189,13 @@ def compile_atoms(atoms, variables) -> _Compiled:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptResult:
     # optimal | infeasible | stalled | dominated (the LP value fell to the
     # floor; seen only by support_via_optimizer, which maps it to -inf)
     status: str
     value: float
     point: np.ndarray | None
-    env: dict[str, float] | None
     box_active: bool
     rounds: int
 
@@ -319,17 +318,15 @@ def _generic_persp_tangent(fn, x: np.ndarray, t: float):
 def maximize_over_atoms(
     compiled: _Compiled,
     objective: np.ndarray,
-    box_radius: float = BOX_RADIUS,
     max_rounds: int = MAX_CUT_ROUNDS,
-    extra_eq: tuple[list[np.ndarray], list[float]] | None = None,
     _gap: int | None = None,
     _floor: float = -math.inf,
 ) -> OptResult:
-    """Kelley's cutting-plane loop over ``compiled.stacked``, the rows a
-    template or relaxation stacks once for every direction.  With ``_gap``,
-    the column of a uniform slack that the rows subtract, atoms are violated
-    only beyond slack + CUT_TOL and their cuts subtract it too.  A stalled result
-    keeps the last master optimum, if any, in ``point``.
+    """Kelley's cutting-plane loop over the compiled rows, inside the box of
+    radius BOX_RADIUS.  With ``_gap``, the column of a uniform slack that the
+    rows subtract, atoms are violated only beyond slack + CUT_TOL and their
+    cuts subtract it too.  A stalled result keeps the last master optimum, if
+    any, in ``point``.
 
     With a ``_floor``, the loop stops as "dominated" at the first master
     optimum whose value is at most the floor and whose point is off the
@@ -337,27 +334,24 @@ def maximize_over_atoms(
     maximum from above, and the caller only needs to know it cannot exceed
     the floor."""
     if compiled.trivially_infeasible:
-        return OptResult("infeasible", -math.inf, None, None, False, 0)
-    lb = np.maximum(compiled.lb, -box_radius)
-    ub = np.minimum(compiled.ub, box_radius)
-    rows, rhs, eq_rows, eq_rhs = compiled.stacked
-    if extra_eq is not None:
-        eq_rows = compiled.eq_rows + list(extra_eq[0])
-        eq_rhs = compiled.eq_rhs + list(extra_eq[1])
-    master = simplex.Master(objective, rows, rhs, eq_rows, eq_rhs, lb, ub)
+        return OptResult("infeasible", -math.inf, None, False, 0)
+    lb = np.maximum(compiled.lb, -BOX_RADIUS)
+    ub = np.minimum(compiled.ub, BOX_RADIUS)
+    master = simplex.Master(
+        objective, compiled.rows, compiled.rhs, compiled.eq_rows, compiled.eq_rhs, lb, ub
+    )
 
     rounds = 0
-    res = None
     z = None
     for rounds in range(1, max_rounds + 1):
         res = master.solve()
         if res.status == "infeasible":
-            return OptResult("infeasible", -math.inf, None, None, False, rounds)
+            return OptResult("infeasible", -math.inf, None, False, rounds)
         if res.status != "optimal":
-            return OptResult("stalled", math.nan, None, None, False, rounds)
+            return OptResult("stalled", math.nan, None, False, rounds)
         z = res.x
-        if res.value <= _floor and not _box_contact(z, lb, ub, compiled, box_radius):
-            return OptResult("dominated", float(res.value), z, None, False, rounds)
+        if res.value <= _floor and not _box_contact(z, compiled.lb, compiled.ub):
+            return OptResult("dominated", float(res.value), z, False, rounds)
         limit = CUT_TOL if _gap is None else z[_gap] + CUT_TOL
         violated = False
         new_cuts = []
@@ -369,24 +363,23 @@ def maximize_over_atoms(
         if not violated:
             break
         if not new_cuts:
-            return OptResult("stalled", math.nan, z, None, False, rounds)
+            return OptResult("stalled", math.nan, z, False, rounds)
         G_new = np.array([vec for vec, _ in new_cuts])
         if _gap is not None:
             G_new[:, _gap] -= 1.0
         master.add_rows(G_new, np.array([r for _, r in new_cuts]))
     else:
-        return OptResult("stalled", math.nan, z, None, False, rounds)
-
-    env = dict(zip(compiled.names, z.tolist()))
-    at_box = _box_contact(z, lb, ub, compiled, box_radius)
-    return OptResult("optimal", float(res.value), z, env, at_box, rounds)
+        return OptResult("stalled", math.nan, z, False, rounds)
+    at_box = _box_contact(z, compiled.lb, compiled.ub)
+    return OptResult("optimal", float(res.value), z, at_box, rounds)
 
 
-def _box_contact(z, lb, ub, compiled: _Compiled, box_radius: float) -> bool:
-    """Whether z touches the artificial box on a variable only it bounds."""
-    near = 1e-6 * box_radius
-    at_box = (((ub - z) <= near) & (compiled.ub > box_radius)) | (
-        ((z - lb) <= near) & (compiled.lb < -box_radius)
+def _box_contact(z, lb, ub) -> bool:
+    """Whether z touches the artificial box on a variable whose own bounds
+    lb, ub (arrays or scalars) leave it outside the box."""
+    near = 1e-6 * BOX_RADIUS
+    at_box = ((BOX_RADIUS - z <= near) & (ub > BOX_RADIUS)) | (
+        (z + BOX_RADIUS <= near) & (lb < -BOX_RADIUS)
     )
     return bool(at_box.any())
 
@@ -397,13 +390,13 @@ def feasibility_gap(atoms, variables) -> tuple[float, dict[str, float] | None]:
     maximize_over_atoms minimizes s with every row and cut relaxed by s, in
     at most 200 rounds; if it stops short, the gap is the worst true
     violation at its last master optimum.  Returns (inf, None) when even the
-    linear outer approximation is empty.
+    linear outer approximation is empty, or when no s up to BOX_RADIUS does.
     """
     boxed = [(v[0], max(v[1], -BOX_RADIUS), min(v[2], BOX_RADIUS)) for v in variables]
     gidx = len(boxed)
     # only the nonlinear atoms' separation data; their own rows are not used
     cp = compile_atoms(
-        [a for a in atoms if not isinstance(a, Linear)], boxed + [("_gap", 0.0, 1e6)]
+        [a for a in atoms if not isinstance(a, Linear)], boxed + [("_gap", 0.0, BOX_RADIUS)]
     )
     rows, rhs = [], []
     for atom in (a for a in atoms if isinstance(a, Linear)):
@@ -412,11 +405,10 @@ def feasibility_gap(atoms, variables) -> tuple[float, dict[str, float] | None]:
             rows.append(sgn * vec)
             rows[-1][gidx] = -1.0
             rhs.append(-sgn * const)
-    cp = replace(cp, rows=rows, rhs=rhs, trivially_infeasible=False)
+    cp = replace(cp, rows=_stack(rows, gidx + 1), rhs=np.array(rhs), trivially_infeasible=False)
     obj = np.zeros(gidx + 1)
     obj[gidx] = -1.0  # maximize -gap
-    # the box is already in the bounds; the gap keeps its own upper bound
-    res = maximize_over_atoms(cp, obj, box_radius=math.inf, max_rounds=200, _gap=gidx)
+    res = maximize_over_atoms(cp, obj, max_rounds=200, _gap=gidx)
     if res.point is None:
         return math.inf, None
     z = res.point
@@ -440,55 +432,45 @@ def _template(S: SetExpr) -> _Compiled:
     """S's epigraph template at tau = 1 (point w first, then auxiliaries),
     compiled once per set.  Shared, so never mutated."""
     w = tuple(Aff.var(f"w{j}") for j in range(S.dim))
-    atoms, aux = gauge_mod.lower_epigraph(
-        S, w, Aff.const_of(1.0), gauge_mod.NameGen(), with_tau_row=False
-    )
+    atoms, aux = gauge_mod.lower_epigraph(S, w, Aff.const_of(1.0), gauge_mod.NameGen())
     names = [f"w{j}" for j in range(S.dim)] + list(aux)
     return compile_atoms(atoms, [(nm, -math.inf, math.inf) for nm in names])
 
 
-class _SetOptimum(NamedTuple):
-    status: str  # optimal | infeasible | dominated
-    value: float
-    box_active: bool
-    point: np.ndarray | None  # the w part, read-only
-
-
-def _maximize_over_set(
-    S: SetExpr, u, what: str, floor: float = -math.inf
-) -> _SetOptimum:
-    """Maximize u.w over S's template; ArithmeticError when it stalls.  Only
+def _maximize_over_set(S: SetExpr, u, what: str, floor: float = -math.inf) -> OptResult:
+    """Maximize u.w over S's template, with the optimum's w part, read-only,
+    as its point; Stalled, naming ``what``, when the cut loop stalls.  Only
     exact optima (no floor) are memoized."""
     key = np.asarray(u, dtype=float).tobytes()
     try:
         if floor == -math.inf:
             return _set_optimum(S, key)
         return _optimize_set(S, key, floor)
-    except ArithmeticError:
-        raise ArithmeticError(f"{what} stalled") from None
+    except sets.Stalled:
+        raise sets.Stalled(f"{what} stalled") from None
 
 
 @lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
-def _set_optimum(S: SetExpr, u: bytes) -> _SetOptimum:
+def _set_optimum(S: SetExpr, u: bytes) -> OptResult:
     """The template optimization along u (float64 bytes), kept so that the
     support and exposed-point fallbacks along one direction share one cut
     loop.  A stall raises and is not kept."""
     return _optimize_set(S, u, -math.inf)
 
 
-def _optimize_set(S: SetExpr, u: bytes, floor: float) -> _SetOptimum:
+def _optimize_set(S: SetExpr, u: bytes, floor: float) -> OptResult:
     """One cut loop over S's template along u, stopped early at ``floor``."""
     compiled = _template(S)
     obj = np.zeros(len(compiled.names))
     obj[: S.dim] = np.frombuffer(u)
     res = maximize_over_atoms(compiled, obj, _floor=floor)
     if res.status == "stalled":
-        raise ArithmeticError("stalled")
-    point = res.point
-    if point is not None:
-        point = point[: S.dim].copy()
-        point.setflags(write=False)  # shared by every caller along u
-    return _SetOptimum(res.status, res.value, res.box_active, point)
+        raise sets.Stalled("stalled")
+    if res.point is not None:
+        w = res.point[: S.dim].copy()
+        w.setflags(write=False)  # shared by every caller along u
+        res = replace(res, point=w)
+    return res
 
 
 def support_via_optimizer(S: SetExpr, u: np.ndarray, floor: float = -math.inf) -> float:
@@ -525,9 +507,7 @@ def _template_member(S: SetExpr, x: np.ndarray, tau: float, tol: float) -> bool:
     """Whether x lies in tau * S (tau = 0: the recession cone), by the
     feasibility gap of S's epigraph template at the fixed point (x, tau)."""
     point = tuple(Aff.const_of(float(v)) for v in x)
-    atoms, aux = gauge_mod.lower_epigraph(
-        S, point, Aff.const_of(tau), gauge_mod.NameGen(), with_tau_row=False
-    )
+    atoms, aux = gauge_mod.lower_epigraph(S, point, Aff.const_of(tau), gauge_mod.NameGen())
     if not aux:
         return gauge_mod.block_feasible(atoms, {}, tol)
     gap, _ = feasibility_gap(atoms, [(nm, -math.inf, math.inf) for nm in aux])
@@ -539,20 +519,20 @@ def gauge_via_template(S: SetExpr, w: np.ndarray) -> float:
     tau free.  It is homogeneous: w is scaled to unit max norm, and by 1e-3
     more when no optimum fits in the artificial box, so gauges up to 1e6 are
     found, as far as RAY_CAP reaches.  +inf when no tau in reach fits;
-    ArithmeticError when the cut loop stalls or still ends on the box."""
+    Stalled when the cut loop stalls or still ends on the box."""
     s = float(np.max(np.abs(w)))
     for scale in (s, s * BOX_RADIUS):
         point = tuple(Aff.const_of(float(v / scale)) for v in w)
         atoms, aux = gauge_mod.lower_epigraph(S, point, Aff.var("tau"), gauge_mod.NameGen())
-        names = [(nm, -math.inf, math.inf) for nm in ["tau"] + list(aux)]
+        names = [("tau", 0.0, math.inf)] + [(nm, -math.inf, math.inf) for nm in aux]
         res = maximize_over_atoms(compile_atoms(atoms, names), -np.eye(len(names))[0])
         if res.status == "stalled":
-            raise ArithmeticError("template gauge stalled")
+            raise sets.Stalled("template gauge stalled")
         if res.status == "optimal" and not res.box_active:
             return max(-res.value, 0.0) * scale
     if res.status == "infeasible":
         return math.inf
-    raise ArithmeticError("template gauge reached the artificial box")
+    raise sets.Stalled("template gauge reached the artificial box")
 
 
 def member_via_feasibility(S: SetExpr, x: np.ndarray, tol: float) -> bool:
@@ -790,19 +770,6 @@ def compile_relaxation(form) -> _Compiled:
     return compile_atoms(list(form.atoms), variables)
 
 
-def _maximize_named(compiled: _Compiled, objective, fixed=None) -> OptResult:
-    """maximize_over_atoms with the objective and the variables held fixed
-    given by name."""
-    obj = np.zeros(len(compiled.names))
-    for nm, c in objective.items():
-        obj[compiled.index[nm]] += c
-    eq = None
-    if fixed:
-        eye = np.eye(len(compiled.names))
-        eq = ([eye[compiled.index[nm]] for nm in fixed], list(fixed.values()))
-    return maximize_over_atoms(compiled, obj, extra_eq=eq)
-
-
 def relaxation_max_violation(form, env: dict[str, float]) -> float:
     """Worst atom violation of a named point, bounds included."""
     worst = 0.0
@@ -954,13 +921,14 @@ def _average_support(form, d: np.ndarray) -> float:
 
 
 def _relaxation_sample(args, idx, d):
-    """The compiled relaxation's maximum along d (x part, then y part;
-    ``fixed`` variables held) must not exceed ``bound(form, d)`` beyond tol;
-    ``keys`` name the two values.  A stalled relaxation leaves the sample
-    out; a stalled bound raises."""
-    compiled, form, bound, keys, fixed, tol = args
-    obj = {nm: float(c) for nm, c in zip((*form.x_names, *form.y_names), d)}
-    res = _maximize_named(compiled, obj, fixed)
+    """The compiled relaxation's maximum along d, whose entries weigh the
+    columns ``cols`` (x part, then y part), must not exceed ``bound(form, d)``
+    beyond tol; ``keys`` name the two values.  A stalled relaxation leaves
+    the sample out; a stalled bound raises."""
+    compiled, cols, form, bound, keys, tol = args
+    obj = np.zeros(len(compiled.names))
+    obj[cols[: len(d)]] += d
+    res = maximize_over_atoms(compiled, obj)
     relax = math.inf if res.box_active else res.value
     if res.status == "infeasible":
         relax = -math.inf
@@ -980,12 +948,22 @@ def _relaxation_sample(args, idx, d):
 
 
 def _relaxation_check(check, form, dirs, bound, keys, tol, seed, jobs, fixed=None):
+    """The relaxation evaluator along dirs, with the variables in ``fixed`` held."""
     if len(form.y_names) != len(form.sets):
         raise FormulationShapeError(
             f"the {check} check needs one y variable per set; the formulation has "
             f"{len(form.y_names)} for {len(form.sets)} sets"
         )
-    args = (compile_relaxation(form), form, bound, keys, fixed, tol)
+    compiled = compile_relaxation(form)
+    if fixed:
+        held = np.eye(len(compiled.names))[[compiled.index[nm] for nm in fixed]]
+        compiled = replace(
+            compiled,
+            eq_rows=np.vstack([compiled.eq_rows, held]),
+            eq_rhs=np.concatenate([compiled.eq_rhs, list(fixed.values())]),
+        )
+    cols = np.array([compiled.index[nm] for nm in (*form.x_names, *form.y_names)])
+    args = (compiled, cols, form, bound, keys, tol)
     return _sampled_check(check, dirs, _relaxation_sample, args, tol, seed, jobs)
 
 
@@ -1135,7 +1113,7 @@ def _cover_sample(args, idx: int, u: np.ndarray):
         for fam in covers:
             pairs = ((s0, sets.support(fam[i], u)) for i, s0 in enumerate(base_sup))
             gap = min(gap, _worst_gap(pairs))
-    except ArithmeticError:
+    except sets.Stalled:
         return None
     if gap > tol:
         witness = {"condition": "support-match", "sample": idx, "direction": _vec_list(u)}
@@ -1187,19 +1165,13 @@ def _worst_gap(pairs) -> float:
 
 
 def _polyhedron_max(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    n = A.shape[1]
-    lb = np.full(n, -BOX_RADIUS)
-    ub = np.full(n, BOX_RADIUS)
-    res = simplex.solve_lp(c, A, b, None, None, lb, ub)
+    box = np.full(A.shape[1], BOX_RADIUS)
+    res = simplex.solve_lp(c, A, b, None, None, -box, box)
     if res.status == "infeasible":
         return -math.inf
     if res.status != "optimal":
-        raise ArithmeticError("basis condition subproblem stalled")
-    at_box = np.any(
-        (np.abs(res.x - ub) <= 1e-6 * BOX_RADIUS)
-        | (np.abs(res.x - lb) <= 1e-6 * BOX_RADIUS)
-    )
-    return math.inf if at_box else float(res.value)
+        raise sets.Stalled("basis condition subproblem stalled")
+    return math.inf if _box_contact(res.x, -math.inf, math.inf) else float(res.value)
 
 
 def check_bbj_condition(
@@ -1244,7 +1216,7 @@ def _basis_sample(args, idx: int, c: np.ndarray):
             best = min(best, worst)
             if worst <= tol:
                 return 0.0, []
-    except ArithmeticError:
+    except sets.Stalled:
         return None
     witness = {"sample": idx, "direction": _vec_list(c)}
     witness["best_gap"] = float(best) if math.isfinite(best) else "inf"

@@ -410,9 +410,7 @@ def build_extended(spec: ProblemSpec) -> Formulation:
         names = tuple(f"x{i}_{j}" for j in range(n))
         copy_names.append(names)
         w = tuple(Aff.var(nm) for nm in names)
-        block, block_aux = gauge_mod.lower_epigraph(
-            S, w, Aff.var(f"y{i}"), gen, with_tau_row=False
-        )
+        block, block_aux = gauge_mod.lower_epigraph(S, w, Aff.var(f"y{i}"), gen)
         aux += [*names, *block_aux]
         atoms.extend(block)
     for j in range(n):
@@ -568,9 +566,7 @@ def build_bigm(spec: ProblemSpec) -> Formulation:
             for j in range(n)
         )
         tau = combo(y_names, M[i])
-        block, block_aux = gauge_mod.lower_epigraph(
-            _shifted(S, b), w, tau, gen, with_tau_row=False
-        )
+        block, block_aux = gauge_mod.lower_epigraph(_shifted(S, b), w, tau, gen)
         aux.extend(block_aux)
         atoms.extend(block)
     return _formulation("bigm", spec, atoms, aux, notes)
@@ -608,7 +604,7 @@ def _homothetic_block(fam: HomothetyData, x_names, y_names, gen: NameGen):
                 e = e + Aff.var(y_names[i]).scaled(-b[j])
         w.append(e)
     tau = combo(y_names, fam.radii)
-    return gauge_mod.lower_epigraph(fam.template, tuple(w), tau, gen, with_tau_row=False)
+    return gauge_mod.lower_epigraph(fam.template, tuple(w), tau, gen)
 
 
 def build_homothetic(spec: ProblemSpec) -> Formulation:

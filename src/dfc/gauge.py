@@ -332,7 +332,8 @@ def _polar_gauge(S: SetExpr, w: np.ndarray, rows=()) -> tuple[float, np.ndarray]
     Maximizes q.w over {q : q.x <= 1 on S}, separating with exposed points
     of S, so it only needs its support oracle; ``rows`` (a V-polytope's
     vertices) seed the master.  A polar-feasible q at RAY_CAP means S is flat
-    along w: +inf, normal q / ||q||.  NeedsBoundedSet on an unbounded S.
+    along w: +inf, normal q / ||q||.  NeedsBoundedSet on an unbounded S;
+    Stalled when the master fails or the loop does not converge.
     """
     from . import simplex
 
@@ -342,7 +343,7 @@ def _polar_gauge(S: SetExpr, w: np.ndarray, rows=()) -> tuple[float, np.ndarray]
     for _ in range(5000):
         res = master.solve()
         if res.status != "optimal":
-            raise ArithmeticError("polar gauge master problem failed")
+            raise sets.Stalled("polar gauge master problem failed")
         q = res.x
         sig = sets.support(S, q)
         if math.isinf(sig):
@@ -353,7 +354,7 @@ def _polar_gauge(S: SetExpr, w: np.ndarray, rows=()) -> tuple[float, np.ndarray]
             q = q / max(sig, 1.0)
             return float(q @ w), q.copy()
         master.add_rows(sets.exposed_point(S, q)[None], np.ones(1))
-    raise ArithmeticError("polar gauge did not converge")
+    raise sets.Stalled("polar gauge did not converge")
 
 
 def _recenter(S: SetExpr, offset: np.ndarray) -> SetExpr:
@@ -420,9 +421,9 @@ def lower_epigraph(
     w_exprs: "tuple[Aff, ...] | list[Aff]",
     tau: Aff,
     gen: NameGen,
-    with_tau_row: bool = True,
 ) -> tuple[list, list[str]]:
     """Atoms describing {(w, tau) : gauge of S at w <= tau} plus fresh aux names.
+    They do not impose tau >= 0; a caller that needs it bounds tau.
 
     Substituting affine expressions for w and tau keeps validity because all
     emitted atoms are affine in those positions.
@@ -430,10 +431,7 @@ def lower_epigraph(
     w_exprs = tuple(w_exprs)
     if len(w_exprs) != S.dim:
         raise sets.DimensionMismatch("template arity differs from the set dimension")
-    atoms, aux = _lower(S, w_exprs, tau, gen)
-    if with_tau_row:
-        atoms.append(Linear(tau.scaled(-1.0)))
-    return atoms, aux
+    return _lower(S, w_exprs, tau, gen)
 
 
 def _lower(S, w, tau, gen):
@@ -573,7 +571,7 @@ def _probe_cone_sum_condition(C: SetExpr, basis: SignedBasis, probes: int, seed:
     P_j p = p - z_j s_j v_j.  Only when that fails are exposed points of
     C cap K along ``probes`` seeded directions (analysis.sample_directions)
     projected and tested, which can refute the condition but not prove it.
-    A stalled oracle raises ArithmeticError.
+    A stalled oracle raises sets.Stalled.
     """
     n = C.dim
     V = _arr(basis.V)

@@ -64,6 +64,10 @@ class NotPolyhedral(DfcError):
     """The operation needs an H-described polyhedron."""
 
 
+class Stalled(DfcError, ArithmeticError):
+    """A cut loop or LP stalled, or a template optimum stayed on the artificial box."""
+
+
 def _vec(x) -> tuple[float, ...]:
     return tuple(float(v) for v in np.asarray(x, dtype=float).reshape(-1))
 
@@ -645,14 +649,13 @@ def support(S: SetExpr, u, floor: float = -math.inf) -> float:
     Closed forms ignore the floor.  Nothing is cached here; the fallback
     memoizes its exact optima (no floor) per set and direction.
     """
-    uv = _vec(u)
-    if len(uv) != S.dim:
+    uv = np.asarray(u, dtype=float).reshape(-1)
+    if uv.shape[0] != S.dim:
         raise DimensionMismatch("direction dimension differs from the set")
     return _support(S, uv, floor)
 
 
-def _support(S: SetExpr, u: tuple, floor: float) -> float:
-    uv = np.asarray(u, dtype=float)
+def _support(S: SetExpr, uv: np.ndarray, floor: float) -> float:
     if isinstance(S, Box):
         lo, up = _arr(S.lower), _arr(S.upper)
         total = 0.0
@@ -672,13 +675,13 @@ def _support(S: SetExpr, u: tuple, floor: float) -> float:
         return float(np.max(_arr(S.vertices) @ uv))
     if isinstance(S, Translate):
         shift = float(_arr(S.offset) @ uv)
-        return _support(S.child, u, shifted_floor(floor, shift)) + shift
+        return _support(S.child, uv, shifted_floor(floor, shift)) + shift
     if isinstance(S, Scale) and S.factor > 0.0:
-        return S.factor * _support(S.child, u, _scaled_floor(floor, S.factor))
+        return S.factor * _support(S.child, uv, _scaled_floor(floor, S.factor))
     if isinstance(S, SumCone):
         if S.rays and float(np.max(_arr(S.rays) @ uv)) > FEASIBILITY_TOL:
             return math.inf
-        return _support(S.child, u, floor)
+        return _support(S.child, uv, floor)
     from . import analysis
 
     return analysis.support_via_optimizer(S, uv, floor)
@@ -714,7 +717,7 @@ def has_closed_form_support(S: SetExpr) -> bool:
 
 def exposed_point(S: SetExpr, u) -> np.ndarray:
     """A maximizer of u.x over S; UnboundedDirection when none exists."""
-    uv = np.asarray(_vec(u), dtype=float)
+    uv = np.asarray(u, dtype=float).reshape(-1)
     if uv.shape[0] != S.dim:
         raise DimensionMismatch("direction dimension differs from the set")
     if isinstance(S, Box):
@@ -787,7 +790,7 @@ def recession_contains(S: SetExpr, d, tol: float = 1e-9) -> bool:
 def gauge_value(S: SetExpr, base, x) -> float:
     """Gauge of S - base at x - base (base in S) by gauge.gauge_and_normal,
     or over S's template (analysis.gauge_via_template) where that needs a
-    bounded set; the template may raise ArithmeticError."""
+    bounded set; the template may raise Stalled."""
     from . import analysis, gauge
 
     bv = np.asarray(_vec(base), dtype=float)

@@ -81,7 +81,7 @@ class Master:
             return
         G, h = _rows(G, h, n)
         self.A, self.b = A, b = _rows(A_eq, b_eq, n)
-        self.G, self.h = [G], [h]  # inequality row blocks, stacked only when blocked
+        self.G, self.h = [G], [h]  # inequality row blocks, joined only when blocked
         cost = -c if maximize else c  # the tableau minimizes
         if A.shape[0]:
             G, h = np.vstack([G, A]), np.concatenate([h, b])

@@ -55,7 +55,11 @@ def unit_disk_conic():
 def maximize_over_relaxation(form, objective: dict):
     """Maximize a linear objective, given by variable name, over a
     formulation's relaxation (binaries in [0, 1])."""
-    return analysis._maximize_named(analysis.compile_relaxation(form), objective)
+    compiled = analysis.compile_relaxation(form)
+    obj = np.zeros(len(compiled.names))
+    for nm, c in objective.items():
+        obj[compiled.index[nm]] += c
+    return analysis.maximize_over_atoms(compiled, obj)
 
 
 def ex1_outside_point(t: float) -> tuple:

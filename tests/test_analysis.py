@@ -282,15 +282,15 @@ def test_cut_loop_converges_on_ex1_extended_stall_direction(tmp_path, capsys):
 
 
 def test_support_fallbacks_leave_the_shared_template_unwritten():
-    """Every cut loop over a set reads its cached template's rows, and the
-    stacked copy of them, without copying: 16 exact supports and one floored
-    one leave each byte as it was."""
+    """Every cut loop over a set reads its cached template's row arrays
+    without copying: 16 exact supports and one floored one leave each byte
+    as it was."""
     body = fixtures.ex1_sets()[0]  # no closed form: the template answers
     template = analysis._template(body)
 
     def snapshot():
-        arrays = [*template.rows, template.rhs, *template.eq_rows, template.eq_rhs]
-        return [np.asarray(a).tobytes() for a in arrays + list(template.stacked)]
+        arrays = [template.rows, template.rhs, template.eq_rows, template.eq_rhs]
+        return [a.tobytes() for a in arrays]
 
     before = snapshot()
     for u in analysis.sample_directions(2, 16, SEED):
@@ -549,7 +549,7 @@ def test_stalled_samples_are_not_counted_and_leave_the_verdict_open(
     inst.write_bytes(model.canonical_bytes(model.spec_doc(spec)))
 
     def stalled(compiled, objective, *args, **kwargs):
-        return analysis.OptResult("stalled", math.nan, None, None, False, 1)
+        return analysis.OptResult("stalled", math.nan, None, False, 1)
 
     monkeypatch.setattr(analysis, "maximize_over_atoms", stalled)
     rep = analysis.check_sharp(form, count=12, seed=SEED, jobs=1)
@@ -689,7 +689,7 @@ def stall_along_positive_first_axis(monkeypatch):
 
     def maybe_stalled(compiled, objective, *args, **kwargs):
         if stalls(objective):
-            return analysis.OptResult("stalled", math.nan, None, None, False, 1)
+            return analysis.OptResult("stalled", math.nan, None, False, 1)
         return maximize(compiled, objective, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "maximize_over_atoms", maybe_stalled)

@@ -4,6 +4,7 @@ Runs main() in process and checks the declared `dfc` entry point end to end
 in a separate process.
 """
 
+import ast
 import importlib
 import json
 import math
@@ -412,7 +413,7 @@ def _basis_sample_from(first, action):
 
 
 def _stall(idx):
-    raise ArithmeticError(f"basis condition subproblem stalled at sample {idx}")
+    raise sets.Stalled(f"basis condition subproblem stalled at sample {idx}")
 
 
 def test_analyze_stall_in_a_worker_exits_with_error(tmp_path, capsys, monkeypatch):
@@ -505,7 +506,11 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
-def test_every_dfc_exception_is_a_dfc_error():
+def test_every_package_exception_derives_from_dfc_error():
+    """One root: the CLI catches DfcError, so every exception class a dfc
+    module defines derives from it, the CLI's own UsageError included.  A
+    stall is the one typed signal sets.Stalled, never a bare
+    ArithmeticError, so an arithmetic bug is not read as a stall."""
     defined = [
         cls
         for info in pkgutil.iter_modules(dfc.__path__)
@@ -514,8 +519,43 @@ def test_every_dfc_exception_is_a_dfc_error():
         and issubclass(cls, BaseException)
         and cls.__module__ == f"dfc.{info.name}"
     ]
-    assert "UsageError" in {cls.__name__ for cls in defined}
-    assert [cls for cls in defined if not issubclass(cls, sets.DfcError)] == []
+    assert dfc.cli.UsageError in defined and sets.EmptySet in defined
+    assert dfc.DfcError is sets.DfcError
+    assert [cls.__qualname__ for cls in defined if not issubclass(cls, sets.DfcError)] == []
+    # the extra bases callers may catch on are kept
+    assert issubclass(dfc.SchemaError, ValueError)
+    assert issubclass(dfc.builders.FamilyInvalid, ValueError)
+    assert issubclass(sets.Stalled, sets.DfcError)
+    assert issubclass(sets.Stalled, ArithmeticError)
+    bare = []
+    for path in sorted(Path(dfc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "ArithmeticError":
+                bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []
+
+
+@pytest.mark.parametrize(
+    "name,variant,check,target",
+    [
+        ("ex3", "default", "par", "_atom_violation_and_cuts"),
+        ("ex4", "original", "bbj", "_polyhedron_max"),
+    ],
+)
+def test_an_arithmetic_bug_is_not_read_as_a_stall(tmp_path, monkeypatch, name, variant, check, target):
+    """Only sets.Stalled leaves a sample out: a ZeroDivisionError in the cut
+    loop's separation or in a basis subproblem propagates, instead of making
+    the check inconclusive."""
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError(f"injected into {target}")
+
+    monkeypatch.setattr(analysis, target, broken)
+    inst = write_instance(tmp_path, name, variant)
+    with pytest.raises(ZeroDivisionError, match=f"injected into {target}"):
+        main(["analyze", "--instance", str(inst), "--check", check, "--directions", "8"])
 
 
 def test_analyze_stalled_oracle_exits_with_error(tmp_path, capsys, monkeypatch):
@@ -524,7 +564,7 @@ def test_analyze_stalled_oracle_exits_with_error(tmp_path, capsys, monkeypatch):
     inst = write_instance(tmp_path, "ex1", "extended")
 
     def stalled(S, u, floor=-math.inf):
-        raise ArithmeticError("support optimization stalled")
+        raise sets.Stalled("support optimization stalled")
 
     monkeypatch.setattr(analysis, "support_via_optimizer", stalled)
     rc = main(["analyze", "--instance", str(inst), "--check", "sharp", "--directions", "4"])
@@ -564,34 +604,6 @@ def test_analyze_ignores_a_stall_of_a_dominated_piece(tmp_path, capsys, monkeypa
     analysis._set_optimum.cache_clear()
     assert main(argv) == 1
     assert "error: support optimization stalled" in capsys.readouterr().err
-
-
-def test_every_package_exception_derives_from_dfc_error():
-    """One root: the CLI catches DfcError, so every exception class a dfc
-    module defines must derive from it (the CLI's own UsageError aside)."""
-    import importlib
-    import inspect
-    import pkgutil
-
-    defined = [
-        obj
-        for info in pkgutil.iter_modules(dfc.__path__)
-        for obj in vars(importlib.import_module(f"dfc.{info.name}")).values()
-        if inspect.isclass(obj)
-        and issubclass(obj, Exception)
-        and obj.__module__ == f"dfc.{info.name}"
-    ]
-    assert dfc.cli.UsageError in defined and sets.EmptySet in defined
-    assert dfc.DfcError is sets.DfcError
-    strays = [
-        c.__qualname__
-        for c in defined
-        if c is not dfc.cli.UsageError and not issubclass(c, dfc.DfcError)
-    ]
-    assert strays == []
-    # the extra bases callers may catch on are kept
-    assert issubclass(dfc.SchemaError, ValueError)
-    assert issubclass(dfc.builders.FamilyInvalid, ValueError)
 
 
 # ---------------------------------------------------------------------------

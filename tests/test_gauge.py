@@ -496,7 +496,6 @@ def block_holds(S, x, tau, tol=1e-7):
         tuple(Aff.const_of(float(v)) for v in x),
         Aff.const_of(float(tau)),
         gen,
-        with_tau_row=False,
     )
     if not aux:
         return gauge.block_feasible(atoms, {}, tol)
@@ -577,18 +576,6 @@ def test_template_arity_mismatch_raises():
         gauge.lower_epigraph(
             sets.ball([0.0, 0.0], 1.0), (Aff.var("x"),), Aff.var("y"), gen
         )
-
-
-def test_template_with_tau_row_appends_sign_row():
-    gen = gauge.NameGen()
-    S = sets.box([-1.0, -1.0], [1.0, 1.0])
-    w = (Aff.var("a"), Aff.var("b"))
-    with_row, _ = gauge.lower_epigraph(S, w, Aff.var("t"), gen, with_tau_row=True)
-    without, _ = gauge.lower_epigraph(S, w, Aff.var("t"), gen, with_tau_row=False)
-    assert len(with_row) == len(without) + 1
-    tail = with_row[-1]
-    assert isinstance(tail, gauge.Linear)
-    assert tail.expr.terms == (("t", -1.0),)
 
 
 # ---------------------------------------------------------------------------
@@ -699,11 +686,11 @@ def test_cone_sum_refutes_ball_through_sampled_fallback(monkeypatch):
 def test_cone_sum_stall_raises_instead_of_passing(monkeypatch):
     """C cap K has no closed-form oracle; a stalled cut loop must surface."""
     def stalled(*args, **kwargs):
-        return analysis.OptResult("stalled", math.nan, None, None, False, 1)
+        return analysis.OptResult("stalled", math.nan, None, False, 1)
 
     monkeypatch.setattr(analysis, "maximize_over_atoms", stalled)
     C = sets.box([0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(sets.Stalled):
         probe_cone_sum(C, axis_basis((1, 1), (-1, -1)))
 
 
