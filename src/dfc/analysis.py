@@ -947,7 +947,7 @@ def _relaxation_sample(args, idx, d):
     return term, [((-excess, idx), witness)]
 
 
-def _relaxation_check(check, form, dirs, bound, keys, tol, seed, jobs, fixed=None):
+def _relaxation_check(check, form, dirs, bound, keys, tol, seed, jobs, fixed=None, notes=()):
     """The relaxation evaluator along dirs, with the variables in ``fixed`` held."""
     if len(form.y_names) != len(form.sets):
         raise FormulationShapeError(
@@ -964,7 +964,7 @@ def _relaxation_check(check, form, dirs, bound, keys, tol, seed, jobs, fixed=Non
         )
     cols = np.array([compiled.index[nm] for nm in (*form.x_names, *form.y_names)])
     args = (compiled, cols, form, bound, keys, tol)
-    return _sampled_check(check, dirs, _relaxation_sample, args, tol, seed, jobs)
+    return _sampled_check(check, dirs, _relaxation_sample, args, tol, seed, jobs, notes)
 
 
 def check_sharp(
@@ -1037,17 +1037,21 @@ def check_ideal(
 
     Purely linear formulations of modest size are settled exactly through
     vertex integrality; otherwise sampled directions refute or fail to
-    refute.  Roughly forty percent of samples keep the y-part at zero, where
-    projected gaps surface first.
+    refute, with a note naming the cap when a purely linear form is over it.
+    Roughly forty percent of samples keep the y-part at zero, where projected
+    gaps surface first.
     """
     if mode not in ("auto", "exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    notes = ()
     if mode in ("auto", "exact"):
         try:
             return _ideal_exact(form, tol=1e-7 if tol < 1e-7 else tol)
-        except ExactModeUnavailable:
+        except ExactModeUnavailable as exc:
             if mode == "exact":
                 raise
+            if all(isinstance(atom, Linear) for atom in form.atoms):
+                notes = (f"exact mode unavailable ({exc}); sampled instead",)
     n = len(form.x_names)
     dirs = sample_directions(n + len(form.y_names), count, seed)
     for i in range(dirs.shape[0]):
@@ -1058,7 +1062,9 @@ def check_ideal(
                 dirs[i, n:] = 0.0
                 dirs[i, :n] = u / nu
     keys = ("relaxation_value", "embedded_support")
-    return _relaxation_check("ideal", form, dirs, _embedded_support, keys, tol, seed, jobs)
+    return _relaxation_check(
+        "ideal", form, dirs, _embedded_support, keys, tol, seed, jobs, notes=notes
+    )
 
 
 def check_minkowski_ideal(

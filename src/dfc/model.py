@@ -139,6 +139,13 @@ def _num(v: float) -> dict:
 
 
 def _read_num(node, path: str) -> float:
+    value = _read_float(node, path)
+    if math.isnan(value):
+        raise SchemaError(path, "expected a number, got NaN")
+    return value
+
+
+def _read_float(node, path: str) -> float:
     if isinstance(node, bool):
         raise SchemaError(path, "expected a number")
     if isinstance(node, (int, float)):
@@ -602,9 +609,13 @@ def _lp_row(expr: Aff) -> str:
 
 
 def emit_lp(ir: ModelIR) -> bytes:
-    """LP text for purely linear models: constant objective, one row per
-    Linear atom, explicit bounds, binaries in their own section."""
-    lines = ["Minimize", " obj: 0", "Subject To"]
+    """LP text for purely linear models: the model's objective (0 when it has
+    none), one row per Linear atom, explicit bounds, binaries in their own
+    section."""
+    obj = Aff.const_of(0.0)
+    for nm, c in ir.objective or ():
+        obj = obj + Aff.var(nm, c)
+    lines = ["Minimize", f" obj: {_lp_row(obj) if obj.terms else 0}", "Subject To"]
     for cid, atom in zip(ir.constraint_ids(), ir.atoms):
         if not isinstance(atom, Linear):
             raise NonlinearAtomPresent(f"{cid} is a {type(atom).__name__} atom")

@@ -23,6 +23,8 @@ LP infeasible.  The result's ``residual`` is then the minimum total row
 violation over the box, sum (G x - h)+ + sum |A x - b|, taken from an
 always-feasible elastic LP.  A residual within 1e-7 of the instance's scale
 is a rounding artefact: that row counts as satisfied and the solve goes on.
+A variable that blocks again after it was tolerated is no rounding artefact
+(NaN data does this): the solve ends "stalled", and the residual is NaN.
 Crossed bounds are infeasible with residual max(lb - ub).
 
 Resuming.  A ``Master`` owns its tableau between solves.  After an optimal
@@ -110,6 +112,8 @@ class Master:
             status, var = tab.optimize(tolerated)
             if status != "blocked":
                 break
+            if var in tolerated:  # blocked again: NaN data, not rounding
+                return LPResult("stalled", None, 0.0)
             if residual is None:
                 G, h, A, b = np.vstack(self.G), np.concatenate(self.h), self.A, self.b
                 residual = _min_violation(G, h, A, b, lb, ub)
@@ -284,6 +288,8 @@ def _min_violation(G, h, A, b, lb, ub) -> float:
     tolerated = []
     status, var = tab.optimize()
     while status == "blocked":  # rounding only: the elastic LP is feasible
+        if var in tolerated:  # blocked again: NaN data, stalled
+            return float("nan")
         tolerated.append(var)
         status, var = tab.optimize(tolerated)
     return max(float(cost @ tab.S[0, : n + k]), 0.0)

@@ -524,6 +524,27 @@ def test_auto_ideal_falls_back_only_when_exact_mode_is_unavailable(monkeypatch):
         analysis.check_ideal(form, count=40, seed=SEED)
 
 
+def test_auto_ideal_names_the_cap_that_refused_a_linear_form():
+    """Nine translated and scaled unit squares under one homothety make a
+    purely linear form in 11 variables, one over the vertex enumeration's
+    dimension cap: the sampled fallback says so.  A nonlinear form is not
+    for exact mode at all, and its notes stay empty."""
+    template = sets.box((-1.0, -1.0), (1.0, 1.0))
+    base = [(3.0 * i, 3.0 * j) for i in range(3) for j in range(3)]
+    fam = builders.HomothetyData(template, base, [0.5 + 0.1 * k for k in range(9)])
+    form = builders.build(builders.ProblemSpec(fam.cover_sets(), None, "homothetic", fam))
+    assert all(isinstance(atom, Linear) for atom in form.atoms)
+    with pytest.raises(analysis.ExactModeUnavailable, match="capped at dim 10"):
+        analysis.check_ideal(form, mode="exact")
+    rep = analysis.check_ideal(form, count=16, seed=SEED)
+    assert rep.verdict == "not-refuted" and rep.samples == 16
+    assert rep.notes == (
+        "exact mode unavailable (vertex enumeration capped at dim 10); sampled instead",
+    )
+    curved = builders.build(fixtures.load("ex1", "bigm"))
+    assert analysis.check_ideal(curved, count=4, seed=SEED).notes == ()
+
+
 def test_parallel_jobs_merge_identically():
     form = loose_bigm_form()
     a = analysis.check_sharp(form, count=24, seed=SEED, jobs=1)

@@ -235,6 +235,25 @@ def test_analyze_instance_options_supply_defaults(tmp_path, capsys):
     assert "(8 samples, seed 11)" in out
 
 
+@pytest.mark.parametrize("value", ["nan", float("nan"), {"dec": "nan"}, {"hex": "nan"}])
+def test_a_nan_instance_number_exits_1_naming_its_path(tmp_path, capsys, value):
+    """NaN data would leave the simplex blocked on the same variable over
+    and over; the instance is refused before any LP runs."""
+    doc = model.spec_doc(fixtures.load("ex4", "original"))
+    doc["params"]["rhs"][0][0] = value
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    runs = [
+        ["build", "--instance", str(path), "--out", str(tmp_path / "m.json")],
+        ["analyze", "--instance", str(path), "--check", "bbj"],
+        ["analyze", "--instance", str(path), "--check", "ideal"],
+    ]
+    for argv in runs:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: $.params.rhs[0][0]") and "NaN" in err
+
+
 @pytest.mark.parametrize(
     "options,where",
     [

@@ -118,6 +118,20 @@ def test_lp_text_frozen():
     assert model.emit_lp(ir).decode() == EX4_LP
 
 
+def test_lp_text_writes_the_model_objective():
+    """The objective parse_model reads is written under Minimize; a model
+    without one keeps the constant objective 0."""
+    ir = build_ir("ex4", "original")
+    objective = (("x0", 1.0), ("y1", -2.0))
+    doc = json.loads(model.emit_json(ir))
+    doc["objective"] = [[nm, c] for nm, c in objective]
+    parsed = model.parse_model(json.dumps(doc))
+    assert parsed.objective == objective
+    text = model.emit_lp(parsed).decode()
+    assert text == EX4_LP.replace(" obj: 0\n", " obj: 1 x0 - 2 y1\n")
+    assert model.emit_lp(ir).decode() == EX4_LP
+
+
 def test_lp_text_never_prints_negative_zero():
     atoms = (Linear(Aff.of({"x0": 1.0}, -0.0)),)
     ir = model.ModelIR(

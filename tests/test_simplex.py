@@ -343,6 +343,21 @@ def test_master_resumes_after_a_tolerated_row(monkeypatch):
     assert warm.residual == pytest.approx(0.1, abs=1e-7)
 
 
+@pytest.mark.parametrize("row", [0, 1])
+def test_nan_data_stalls_instead_of_looping(row):
+    """A NaN right-hand side keeps its row's slack blocked after it was
+    tolerated: both tolerance loops end, the solve as "stalled" and the
+    elastic LP with a NaN residual."""
+    G, lb, ub = np.eye(2), np.full(2, -5.0), np.full(2, 5.0)
+    h = np.ones(2)
+    h[row] = np.nan
+    res = simplex.solve_lp(np.ones(2), G, h, None, None, lb, ub)
+    assert res.status == "stalled" and res.x is None
+    res = simplex.solve_lp(np.ones(2), G[:1], [1.0], [[1.0, -1.0]], [np.nan], lb, ub)
+    assert res.status == "stalled"
+    assert math.isnan(simplex._min_violation(G, h, np.zeros((0, 2)), np.zeros(0), lb, ub))
+
+
 def test_master_reads_its_input_arrays_and_never_writes_them():
     """Float64 inputs are used as given, not copied: a solve, an append and a
     resumed solve leave each byte for byte, and no result shares memory
