@@ -24,7 +24,8 @@ violation over the box, sum (G x - h)+ + sum |A x - b|, taken from an
 always-feasible elastic LP.  A residual within 1e-7 of the instance's scale
 is a rounding artefact: that row counts as satisfied and the solve goes on.
 A variable that blocks again after it was tolerated is no rounding artefact
-(NaN data does this): the solve ends "stalled", and the residual is NaN.
+(NaN data does this): the elastic LP then reads NaN, and the solve ends
+"stalled".
 Crossed bounds are infeasible with residual max(lb - ub).
 
 Resuming.  A ``Master`` owns its tableau between solves.  After an optimal

@@ -564,7 +564,9 @@ def test_every_package_exception_derives_from_dfc_error():
         ("ex4", "original", "bbj", "_polyhedron_max"),
     ],
 )
-def test_an_arithmetic_bug_is_not_read_as_a_stall(tmp_path, monkeypatch, name, variant, check, target):
+def test_an_arithmetic_bug_is_not_read_as_a_stall(
+    tmp_path, monkeypatch, name, variant, check, target
+):
     """Only sets.Stalled leaves a sample out: a ZeroDivisionError in the cut
     loop's separation or in a basis subproblem propagates, instead of making
     the check inconclusive."""
