@@ -525,12 +525,9 @@ def test_importing_the_cli_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
-def test_every_package_exception_derives_from_dfc_error():
-    """One root: the CLI catches DfcError, so every exception class a dfc
-    module defines derives from it, the CLI's own UsageError included.  A
-    stall is the one typed signal sets.Stalled, never a bare
-    ArithmeticError, so an arithmetic bug is not read as a stall."""
-    defined = [
+def _package_exceptions():
+    """Every exception class a dfc module defines."""
+    return [
         cls
         for info in pkgutil.iter_modules(dfc.__path__)
         for cls in vars(importlib.import_module(f"dfc.{info.name}")).values()
@@ -538,9 +535,22 @@ def test_every_package_exception_derives_from_dfc_error():
         and issubclass(cls, BaseException)
         and cls.__module__ == f"dfc.{info.name}"
     ]
+
+
+def test_every_dfc_exception_is_a_dfc_error():
+    """One root: the CLI catches DfcError, so every exception class a dfc
+    module defines derives from it, the CLI's own UsageError included."""
+    defined = _package_exceptions()
     assert dfc.cli.UsageError in defined and sets.EmptySet in defined
-    assert dfc.DfcError is sets.DfcError
     assert [cls.__qualname__ for cls in defined if not issubclass(cls, sets.DfcError)] == []
+
+
+def test_every_package_exception_derives_from_dfc_error():
+    """The package re-exports the one root and keeps the extra bases callers
+    catch on.  A stall is the one typed signal sets.Stalled, never a bare
+    ArithmeticError, so an arithmetic bug is not read as a stall."""
+    assert dfc.DfcError is sets.DfcError
+    assert all(issubclass(cls, dfc.DfcError) for cls in _package_exceptions())
     # the extra bases callers may catch on are kept
     assert issubclass(dfc.SchemaError, ValueError)
     assert issubclass(dfc.builders.FamilyInvalid, ValueError)
