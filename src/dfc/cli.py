@@ -16,15 +16,22 @@ count; a child that dies without a result is an error (exit 1).
 --directions and --jobs must be at least 1, --seed (and DFC_SEED) at least
 0, --tol finite and at least 0.
 Each check's default direction count is its function's default.
+--out is the model path of build, the report JSON path of analyze and the
+output directory of examples.
+Flags take their value as --flag value or --flag=value, may be shortened to
+any unique prefix, and the last of a repeated flag wins; a value may start
+with "-" only if it is a negative number or a bare "-".  -h/--help prints
+this text and the command's flags.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import analysis, builders, fixtures, gauge, model, sets
 
@@ -39,47 +46,8 @@ class UsageError(sets.DfcError):
     """Bad command line; main reports it with exit 64."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    p = _Parser(prog="dfc", description=__doc__, add_help=True)
-    sub = p.add_subparsers(dest="command", metavar="command")
-
-    b = sub.add_parser("build", help="build a model from an instance file")
-    b.add_argument("--instance", required=True)
-    b.add_argument("--method", default=None)
-    b.add_argument("--mode", choices=("plus", "lifted"), default="plus")
-    b.add_argument("--out", required=True)
-
-    count = _flag(int, lambda v: v >= 1, "an integer >= 1")
-    tol = _flag(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
-    a = sub.add_parser("analyze", help="run a strength check on an instance")
-    a.add_argument("--instance", required=True)
-    a.add_argument("--method", default=None)
-    a.add_argument("--check", required=True, choices=tuple(_CHECKS))
-    a.add_argument("--directions", type=count, default=None)
-    a.add_argument("--seed", type=_seed_value, default=None)
-    a.add_argument("--tol", type=tol, default=None)
-    a.add_argument("--jobs", type=count, default=1)
-    a.add_argument("--out", default=None, help="report JSON path")
-
-    e = sub.add_parser("emit", help="re-serialize a model file")
-    e.add_argument("--model", required=True)
-    e.add_argument("--format", required=True, choices=("json", "lp"))
-    e.add_argument("--out", default=None)
-
-    x = sub.add_parser("examples", help="write bundled example instances")
-    x.add_argument("--name", required=True, choices=sorted(fixtures.REGISTRY))
-    x.add_argument("--variant", default=None)
-    x.add_argument("--out", required=True, help="output directory")
-    return p
-
-
 def _flag(convert, ok, expected: str):
-    """An argparse type: the converted text, if ok accepts it."""
+    """A flag reader: the converted text, if ok accepts it."""
 
     def parse(text: str):
         try:
@@ -87,13 +55,15 @@ def _flag(convert, ok, expected: str):
         except ValueError:
             value = None
         if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+            raise UsageError(f"expected {expected}, got {text!r}")
         return value
 
     return parse
 
 
+_count = _flag(int, lambda v: v >= 1, "an integer >= 1")
 _seed_value = _flag(int, lambda v: v >= 0, "an integer >= 0")
+_tol = _flag(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 
 
 def _seed() -> int:
@@ -102,7 +72,7 @@ def _seed() -> int:
     if env:
         try:
             return _seed_value(env)
-        except argparse.ArgumentTypeError as exc:
+        except UsageError as exc:
             raise UsageError(f"DFC_SEED: {exc}") from None
     return analysis.DEFAULT_SEED
 
@@ -209,12 +179,162 @@ def _cmd_examples(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+_REQUIRED = object()
+
+# command -> flag -> (reader, default); a reader is a function of the flag's
+# text or the tuple of texts the flag accepts, and a _REQUIRED flag must be
+# given.  args.<flag name> is the read value, else the default.
+_COMMANDS = {
+    "build": {
+        "--instance": (str, _REQUIRED),
+        "--method": (str, None),
+        "--mode": (("plus", "lifted"), "plus"),
+        "--out": (str, _REQUIRED),
+    },
+    "analyze": {
+        "--instance": (str, _REQUIRED),
+        "--method": (str, None),
+        "--check": (tuple(_CHECKS), _REQUIRED),
+        "--directions": (_count, None),
+        "--seed": (_seed_value, None),
+        "--tol": (_tol, None),
+        "--jobs": (_count, 1),
+        "--out": (str, None),
+    },
+    "emit": {
+        "--model": (str, _REQUIRED),
+        "--format": (("json", "lp"), _REQUIRED),
+        "--out": (str, None),
+    },
+    "examples": {
+        "--name": (tuple(sorted(fixtures.REGISTRY)), _REQUIRED),
+        "--variant": (str, None),
+        "--out": (str, _REQUIRED),
+    },
+}
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _read(name: str, reader, text: str):
+    """text as the value of argument name: reader(text), or text itself when
+    reader is a tuple that holds it."""
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError("a subcommand is required")
+        if not isinstance(reader, tuple):
+            return reader(text)
+        if text not in reader:
+            shown = ", ".join(map(repr, reader))
+            raise UsageError(f"invalid choice: {text!r} (choose from {shown})")
+        return text
+    except UsageError as exc:
+        raise UsageError(f"argument {name}: {exc}") from None
+
+
+def _option(token: str, flags: tuple):
+    """What token names among flags: None for a value, else (flag, the value
+    after "=" or None), with flag "" for an unknown one and for "--".  A
+    token of "-h" and more letters gives them as its value, and a long token
+    names every flag it is a prefix of, an error unless it is one."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token == "--":
+        return "", None
+    if token in flags:
+        return token, None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token[1] == "-":
+        hits = [(flag, value if eq else None) for flag in flags if flag.startswith(name)]
+    else:
+        hits = [(flag, token[2:]) for flag in flags if flag == token[:2]]
+    if len(hits) > 1:
+        shown = ", ".join(flag for flag, _ in hits)
+        raise UsageError(f"ambiguous option: {token} could match {shown}")
+    if hits:
+        return hits[0]
+    if _NEGATIVE.match(token) or " " in token:
+        return None
+    return "", None
+
+
+def _parse(argv: list):
+    """argv's command and flag values as attributes; None once -h/--help
+    has printed the help."""
+    extras, args = [], None
+    for i, token in enumerate(argv):
+        # a "--" with tokens after it is read as the command
+        hit = None if token == "--" and argv[i + 1 :] else _option(token, _HELP)
+        if hit is None:
+            command = _read("command", tuple(_COMMANDS), token)
+            args = _read_flags(command, argv[i + 1 :], extras)
+            if args is None:
+                return None
+            break
+        if hit[0]:
+            return _help(None, *hit)
+        extras.append(token)
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    if args is None:
+        raise UsageError("a subcommand is required")
+    return args
+
+
+def _read_flags(command: str, tokens: list, extras: list):
+    """The command's flag values as attributes, with the tokens that no
+    flag takes appended to extras; None once -h/--help has printed the help."""
+    table = _COMMANDS[command]
+    # every token after the first "--" is a value
+    end = tokens.index("--") + 1 if "--" in tokens else len(tokens)
+    hits = [_option(t, _HELP + tuple(table)) for t in tokens[:end]]
+    hits += [None] * (len(tokens) - end)
+    args = {"command": command, **{flag[2:]: default for flag, (_, default) in table.items()}}
+    given, i = set(), 0
+    while i < len(tokens):
+        flag, value = hits[i] or ("", None)
+        i += 1
+        if flag in _HELP:
+            return _help(command, flag, value)
+        if not flag:
+            extras.append(tokens[i - 1])
+            continue
+        if value is None:
+            if i == len(tokens) or hits[i] is not None:
+                raise UsageError(f"argument {flag}: expected one argument")
+            value, i = tokens[i], i + 1
+        args[flag[2:]] = _read(flag, table[flag][0], value)
+        given.add(flag)
+    missing = [flag for flag, (_, d) in table.items() if d is _REQUIRED and flag not in given]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(**args)
+
+
+def _help(command, flag: str, value) -> None:
+    """Print this module's docstring and the command's flags (the command
+    names when command is None).  "-hh" is -h given twice."""
+    if value is not None:
+        rest = value if flag == "--help" else value.lstrip("h")
+        if rest or not value:
+            raise UsageError(f"argument -h/--help: ignored explicit argument {rest!r}")
+    lines = [__doc__ or ""]  # None under python -OO
+    if command is None:
+        lines.append(f"commands: {', '.join(_COMMANDS)}; dfc COMMAND --help lists its flags")
+    else:
+        lines.append(f"dfc {command} flags:")
+        for name, (reader, default) in _COMMANDS[command].items():
+            shown = "{" + ",".join(reader) + "}" if isinstance(reader, tuple) else name[2:].upper()
+            note = {_REQUIRED: "required", None: "optional"}.get(default, f"default {default}")
+            lines.append(f"  {name} {shown}  ({note})")
+    print("\n".join(lines))
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            return EXIT_OK
         if args.command == "build":
             return _cmd_build(args)
         if args.command == "analyze":

@@ -138,14 +138,21 @@ def _num(v: float) -> dict:
     return {"dec": "%.17g" % f, "hex": f.hex() if math.isfinite(f) else "%.17g" % f}
 
 
-def _read_num(node, path: str) -> float:
-    value = _read_float(node, path)
+def _read_num(node, path: str, finite: bool = True) -> float:
+    value = _read_float(node, path, finite)
     if math.isnan(value):
         raise SchemaError(path, "expected a number, got NaN")
+    if finite and math.isinf(value):
+        raise SchemaError(path, f"expected a finite number, got {value}")
     return value
 
 
-def _read_float(node, path: str) -> float:
+def _read_bound(node, path: str) -> float:
+    """A number, or +-inf where it leaves that side unbounded."""
+    return _read_num(node, path, finite=False)
+
+
+def _read_float(node, path: str, finite: bool) -> float:
     if isinstance(node, bool):
         raise SchemaError(path, "expected a number")
     if isinstance(node, (int, float)):
@@ -169,7 +176,7 @@ def _read_float(node, path: str) -> float:
                     return float(node["hex"])
                 except ValueError:
                     raise SchemaError(path, "bad hex float") from None
-        return _read_num(node["dec"], path + ".dec")
+        return _read_num(node["dec"], path + ".dec", finite)
     raise SchemaError(path, "expected a number")
 
 
@@ -238,7 +245,7 @@ def _read_term(node, path: str) -> tuple:
 
 
 def _read_tol(node, path: str) -> float:
-    tol = _read_num(node, path)
+    tol = _read_bound(node, path)
     if not 0.0 <= tol < math.inf:
         raise SchemaError(path, "expected a finite nonnegative number")
     return tol
@@ -250,6 +257,8 @@ def _is_int(v) -> bool:
 
 _NUM = _Kind(_num, _read_num)
 _VEC = _list(_NUM)
+_BOUND = _Kind(_num, _read_bound)
+_BOUNDS = _list(_BOUND)
 _MAT = _list(_VEC, "expected an array of arrays")
 _BOOL = _check(lambda v: isinstance(v, bool), "expected a boolean")
 _INT = _check(_is_int, "expected an integer")
@@ -378,7 +387,9 @@ _NONEMPTY_SETS = _list(_SETS, "expected a nonempty array", nonempty=True)
 _SETS.define(
     hpoly=_Record(sets.HPolyhedron, ("A", "A", _MAT), ("b", "b", _VEC), build=sets.hpoly),
     vpoly=_Record(sets.VPolytope, ("vertices", "vertices", _MAT), build=sets.vpoly),
-    box=_Record(sets.Box, ("lower", "lower", _VEC), ("upper", "upper", _VEC), build=sets.box),
+    box=_Record(
+        sets.Box, ("lower", "lower", _BOUNDS), ("upper", "upper", _BOUNDS), build=sets.box
+    ),
     ball=_Record(
         sets.Ball, ("center", "center", _VEC), ("radius", "radius", _NUM), build=sets.ball
     ),
@@ -439,8 +450,8 @@ _VARIABLES = _list(
         Variable,
         ("name", "name", _NAME),
         ("kind", "kind", _choice(("continuous", "binary"), "expected continuous or binary")),
-        ("lb", "lb", _NUM),
-        ("ub", "ub", _NUM),
+        ("lb", "lb", _BOUND),
+        ("ub", "ub", _BOUND),
     )
 )
 

@@ -1,10 +1,10 @@
 """Bounded-variable dual simplex for small cut-master problems, resumable.
 
 Solves max c.x (or min) subject to G x <= h, A x = b and finite box bounds
-lb <= x <= ub on a dense tableau.  Every variable must carry finite bounds;
-the callers in this package always optimize inside an explicit box, which
-keeps every LP bounded and the tableau well scaled at desk size (tens of
-variables, at most a few hundred rows).
+lb <= x <= ub on a dense tableau.  Every variable must carry finite bounds
+and a finite cost; the callers in this package always optimize inside an
+explicit box, which keeps every LP bounded and the tableau well scaled at
+desk size (tens of variables, at most a few hundred rows).
 
 Algorithm.  Row i gets a slack s_i = h_i - G_i x in [0, inf), or
 s_i = b_i - A_i x fixed to [0, 0] for an equality row.  Variable bounds are
@@ -78,6 +78,8 @@ class Master:
         self.ub = ub = np.asarray(ub, dtype=float).reshape(-1)
         if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
             raise ValueError("solve_lp needs finite variable bounds")
+        if not np.isfinite(c).all():
+            raise ValueError("solve_lp needs a finite objective")
         self.result = None  # of the current rows, once solved
         if (ub < lb - 1e-12).any():
             self.result = LPResult("infeasible", None, 0.0, float(np.max(lb - ub)))

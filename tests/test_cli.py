@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import dfc
-from dfc import analysis, builders, fixtures, model, sets
+from dfc import analysis, builders, cli, fixtures, model, sets
 from dfc.cli import main
 
 SEED = 20240
@@ -235,10 +235,9 @@ def test_analyze_instance_options_supply_defaults(tmp_path, capsys):
     assert "(8 samples, seed 11)" in out
 
 
-@pytest.mark.parametrize("value", ["nan", float("nan"), {"dec": "nan"}, {"hex": "nan"}])
-def test_a_nan_instance_number_exits_1_naming_its_path(tmp_path, capsys, value):
-    """NaN data would leave the simplex blocked on the same variable over
-    and over; the instance is refused before any LP runs."""
+def assert_rhs_refused(tmp_path, capsys, value, word):
+    """An ex4/original instance with value as its first right-hand side
+    exits 1 on build, bbj and ideal, naming that number's path."""
     doc = model.spec_doc(fixtures.load("ex4", "original"))
     doc["params"]["rhs"][0][0] = value
     path = tmp_path / "inst.json"
@@ -251,7 +250,22 @@ def test_a_nan_instance_number_exits_1_naming_its_path(tmp_path, capsys, value):
     for argv in runs:
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: $.params.rhs[0][0]") and "NaN" in err
+        assert err.startswith("error: $.params.rhs[0][0]") and word in err
+
+
+@pytest.mark.parametrize("value", ["nan", float("nan"), {"dec": "nan"}, {"hex": "nan"}])
+def test_a_nan_instance_number_exits_1_naming_its_path(tmp_path, capsys, value):
+    """NaN data would leave the simplex blocked on the same variable over
+    and over; the instance is refused before any LP runs."""
+    assert_rhs_refused(tmp_path, capsys, value, "NaN")
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", {"dec": "inf"}, {"hex": "-inf"}])
+def test_an_infinite_instance_number_exits_1_naming_its_path(tmp_path, capsys, value):
+    """Only box bounds and variable bounds may be infinite; an infinite
+    right-hand side would stall every LP of bbj and the feasibility probe
+    of ideal."""
+    assert_rhs_refused(tmp_path, capsys, value, "expected a finite number, got ")
 
 
 @pytest.mark.parametrize(
@@ -319,6 +333,61 @@ def test_analyze_usage_and_error_paths(tmp_path, capsys):
                  "--check", "ideal"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        ([], "a subcommand is required"),
+        (["bogus"], "argument command: invalid choice: 'bogus' "
+         "(choose from 'build', 'analyze', 'emit', 'examples')"),
+        (["build", "--m", "bigm"], "ambiguous option: --m could match --method, --mode"),
+        (["build", "--m=bigm"], "ambiguous option: --m=bigm could match --method, --mode"),
+        (["build", "--instance", "a.json", "--out"], "argument --out: expected one argument"),
+        (["build", "--instance", "--out", "m.json"], "argument --instance: expected one argument"),
+        (["build", "--instance", "-a.json", "--out", "m.json"],
+         "argument --instance: expected one argument"),
+        (["build", "--instance", "a.json", "--out", "m.json", "--bogus", "1"],
+         "unrecognized arguments: --bogus 1"),
+        (["build", "--out", "m.json"], "the following arguments are required: --instance"),
+        (["analyze", "--instance", "a.json", "--check", "foo"],
+         "argument --check: invalid choice: 'foo' "
+         "(choose from 'ideal', 'sharp', 'par', 'bbj', 'minkowski')"),
+        (["analyze", "--instance", "a.json", "--check=sharp", "--dir=0"],
+         "argument --directions: expected an integer >= 1, got '0'"),
+        (["examples", "--name", "ex9", "--out", "o"],
+         "argument --name: invalid choice: 'ex9' "
+         "(choose from 'ex1', 'ex3', 'ex4', 'ex5', 'ex6', 'ex7')"),
+        (["build", "--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+    ],
+)
+def test_usage_errors_print_one_line_and_exit_64(capsys, argv, err):
+    assert main(argv) == 64
+    assert capsys.readouterr().err == f"usage error: {err}\n"
+
+
+def test_flags_take_inline_values_prefixes_and_negative_numbers(tmp_path, capsys):
+    """--flag=value and any unique prefix read as the full flag, the last
+    repeat wins, and a value may be a negative number or a bare "-"."""
+    inst = write_instance(tmp_path, "ex4", "augmented")
+    argv = ["analyze", f"--inst={inst}", "--check=bbj", "--dir", "9", "--dir", "8", "--s=5"]
+    assert main(argv) == 0
+    assert "bbj: not-refuted (8 samples, seed 5)" in capsys.readouterr().out
+    assert main(["analyze", "--instance", str(inst), "--check", "bbj", "--seed", "-3"]) == 64
+    assert "got '-3'" in capsys.readouterr().err
+    assert main(["emit", "--model", str(tmp_path / "no.json"), "--format", "lp", "--o", "-"]) == 1
+    assert "no.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["build", "--he"], ["analyze", "-h"]])
+def test_help_prints_the_docstring_and_the_flags_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(cli.__doc__)
+    if len(argv) == 2:
+        assert "  --instance INSTANCE  (required)" in out
+    if argv[0] == "analyze":
+        assert "  --check {ideal,sharp,par,bbj,minkowski}  (required)" in out
 
 
 @pytest.mark.parametrize(
@@ -523,6 +592,24 @@ def test_importing_the_cli_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_a_command_never_imports_argparse(tmp_path):
+    """The command line is read from one flag table; building an argparse
+    parser cost each command about 2 ms."""
+    package_root = str(Path(dfc.__file__).resolve().parents[1])
+    pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    code = (
+        "import sys, dfc.cli\n"
+        "rc = dfc.cli.main(['examples', '--name', 'ex4', '--out', sys.argv[1]])\n"
+        "print(rc, 'argparse' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def _package_exceptions():

@@ -168,6 +168,13 @@ def test_infinite_bounds_rejected():
         simplex.solve_lp([1.0], None, None, None, None, [-math.inf], [1.0])
 
 
+@pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+def test_non_finite_objective_rejected(cost):
+    """A NaN cost would otherwise come back "optimal" with value NaN."""
+    with pytest.raises(ValueError, match="solve_lp needs a finite objective"):
+        simplex.solve_lp([cost, 1.0], [[1.0, 1.0]], [1.0], None, None, [-5, -5], [5, 5])
+
+
 def test_zero_objective_returns_feasible_point():
     G = [[1.0, 1.0]]
     h = [1.0]
