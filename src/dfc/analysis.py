@@ -10,7 +10,8 @@ solution pressed against that box is flagged and read as "unbounded" by the
 support-function callers.  The optimizer fallbacks of sets.py share one
 compiled epigraph template per set, kept in a bounded cache, and a bounded
 memo of its exact optimizations by direction, so the support and the exposed
-point along one direction cost one cut loop.
+point along one direction cost one cut loop, and so does a gauge with no
+closed rule (gauge_via_template), its normal read off the loop's duals.
 
 The sharp and ideal bounds are a max over the pieces, max_i (h_i(u) + v_i),
 taken as a running max: closed-form pieces first, then each curved piece
@@ -198,6 +199,7 @@ class OptResult:
     point: np.ndarray | None
     box_active: bool
     rounds: int
+    duals: np.ndarray | None = None
 
 
 def _atom_violation_and_cuts(atom, pre, z: np.ndarray, want_cut: bool):
@@ -326,7 +328,7 @@ def maximize_over_atoms(
     radius BOX_RADIUS.  With ``_gap``, the column of a uniform slack that the
     rows subtract, atoms are violated only beyond slack + CUT_TOL and their
     cuts subtract it too.  A stalled result keeps the last master optimum, if
-    any, in ``point``.
+    any, in ``point``; an optimal or infeasible one the master's duals().
 
     With a ``_floor``, the loop stops as "dominated" at the first master
     optimum whose value is at most the floor and whose point is off the
@@ -346,7 +348,7 @@ def maximize_over_atoms(
     for rounds in range(1, max_rounds + 1):
         res = master.solve()
         if res.status == "infeasible":
-            return OptResult("infeasible", -math.inf, None, False, rounds)
+            return OptResult("infeasible", -math.inf, None, False, rounds, master.duals())
         if res.status != "optimal":
             return OptResult("stalled", math.nan, None, False, rounds)
         z = res.x
@@ -371,7 +373,7 @@ def maximize_over_atoms(
     else:
         return OptResult("stalled", math.nan, z, False, rounds)
     at_box = _box_contact(z, compiled.lb, compiled.ub)
-    return OptResult("optimal", float(res.value), z, at_box, rounds)
+    return OptResult("optimal", float(res.value), z, at_box, rounds, master.duals())
 
 
 def _box_contact(z, lb, ub) -> bool:
@@ -514,24 +516,32 @@ def _template_member(S: SetExpr, x: np.ndarray, tau: float, tol: float) -> bool:
     return gap <= tol
 
 
-def gauge_via_template(S: SetExpr, w: np.ndarray) -> float:
-    """Least tau with w in tau * S, minimized over S's epigraph template with
-    tau free.  It is homogeneous: w is scaled to unit max norm, and by 1e-3
-    more when no optimum fits in the artificial box, so gauges up to 1e6 are
-    found, as far as RAY_CAP reaches.  +inf when no tau in reach fits;
-    Stalled when the cut loop stalls or still ends on the box."""
-    s = float(np.max(np.abs(w)))
+def gauge_via_template(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Gauge of S at w, the least tau over S's template with w pinned as
+    fixed columns (lb = ub), and as normal those columns' duals: a
+    subgradient of the outer approximation's gauge, which is below S's.  An
+    infeasible loop whose blocking row weighs no box bound shows S flat
+    along w: +inf, normal that row's w part.  w is scaled to unit max norm,
+    and by 1e-3 more where the box decides (gauges up to 1e6); Stalled past
+    that or on a stall."""
+    s, names = float(np.max(np.abs(w))), [f"w{j}" for j in range(S.dim)]
+    point = tuple(map(Aff.var, names))
+    atoms, aux = gauge_mod.lower_epigraph(S, point, Aff.var("tau"), gauge_mod.NameGen())
+    free = [("tau", 0.0, math.inf)] + [(nm, -math.inf, math.inf) for nm in aux]
     for scale in (s, s * BOX_RADIUS):
-        point = tuple(Aff.const_of(float(v / scale)) for v in w)
-        atoms, aux = gauge_mod.lower_epigraph(S, point, Aff.var("tau"), gauge_mod.NameGen())
-        names = [("tau", 0.0, math.inf)] + [(nm, -math.inf, math.inf) for nm in aux]
-        res = maximize_over_atoms(compile_atoms(atoms, names), -np.eye(len(names))[0])
+        pinned = [(nm, v / scale, v / scale) for nm, v in zip(names, w)]
+        cp = compile_atoms(atoms, pinned + free)
+        res = maximize_over_atoms(cp, -np.eye(len(cp.names))[S.dim])  # max -tau
         if res.status == "stalled":
             raise sets.Stalled("template gauge stalled")
+        d, eps = res.duals, simplex._EPS
         if res.status == "optimal" and not res.box_active:
-            return max(-res.value, 0.0) * scale
-    if res.status == "infeasible":
-        return math.inf
+            return max(0.0, -res.value) * scale, -d[: S.dim]
+        if res.status == "infeasible" and d is not None:
+            q = d[: S.dim]
+            on_box = ((d > eps) & np.isinf(cp.lb)) | ((d < -eps) & np.isinf(cp.ub))
+            if q.any() and not on_box.any():
+                return math.inf, q / float(np.linalg.norm(q))
     raise sets.Stalled("template gauge reached the artificial box")
 
 
@@ -575,7 +585,7 @@ def sample_directions(
                 out.append(e)
     remaining = count - len(out)
     if remaining <= 0:
-        return np.array(out[:count])
+        return np.array(out[: max(count, 0)])  # a count below 1 gives none
     if dim == 1:
         vals = [np.array([1.0 if i % 2 == 0 else -1.0]) for i in range(remaining)]
         out.extend(vals)
@@ -865,9 +875,14 @@ def _sampled_check(check, dirs, evaluate, args, tol, seed, jobs, notes=()) -> An
     first and a forked child each of the others (all in this process where
     os.fork is missing), and the results come back in sample order.  The
     margin is the largest term, at least 0; the witnesses are sorted by key
-    and cut to 8, and any witness fails the check."""
+    and cut to 8, and any witness fails the check.  No directions or jobs
+    below 1 raise ValueError."""
+    if len(dirs) == 0:
+        raise ValueError(f"the {check} check needs at least one direction")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     t0 = time.perf_counter()
-    size = max(1, (len(dirs) + jobs - 1) // jobs)
+    size = (len(dirs) + jobs - 1) // jobs
     chunks = [(i, dirs[i : i + size]) for i in range(0, len(dirs), size)]
     if len(chunks) > 1 and hasattr(os, "fork"):
         results = _forked_chunks(evaluate, args, chunks)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sets
+from . import sets, simplex
 from .sets import (
     Ball,
     Box,
@@ -57,10 +57,6 @@ class ConditionViolated(DfcError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
-
-
-class NeedsBoundedSet(DfcError, ArithmeticError):
-    """The polar gauge loop met an unbounded set that no rule covers."""
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +179,6 @@ class NameGen:
 # ---------------------------------------------------------------------------
 
 
-def gauge_plus_argument(atom: GaugePlus, env: dict[str, float]) -> np.ndarray:
-    dim = atom.set_ref.dim
-    w = np.zeros(dim)
-    for d, e in atom.terms:
-        val = e.evaluate(env)
-        if atom.positive_part:
-            val = max(val, 0.0)
-        w += val * _arr(d)
-    return w
-
-
 def atom_violation(atom, env: dict[str, float]) -> float:
     """Signed violation: <= 0 means satisfied, +inf allowed."""
     if isinstance(atom, Linear):
@@ -209,7 +194,10 @@ def atom_violation(atom, env: dict[str, float]) -> float:
             return -t
         return atom.fn.persp_value(x, t)
     if isinstance(atom, GaugePlus):
-        w = gauge_plus_argument(atom, env)
+        w = np.zeros(atom.set_ref.dim)
+        for d, e in atom.terms:
+            val = e.evaluate(env)
+            w += (max(val, 0.0) if atom.positive_part else val) * _arr(d)
         gamma, _ = gauge_and_normal(atom.set_ref, w)
         return gamma - atom.rhs.evaluate(env)
     raise TypeError(f"not an atom: {atom!r}")
@@ -231,9 +219,9 @@ def gauge_and_normal(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
     +inf along w (the set is flat in that direction), q is a separating
     direction with q.x <= 0 on S and q.w > 0.  S must contain the origin.
     Translates fold into the set's data (_recenter); boxes and H-polyhedra
-    take row ratios, balls and conic sets a root per cone block, level sets
-    their persp_root, intersections the largest child gauge, and the rest
-    the polar loop (NeedsBoundedSet when unbounded).  None bisects.
+    take row ratios, V-polytopes one polar LP, balls and conic sets a root
+    per cone block, level sets their persp_root, intersections the largest
+    child gauge, and the rest the template cut loop (gauge_via_template).
     """
     n = S.dim
     w = np.asarray(w, dtype=float)
@@ -243,6 +231,8 @@ def gauge_and_normal(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
         S = _recenter(S.child, _arr(S.offset))
     if isinstance(S, (Box, HPolyhedron)):
         return _rows_gauge(*sets.collect_rows(S), w)
+    if isinstance(S, VPolytope):
+        return _vpoly_gauge(_arr(S.vertices), w)
     if isinstance(S, Ball):  # one soc block: (r, x - center) in the cone
         A = np.vstack([np.zeros(n), np.eye(n)])
         S = sets.conic(A, (), np.concatenate([[S.radius], -_arr(S.center)]), [("soc", n + 1)])
@@ -255,7 +245,9 @@ def gauge_and_normal(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
         return _level_set_gauge(S.fn, w)
     if isinstance(S, Intersect):
         return _max_gauge(gauge_and_normal(child, w) for child in S.children)
-    return _polar_gauge(S, w, _arr(S.vertices) if isinstance(S, VPolytope) else ())
+    from . import analysis
+
+    return analysis.gauge_via_template(S, w)
 
 
 def _max_gauge(pairs) -> tuple[float, np.ndarray]:
@@ -287,8 +279,8 @@ def _rows_gauge(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[float, np.
 
 def _conic_gauge(S: ConicRep, w: np.ndarray):
     """Largest block gauge of a conic set without auxiliaries, 'nonneg' rows
-    as -A x <= c and 'zero' rows as both; the polar loop if an soc c is not
-    interior to its cone."""
+    as -A x <= c and 'zero' rows as both; the template cut loop if an soc c
+    is not interior to its cone."""
     A, c = _arr(S.A), _arr(S.c)
     parts, at = [], 0
     for sl in S.cones:
@@ -296,7 +288,9 @@ def _conic_gauge(S: ConicRep, w: np.ndarray):
         at += sl.size
         if sl.kind == "soc":
             if cb[0] <= float(np.linalg.norm(cb[1:])):
-                return _polar_gauge(S, w)
+                from . import analysis
+
+                return analysis.gauge_via_template(S, w)
             parts.append(_soc_gauge(Ab @ w, cb, Ab))
         elif sl.kind == "nonneg":
             parts.append(_rows_gauge(-Ab, cb, w))
@@ -326,35 +320,18 @@ def _soc_gauge(v: np.ndarray, c: np.ndarray, A: np.ndarray) -> tuple[float, np.n
     return t, -(A.T @ y) / float(y @ c)
 
 
-def _polar_gauge(S: SetExpr, w: np.ndarray, rows=()) -> tuple[float, np.ndarray]:
-    """Gauge and subgradient via cutting planes on the polar set.
-
-    Maximizes q.w over {q : q.x <= 1 on S}, separating with exposed points
-    of S, so it only needs its support oracle; ``rows`` (a V-polytope's
-    vertices) seed the master.  A polar-feasible q at RAY_CAP means S is flat
-    along w: +inf, normal q / ||q||.  NeedsBoundedSet on an unbounded S;
-    Stalled when the master fails or the loop does not converge.
-    """
-    from . import simplex
-
-    n = w.shape[0]
-    cap = sets.RAY_CAP
-    master = simplex.Master(w, rows, np.ones(len(rows)), None, None, np.full(n, -cap), np.full(n, cap))
-    for _ in range(5000):
-        res = master.solve()
-        if res.status != "optimal":
-            raise sets.Stalled("polar gauge master problem failed")
-        q = res.x
-        sig = sets.support(S, q)
-        if math.isinf(sig):
-            raise NeedsBoundedSet("gauge subgradient fallback needs a bounded set")
-        if sig <= 1.0 + 1e-9:
-            if float(np.max(np.abs(q))) >= cap * (1.0 - 1e-9):
-                return math.inf, q / float(np.linalg.norm(q))
-            q = q / max(sig, 1.0)
-            return float(q @ w), q.copy()
-        master.add_rows(sets.exposed_point(S, q)[None], np.ones(1))
-    raise sets.Stalled("polar gauge did not converge")
+def _vpoly_gauge(V: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Gauge of the hull of V's rows at w: max q.w over its polar V q <= 1 in
+    |q_j| <= RAY_CAP, where a q at the cap reads as flat: +inf, q / ||q||."""
+    cap = np.full(w.shape[0], sets.RAY_CAP)
+    res = simplex.solve_lp(w, V, np.ones(V.shape[0]), None, None, -cap, cap)
+    if res.status != "optimal":
+        raise sets.Stalled("V-polytope gauge LP failed")
+    q = res.x
+    if float(np.max(np.abs(q))) >= sets.RAY_CAP * (1.0 - 1e-9):
+        return math.inf, q / float(np.linalg.norm(q))
+    q = q / max(float(np.max(V @ q)), 1.0)  # rounding may leave V q above 1
+    return float(q @ w), q
 
 
 def _recenter(S: SetExpr, offset: np.ndarray) -> SetExpr:

@@ -68,6 +68,16 @@ class Stalled(DfcError, ArithmeticError):
     """A cut loop or LP stalled, or a template optimum stayed on the artificial box."""
 
 
+def _operand(v, S: SetExpr, what: str) -> np.ndarray:
+    """An oracle's operand as a flat float array of S's dimension, all finite."""
+    a = np.asarray(v, dtype=float).reshape(-1)
+    if a.shape[0] != S.dim:
+        raise DimensionMismatch(f"{what} has dim {a.shape[0]}, set has {S.dim}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite, got {a.tolist()}")
+    return a
+
+
 def _vec(x) -> tuple[float, ...]:
     return tuple(float(v) for v in np.asarray(x, dtype=float).reshape(-1))
 
@@ -568,10 +578,7 @@ def intersect(*children: SetExpr) -> Intersect:
 
 def contains(S: SetExpr, x, tol: float = MEMBERSHIP_TOL) -> bool:
     """Membership of x in S at absolute tolerance tol."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    if xv.shape[0] != S.dim:
-        raise DimensionMismatch(f"point has dim {xv.shape[0]}, set has {S.dim}")
-    return _contains(S, xv, tol)
+    return _contains(S, _operand(x, S, "point"), tol)
 
 
 def _contains(S: SetExpr, x: np.ndarray, tol: float) -> bool:
@@ -649,10 +656,7 @@ def support(S: SetExpr, u, floor: float = -math.inf) -> float:
     Closed forms ignore the floor.  Nothing is cached here; the fallback
     memoizes its exact optima (no floor) per set and direction.
     """
-    uv = np.asarray(u, dtype=float).reshape(-1)
-    if uv.shape[0] != S.dim:
-        raise DimensionMismatch("direction dimension differs from the set")
-    return _support(S, uv, floor)
+    return _support(S, _operand(u, S, "direction"), floor)
 
 
 def _support(S: SetExpr, uv: np.ndarray, floor: float) -> float:
@@ -717,9 +721,7 @@ def has_closed_form_support(S: SetExpr) -> bool:
 
 def exposed_point(S: SetExpr, u) -> np.ndarray:
     """A maximizer of u.x over S; UnboundedDirection when none exists."""
-    uv = np.asarray(u, dtype=float).reshape(-1)
-    if uv.shape[0] != S.dim:
-        raise DimensionMismatch("direction dimension differs from the set")
+    uv = _operand(u, S, "direction")
     if isinstance(S, Box):
         lo, up = _arr(S.lower), _arr(S.upper)
         out = np.zeros(uv.shape[0])
@@ -756,9 +758,7 @@ def exposed_point(S: SetExpr, u) -> np.ndarray:
 
 def recession_contains(S: SetExpr, d, tol: float = 1e-9) -> bool:
     """Membership of d in the recession cone of S."""
-    dv = np.asarray(d, dtype=float).reshape(-1)
-    if dv.shape[0] != S.dim:
-        raise DimensionMismatch("direction dimension differs from the set")
+    dv = _operand(d, S, "direction")
     if isinstance(S, Box):
         lo, up = _arr(S.lower), _arr(S.upper)
         scalecap = tol * (1.0 + float(np.max(np.abs(dv), initial=0.0)))
@@ -776,9 +776,7 @@ def recession_contains(S: SetExpr, d, tol: float = 1e-9) -> bool:
         return _cone_residual(_arr(S.A) @ dv, S.cones) <= tol
     if isinstance(S, LevelSet):  # rec S = {d : persp(d, 0) <= 0}
         return S.fn.persp_value(dv, 0.0) <= tol
-    if isinstance(S, Translate):
-        return recession_contains(S.child, dv, tol)
-    if isinstance(S, Scale):
+    if isinstance(S, (Translate, Scale)):
         return recession_contains(S.child, dv, tol)
     if isinstance(S, Intersect):
         return all(recession_contains(c, dv, tol) for c in S.children)
@@ -789,21 +787,15 @@ def recession_contains(S: SetExpr, d, tol: float = 1e-9) -> bool:
 
 def gauge_value(S: SetExpr, base, x) -> float:
     """Gauge of S - base at x - base (base in S) by gauge.gauge_and_normal,
-    or over S's template (analysis.gauge_via_template) where that needs a
-    bounded set; the template may raise Stalled."""
-    from . import analysis, gauge
+    whose template cut loop, for sets without a closed rule, may raise
+    Stalled."""
+    from . import gauge
 
-    bv = np.asarray(_vec(base), dtype=float)
-    xv = np.asarray(_vec(x), dtype=float)
-    if bv.shape[0] != S.dim or xv.shape[0] != S.dim:
-        raise DimensionMismatch("gauge operands disagree with the set dimension")
+    bv, xv = _operand(base, S, "gauge base point"), _operand(x, S, "gauge argument")
     if not _contains(S, bv, 1e-6):
         raise BasePointNotInSet("gauge base point is outside the set")
     shifted = Translate(S, _vec(-bv)) if np.any(bv) else S
-    try:
-        return float(gauge.gauge_and_normal(shifted, xv - bv)[0])
-    except gauge.NeedsBoundedSet:
-        return analysis.gauge_via_template(shifted, xv - bv)
+    return float(gauge.gauge_and_normal(shifted, xv - bv)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -889,9 +881,7 @@ def find_point(S: SetExpr):
         return None if inner is None else inner + _arr(S.offset)
     if isinstance(S, Scale):
         inner = find_point(S.child)
-        if inner is None:
-            return None
-        return inner * S.factor
+        return None if inner is None else inner * S.factor
     if isinstance(S, SumCone):
         return find_point(S.child)
     from . import analysis

@@ -81,13 +81,15 @@ class Master:
         if not np.isfinite(c).all():
             raise ValueError("solve_lp needs a finite objective")
         self.result = None  # of the current rows, once solved
+        self.blocked = None  # the basic variable an infeasible solve ended on
         if (ub < lb - 1e-12).any():
             self.result = LPResult("infeasible", None, 0.0, float(np.max(lb - ub)))
             return
         G, h = _rows(G, h, n)
         self.A, self.b = A, b = _rows(A_eq, b_eq, n)
         self.G, self.h = [G], [h]  # inequality row blocks, joined only when blocked
-        cost = -c if maximize else c  # the tableau minimizes
+        self.sign = -1.0 if maximize else 1.0  # the tableau minimizes sign * c.x
+        cost = self.sign * c
         if A.shape[0]:
             G, h = np.vstack([G, A]), np.concatenate([h, b])
         self.tab = _Tableau(G, h, A.shape[0], cost, lb, ub)
@@ -126,12 +128,27 @@ class Master:
                     float(np.max(ub - lb, initial=0.0)),
                 )
                 if residual > _INFEAS_TOL * scale:
+                    self.blocked = var
                     return LPResult("infeasible", None, 0.0, residual)
             tolerated.append(var)
         if status != "optimal":
             return LPResult("stalled", None, 0.0)
         x = np.minimum(np.maximum(tab.S[0, : lb.shape[0]], lb), ub)
         return LPResult("optimal", x, float(self.c @ x))
+
+    def duals(self) -> np.ndarray | None:
+        """One multiplier per structural variable.  Optimal: the reduced cost,
+        the rate of change of c.x as x_j leaves its bound (0 when basic), a
+        subgradient of the optimum in a fixed x_j's value.  Infeasible: the
+        tableau row rho no pivot could repair: rho.x <= C on the rows, but its
+        least value over the bounds (lb_j where rho_j > 0, ub_j where < 0) is > C."""
+        n, var = self.c.shape[0], self.blocked
+        if self.result.status == "optimal":
+            return self.sign * self.tab.T[-1, :n]
+        if var is None:  # stalled, or crossed bounds with no tableau
+            return None
+        row = self.tab.T[int((self.tab.basis == var).nonzero()[0][0]), :n]
+        return row.copy() if self.tab.S[0, var] < self.tab.S[1, var] else -row
 
 
 def _rows(M, r, n: int) -> tuple[np.ndarray, np.ndarray]:

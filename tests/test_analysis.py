@@ -8,6 +8,7 @@ derivable on paper (a tight assignment form and a loose big-M form).
 
 import itertools
 import math
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -553,6 +554,50 @@ def test_parallel_jobs_merge_identically():
     assert a.margin == b.margin
     assert a.witnesses == b.witnesses
     assert a.samples == b.samples
+
+
+def _bigm_sharp(**kw):
+    return analysis.check_sharp(builders.build(fixtures.load("ex1", "bigm")), seed=3, **kw)
+
+
+def _bigm_ideal(**kw):
+    form = builders.build(fixtures.load("ex1", "bigm"))
+    return analysis.check_ideal(form, mode="sampled", seed=3, **kw)
+
+
+def _ex4_bbj(**kw):
+    data = fixtures.load("ex4", "original").params
+    return analysis.check_bbj_condition(data.lhs, data.rhs, seed=3, **kw)
+
+
+@pytest.mark.parametrize(
+    "check, count",
+    [(_bigm_sharp, 0), (_bigm_sharp, -3), (_bigm_ideal, 0), (_ex4_bbj, 0), (_ex4_bbj, -3)],
+)
+def test_a_sampled_check_refuses_an_empty_direction_set(check, count):
+    """A verdict from zero samples is no verdict: ex1/bigm fails sharp and
+    ideal, and ex4 fails bbj, yet with no directions each read
+    "not-refuted".  A negative count gives no directions either; bbj used
+    to slice its 6 axes to the first 3 at count -3."""
+    with pytest.raises(ValueError, match="needs at least one direction"):
+        check(count=count)
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_a_sampled_check_refuses_jobs_below_one_without_forking(jobs, monkeypatch):
+    """jobs = 0 divided by zero, and jobs = -2 made chunks of one sample, a
+    forked child for every direction after the first.  Both are refused
+    before any fork; os.fork is replaced by a counter that never forks."""
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise OSError("fork is replaced in this test")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        _bigm_sharp(count=24, jobs=jobs)
+    assert forks == []
 
 
 def test_stalled_samples_are_not_counted_and_leave_the_verdict_open(

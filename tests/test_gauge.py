@@ -346,7 +346,7 @@ def test_ex7_level_set_gauges_take_few_perspective_evaluations(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# conic, translate and polar rules against membership bisection
+# conic, translate and template rules against membership bisection
 # ---------------------------------------------------------------------------
 
 # soc, nonneg and zero blocks: ||(x0, x1)|| <= 1, x0 <= 0.5, x2 = 0
@@ -378,7 +378,7 @@ def test_conic_gauge_matches_membership_bisection(name):
     """Conic sets without auxiliaries take the largest block gauge: a
     quadratic root per soc block and row ratios for nonneg and zero rows.
     Their membership is a direct residual, so bisection at tolerance 0 pins
-    the gauge to rounding, where a polar cut loop stops near 1e-9."""
+    the gauge to rounding, where a cut loop stops near 1e-9."""
     S = CONIC_BODIES[name]
     rng = np.random.default_rng(SEED)
     ws = [rng.uniform(-2.0, 2.0, S.dim) for _ in range(40)]
@@ -403,7 +403,7 @@ def test_conic_gauge_flat_direction_separates():
 
 def test_conic_gauge_with_the_origin_on_a_cone_boundary():
     """The disk ||(x0 + 1, x1)|| <= 1 has the origin on its boundary, so its
-    soc block has no interior root; the polar loop takes it without raising,
+    soc block has no interior root; the template cut loop takes it without raising,
     with +inf along the outward normal."""
     S = sets.conic([[0, 0], [1, 0], [0, 1]], (), [1.0, 1.0, 0.0], [("soc", 3)])
     gam, _ = gauge.gauge_and_normal(S, np.array([-1.0, 0.0]))
@@ -457,9 +457,11 @@ def test_translate_rule_with_a_nonzero_base(name):
     assert_subgradients(sets.translate(T, -(b + t)), [x - b for x in xs], 1e-9)
 
 
-def test_polar_gauge_flat_direction_is_infinite():
-    """A polar-feasible normal at the cap means the set is flat along w: the
-    segment [-1, 1] x {0} has gauge +inf along (0.3, 1), not cap + 0.3."""
+def test_flat_direction_gauge_is_infinite():
+    """A template LP that no pivot can make feasible, by a row that weighs no
+    bound of the artificial box, means the set is flat along w: the segment
+    [-1, 1] x {0} has gauge +inf along (0.3, 1), and that row's w part is a
+    separating normal."""
     S = sets.SumCone(sets.box([-1.0, 0.0], [1.0, 0.0]), ())
     w = np.array([0.3, 1.0])
     gam, q = gauge.gauge_and_normal(S, w)
@@ -468,10 +470,10 @@ def test_polar_gauge_flat_direction_is_infinite():
     assert sets.support(S, q) <= 1e-5
 
 
-def test_translated_slab_gauge_by_polar_loop_and_template():
+def test_translated_slab_gauge_by_template():
     """ex6's slab shifted by its base (0, 0.5) leaves a translated parabola,
-    which no rule covers: gauge atoms take the polar loop on the whole slab,
-    and the template fallback gives the same value."""
+    which no rule covers: gauge atoms and gauge_value take the template cut
+    loop on the whole slab, and its value matches bisection."""
     slab = fixtures.ex6_sets()[1]
     base = np.array([0.0, 0.5])
     shifted = sets.translate(slab, -base)
@@ -481,7 +483,54 @@ def test_translated_slab_gauge_by_polar_loop_and_template():
         want = gauge_bisect(shifted, w)
         assert gauge.gauge_and_normal(shifted, w)[0] == pytest.approx(want, abs=1e-7)
         assert sets.gauge_value(slab, base, base + w) == pytest.approx(want, abs=1e-7)
-        assert analysis.gauge_via_template(shifted, w) == pytest.approx(want, abs=1e-7)
+        assert analysis.gauge_via_template(shifted, w)[0] == pytest.approx(want, abs=1e-7)
+
+
+CONE_SUM = sets.sum_cone(sets.box([-1.0, -1.0], [1.0, 1.0]), [[1.0, 0.0]])
+SHIFT = np.array([0.0, 0.5])
+# sets no closed rule covers, each with an independent gauge
+TEMPLATE_GAUGE_SETS = {
+    "cone-sum": (CONE_SUM, lambda z: max(abs(z[1]), -z[0])),
+    "translated-parabola": (
+        sets.translate(sets.level_set(sets.QuadraticPlus((1.0, 0.0), 0.0, (0.0, 1.0))), -SHIFT),
+        None,
+    ),
+    "translated-slab": (sets.translate(fixtures.ex6_sets()[1], -SHIFT), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATE_GAUGE_SETS))
+def test_template_gauge_normals_are_subgradients(name):
+    """Unbounded or translated curved sets take their gauge and normal from
+    the template LP: the duals of the pinned w columns.  Each normal q at w
+    gives q.w = gauge(w) and q.z <= gauge(z) at every sampled z, with the
+    gauge from a closed form or membership bisection."""
+    S, closed = TEMPLATE_GAUGE_SETS[name]
+    rng = np.random.default_rng(SEED)
+    zs = [rng.uniform(-2.0, 2.0, 2) for _ in range(50)]
+    want = [closed(z) if closed else gauge_bisect(S, z) for z in zs]
+    for w, gw in zip(zs, want):
+        gam, q = gauge.gauge_and_normal(S, w)
+        assert gam == pytest.approx(gw, abs=1e-7 * (1.0 + gw))
+        assert float(q @ w) == pytest.approx(gam, abs=1e-7 * (1.0 + gam))
+        for z, gz in zip(zs, want):
+            assert float(q @ z) <= gz + 1e-7 * (1.0 + abs(gz))
+
+
+def test_gauge_atom_over_a_cone_sum_takes_template_cuts():
+    """A gauge atom over a cone sum with a ray, whose gauge max(|x1|, -x0)
+    no rule covers, cuts by the template's duals: the cut loop maximizing
+    x1 under gauge <= 1 ends optimal at 1."""
+    atom = gauge.GaugePlus(
+        CONE_SUM,
+        (((1.0, 0.0), Aff.var("x0")), ((0.0, 1.0), Aff.var("x1"))),
+        Aff.const_of(1.0),
+        positive_part=False,
+    )
+    compiled = analysis.compile_atoms([atom], [(nm, -INF, INF) for nm in ("x0", "x1")])
+    res = analysis.maximize_over_atoms(compiled, np.array([0.0, 1.0]))
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(1.0, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -455,9 +455,9 @@ def test_gauge_value_scales_past_any_bracket():
 
 
 def test_gauge_value_template_fallback_on_unbounded_sets():
-    """Sets that no exact rule covers and the polar loop refuses: a cone sum
-    with a ray and a translated parabola (ex6's slab without its cap) take
-    the least tau over their own template.  The cone sum has the closed form
+    """Sets that no exact rule covers, a cone sum with a ray and a translated
+    parabola (ex6's slab without its cap), take the least tau over their own
+    template.  The cone sum has the closed form
     max(|x1|, -x0); both agree with membership bisection, and the gauge
     scales with x at any size."""
     S = sets.sum_cone(sets.box([-1.0, -1.0], [1.0, 1.0]), [[1.0, 0.0]])
@@ -502,7 +502,7 @@ def test_gauge_value_template_fallback_on_the_box_raises():
 
 
 def test_gauge_value_lets_a_rule_error_through(monkeypatch):
-    """Only NeedsBoundedSet sends a gauge to the template: an arithmetic
+    """A gauge takes one path, with no fallback around a rule: an arithmetic
     fault inside a rule shows instead of being rerouted."""
     from dfc import gauge
 
@@ -522,6 +522,29 @@ def test_gauge_base_outside_raises():
 def test_gauge_dimension_mismatch():
     with pytest.raises(sets.DimensionMismatch):
         sets.gauge_value(sets.ball([0, 0], 1.0), [0.0, 0.0], [1.0, 0.0, 0.0])
+
+
+UNIT_BOX = sets.box([-1.0, -1.0], [1.0, 1.0])
+NAN = float("nan")
+# each public oracle with one non-finite operand, on the unit box
+NON_FINITE_CALLS = {
+    "support": lambda: sets.support(UNIT_BOX, [NAN, 1.0]),
+    "exposed_point": lambda: sets.exposed_point(UNIT_BOX, [NAN, 1.0]),
+    "contains": lambda: sets.contains(UNIT_BOX, [NAN, 0.0]),
+    "contains-inf": lambda: sets.contains(UNIT_BOX, [math.inf, 0.0]),
+    "recession_contains": lambda: sets.recession_contains(UNIT_BOX, [NAN, 0.0]),
+    "gauge_value": lambda: sets.gauge_value(UNIT_BOX, [0.0, 0.0], [NAN, 0.5]),
+    "gauge_value-base": lambda: sets.gauge_value(UNIT_BOX, [0.0, NAN], [0.0, 0.5]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_oracles_refuse_non_finite_operands(name):
+    """A NaN or infinite operand is no question an oracle can answer: a NaN
+    point used to read as inside the box, with gauge 0, and a NaN direction
+    had support 1."""
+    with pytest.raises(ValueError, match="must be finite"):
+        NON_FINITE_CALLS[name]()
 
 
 # ---------------------------------------------------------------------------

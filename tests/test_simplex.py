@@ -6,8 +6,10 @@ Scanning all row subsets gives an oracle that shares no code with the
 tableau implementation.
 """
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,3 +453,67 @@ def test_matches_highs_cold_and_warm():
             res = master.solve()
             check(res, c, G, h, A_eq, b_eq, lb, ub)
     assert seen == {"optimal", "infeasible"}
+
+
+def test_duals_slope_the_optimum_in_a_fixed_variable():
+    """At an optimum, duals() holds each variable's reduced cost: 0 on a
+    basic variable, and on a fixed one a supergradient of the maximum as a
+    function of its value, V(a) <= V(a0) + d0 (a - a0), by weak duality."""
+    rng = np.random.default_rng(SEED)
+    checked = 0
+    for _ in range(CASES):
+        n, m = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+        c, G = rng.normal(size=n), rng.normal(size=(m, n))
+        h = rng.uniform(0.0, 2.0, m)
+        lb, ub = np.full(n, -1.0), np.full(n, 1.0)
+
+        def pinned(a):
+            return simplex.Master(c, G, h, None, None, np.r_[a, lb[1:]], np.r_[a, ub[1:]])
+
+        master = pinned(0.0)
+        res = master.solve()
+        d = master.duals()
+        free = (res.x[1:] > lb[1:] + 1e-7) & (res.x[1:] < ub[1:] - 1e-7)
+        assert np.all(np.abs(d[1:][free]) <= 1e-9)
+        for a in np.linspace(-1.0, 1.0, 9):
+            other = pinned(a).solve()
+            if other.status == "optimal":
+                assert other.value <= res.value + d[0] * a + 1e-9
+                checked += 1
+    assert checked > CASES
+
+
+def test_duals_of_an_infeasible_solve_are_a_farkas_row():
+    """After an infeasible solve, duals() is the blocking row rho: rho.x
+    stays at most 1 on the row x0 + x1 <= 1, while its least value over the
+    bounds [1, 2]^2 exceeds 1."""
+    G, h = np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([1.0, 5.0])
+    lb, ub = np.ones(2), np.full(2, 2.0)
+    master = simplex.Master(np.array([1.0, 0.5]), G, h, None, None, lb, ub)
+    assert master.solve().status == "infeasible"
+    rho = master.duals()
+    least = float(np.where(rho > 0.0, rho * lb, rho * ub).sum())
+    wide = np.full(2, 1e3)
+    on_rows = simplex.solve_lp(rho, G, h, None, None, -wide, wide)
+    assert on_rows.status == "optimal"
+    assert on_rows.value < least - 0.5
+
+
+def test_only_the_one_cut_loop_and_solve_lp_build_masters():
+    """Every optimization is one simplex.Master: solve_lp builds one for a
+    single LP and maximize_over_atoms one per cut loop.  No other function
+    in the package constructs one, so no second cut loop can grow."""
+    def sites(node, where):
+        for child in ast.iter_child_nodes(node):
+            f = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and "Master" in (
+                getattr(f, "id", None), getattr(f, "attr", None)
+            ):
+                yield where
+            inner = getattr(child, "name", where) if isinstance(child, ast.FunctionDef) else where
+            yield from sites(child, inner)
+
+    found = set()
+    for path in sorted(Path(simplex.__file__).parent.glob("*.py")):
+        found.update((path.stem, fn) for fn in sites(ast.parse(path.read_text()), "<module>"))
+    assert found == {("simplex", "solve_lp"), ("analysis", "maximize_over_atoms")}
