@@ -5,13 +5,15 @@ atoms seed one simplex.Master per optimization, nonlinear atoms (cone rows,
 perspectives, gauge bounds) append supporting cuts at master optima, and each
 round resumes from the last optimal basis, until the worst violation drops
 below tolerance.  feasibility_gap runs it with every row relaxed by a uniform
-slack.  All optimization happens inside an explicit box (radius 1e3); a
-solution pressed against that box is flagged and read as "unbounded" by the
-support-function callers.  The optimizer fallbacks of sets.py share one
-compiled epigraph template per set, kept in a bounded cache, and a bounded
-memo of its exact optimizations by direction, so the support and the exposed
-point along one direction cost one cut loop, and so does a gauge with no
-closed rule (gauge_via_template), its normal read off the loop's duals.
+slack.  All optimization happens inside an explicit box (radius 1e3) on
+variables without finite bounds; a solution pressed against that box is
+flagged and read as "unbounded" by the support-function callers.  The
+optimizer fallbacks of sets.py share one compiled template per set, its
+homogenized epigraph (w in tau S, tau >= 0), kept in a bounded cache, and
+each fixes bounds on it: tau = 1 for supports, w for a gauge with no closed
+rule (gauge_via_template, its normal read off the loop's duals), (w, tau)
+for membership and recession.  A bounded memo of exact optima by direction
+makes the support and exposed point along one direction one cut loop.
 
 The sharp and ideal bounds are a max over the pieces, max_i (h_i(u) + v_i),
 taken as a running max: closed-form pieces first, then each curved piece
@@ -325,10 +327,12 @@ def maximize_over_atoms(
     _floor: float = -math.inf,
 ) -> OptResult:
     """Kelley's cutting-plane loop over the compiled rows, inside the box of
-    radius BOX_RADIUS.  With ``_gap``, the column of a uniform slack that the
-    rows subtract, atoms are violated only beyond slack + CUT_TOL and their
-    cuts subtract it too.  A stalled result keeps the last master optimum, if
-    any, in ``point``; an optimal or infeasible one the master's duals().
+    radius BOX_RADIUS on every variable without a finite bound of its own.
+    With ``_gap``, the last column, a uniform slack that the rows subtract,
+    atoms are evaluated on the columns before it, violated only beyond slack
+    + CUT_TOL, and their cuts subtract it too.  A stalled result keeps the
+    last master optimum, if any, in ``point``; an optimal or infeasible one
+    the master's duals().
 
     With a ``_floor``, the loop stops as "dominated" at the first master
     optimum whose value is at most the floor and whose point is off the
@@ -337,8 +341,8 @@ def maximize_over_atoms(
     the floor."""
     if compiled.trivially_infeasible:
         return OptResult("infeasible", -math.inf, None, False, 0)
-    lb = np.maximum(compiled.lb, -BOX_RADIUS)
-    ub = np.minimum(compiled.ub, BOX_RADIUS)
+    lb = np.where(np.isinf(compiled.lb), -BOX_RADIUS, compiled.lb)
+    ub = np.where(np.isinf(compiled.ub), BOX_RADIUS, compiled.ub)
     master = simplex.Master(
         objective, compiled.rows, compiled.rhs, compiled.eq_rows, compiled.eq_rhs, lb, ub
     )
@@ -354,11 +358,11 @@ def maximize_over_atoms(
         z = res.x
         if res.value <= _floor and not _box_contact(z, compiled.lb, compiled.ub):
             return OptResult("dominated", float(res.value), z, False, rounds)
-        limit = CUT_TOL if _gap is None else z[_gap] + CUT_TOL
+        limit, zs = (CUT_TOL, z) if _gap is None else (z[_gap] + CUT_TOL, z[:_gap])
         violated = False
         new_cuts = []
         for atom, pre in compiled.nonlinear:
-            viol, cuts = _atom_violation_and_cuts(atom, pre, z, want_cut=True)
+            viol, cuts = _atom_violation_and_cuts(atom, pre, zs, want_cut=True)
             if viol > limit:
                 violated = True
                 new_cuts.extend(cuts)
@@ -368,7 +372,7 @@ def maximize_over_atoms(
             return OptResult("stalled", math.nan, z, False, rounds)
         G_new = np.array([vec for vec, _ in new_cuts])
         if _gap is not None:
-            G_new[:, _gap] -= 1.0
+            G_new = np.hstack([G_new, np.full((len(G_new), 1), -1.0)])
         master.add_rows(G_new, np.array([r for _, r in new_cuts]))
     else:
         return OptResult("stalled", math.nan, z, False, rounds)
@@ -377,51 +381,50 @@ def maximize_over_atoms(
 
 
 def _box_contact(z, lb, ub) -> bool:
-    """Whether z touches the artificial box on a variable whose own bounds
-    lb, ub (arrays or scalars) leave it outside the box."""
+    """Whether z touches the artificial box on a variable whose own bound
+    there, in lb, ub (arrays or scalars), is infinite."""
     near = 1e-6 * BOX_RADIUS
-    at_box = ((BOX_RADIUS - z <= near) & (ub > BOX_RADIUS)) | (
-        (z + BOX_RADIUS <= near) & (lb < -BOX_RADIUS)
+    at_box = ((BOX_RADIUS - z <= near) & np.isinf(ub)) | (
+        (z + BOX_RADIUS <= near) & np.isinf(lb)
     )
     return bool(at_box.any())
 
 
-def feasibility_gap(atoms, variables) -> tuple[float, dict[str, float] | None]:
-    """Smallest uniform slack s >= 0 making all atoms hold, with a witness env.
+def feasibility_gap(compiled: _Compiled) -> tuple[float, dict[str, float] | None]:
+    """Smallest uniform slack s >= 0 making every row and atom of ``compiled``
+    hold within its bounds, with a witness env.
 
-    maximize_over_atoms minimizes s with every row and cut relaxed by s, in
-    at most 200 rounds; if it stops short, the gap is the worst true
-    violation at its last master optimum.  Returns (inf, None) when even the
-    linear outer approximation is empty, or when no s up to BOX_RADIUS does.
+    maximize_over_atoms minimizes s, a last column that every row and cut
+    subtracts (each equality row as two inequalities), in at most 200
+    rounds; if it stops short, the gap is the worst true violation at its
+    last master optimum.  Returns (inf, None) when even the linear outer
+    approximation is empty, or when no s up to BOX_RADIUS does.
     """
-    boxed = [(v[0], max(v[1], -BOX_RADIUS), min(v[2], BOX_RADIUS)) for v in variables]
-    gidx = len(boxed)
-    # only the nonlinear atoms' separation data; their own rows are not used
-    cp = compile_atoms(
-        [a for a in atoms if not isinstance(a, Linear)], boxed + [("_gap", 0.0, BOX_RADIUS)]
+    n = len(compiled.names)
+    G = np.vstack([compiled.rows, compiled.eq_rows, -compiled.eq_rows])
+    cp = replace(
+        compiled,
+        lb=np.append(compiled.lb, 0.0),
+        ub=np.append(compiled.ub, BOX_RADIUS),
+        rows=np.hstack([G, np.full((len(G), 1), -1.0)]),
+        rhs=np.concatenate([compiled.rhs, compiled.eq_rhs, -compiled.eq_rhs]),
+        eq_rows=np.zeros((0, n + 1)),
+        eq_rhs=np.zeros(0),
     )
-    rows, rhs = [], []
-    for atom in (a for a in atoms if isinstance(a, Linear)):
-        vec, const = _aff_vec(atom.expr, cp.index, gidx + 1)
-        for sgn in (1.0, -1.0) if atom.relation == "eq" else (1.0,):
-            rows.append(sgn * vec)
-            rows[-1][gidx] = -1.0
-            rhs.append(-sgn * const)
-    cp = replace(cp, rows=_stack(rows, gidx + 1), rhs=np.array(rhs), trivially_infeasible=False)
-    obj = np.zeros(gidx + 1)
-    obj[gidx] = -1.0  # maximize -gap
-    res = maximize_over_atoms(cp, obj, max_rounds=200, _gap=gidx)
+    obj = np.zeros(n + 1)
+    obj[n] = -1.0  # maximize -gap
+    res = maximize_over_atoms(cp, obj, max_rounds=200, _gap=n)
     if res.point is None:
         return math.inf, None
     z = res.point
-    env = {nm: float(z[i]) for i, nm in enumerate(cp.names[:gidx])}
+    env = dict(zip(compiled.names, z[:n].tolist()))
     if res.status == "optimal":
-        return float(max(z[gidx], 0.0)), env
+        return float(max(z[n], 0.0)), env
     worst_true = max(
-        (_atom_violation_and_cuts(a, p, z, want_cut=False)[0] for a, p in cp.nonlinear),
+        (_atom_violation_and_cuts(a, p, z[:n], want_cut=False)[0] for a, p in cp.nonlinear),
         default=0.0,
     )
-    return float(max(z[gidx], worst_true, 0.0)), env
+    return float(max(z[n], worst_true, 0.0)), env
 
 
 # ---------------------------------------------------------------------------
@@ -431,18 +434,33 @@ def feasibility_gap(atoms, variables) -> tuple[float, dict[str, float] | None]:
 
 @lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
 def _template(S: SetExpr) -> _Compiled:
-    """S's epigraph template at tau = 1 (point w first, then auxiliaries),
-    compiled once per set.  Shared, so never mutated."""
-    w = tuple(Aff.var(f"w{j}") for j in range(S.dim))
-    atoms, aux = gauge_mod.lower_epigraph(S, w, Aff.const_of(1.0), gauge_mod.NameGen())
-    names = [f"w{j}" for j in range(S.dim)] + list(aux)
-    return compile_atoms(atoms, [(nm, -math.inf, math.inf) for nm in names])
+    """S's homogenized epigraph {(w, tau, aux) : w in tau S, tau >= 0}, columns
+    w, then tau, then the auxiliaries, compiled once per set.  Shared, so
+    never mutated: each fallback fixes bounds on a copy (_pinned)."""
+    names = [f"w{j}" for j in range(S.dim)] + ["tau"]
+    atoms, aux = gauge_mod.lower_epigraph(
+        S, tuple(map(Aff.var, names[:-1])), Aff.var("tau"), gauge_mod.NameGen()
+    )
+    variables = [(nm, 0.0 if nm == "tau" else -math.inf, math.inf) for nm in names + aux]
+    return compile_atoms(atoms, variables)
+
+
+def _pinned(S: SetExpr, w=None, tau: float | None = None) -> _Compiled:
+    """S's template with its w columns, its tau column or both fixed (lb =
+    ub) at the given values; the row arrays stay shared."""
+    compiled = _template(S)
+    lb, ub = compiled.lb.copy(), compiled.ub.copy()
+    if w is not None:
+        lb[: S.dim] = ub[: S.dim] = w
+    if tau is not None:
+        lb[S.dim] = ub[S.dim] = tau
+    return replace(compiled, lb=lb, ub=ub)
 
 
 def _maximize_over_set(S: SetExpr, u, what: str, floor: float = -math.inf) -> OptResult:
-    """Maximize u.w over S's template, with the optimum's w part, read-only,
-    as its point; Stalled, naming ``what``, when the cut loop stalls.  Only
-    exact optima (no floor) are memoized."""
+    """Maximize u.w over S (its template at tau = 1), with the optimum's w
+    part, read-only, as its point; Stalled, naming ``what``, when the cut
+    loop stalls.  Only exact optima (no floor) are memoized."""
     key = np.asarray(u, dtype=float).tobytes()
     try:
         if floor == -math.inf:
@@ -461,8 +479,9 @@ def _set_optimum(S: SetExpr, u: bytes) -> OptResult:
 
 
 def _optimize_set(S: SetExpr, u: bytes, floor: float) -> OptResult:
-    """One cut loop over S's template along u, stopped early at ``floor``."""
-    compiled = _template(S)
+    """One cut loop over S's template at tau = 1 along u, stopped early at
+    ``floor``."""
+    compiled = _pinned(S, tau=1.0)
     obj = np.zeros(len(compiled.names))
     obj[: S.dim] = np.frombuffer(u)
     res = maximize_over_atoms(compiled, obj, _floor=floor)
@@ -505,32 +524,24 @@ def find_point_via_optimizer(S: SetExpr):
     return res.point.copy()
 
 
-def _template_member(S: SetExpr, x: np.ndarray, tau: float, tol: float) -> bool:
-    """Whether x lies in tau * S (tau = 0: the recession cone), by the
-    feasibility gap of S's epigraph template at the fixed point (x, tau)."""
-    point = tuple(Aff.const_of(float(v)) for v in x)
-    atoms, aux = gauge_mod.lower_epigraph(S, point, Aff.const_of(tau), gauge_mod.NameGen())
-    if not aux:
-        return gauge_mod.block_feasible(atoms, {}, tol)
-    gap, _ = feasibility_gap(atoms, [(nm, -math.inf, math.inf) for nm in aux])
-    return gap <= tol
+def member_via_feasibility(S: SetExpr, x: np.ndarray, tau: float, tol: float) -> bool:
+    """Whether x lies in tau * S (tau = 0: the recession cone of S), by the
+    feasibility gap of S's template with (w, tau) pinned to (x, tau)."""
+    return feasibility_gap(_pinned(S, x, tau))[0] <= tol
 
 
 def gauge_via_template(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Gauge of S at w, the least tau over S's template with w pinned as
-    fixed columns (lb = ub), and as normal those columns' duals: a
-    subgradient of the outer approximation's gauge, which is below S's.  An
-    infeasible loop whose blocking row weighs no box bound shows S flat
-    along w: +inf, normal that row's w part.  w is scaled to unit max norm,
-    and by 1e-3 more where the box decides (gauges up to 1e6); Stalled past
-    that or on a stall."""
-    s, names = float(np.max(np.abs(w))), [f"w{j}" for j in range(S.dim)]
-    point = tuple(map(Aff.var, names))
-    atoms, aux = gauge_mod.lower_epigraph(S, point, Aff.var("tau"), gauge_mod.NameGen())
-    free = [("tau", 0.0, math.inf)] + [(nm, -math.inf, math.inf) for nm in aux]
+    """Gauge of S at w, the least tau over S's template with w pinned, and as
+    normal the w columns' duals: a subgradient of the outer approximation's
+    gauge, which is below S's.  An infeasible loop whose blocking row weighs
+    no box bound shows S flat along w: +inf, normal that row's w part.  w is
+    scaled to unit max norm, and by 1e-3 more where the box decides (gauges
+    up to 1e6); Stalled past that or on a stall."""
+    s = float(np.max(np.abs(w), initial=0.0))
+    if s == 0.0:
+        return 0.0, np.zeros(S.dim)
     for scale in (s, s * BOX_RADIUS):
-        pinned = [(nm, v / scale, v / scale) for nm, v in zip(names, w)]
-        cp = compile_atoms(atoms, pinned + free)
+        cp = _pinned(S, w=w / scale)
         res = maximize_over_atoms(cp, -np.eye(len(cp.names))[S.dim])  # max -tau
         if res.status == "stalled":
             raise sets.Stalled("template gauge stalled")
@@ -543,14 +554,6 @@ def gauge_via_template(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
             if q.any() and not on_box.any():
                 return math.inf, q / float(np.linalg.norm(q))
     raise sets.Stalled("template gauge reached the artificial box")
-
-
-def member_via_feasibility(S: SetExpr, x: np.ndarray, tol: float) -> bool:
-    return _template_member(S, x, 1.0, tol)
-
-
-def recession_member_via_template(S: SetExpr, d: np.ndarray, tol: float) -> bool:
-    return _template_member(S, d, 0.0, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ assemble formulations by instantiating the epigraph template of a set: the
 template of S describes {(w, t) : gauge of S at w <= t} through atoms that
 are affine in (w, t) and any auxiliary variables, so substituting affine
 expressions for w and t yields valid constraint blocks for translates,
-scalings and combinations without re-deriving anything per builder.
+scalings and combinations without re-deriving anything per builder.  The
+set oracles' fallbacks compile the same lowering once per set, at columns
+(w, t) (analysis._template).
 
 Everything here is immutable; fresh auxiliary names come from an explicit
 deterministic counter so repeated builds of one instance are byte-identical.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sets, simplex
+from . import sets
 from .sets import (
     Ball,
     Box,
@@ -219,9 +221,9 @@ def gauge_and_normal(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
     +inf along w (the set is flat in that direction), q is a separating
     direction with q.x <= 0 on S and q.w > 0.  S must contain the origin.
     Translates fold into the set's data (_recenter); boxes and H-polyhedra
-    take row ratios, V-polytopes one polar LP, balls and conic sets a root
-    per cone block, level sets their persp_root, intersections the largest
-    child gauge, and the rest the template cut loop (gauge_via_template).
+    take row ratios, balls and conic sets a root per cone block, level sets
+    their persp_root, intersections the largest child gauge, and the rest,
+    V-polytopes included, the template cut loop (gauge_via_template).
     """
     n = S.dim
     w = np.asarray(w, dtype=float)
@@ -231,8 +233,6 @@ def gauge_and_normal(S: SetExpr, w: np.ndarray) -> tuple[float, np.ndarray]:
         S = _recenter(S.child, _arr(S.offset))
     if isinstance(S, (Box, HPolyhedron)):
         return _rows_gauge(*sets.collect_rows(S), w)
-    if isinstance(S, VPolytope):
-        return _vpoly_gauge(_arr(S.vertices), w)
     if isinstance(S, Ball):  # one soc block: (r, x - center) in the cone
         A = np.vstack([np.zeros(n), np.eye(n)])
         S = sets.conic(A, (), np.concatenate([[S.radius], -_arr(S.center)]), [("soc", n + 1)])
@@ -318,20 +318,6 @@ def _soc_gauge(v: np.ndarray, c: np.ndarray, A: np.ndarray) -> tuple[float, np.n
     if y[0] <= 1e-12 * (abs(v[0]) + t * c[0]):  # w / t is the apex
         y = np.eye(c.shape[0])[0]
     return t, -(A.T @ y) / float(y @ c)
-
-
-def _vpoly_gauge(V: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Gauge of the hull of V's rows at w: max q.w over its polar V q <= 1 in
-    |q_j| <= RAY_CAP, where a q at the cap reads as flat: +inf, q / ||q||."""
-    cap = np.full(w.shape[0], sets.RAY_CAP)
-    res = simplex.solve_lp(w, V, np.ones(V.shape[0]), None, None, -cap, cap)
-    if res.status != "optimal":
-        raise sets.Stalled("V-polytope gauge LP failed")
-    q = res.x
-    if float(np.max(np.abs(q))) >= sets.RAY_CAP * (1.0 - 1e-9):
-        return math.inf, q / float(np.linalg.norm(q))
-    q = q / max(float(np.max(V @ q)), 1.0)  # rounding may leave V q above 1
-    return float(q @ w), q
 
 
 def _recenter(S: SetExpr, offset: np.ndarray) -> SetExpr:

@@ -18,8 +18,9 @@ intersections).  Every variant supports the same oracle surface:
 Oracles are pure functions of the expression.  dfc starts no threads: the
 --jobs workers are forked processes, each with its own copy of the template
 memo of the optimizer fallbacks.  Variants without a closed form fall back
-to a cutting-plane optimizer (see analysis.py); those imports stay inside
-function bodies to keep this module importable on its own.
+to a cutting-plane optimizer over the set's one compiled epigraph template
+(see analysis.py), each oracle fixing its own bounds on it; those imports
+stay inside function bodies to keep this module importable on its own.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 MEMBERSHIP_TOL = 1e-7
 FEASIBILITY_TOL = 1e-8
 SUPPORT_EQ_TOL = 1e-6
-RAY_CAP = 1e6
 FAMILY_PROBES = 64  # directions of the shared-recession probe of validate_family
 FAMILY_SEED = 20240
 
@@ -607,7 +607,7 @@ def _contains(S: SetExpr, x: np.ndarray, tol: float) -> bool:
     # ConicRep with auxiliaries and SumCone need a feasibility solve.
     from . import analysis
 
-    return analysis.member_via_feasibility(S, x, tol)
+    return analysis.member_via_feasibility(S, x, 1.0, tol)
 
 
 def _cone_residual(w: np.ndarray, cones: tuple[ConeSlice, ...]) -> float:
@@ -782,7 +782,7 @@ def recession_contains(S: SetExpr, d, tol: float = 1e-9) -> bool:
         return all(recession_contains(c, dv, tol) for c in S.children)
     from . import analysis
 
-    return analysis.recession_member_via_template(S, dv, tol)
+    return analysis.member_via_feasibility(S, dv, 0.0, tol)
 
 
 def gauge_value(S: SetExpr, base, x) -> float:

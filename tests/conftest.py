@@ -1,6 +1,8 @@
 """Every test starts with cold oracle caches, so none passes or fails on
 what an earlier test left behind."""
 
+import functools
+
 import pytest
 
 from dfc import analysis
@@ -8,5 +10,6 @@ from dfc import analysis
 
 @pytest.fixture(autouse=True)
 def cold_oracle_caches():
-    analysis._template.cache_clear()
-    analysis._set_optimum.cache_clear()
+    for value in vars(analysis).values():
+        if isinstance(value, functools._lru_cache_wrapper):
+            value.cache_clear()

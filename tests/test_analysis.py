@@ -303,11 +303,11 @@ def test_support_fallbacks_leave_the_shared_template_unwritten():
 
 def test_feasibility_gap_measures_uniform_slack():
     atoms = [Linear(Aff.of({"x": 1.0})), Linear(Aff.of({"x": -1.0}, 1.0))]
-    gap, env = analysis.feasibility_gap(atoms, [("x", -5.0, 5.0)])
+    gap, env = analysis.feasibility_gap(analysis.compile_atoms(atoms, [("x", -5.0, 5.0)]))
     assert gap == pytest.approx(0.5, abs=1e-9)
     assert env is not None
     gap0, env0 = analysis.feasibility_gap(
-        [Linear(Aff.of({"x": 1.0}, -1.0))], [("x", -5.0, 5.0)]
+        analysis.compile_atoms([Linear(Aff.of({"x": 1.0}, -1.0))], [("x", -5.0, 5.0)])
     )
     assert gap0 == pytest.approx(0.0, abs=1e-12)
     assert env0["x"] <= 1.0 + 1e-9
@@ -729,13 +729,13 @@ def test_cover_conditions_run_one_cut_loop_per_set_and_direction(monkeypatch):
     """check_par_conditions asks for the exposed point and later the support
     of each disjunct along each direction; both share one optimization."""
     disjuncts = fallback_polygons()
-    templates = {id(analysis._template(S)) for S in disjuncts}
+    templates = {id(analysis._template(S).rows) for S in disjuncts}
     loops = []
     maximize = analysis.maximize_over_atoms
 
     def counted(compiled, objective, *args, **kwargs):
-        if id(compiled) in templates:
-            loops.append((id(compiled), objective.tobytes()))
+        if id(compiled.rows) in templates:
+            loops.append((id(compiled.rows), objective.tobytes()))
         return maximize(compiled, objective, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "maximize_over_atoms", counted)

@@ -457,12 +457,16 @@ def test_translate_rule_with_a_nonzero_base(name):
     assert_subgradients(sets.translate(T, -(b + t)), [x - b for x in xs], 1e-9)
 
 
-def test_flat_direction_gauge_is_infinite():
+@pytest.mark.parametrize(
+    "S",
+    [sets.SumCone(sets.box([-1.0, 0.0], [1.0, 0.0]), ()), sets.vpoly([[-1, 0], [1, 0]])],
+    ids=["cone-sum", "vpoly"],
+)
+def test_flat_direction_gauge_is_infinite(S):
     """A template LP that no pivot can make feasible, by a row that weighs no
     bound of the artificial box, means the set is flat along w: the segment
-    [-1, 1] x {0} has gauge +inf along (0.3, 1), and that row's w part is a
-    separating normal."""
-    S = sets.SumCone(sets.box([-1.0, 0.0], [1.0, 0.0]), ())
+    [-1, 1] x {0}, as a cone sum or a vertex hull, has gauge +inf along
+    (0.3, 1), and that row's w part is a separating normal."""
     w = np.array([0.3, 1.0])
     gam, q = gauge.gauge_and_normal(S, w)
     assert math.isinf(gam)
@@ -517,6 +521,14 @@ def test_template_gauge_normals_are_subgradients(name):
             assert float(q @ z) <= gz + 1e-7 * (1.0 + abs(gz))
 
 
+def test_template_gauge_at_the_origin_is_zero():
+    """At w = 0 the template gauge is 0 with a zero normal, as every closed
+    rule gives, rather than a division by the zero scale."""
+    gam, q = analysis.gauge_via_template(CONE_SUM, np.zeros(2))
+    assert gam == 0.0
+    assert np.array_equal(q, np.zeros(2))
+
+
 def test_gauge_atom_over_a_cone_sum_takes_template_cuts():
     """A gauge atom over a cone sum with a ray, whose gauge max(|x1|, -x0)
     no rule covers, cuts by the template's duals: the cut loop maximizing
@@ -539,18 +551,8 @@ def test_gauge_atom_over_a_cone_sum_takes_template_cuts():
 
 
 def block_holds(S, x, tau, tol=1e-7):
-    gen = gauge.NameGen()
-    atoms, aux = gauge.lower_epigraph(
-        S,
-        tuple(Aff.const_of(float(v)) for v in x),
-        Aff.const_of(float(tau)),
-        gen,
-    )
-    if not aux:
-        return gauge.block_feasible(atoms, {}, tol)
-    variables = [(nm, -INF, INF) for nm in aux]
-    gap, _ = analysis.feasibility_gap(atoms, variables)
-    return gap <= tol
+    """Whether (x, tau) lies in S's compiled template, by its feasibility gap."""
+    return analysis.member_via_feasibility(S, np.asarray(x, dtype=float), float(tau), tol)
 
 
 TEMPLATE_SHAPES = [

@@ -283,28 +283,58 @@ def test_conic_recession_matches_the_template(S):
     dirs = [sgn * e for e in np.eye(S.dim) for sgn in (1.0, -1.0)]
     dirs += list(rng.normal(size=(CASES, S.dim)))
     for d in dirs:
-        assert sets.recession_contains(S, d) == analysis.recession_member_via_template(
-            S, d, 1e-9
-        )
+        assert sets.recession_contains(S, d) == analysis.member_via_feasibility(S, d, 0.0, 1e-9)
 
 
 def test_validate_family_of_conic_sets_lowers_no_template(monkeypatch):
     """Once the conic member's template and feasibility-probe optimum are
     memoized (analysis._template, analysis._set_optimum), the point check and
-    the 64 recession probes of ex1's family need no epigraph lowering."""
+    the 64 recession probes of ex1's family need no epigraph lowering.  On a
+    cone sum with rays and a conic set with auxiliaries, gauge, membership
+    and recession fallbacks fix bounds on the one cached template: after one
+    call each, none lowers or compiles again."""
     members = fixtures.ex1_sets()
     for S in members:
         sets.find_point(S)
+    aux_sets = (
+        sets.sum_cone(sets.box([-1.0, -1.0], [1.0, 1.0]), [[1.0, 0.0]]),
+        sets.conic([[1, 0], [0, 0], [0, 0]], [[-1], [1], [-1]], [-2, 0, 1], [("nonneg", 3)]),
+    )
+    oracles = [
+        oracle
+        for S, base in zip(aux_sets, map(sets.find_point, aux_sets))
+        for oracle in (
+            lambda x, S=S, base=base: sets.gauge_value(S, base, x),
+            lambda x, S=S: sets.contains(S, x),
+            lambda x, S=S: sets.recession_contains(S, x),
+        )
+    ]
+    for oracle in oracles:
+        oracle([1.5, 0.5])
     calls = []
-    real = gauge.lower_epigraph
+    for mod, name in ((gauge, "lower_epigraph"), (analysis, "compile_atoms")):
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return real(*args, **kwargs)
+        def counting(*args, _real=getattr(mod, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(gauge, "lower_epigraph", counting)
+        monkeypatch.setattr(mod, name, counting)
     assert sets.validate_family(members).verdict == "pass"
+    for x in ([2.0, -0.5], [-0.5, 0.25], [3.0, 0.0]):
+        for oracle in oracles:
+            oracle(x)
     assert calls == []
+
+
+def test_template_pins_are_never_clamped():
+    """The set x0 >= 2000 + z, z in [0, 1], lies past the artificial box:
+    pinned points far out are read as given, not moved to the box."""
+    S = sets.conic([[1, 0], [0, 0], [0, 0]], [[-1], [1], [-1]], [-2000, 0, 1], [("nonneg", 3)])
+    assert sets.contains(S, (3000, 0))
+    assert sets.contains(S, (2000.5, 0))
+    assert not sets.contains(S, (1500, 0))
+    assert sets.recession_contains(S, (1, 0))
+    assert not sets.recession_contains(S, (-1, 0))
 
 
 # ---------------------------------------------------------------------------
