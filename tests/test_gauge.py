@@ -457,21 +457,17 @@ def test_translate_rule_with_a_nonzero_base(name):
     assert_subgradients(sets.translate(T, -(b + t)), [x - b for x in xs], 1e-9)
 
 
-@pytest.mark.parametrize(
-    "S",
-    [sets.SumCone(sets.box([-1.0, 0.0], [1.0, 0.0]), ()), sets.vpoly([[-1, 0], [1, 0]])],
-    ids=["cone-sum", "vpoly"],
-)
-def test_flat_direction_gauge_is_infinite(S):
+def test_flat_direction_gauge_is_infinite():
     """A template LP that no pivot can make feasible, by a row that weighs no
     bound of the artificial box, means the set is flat along w: the segment
     [-1, 1] x {0}, as a cone sum or a vertex hull, has gauge +inf along
     (0.3, 1), and that row's w part is a separating normal."""
     w = np.array([0.3, 1.0])
-    gam, q = gauge.gauge_and_normal(S, w)
-    assert math.isinf(gam)
-    assert float(q @ w) > 0.0
-    assert sets.support(S, q) <= 1e-5
+    for S in (sets.SumCone(sets.box([-1.0, 0.0], [1.0, 0.0]), ()), sets.vpoly([[-1, 0], [1, 0]])):
+        gam, q = gauge.gauge_and_normal(S, w)
+        assert math.isinf(gam)
+        assert float(q @ w) > 0.0
+        assert sets.support(S, q) <= 1e-5
 
 
 def test_translated_slab_gauge_by_template():
