@@ -36,14 +36,15 @@ All five sampled checks are front ends of one engine, _sampled_check, that
 differ only in their directions and their per-sample evaluator: the
 relaxation evaluator (sharp, ideal, minkowski) compares the compiled
 relaxation's maximum with a support bound, the cover evaluator (par) and the
-basis evaluator (bbj) test their conditions.  An evaluator gives a sample's
-margin term and witnesses; the engine alone splits the samples between this
-process and at most jobs - 1 forked children (in-process where os.fork is
-missing; a child that dies without a result is a DfcError), counts the
-samples not evaluated, takes the margin, orders and cuts the witnesses and
-gives the verdict.  Sampled checks return "not-refuted" rather than
-"pass"; only exact modes may say "pass".  A sample whose optimizer stalled is
-not counted, and leaves the verdict "inconclusive" unless another fails.
+basis evaluator (bbj) test their conditions, bbj from one table of row
+bases and no LP.  An evaluator gives a sample's margin term and witnesses;
+the engine alone splits the samples between this process and at most
+jobs - 1 forked children (in-process where os.fork is missing; a child that
+dies without a result is a DfcError), counts the samples not evaluated,
+takes the margin, orders and cuts the witnesses and gives the verdict.
+Sampled checks return "not-refuted" rather than "pass"; only exact modes may
+say "pass".  A sample whose optimizer stalled is not counted, and leaves the
+verdict "inconclusive" unless another fails.
 Every report records the seed, direction count, tolerance and reproducible
 witnesses, and multi-process runs merge results by sample index so the
 output is identical at any job count.  Every seeded direction in the
@@ -78,6 +79,9 @@ VERTEX_ROW_CAP = 64
 VERTEX_DIM_CAP = 10
 VERTEX_TOL = 1e-9  # sign threshold of the double description
 BASIS_CAP = 10_000
+BASIS_RANK_TOL = 1e-9  # a row basis's pivot floor, relative to max |A_jk|
+BASIS_FEAS_TOL = 1e-9  # a basic solution's row excess, relative to |A||x| + |b|
+BASIS_DUAL_TOL = 1e-9  # a multiplier's deficit lam_j |a_j|, relative to |c|
 DEFAULT_SEED = 20240
 TEMPLATE_CACHE_SIZE = 256  # compiled set templates kept per process
 
@@ -1188,14 +1192,37 @@ def _worst_gap(pairs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _polyhedron_max(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    box = np.full(A.shape[1], BOX_RADIUS)
-    res = simplex.solve_lp(c, A, b, None, None, -box, box)
-    if res.status == "infeasible":
-        return -math.inf
-    if res.status != "optimal":
-        raise sets.Stalled("basis condition subproblem stalled")
-    return math.inf if _box_contact(res.x, -math.inf, math.inf) else float(res.value)
+def _gauss_jordan(T: np.ndarray, r: int, floor: float) -> np.ndarray:
+    """Reduce each T[k] = [M | R], M r x r, to [I | M^-1 R] in place by row
+    operations with partial pivoting; whether each M's pivots all exceed
+    floor (where one does not, T[k] is left part-reduced)."""
+    at, ok = np.arange(len(T)), np.ones(len(T), dtype=bool)
+    for j in range(r):
+        p = j + np.argmax(np.abs(T[:, j:, j]), axis=1)
+        row = T[at, p]
+        T[at, p] = T[:, j]
+        ok &= np.abs(row[:, j]) > floor
+        T[:, j] = row / np.where(ok, row[:, j], 1.0)[:, None]
+        f = T[:, :, j].copy()
+        f[:, j] = 0.0
+        T -= f[:, :, None] * T[:, None, j]
+    return ok
+
+
+def _pivot_columns(A: np.ndarray, floor: float) -> list:
+    """rank(A) independent columns of A: where an elimination with partial
+    pivoting finds a pivot above floor."""
+    R, cols = A.copy(), []
+    for j in range(A.shape[1]):
+        i = len(cols)
+        if i == len(R):
+            break
+        p = i + int(np.argmax(np.abs(R[i:, j])))
+        if abs(R[p, j]) > floor:
+            R[[i, p]] = R[[p, i]]
+            R[i + 1 :] -= np.outer(R[i + 1 :, j] / R[i, j], R[i])
+            cols.append(j)
+    return cols
 
 
 def check_bbj_condition(
@@ -1207,41 +1234,85 @@ def check_bbj_condition(
     jobs: int = 1,
 ) -> AnalysisReport:
     """For sampled objectives, some full-rank row basis must reproduce every
-    disjunct's optimum from its own subsystem alone.  A sample whose LP
-    stalled is not counted."""
+    disjunct's optimum from its own subsystem alone, read from one table of
+    the bases (_basis_table).  A right-hand side without one entry per row
+    raises sets.DimensionMismatch, non-finite data ValueError."""
     A = np.asarray(A, dtype=float)
     m, n = A.shape
-    rank = int(np.linalg.matrix_rank(A, tol=1e-9))
-    if math.comb(m, rank) > BASIS_CAP:
-        raise ValueError(f"basis enumeration capped at {BASIS_CAP} candidates")
-    bases = [
-        B
-        for B in itertools.combinations(range(m), rank)
-        if np.linalg.matrix_rank(A[list(B)], tol=1e-9) == rank
-    ]
-    b_arr = [np.asarray(b, dtype=float).reshape(-1) for b in b_list]
+    rhs = [np.asarray(b, dtype=float) for b in b_list]
+    if any(b.shape != (m,) for b in rhs):
+        raise sets.DimensionMismatch("each right-hand side needs one entry per row")
+    b_arr = np.reshape(rhs, (len(rhs), m))
+    if not (np.isfinite(A).all() and np.isfinite(b_arr).all()):
+        raise ValueError("the bbj check needs finite A and b")
+    table = _basis_table(A, b_arr)
     dirs = sample_directions(n, count, seed, axes_first=True)
-    notes = (f"bases considered: {len(bases)}",)
-    args = (A, b_arr, bases, tol)
+    notes = (f"bases considered: {len(table[2])}",)
+    args = (table, tol)
     return _sampled_check("basis-condition", dirs, _basis_sample, args, tol, seed, jobs, notes)
+
+
+def _basis_table(A: np.ndarray, b_arr: np.ndarray) -> tuple:
+    """For the bases B of A, the sets of rank(A) rows of full rank: A, rank(A)
+    independent columns J, the rows of each B, the transposed inverse of
+    A[B][:, J] and its row norms, the basic solutions x[B, i] (A[B] x =
+    b_i[B], zero off J) and which of them satisfy A x <= b_i."""
+    (k, m), n = b_arr.shape, A.shape[1]
+    floor = BASIS_RANK_TOL * float(np.max(np.abs(A), initial=0.0))
+    cols = _pivot_columns(A, floor)
+    r = len(cols)
+    if math.comb(m, r) > BASIS_CAP:
+        raise ValueError(f"basis enumeration capped at {BASIS_CAP} candidates")
+    rows = np.array(list(itertools.combinations(range(m), r)), dtype=int)
+    rows = rows.reshape(math.comb(m, r), r)
+    eye = np.broadcast_to(np.eye(r), (len(rows), r, r))
+    T = np.concatenate([A[rows][:, :, cols], eye, b_arr[:, rows].transpose(1, 2, 0)], axis=2)
+    ok = _gauss_jordan(T, r, floor)
+    rows, T = rows[ok], T[ok]
+    x = np.zeros((len(rows), k, n))
+    x[:, :, cols] = np.swapaxes(T[:, :, 2 * r :], 1, 2)
+    excess = x @ A.T - b_arr
+    feasible = (excess <= BASIS_FEAS_TOL * (np.abs(x) @ np.abs(A).T + np.abs(b_arr))).all(axis=2)
+    inv_t = np.swapaxes(T[:, :, r : 2 * r], 1, 2)
+    return A, cols, rows, inv_t, np.linalg.norm(A, axis=1)[rows], x, feasible
+
+
+def _basis_values(table: tuple, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max{c.x : A[B] x <= b_i[B]} per basis B and piece i, and max{c.x :
+    A x <= b_i} per piece, by LP duality.  A subsystem is finite exactly
+    when its multipliers lam = A[B]^-T c are >= 0, then c.x[B, i].  A full
+    optimum is -inf without a feasible basic solution, +inf without a
+    multiplier-feasible basis, else the largest c.x[B, i] over feasible
+    ones.  A c off A's row space is unbounded everywhere."""
+    A, cols, rows, inv_t, norms, x, feasible = table
+    size = float(np.linalg.norm(c))
+    lam = inv_t @ c[cols]
+    dual = (lam * norms >= -BASIS_DUAL_TOL * size).all(axis=1)
+    if len(cols) < len(c) and len(rows):
+        off = float(np.linalg.norm(c - A[rows[0]].T @ lam[0]))
+        dual &= off <= BASIS_DUAL_TOL * size
+    vals = x @ c
+    sub = np.where(dual[:, None], vals, math.inf)
+    full = np.max(np.where(feasible, vals, -math.inf), axis=0, initial=-math.inf)
+    full[np.isfinite(full) & ~dual.any()] = math.inf
+    return sub, full
 
 
 def _basis_sample(args, idx: int, c: np.ndarray):
     """A witness when no basis reproduces every disjunct's optimum along c,
-    with the smallest worst relative gap as the margin term."""
-    A, b_arr, bases, tol = args
-    try:
-        full = [_polyhedron_max(A, b, c) for b in b_arr]
-        best = math.inf
-        for B in bases:
-            rows = list(B)
-            pairs = ((f, _polyhedron_max(A[rows], b[rows], c)) for f, b in zip(full, b_arr))
-            worst = _worst_gap(pairs)
-            best = min(best, worst)
-            if worst <= tol:
-                return 0.0, []
-    except sets.Stalled:
-        return None
+    with the smallest worst relative gap (as in _worst_gap) as the margin
+    term."""
+    table, tol = args
+    sub, full = _basis_values(table, c)
+    inf_s, inf_f = np.isinf(sub), np.isinf(full)
+    s, f = np.where(inf_s, 0.0, sub), np.where(inf_f, 0.0, full)
+    gaps = np.abs(s - f) / (1.0 + np.abs(f))
+    gaps[inf_s | inf_f] = 0.0
+    gaps[inf_s != inf_f] = math.inf
+    worst = np.max(gaps, axis=1, initial=0.0)
+    if (worst <= tol).any():
+        return 0.0, []
+    best = float(np.min(worst, initial=math.inf))
     witness = {"sample": idx, "direction": _vec_list(c)}
-    witness["best_gap"] = float(best) if math.isfinite(best) else "inf"
+    witness["best_gap"] = best if math.isfinite(best) else "inf"
     return (best if math.isfinite(best) else 0.0), [(idx, witness)]

@@ -781,33 +781,20 @@ def test_cover_conditions_leave_stalled_samples_out(monkeypatch):
     assert all(not stalls(dirs[w["sample"]]) for w in rep.witnesses)
 
 
-def test_basis_condition_leaves_stalled_samples_out(tmp_path, capsys, monkeypatch):
-    A = [[1.0], [-1.0]]
-    b_list = ([0.0, 0.0], [2.0, -1.0])
-    solve_lp = simplex.solve_lp
+def test_basis_condition_solves_no_lp(monkeypatch):
+    """bbj reads every optimum from one table of row bases: with the one-shot
+    LP and the master made to raise, ex4/original still fails and
+    ex4/augmented is still not refuted, on every sample."""
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the basis condition solved an LP")
 
-    def maybe_stalled(c, *args, **kwargs):
-        if c[0] > 0.0:
-            return simplex.LPResult("stalled", None, 0.0)
-        return solve_lp(c, *args, **kwargs)
-
-    monkeypatch.setattr(simplex, "solve_lp", maybe_stalled)
-    rep = analysis.check_bbj_condition(A, b_list, count=8, seed=SEED)
-    dirs = analysis.sample_directions(1, 8, SEED, axes_first=True)
-    k = sum(bool(d[0] > 0.0) for d in dirs)
-    assert 0 < k < 8
-    assert rep.verdict == "inconclusive"
-    assert rep.samples == 8 - k
-    assert rep.notes == (
-        "bases considered: 2",
-        f"{k} of 8 samples not evaluated (optimizer stalled)",
-    )
-    monkeypatch.setattr(simplex, "solve_lp", lambda *a, **kw: simplex.LPResult("stalled", None, 0.0))
-    inst = tmp_path / "ex4.json"
-    inst.write_bytes(model.canonical_bytes(model.spec_doc(fixtures.load("ex4", "original"))))
-    rc = cli.main(["analyze", "--instance", str(inst), "--check", "bbj"])
-    assert "bbj: inconclusive (0 samples" in capsys.readouterr().out
-    assert rc == cli.EXIT_INCONCLUSIVE
+    monkeypatch.setattr(simplex, "solve_lp", no_lp)
+    monkeypatch.setattr(simplex, "Master", no_lp)
+    for variant in ("original", "augmented"):
+        data = fixtures.load("ex4", variant).params
+        rep = analysis.check_bbj_condition(data.lhs, data.rhs, count=100, seed=SEED)
+        assert rep.verdict == fixtures.EXPECTED[("ex4", variant)]["bbj"]
+        assert rep.samples == 100
 
 
 def test_basis_condition_two_intervals_not_refuted():
@@ -822,6 +809,120 @@ def test_basis_condition_cap():
     A = rng.normal(size=(42, 3))
     with pytest.raises(ValueError):
         analysis.check_bbj_condition(A, (np.ones(42),), count=2, seed=SEED)
+
+
+def test_basis_condition_refuses_a_short_right_hand_side():
+    """A right-hand side without one entry per row is refused as BBJData
+    refuses it, not with numpy's reshape error."""
+    A = fixtures.EX4_LHS
+    with pytest.raises(sets.DimensionMismatch, match="one entry per row"):
+        analysis.check_bbj_condition(A, ((1.0, 1.0, 2.0, 2.0), (2.0, 2.0, 1.0)), count=8)
+    with pytest.raises(sets.DimensionMismatch, match="one entry per row"):
+        analysis.check_bbj_condition(A, (((1.0, 1.0), (2.0, 2.0)),), count=8)
+
+
+@pytest.mark.parametrize("where", ["lhs", "rhs"])
+@pytest.mark.parametrize("value", [math.nan, INF, -INF])
+def test_basis_condition_refuses_non_finite_data_before_factoring(monkeypatch, where, value):
+    """NaN or an infinity in A or b is a ValueError before the basis table."""
+    def no_factoring(*args, **kwargs):
+        raise AssertionError("factored non-finite data")
+
+    monkeypatch.setattr(analysis, "_basis_table", no_factoring)
+    A = np.array(fixtures.EX4_LHS)
+    b = np.array(fixtures.EX4_RHS)
+    (A if where == "lhs" else b)[1, 2] = value
+    with pytest.raises(ValueError, match="finite A and b"):
+        analysis.check_bbj_condition(A, b, count=8)
+
+
+def test_basis_table_keeps_a_degenerate_vertex_feasible_despite_rounding():
+    """x = (0.1, 0.2) makes all three rows of A x <= (0.1, 0.2, 0.3) tight.
+    From the basis of the first two rows, 0.1 + 0.2 exceeds 0.3 by one
+    rounding, which the relative feasibility tolerance forgives."""
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    table = analysis._basis_table(A, np.array([[0.1, 0.2, 0.3]]))
+    assert table[2].tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert 0.1 + 0.2 > 0.3
+    assert table[-1].all()
+
+
+def _linprog_max(A, b, c):
+    """max c.x over A x <= b from scipy's HiGHS: -inf when empty, +inf when
+    unbounded.  HiGHS's presolve reads some unbounded ones as infeasible,
+    so it is off."""
+    from scipy.optimize import linprog
+
+    kw = {"A_ub": A, "b_ub": b, "bounds": (None, None), "options": {"presolve": False}}
+    res = linprog(-c, **kw)
+    if res.status == 4:  # unbounded or infeasible
+        res.status = 3 if linprog(np.zeros(A.shape[1]), **kw).status == 0 else 2
+    assert res.status in (0, 2, 3), res.message
+    return -res.fun if res.status == 0 else INF if res.status == 3 else -INF
+
+
+def _bbj_family(rng, n, m, k, deficient):
+    """Small-integer A (m x n) and k right-hand sides.  A deficient A has its
+    last column equal to the first minus the second, so rank(A) < n."""
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    if deficient:
+        A[:, -1] = A[:, 0] - A[:, 1]
+    return A, rng.integers(-2, 5, size=(k, m)).astype(float)
+
+
+def test_basis_values_match_scipy_linprog():
+    """The basis table's bases are the row subsets of full rank by SVD rank,
+    and every subsystem optimum max{c.x : A[B] x <= b_i[B]} and every full
+    optimum max{c.x : A x <= b_i} read from it equals
+    scipy.optimize.linprog's: finite values within 1e-9 relative (absolute
+    near 0), +-inf exactly.  Families: n <= 4, m <= 7, k <= 3, two of the
+    eight of rank < n.  Directions: the signed axes, sampled ones and, for a rank-deficient A,
+    its null vector (1, -1, 0, ..., 0, -1) both ways, which is unbounded on
+    every nonempty piece."""
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(SEED)
+    seen = set()
+    for case in range(8):
+        n = 2 + case % 3
+        m, k = int(rng.integers(n + 1, 8)), int(rng.integers(1, 4))
+        deficient = case in (1, 2)  # n = 3, 4
+        A, b = _bbj_family(rng, n, m, k, deficient)
+        table = analysis._basis_table(A, b)
+        rows = table[2]
+        rank = np.linalg.matrix_rank(A)
+        assert (rank < n) == deficient
+        bases = itertools.combinations(range(m), rank)
+        assert rows.tolist() == [list(B) for B in bases if np.linalg.matrix_rank(A[list(B)]) == rank]
+        dirs = list(analysis.sample_directions(n, 2 * n + 1, case, axes_first=True))
+        if deficient:
+            null = np.r_[1.0, -1.0, np.zeros(n - 3), -1.0] / math.sqrt(3.0)
+            dirs += [null, -null]
+        for c in dirs:
+            sub, full = analysis._basis_values(table, c)
+            for i in range(k):
+                want = _linprog_max(A, b[i], c)
+                assert full[i] == pytest.approx(want, rel=1e-9, abs=1e-9), (case, c, i)
+                seen.add(("full", np.sign(want) if math.isinf(want) else 0))
+                for q, B in enumerate(rows):
+                    want = _linprog_max(A[B], b[i, B], c)
+                    assert sub[q, i] == pytest.approx(want, rel=1e-9, abs=1e-9), (case, c, B, i)
+                    seen.add(("sub", np.sign(want) if math.isinf(want) else 0))
+    assert seen == {("full", -1), ("full", 0), ("full", 1), ("sub", 0), ("sub", 1)}
+
+
+@pytest.mark.parametrize("variant", ["original", "augmented"])
+@pytest.mark.parametrize("factor", [1e4, 1e-3, 1e12, 1e-9])
+def test_basis_condition_does_not_depend_on_the_row_scale(variant, factor):
+    """Scaling every row of A and b by 1e4, 1e-3, 1e12 or 1e-9 leaves the ex4
+    verdict, its bases and its witness samples as they are: the rank,
+    multiplier and feasibility tolerances are relative to the data."""
+    data = fixtures.load("ex4", variant).params
+    base = analysis.check_bbj_condition(data.lhs, data.rhs, count=100, seed=SEED)
+    A, b = factor * np.array(data.lhs), factor * np.array(data.rhs)
+    rep = analysis.check_bbj_condition(A, b, count=100, seed=SEED)
+    assert rep.verdict == base.verdict == fixtures.EXPECTED[("ex4", variant)]["bbj"]
+    assert rep.notes == base.notes
+    assert [w["sample"] for w in rep.witnesses] == [w["sample"] for w in base.witnesses]
 
 
 # ---------------------------------------------------------------------------

@@ -658,7 +658,7 @@ def test_every_package_exception_derives_from_dfc_error():
     "name,variant,check,target",
     [
         ("ex3", "default", "par", "_atom_violation_and_cuts"),
-        ("ex4", "original", "bbj", "_polyhedron_max"),
+        ("ex4", "original", "bbj", "_basis_values"),
     ],
 )
 def test_an_arithmetic_bug_is_not_read_as_a_stall(
