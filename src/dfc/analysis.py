@@ -4,16 +4,17 @@ One cutting-plane loop, maximize_over_atoms, does every optimization: linear
 atoms seed one simplex.Master per optimization, nonlinear atoms (cone rows,
 perspectives, gauge bounds) append supporting cuts at master optima, and each
 round resumes from the last optimal basis, until the worst violation drops
-below tolerance.  feasibility_gap runs it with every row relaxed by a uniform
-slack.  All optimization happens inside an explicit box (radius 1e3) on
-variables without finite bounds; a solution pressed against that box is
-flagged and read as "unbounded" by the support-function callers.  The
-optimizer fallbacks of sets.py share one compiled template per set, its
-homogenized epigraph (w in tau S, tau >= 0), kept in a bounded cache, and
-each fixes bounds on it: tau = 1 for supports, w for a gauge with no closed
-rule (gauge_via_template, its normal read off the loop's duals), (w, tau)
-for membership and recession.  A bounded memo of exact optima by direction
-makes the support and exposed point along one direction one cut loop.
+below tolerance, or it stalls: no new cut separates the master optimum.
+feasibility_gap runs it with every row relaxed by a uniform slack.  All
+optimization happens inside an explicit box (radius 1e3) on variables without
+finite bounds; a solution pressed against that box is flagged and read as
+"unbounded" by the support-function callers.  The optimizer fallbacks of
+sets.py share one compiled template per set, its homogenized epigraph (w in
+tau S, tau >= 0), kept in a bounded cache, and each fixes bounds on it:
+tau = 1 for supports, w for a gauge with no closed rule (gauge_via_template,
+its normal read off the loop's duals), (w, tau) for membership and
+recession.  A bounded memo of exact optima by direction makes the support
+and exposed point along one direction one cut loop.
 
 The sharp and ideal bounds are a max over the pieces, max_i (h_i(u) + v_i),
 taken as a running max: closed-form pieces first, then each curved piece
@@ -198,8 +199,8 @@ def compile_atoms(atoms, variables) -> _Compiled:
 
 @dataclass(frozen=True)
 class OptResult:
-    # optimal | infeasible | stalled | dominated (the LP value fell to the
-    # floor; seen only by support_via_optimizer, which maps it to -inf)
+    # optimal | infeasible | stalled (no cut moves the master, or the round
+    # cap) | dominated (LP value at the floor; support_via_optimizer: -inf)
     status: str
     value: float
     point: np.ndarray | None
@@ -326,7 +327,6 @@ def _generic_persp_tangent(fn, x: np.ndarray, t: float):
 def maximize_over_atoms(
     compiled: _Compiled,
     objective: np.ndarray,
-    max_rounds: int = MAX_CUT_ROUNDS,
     _gap: int | None = None,
     _floor: float = -math.inf,
 ) -> OptResult:
@@ -334,9 +334,12 @@ def maximize_over_atoms(
     radius BOX_RADIUS on every variable without a finite bound of its own.
     With ``_gap``, the last column, a uniform slack that the rows subtract,
     atoms are evaluated on the columns before it, violated only beyond slack
-    + CUT_TOL, and their cuts subtract it too.  A stalled result keeps the
-    last master optimum, if any, in ``point``; an optimal or infeasible one
-    the master's duals().
+    + CUT_TOL, and their cuts subtract it too.  The loop is "optimal" when
+    no atom is violated at the master optimum z, and "stalled" when
+    Master.add_rows finds that no cut of the round cuts z off (the next
+    solve would return z again) or after MAX_CUT_ROUNDS rounds.  A stalled
+    result keeps the last master optimum, if any, in ``point``; an optimal
+    or infeasible one the master's duals().
 
     With a ``_floor``, the loop stops as "dominated" at the first master
     optimum whose value is at most the floor and whose point is off the
@@ -351,9 +354,7 @@ def maximize_over_atoms(
         objective, compiled.rows, compiled.rhs, compiled.eq_rows, compiled.eq_rhs, lb, ub
     )
 
-    rounds = 0
-    z = None
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, MAX_CUT_ROUNDS + 1):
         res = master.solve()
         if res.status == "infeasible":
             return OptResult("infeasible", -math.inf, None, False, rounds, master.duals())
@@ -372,12 +373,11 @@ def maximize_over_atoms(
                 new_cuts.extend(cuts)
         if not violated:
             break
-        if not new_cuts:
-            return OptResult("stalled", math.nan, z, False, rounds)
         G_new = np.array([vec for vec, _ in new_cuts])
         if _gap is not None:
-            G_new = np.hstack([G_new, np.full((len(G_new), 1), -1.0)])
-        master.add_rows(G_new, np.array([r for _, r in new_cuts]))
+            G_new = np.column_stack([G_new, np.full(len(G_new), -1.0)])
+        if not master.add_rows(G_new, np.array([r for _, r in new_cuts])):
+            return OptResult("stalled", math.nan, z, False, rounds)
     else:
         return OptResult("stalled", math.nan, z, False, rounds)
     at_box = _box_contact(z, compiled.lb, compiled.ub)
@@ -399,10 +399,10 @@ def feasibility_gap(compiled: _Compiled) -> tuple[float, dict[str, float] | None
     hold within its bounds, with a witness env.
 
     maximize_over_atoms minimizes s, a last column that every row and cut
-    subtracts (each equality row as two inequalities), in at most 200
-    rounds; if it stops short, the gap is the worst true violation at its
-    last master optimum.  Returns (inf, None) when even the linear outer
-    approximation is empty, or when no s up to BOX_RADIUS does.
+    subtracts (each equality row as two inequalities); if it stalls, the gap
+    is the worst true violation at its last master optimum.  Returns (inf,
+    None) when even the linear outer approximation is empty, or when no s
+    up to BOX_RADIUS does.
     """
     n = len(compiled.names)
     G = np.vstack([compiled.rows, compiled.eq_rows, -compiled.eq_rows])
@@ -417,7 +417,7 @@ def feasibility_gap(compiled: _Compiled) -> tuple[float, dict[str, float] | None
     )
     obj = np.zeros(n + 1)
     obj[n] = -1.0  # maximize -gap
-    res = maximize_over_atoms(cp, obj, max_rounds=200, _gap=n)
+    res = maximize_over_atoms(cp, obj, _gap=n)
     if res.point is None:
         return math.inf, None
     z = res.point
@@ -449,16 +449,21 @@ def _template(S: SetExpr) -> _Compiled:
     return compile_atoms(atoms, variables)
 
 
-def _pinned(S: SetExpr, w=None, tau: float | None = None) -> _Compiled:
-    """S's template with its w columns, its tau column or both fixed (lb =
-    ub) at the given values; the row arrays stay shared."""
-    compiled = _template(S)
+def _held(compiled: _Compiled, cols, values) -> _Compiled:
+    """``compiled`` with the columns ``cols`` fixed (lb = ub) at ``values``;
+    the row arrays stay shared."""
     lb, ub = compiled.lb.copy(), compiled.ub.copy()
-    if w is not None:
-        lb[: S.dim] = ub[: S.dim] = w
-    if tau is not None:
-        lb[S.dim] = ub[S.dim] = tau
+    lb[cols] = ub[cols] = values
     return replace(compiled, lb=lb, ub=ub)
+
+
+def _pinned(S: SetExpr, w=None, tau: float | None = None) -> _Compiled:
+    """S's template with its w columns, its tau column or both held."""
+    if w is None:
+        return _held(_template(S), S.dim, tau)
+    if tau is None:
+        return _held(_template(S), slice(0, S.dim), w)
+    return _held(_template(S), slice(0, S.dim + 1), [*w, tau])
 
 
 def _maximize_over_set(S: SetExpr, u, what: str, floor: float = -math.inf) -> OptResult:
@@ -978,12 +983,7 @@ def _relaxation_check(check, form, dirs, bound, keys, tol, seed, jobs, fixed=Non
         )
     compiled = compile_relaxation(form)
     if fixed:
-        held = np.eye(len(compiled.names))[[compiled.index[nm] for nm in fixed]]
-        compiled = replace(
-            compiled,
-            eq_rows=np.vstack([compiled.eq_rows, held]),
-            eq_rhs=np.concatenate([compiled.eq_rhs, list(fixed.values())]),
-        )
+        compiled = _held(compiled, [compiled.index[nm] for nm in fixed], list(fixed.values()))
     cols = np.array([compiled.index[nm] for nm in (*form.x_names, *form.y_names)])
     args = (compiled, cols, form, bound, keys, tol)
     return _sampled_check(check, dirs, _relaxation_sample, args, tol, seed, jobs, notes)

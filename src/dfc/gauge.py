@@ -205,10 +205,6 @@ def atom_violation(atom, env: dict[str, float]) -> float:
     raise TypeError(f"not an atom: {atom!r}")
 
 
-def block_feasible(atoms, env: dict[str, float], tol: float) -> bool:
-    return all(atom_violation(a, env) <= tol for a in atoms)
-
-
 # ---------------------------------------------------------------------------
 # gauge values with supporting normals (for evaluation and cut generation)
 # ---------------------------------------------------------------------------

@@ -94,15 +94,19 @@ class Master:
             G, h = np.vstack([G, A]), np.concatenate([h, b])
         self.tab = _Tableau(G, h, A.shape[0], cost, lb, ub)
 
-    def add_rows(self, G_new, h_new) -> None:
-        """Append rows G_new x <= h_new, reduced against the current basis."""
+    def add_rows(self, G_new, h_new) -> bool:
+        """Append rows G_new x <= h_new, reduced against the current basis.
+        Returns whether one of them cuts off the current point beyond the
+        feasibility tolerance; if none does, the next solve returns it."""
         if self.result is not None and self.result.status != "optimal":
             raise ValueError(f"cannot add rows to a {self.result.status} LP")
         G_new, h_new = _rows(G_new, h_new, self.c.shape[0])
-        self.tab = self.tab.extended(G_new, h_new)
+        self.tab = tab = self.tab.extended(G_new, h_new)
         self.G.append(G_new)
         self.h.append(h_new)
         self.result = None
+        new_slacks = tab.S[0, tab.S.shape[1] - h_new.shape[0] :]
+        return min(new_slacks.tolist(), default=0.0) < -_EPS
 
     def solve(self) -> LPResult:
         if self.result is None:

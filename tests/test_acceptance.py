@@ -276,13 +276,13 @@ def test_criterion_9_property_suites(capsys):
             env = {nm: float(x[j]) for j, nm in enumerate(names)}
             if abs(g - 1.0) > 1e-7:
                 env["y"] = 1.0
-                assert gauge.block_feasible(block, env, 1e-9) == (g <= 1.0)
+                assert all(gauge.atom_violation(a, env) <= 1e-9 for a in block) == (g <= 1.0)
             if g > 1e-7:
                 env["y"] = 0.0
-                assert not gauge.block_feasible(block, env, 1e-9)
+                assert not all(gauge.atom_violation(a, env) <= 1e-9 for a in block)
             env = {nm: 0.0 for nm in names}
             env["y"] = 0.0
-            assert gauge.block_feasible(block, env, 1e-9)
+            assert all(gauge.atom_violation(a, env) <= 1e-9 for a in block)
 
         # cutting-plane optimizer against brute vertex enumeration
         rng = np.random.default_rng(11)

@@ -269,8 +269,9 @@ def test_cut_loop_converges_on_ex1_extended_stall_direction(tmp_path, capsys):
     obj = np.zeros(len(compiled.names))
     for nm, v in zip(form.x_names + form.y_names, d):
         obj[compiled.index[nm]] += v
-    res = analysis.maximize_over_atoms(compiled, obj, max_rounds=200)
+    res = analysis.maximize_over_atoms(compiled, obj)
     assert res.status == "optimal"
+    assert res.rounds <= 200
     bound = max(sets.support(S, d[:n]) + d[n + i] for i, S in enumerate(form.sets))
     assert res.value == pytest.approx(bound, abs=1e-6)
 
@@ -280,6 +281,38 @@ def test_cut_loop_converges_on_ex1_extended_stall_direction(tmp_path, capsys):
     argv += ["--directions", "64", "--seed", "1525291963"]
     assert cli.main(argv) == 0
     assert "ideal: not-refuted" in capsys.readouterr().out
+
+
+def test_a_violated_atom_without_a_cut_stalls_its_first_round(monkeypatch):
+    """A round whose violated atoms give no cut separates nothing, in the
+    plain loop and in the feasibility gap's slack mode alike."""
+    atoms = [SOC((Aff.var("x0"), Aff.var("x1")), Aff.const_of(1.5))]
+    compiled = analysis.compile_atoms(atoms, named_vars("x0", "x1"))
+    monkeypatch.setattr(analysis, "_atom_violation_and_cuts", lambda *args, **kwargs: (1.0, []))
+    res = analysis.maximize_over_atoms(compiled, np.ones(2))
+    assert (res.status, res.rounds) == ("stalled", 1)
+    gap, env = analysis.feasibility_gap(compiled)
+    assert gap == 1.0 and env is not None
+
+
+def test_feasibility_loop_stalls_when_its_cut_leaves_the_master_optimum(monkeypatch):
+    """The direction (1, 0.3) leaves the recession cone of a parabola's
+    epigraph plus the ray (0, 1): its level-set atom stays +inf at tau = 0
+    while its cuts close in on a point that they no longer separate (by
+    less than half each round, from 0.5).  The loop stalls at the first
+    round whose cut leaves the master optimum feasible, round 27, instead
+    of adding that cut again until a round cap, and the gap still reads the
+    direction out."""
+    S = sets.sum_cone(sets.level_set(sets.QuadraticPlus((1, 0), 0, (0, 1))), [[0, 1]])
+    results = []
+
+    def recording(*args, _real=analysis.maximize_over_atoms, **kwargs):
+        results.append(_real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(analysis, "maximize_over_atoms", recording)
+    assert sets.recession_contains(S, [1, 0.3]) is False
+    assert [(r.status, r.rounds <= 30) for r in results] == [("stalled", True)]
 
 
 def test_support_fallbacks_leave_the_shared_template_unwritten():

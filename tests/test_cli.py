@@ -697,9 +697,9 @@ def test_analyze_ignores_a_stall_of_a_dominated_piece(tmp_path, capsys, monkeypa
     ex1/extended: along the 16 directions near the diagonals the box
     [-1.25, 1.25]^2 beats the curved piece, whose cut loop shows it by round
     4 but needs 16 or 17 rounds to converge; along the other 8 the curved
-    piece wins in 7 rounds.  The curved piece's support loops stall after
-    round 8; the builder's feasibility probe along -(1, 1)/sqrt(2) is not
-    capped."""
+    piece wins in 7 rounds.  The curved piece's support loops read as
+    stalled when they need more than 8 rounds; the builder's feasibility
+    probe along -(1, 1)/sqrt(2) is not capped."""
     inst = write_instance(tmp_path, "ex1", "extended")
     conic = fixtures.ex1_sets()[0]
     probe = np.full(2, -1.0 / math.sqrt(2.0))
@@ -707,11 +707,14 @@ def test_analyze_ignores_a_stall_of_a_dominated_piece(tmp_path, capsys, monkeypa
     floors = {"on": True}
 
     def stall_after_8(compiled, objective, *args, **kwargs):
-        if compiled.rows is analysis._template(conic).rows and not np.array_equal(objective[:2], probe):
-            kwargs["max_rounds"] = 8
-            if not floors["on"]:
-                kwargs.pop("_floor", None)
-        return maximize(compiled, objective, *args, **kwargs)
+        on_conic = compiled.rows is analysis._template(conic).rows
+        capped = on_conic and not np.array_equal(objective[:2], probe)
+        if capped and not floors["on"]:
+            kwargs.pop("_floor", None)
+        res = maximize(compiled, objective, *args, **kwargs)
+        if capped and res.rounds > 8:
+            return analysis.OptResult("stalled", math.nan, None, False, 8)
+        return res
 
     monkeypatch.setattr(analysis, "maximize_over_atoms", stall_after_8)
     argv = ["analyze", "--instance", str(inst), "--check", "sharp", "--directions", "24"]

@@ -230,7 +230,7 @@ def appended(rng, G, h, k):
 
 def test_resumed_solves_match_cold_and_vertex_oracle():
     rng = np.random.default_rng(SEED + 3)
-    resumed = infeasible_after_append = 0
+    resumed = infeasible_after_append = kept = 0
     for case in range(CASES):
         c, G, h, A_eq, b_eq, lb, ub = random_instance(rng, with_eq=case % 3 == 0)
         master = simplex.Master(c, G, h, A_eq, b_eq, lb, ub)
@@ -240,8 +240,12 @@ def test_resumed_solves_match_cold_and_vertex_oracle():
                 break
             k = int(rng.integers(1, 4))
             G, h = appended(rng, G, h, k)
-            master.add_rows(G[-k:], h[-k:])
+            cuts_off = master.add_rows(G[-k:], h[-k:])
+            assert cuts_off == bool((G[-k:] @ res.x - h[-k:] > 1e-9).any())
             warm = master.solve()
+            if not cuts_off:  # rows that leave the optimum feasible move nothing
+                kept += 1
+                assert np.array_equal(warm.x, res.x)
             cold = simplex.solve_lp(c, G, h, A_eq, b_eq, lb, ub)
             status, value = brute_force(c, G, h, A_eq, b_eq, lb, ub)
             resumed += 1
@@ -262,7 +266,7 @@ def test_resumed_solves_match_cold_and_vertex_oracle():
                 assert cold.residual == pytest.approx(warm.residual, abs=1e-9)
             res = warm
     assert resumed > CASES
-    assert infeasible_after_append > 0
+    assert infeasible_after_append > 0 and kept > 0
 
 
 def test_resumed_solve_does_not_rebuild_the_tableau(monkeypatch):
