@@ -1,8 +1,9 @@
 """Mixed-integer formulations of convex disjunctions, with strength checks.
 
 Declarative convex-set expressions, gauge/support oracles, seven
-formulation constructions, a model IR with JSON/LP emission, and sampled
-or exact certification of sharpness and idealness.
+formulation constructions, one formulation record that is emitted as JSON or
+LP text and parsed back, and sampled or exact certification of sharpness and
+idealness.
 """
 
 from . import analysis, builders, fixtures, gauge, model, sets
@@ -38,7 +39,6 @@ from .builders import (
 )
 from .gauge import Aff, ConditionViolated, GaugePlus, Linear, Perspective, SOC
 from .model import (
-    ModelIR,
     NonlinearAtomPresent,
     SchemaError,
     emit_json,
@@ -61,7 +61,6 @@ __all__ = [
     "HomothetyData",
     "IsotoneData",
     "Linear",
-    "ModelIR",
     "NonlinearAtomPresent",
     "OrthogonalData",
     "Perspective",

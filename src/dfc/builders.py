@@ -2,8 +2,10 @@
 
 Every builder takes a ProblemSpec holding the disjuncts (and, when the
 construction needs them, base points and method parameters) and returns a
-Formulation: a flat list of constraint atoms over named variables, one
-binary indicator per disjunct, and the unit-sum row that ties them together.
+Formulation: a flat list of constraint atoms over named variables, each
+labelled with the paper's name for the construction, one binary indicator
+per disjunct, and the unit-sum row that ties them together.  The same record
+is what model.py lifts, emits and parses back, and what every check reads.
 Fixing the indicator vector to a unit vector and projecting onto the shared
 x variables recovers the corresponding disjunct.
 
@@ -241,17 +243,23 @@ class Formulation:
     name: str
     variables: tuple
     atoms: tuple
-    label: str
+    provenance: tuple  # one label, the atom's paper_ref, per atom
     sets: tuple
     x_names: tuple
     y_names: tuple
     notes: tuple = ()
     dedup_removed: int = 0
+    mode: str = "plus"  # or "lifted": positive parts as auxiliary rows
+    objective: tuple | None = None  # ((name, coeff), ...)
 
     def __post_init__(self):
-        names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
+        if len(self.atoms) != len(self.provenance):
+            raise ValueError("one provenance label per atom")
+        if len({v.name for v in self.variables}) != len(self.variables):
             raise ValueError("variable names must be unique")
+
+    def constraint_ids(self) -> tuple:
+        return tuple(f"c{i}" for i in range(len(self.atoms)))
 
 
 def _xy_names(spec: ProblemSpec):
@@ -266,7 +274,8 @@ def _formulation(
 ) -> Formulation:
     """Finish a construction: the shared x, the binary y and the auxiliary
     continuous variables, in that order, the unit-sum row after the given
-    atoms, later duplicate atoms dropped when asked, and the method's label."""
+    atoms, later duplicate atoms dropped when asked, and the method's label
+    on each atom."""
     x_names, y_names = _xy_names(spec)
     variables = (
         *(Variable(nm, "continuous") for nm in x_names),
@@ -281,7 +290,7 @@ def _formulation(
         method,
         variables,
         atoms,
-        LABELS[method],
+        (LABELS[method],) * len(atoms),
         spec.sets,
         x_names,
         y_names,

@@ -86,14 +86,13 @@ def _respec(spec: builders.ProblemSpec, method: str | None) -> builders.ProblemS
 def _cmd_build(args) -> int:
     spec = model.parse_instance(Path(args.instance).read_bytes())
     spec = _respec(spec, args.method)
-    form = builders.build(spec)
-    ir = model.lower_model(form, args.mode)
+    form = model.lower_model(builders.build(spec), args.mode)
     out = Path(args.out)
-    out.write_bytes(model.emit_json(ir))
+    out.write_bytes(model.emit_json(form))
     wrote = [str(out)]
-    if all(isinstance(a, gauge.Linear) for a in ir.atoms):
+    if all(isinstance(a, gauge.Linear) for a in form.atoms):
         lp_path = out.with_suffix(".lp")
-        lp_path.write_bytes(model.emit_lp(ir))
+        lp_path.write_bytes(model.emit_lp(form))
         wrote.append(str(lp_path))
     print("wrote " + " and ".join(wrote))
     return EXIT_OK
@@ -148,8 +147,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    ir = model.parse_model(Path(args.model).read_bytes())
-    data = model.emit_json(ir) if args.format == "json" else model.emit_lp(ir)
+    form = model.parse_model(Path(args.model).read_bytes())
+    data = model.emit_json(form) if args.format == "json" else model.emit_lp(form)
     if args.out:
         Path(args.out).write_bytes(data)
     else:

@@ -1,10 +1,11 @@
-"""Model intermediate representation, JSON/LP serialization, instance parsing.
+"""Model documents: JSON/LP serialization, positive-part lifting, instance parsing.
 
-The IR is a flat constraint list over named variables, produced from a
-Formulation either verbatim (mode "plus") or with every positive-part gauge
-atom lifted: one auxiliary variable per term with rows z >= expr and z >= 0,
-and the gauge argument rewritten over z.  Both modes have identical
-continuous-relaxation optima for objectives in the original variables.
+A model is a builders.Formulation, a flat constraint list over named
+variables.  It is written verbatim (mode "plus") or with every
+positive-part gauge atom lifted: one auxiliary variable per term with rows
+z >= expr and z >= 0, and the gauge argument rewritten over z.  Both modes
+have identical continuous-relaxation optima for objectives in the original
+variables.  parse_model reads a document back into the same record.
 
 Serialization is canonical: sorted keys, no whitespace, every float written
 as a decimal string (%.17g, which round-trips binary64) next to a parallel
@@ -23,10 +24,11 @@ takes directions (a positive integer), seed (a non-negative integer) and tol
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import replace
 
 from . import builders, sets
 from .builders import Formulation, ProblemSpec, Variable
@@ -48,75 +50,38 @@ class NonlinearAtomPresent(sets.DfcError, ValueError):
     """LP text covers linear rows only."""
 
 
-@dataclass(frozen=True)
-class ModelIR:
-    name: str
-    mode: str  # plus | lifted
-    variables: tuple
-    atoms: tuple
-    provenance: tuple
-    x_names: tuple
-    y_names: tuple
-    sets: tuple
-    notes: tuple = ()
-    objective: tuple | None = None  # ((name, coeff), ...)
-
-    def __post_init__(self):
-        if len(self.atoms) != len(self.provenance):
-            raise ValueError("one provenance label per atom")
-
-    def constraint_ids(self):
-        return tuple(f"c{i}" for i in range(len(self.atoms)))
-
-    def provenance_map(self) -> dict:
-        return dict(zip(self.constraint_ids(), self.provenance))
-
-
-def lower_model(form: Formulation, mode: str = "plus") -> ModelIR:
-    """Flatten a formulation into an IR, lifting positive parts if asked."""
+def lower_model(form: Formulation, mode: str = "plus") -> Formulation:
+    """form in the asked mode: form itself when it is already in that mode,
+    else with its positive parts lifted, each new row keeping the label of
+    the atom it came from."""
     if mode not in ("plus", "lifted"):
         raise ValueError("mode must be 'plus' or 'lifted'")
-    variables = list(form.variables)
-    atoms = []
+    if mode == form.mode:
+        return form
     if mode == "plus":
-        atoms = list(form.atoms)
-    else:
-        taken = {v.name for v in variables}
-        counter = 0
-
-        def fresh() -> str:
-            nonlocal counter
-            while True:
-                nm = f"p{counter}"
-                counter += 1
-                if nm not in taken:
-                    taken.add(nm)
-                    return nm
-
-        for atom in form.atoms:
-            if not (isinstance(atom, GaugePlus) and atom.positive_part):
-                atoms.append(atom)
-                continue
-            new_terms = []
+        raise ValueError("a lifted model has no plus form")
+    variables = list(form.variables)
+    atoms, provenance = [], []
+    taken = {v.name for v in variables}
+    fresh = (nm for nm in map("p{}".format, itertools.count()) if nm not in taken)
+    for atom, label in zip(form.atoms, form.provenance):
+        rows = [atom]
+        if isinstance(atom, GaugePlus) and atom.positive_part:
+            rows, terms = [], []
             for d, expr in atom.terms:
-                z = fresh()
+                z = next(fresh)
                 variables.append(Variable(z, "continuous"))
-                atoms.append(Linear(expr - Aff.var(z)))
-                atoms.append(Linear(Aff.var(z).scaled(-1.0)))
-                new_terms.append((d, Aff.var(z)))
-            atoms.append(
-                GaugePlus(atom.set_ref, tuple(new_terms), atom.rhs, positive_part=False)
-            )
-    return ModelIR(
-        form.name,
-        mode,
-        tuple(variables),
-        tuple(atoms),
-        (form.label,) * len(atoms),
-        form.x_names,
-        form.y_names,
-        form.sets,
-        notes=form.notes,
+                rows += [Linear(expr - Aff.var(z)), Linear(Aff.var(z).scaled(-1.0))]
+                terms.append((d, Aff.var(z)))
+            rows.append(GaugePlus(atom.set_ref, tuple(terms), atom.rhs, positive_part=False))
+        atoms += rows
+        provenance += [label] * len(rows)
+    return replace(
+        form,
+        mode="lifted",
+        variables=tuple(variables),
+        atoms=tuple(atoms),
+        provenance=tuple(provenance),
     )
 
 
@@ -169,13 +134,8 @@ def _read_float(node, path: str, finite: bool) -> float:
         if "hex" in node:
             try:
                 return float.fromhex(node["hex"])
-            except TypeError:
+            except (TypeError, ValueError):
                 raise SchemaError(path, "bad hex float") from None
-            except ValueError:
-                try:
-                    return float(node["hex"])
-                except ValueError:
-                    raise SchemaError(path, "bad hex float") from None
         return _read_num(node["dec"], path + ".dec", finite)
     raise SchemaError(path, "expected a number")
 
@@ -266,9 +226,10 @@ _POSINT = _check(lambda v: _is_int(v) and v >= 1, "expected a positive integer")
 _NATINT = _check(lambda v: _is_int(v) and v >= 0, "expected a non-negative integer")
 _INTS = _array_of(_is_int, "expected an array of integers")
 _INT_MAT = _list(_INTS, "expected an array of arrays")
-_NAME = _Kind(_same, lambda node, path: node)
+_NAME = _check(lambda v: isinstance(v, str), "expected a name")
 _TERM = _Kind(lambda t: [t[0], _num(t[1])], _read_term)  # [name, coeff]
 _NAMES = _array_of(lambda v: isinstance(v, str), "expected an array of names")
+_OBJECTIVE = _or(_list(_TERM), None)  # ((name, coeff), ...) or None
 _CONES = _array_of(
     lambda c: isinstance(c, list) and len(c) == 2 and isinstance(c[0], str) and _is_int(c[1]),
     "expected [kind, size] pairs",
@@ -519,9 +480,9 @@ def _load_json(data):
 # ---------------------------------------------------------------------------
 
 
-def _find_simplex_row(ir: ModelIR) -> str | None:
-    want = set(ir.y_names)
-    for cid, atom in zip(ir.constraint_ids(), ir.atoms):
+def _find_simplex_row(form: Formulation) -> str | None:
+    want = set(form.y_names)
+    for cid, atom in zip(form.constraint_ids(), form.atoms):
         if not (isinstance(atom, Linear) and atom.relation == "eq"):
             continue
         names = {nm for nm, _ in atom.expr.terms}
@@ -532,27 +493,23 @@ def _find_simplex_row(ir: ModelIR) -> str | None:
     return None
 
 
-def model_doc(ir: ModelIR) -> dict:
-    cids = ir.constraint_ids()
+def model_doc(form: Formulation) -> dict:
+    cids = form.constraint_ids()
     return {
         "schema": MODEL_SCHEMA,
-        "name": ir.name,
-        "mode": ir.mode,
-        "vars": _VARIABLES.enc(ir.variables),
+        "name": form.name,
+        "mode": form.mode,
+        "vars": _VARIABLES.enc(form.variables),
         "cons": [
             {**_ATOMS.enc(atom), "id": cid, "paper_ref": label}
-            for atom, label, cid in zip(ir.atoms, ir.provenance, cids)
+            for atom, label, cid in zip(form.atoms, form.provenance, cids)
         ],
-        "x": list(ir.x_names),
-        "y": list(ir.y_names),
-        "sets": _SET_LIST.enc(ir.sets),
-        "notes": list(ir.notes),
-        "objective": (
-            None
-            if ir.objective is None
-            else [[nm, _num(c)] for nm, c in ir.objective]
-        ),
-        "simplex_row": _find_simplex_row(ir),
+        "x": list(form.x_names),
+        "y": list(form.y_names),
+        "sets": _SET_LIST.enc(form.sets),
+        "notes": list(form.notes),
+        "objective": _OBJECTIVE.enc(form.objective),
+        "simplex_row": _find_simplex_row(form),
     }
 
 
@@ -560,8 +517,8 @@ def canonical_bytes(doc) -> bytes:
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def emit_json(ir: ModelIR) -> bytes:
-    return canonical_bytes(model_doc(ir))
+def emit_json(form: Formulation) -> bytes:
+    return canonical_bytes(model_doc(form))
 
 
 _MODEL_REQUIRED = ("schema", "name", "mode", "vars", "cons", "x", "y", "sets")
@@ -569,7 +526,7 @@ _MODEL_KEYS = frozenset(_MODEL_REQUIRED + ("notes", "objective", "simplex_row"))
 _MODE = _choice(("plus", "lifted"), "expected 'plus' or 'lifted'")
 
 
-def parse_model(data) -> ModelIR:
+def parse_model(data) -> Formulation:
     doc = _load_json(data)
     _require(doc, "$", _MODEL_REQUIRED, _MODEL_KEYS)
     if doc["schema"] != MODEL_SCHEMA:
@@ -580,20 +537,47 @@ def parse_model(data) -> ModelIR:
     x_names = _NAMES.dec(doc["x"], "$.x")
     y_names = _NAMES.dec(doc["y"], "$.y")
     set_list = _SET_LIST.dec(doc["sets"], "$.sets")
-    objective = _or(_list(_TERM), None).dec(doc.get("objective"), "$.objective")
+    objective = _OBJECTIVE.dec(doc.get("objective"), "$.objective")
     notes = _NAMES.dec(doc["notes"], "$.notes") if "notes" in doc else ()
-    return ModelIR(
+    declared = set()
+    for i, v in enumerate(variables):
+        if v.name in declared:
+            raise SchemaError(f"$.vars[{i}].name", f"variable {v.name!r} declared twice")
+        declared.add(v.name)
+    for i, atom in enumerate(atoms):
+        undeclared = _atom_names(atom) - declared
+        if undeclared:
+            raise SchemaError(f"$.cons[{i}]", f"undeclared variable {min(undeclared)!r}")
+    objective_names = [nm for nm, _ in objective or ()]
+    for key, names in (("x", x_names), ("y", y_names), ("objective", objective_names)):
+        for i, nm in enumerate(names):
+            if nm not in declared:
+                raise SchemaError(f"$.{key}[{i}]", f"undeclared variable {nm!r}")
+    return Formulation(
         doc["name"],
-        mode,
         variables,
         atoms,
         tuple(c["paper_ref"] for c in doc["cons"]),
+        set_list,
         x_names,
         y_names,
-        set_list,
         notes=notes,
+        mode=mode,
         objective=objective,
     )
+
+
+def _atom_names(atom) -> set:
+    """The variable names an atom's affine expressions read."""
+    if isinstance(atom, Linear):
+        exprs = (atom.expr,)
+    elif isinstance(atom, SOC):
+        exprs = (*atom.arg, atom.bound)
+    elif isinstance(atom, Perspective):
+        exprs = (*atom.arg, atom.scale)
+    else:
+        exprs = (*(e for _, e in atom.terms), atom.rhs)
+    return {nm for e in exprs for nm, _ in e.terms}
 
 
 # ---------------------------------------------------------------------------
@@ -619,15 +603,15 @@ def _lp_row(expr: Aff) -> str:
     return " ".join(parts)
 
 
-def emit_lp(ir: ModelIR) -> bytes:
+def emit_lp(form: Formulation) -> bytes:
     """LP text for purely linear models: the model's objective (0 when it has
     none), one row per Linear atom, explicit bounds, binaries in their own
     section."""
     obj = Aff.const_of(0.0)
-    for nm, c in ir.objective or ():
+    for nm, c in form.objective or ():
         obj = obj + Aff.var(nm, c)
     lines = ["Minimize", f" obj: {_lp_row(obj) if obj.terms else 0}", "Subject To"]
-    for cid, atom in zip(ir.constraint_ids(), ir.atoms):
+    for cid, atom in zip(form.constraint_ids(), form.atoms):
         if not isinstance(atom, Linear):
             raise NonlinearAtomPresent(f"{cid} is a {type(atom).__name__} atom")
         rel = "=" if atom.relation == "eq" else "<="
@@ -635,7 +619,7 @@ def emit_lp(ir: ModelIR) -> bytes:
         body = _lp_row(Aff(atom.expr.terms, 0.0))
         lines.append(f" {cid}: {body} {rel} {_lp_num(rhs)}")
     lines.append("Bounds")
-    for v in ir.variables:
+    for v in form.variables:
         if v.kind == "binary":
             continue
         lo, hi = v.lb, v.ub
@@ -647,7 +631,7 @@ def emit_lp(ir: ModelIR) -> bytes:
             lines.append(f" {v.name} <= {_lp_num(hi)}")
         else:
             lines.append(f" {_lp_num(lo)} <= {v.name} <= {_lp_num(hi)}")
-    binaries = [v.name for v in ir.variables if v.kind == "binary"]
+    binaries = [v.name for v in form.variables if v.kind == "binary"]
     if binaries:
         lines.append("Binary")
         lines.append(" " + " ".join(binaries))

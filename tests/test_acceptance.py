@@ -305,7 +305,7 @@ def test_criterion_9_property_suites(capsys):
                 "rand",
                 tuple(builders.Variable(nm, "continuous") for nm in names),
                 atoms,
-                "test",
+                ("test",) * len(atoms),
                 (),
                 names,
                 (),

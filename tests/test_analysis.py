@@ -427,7 +427,7 @@ def tight_assignment_form():
         "tight",
         variables,
         atoms,
-        "test",
+        ("test",) * len(atoms),
         POINT_SETS,
         ("x0",),
         ("y0", "y1"),
@@ -457,7 +457,7 @@ def loose_bigm_form():
         "loose",
         variables,
         atoms,
-        "test",
+        ("test",) * len(atoms),
         POINT_SETS,
         ("x0",),
         ("y0", "y1"),
@@ -505,7 +505,7 @@ def one_set_soc_form():
         "soc",
         (builders.Variable("x0", "continuous", -1.0, 1.0),),
         (SOC((Aff.var("x0"),), Aff.const_of(1.0)),),
-        "test",
+        ("test",),
         (sets.box([-1.0], [1.0]),),
         ("x0",),
         (),

@@ -66,7 +66,7 @@ def test_catalog_structure_frozen():
         assert kind_histogram(form) == kinds, where
         assert len(form.variables) == n_vars, where
         assert form.dedup_removed == removed, where
-        assert form.label == LABELS[name][variant], where
+        assert set(form.provenance) == {LABELS[name][variant]}, where
 
 
 def simplex_row_present(form):
@@ -310,7 +310,7 @@ def test_orthogonal_projection_form():
     assert len(gp) == 2
     assert all(not a.positive_part for a in gp)
     assert len(gp[0].terms) == 1 and len(gp[1].terms) == 1
-    assert form.label == "orthogonalplusprojcone"
+    assert set(form.provenance) == {"orthogonalplusprojcone"}
     assert simplex_row_present(form)
 
 

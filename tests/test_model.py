@@ -4,6 +4,7 @@ The round-trip oracle is byte equality: emit, parse, emit again and compare
 bytes.  The lift oracle is optimization equality over random objectives.
 """
 
+import dataclasses
 import json
 import math
 
@@ -55,7 +56,7 @@ def test_model_doc_shape_and_float_leaves():
     one = doc["cons"][0]["expr"]["terms"][0][1]
     assert one == {"dec": "1", "hex": "0x1.0000000000000p+0"}
     assert doc["vars"][0]["lb"] == {"dec": "-inf", "hex": "-inf"}
-    assert ir.provenance_map()["c4"] == "blairform"
+    assert doc["cons"][4]["paper_ref"] == "blairform"
 
 
 def test_canonical_bytes_sorted_and_compact():
@@ -89,6 +90,15 @@ def test_parse_model_schema_errors_name_the_path():
     assert err.value.path.startswith("$.vars[0]")
     with pytest.raises(model.SchemaError):
         model.parse_model(b"{not json")
+    # an undeclared name is refused before any check indexes its column
+    with pytest.raises(model.SchemaError) as err:
+        model.parse_model(
+            mutate(ir, lambda d: d["cons"][0]["expr"]["terms"][0].__setitem__(0, "zz"))
+        )
+    assert (err.value.path, "'zz'" in str(err.value)) == ("$.cons[0]", True)
+    with pytest.raises(model.SchemaError) as err:
+        model.parse_model(mutate(ir, lambda d: d.__setitem__("y", ["y0", "q"])))
+    assert err.value.path == "$.y[1]"
 
 
 # ---------------------------------------------------------------------------
@@ -134,15 +144,14 @@ def test_lp_text_writes_the_model_objective():
 
 def test_lp_text_never_prints_negative_zero():
     atoms = (Linear(Aff.of({"x0": 1.0}, -0.0)),)
-    ir = model.ModelIR(
+    ir = builders.Formulation(
         "z",
-        "plus",
         (builders.Variable("x0", "continuous"),),
         atoms,
         ("test",),
+        (sets.box((0.0,), (1.0,)),),
         ("x0",),
         (),
-        (sets.box((0.0,), (1.0,)),),
     )
     text = model.emit_lp(ir).decode()
     assert "-0" not in text
@@ -200,6 +209,59 @@ def test_lower_model_mode_validation():
     form = builders.build(fixtures.ex4("original"))
     with pytest.raises(ValueError):
         model.lower_model(form, "fancy")
+    with pytest.raises(ValueError):
+        model.lower_model(model.lower_model(form, "lifted"), "plus")
+
+
+def test_builders_return_the_model_record():
+    """A built formulation is the plus-mode model itself, and parse_model
+    reads a document back into the same record."""
+    form = builders.build(fixtures.load("ex7", "wide"))
+    assert model.lower_model(form, "plus") is form
+    lifted = model.lower_model(form, "lifted")
+    assert model.lower_model(lifted, "lifted") is lifted
+    parsed = model.parse_model(model.emit_json(form))
+    assert isinstance(parsed, builders.Formulation)
+    assert parsed == dataclasses.replace(form, dedup_removed=0)
+
+
+def test_lift_keeps_each_rows_label():
+    """A parsed model whose atoms carry different labels lifts each positive
+    part into rows that keep the label of the atom they came from."""
+    form = builders.build(fixtures.load("ex7", "wide"))
+    doc = json.loads(model.emit_json(form))
+    for i, con in enumerate(doc["cons"]):
+        con["paper_ref"] = f"ref{i}"
+    parsed = model.parse_model(json.dumps(doc))
+    lifted = model.lower_model(parsed, "lifted")
+    want = []
+    for i, atom in enumerate(form.atoms):
+        rows = 2 * len(atom.terms) + 1 if isinstance(atom, GaugePlus) and atom.positive_part else 1
+        want += [f"ref{i}"] * rows
+    assert lifted.provenance == tuple(want)
+    assert len(set(want)) == len(form.atoms) < len(want)
+    assert lifted.atoms == model.lower_model(form, "lifted").atoms
+    blob = model.emit_json(lifted)
+    assert model.emit_json(model.parse_model(blob)) == blob
+
+
+@pytest.mark.parametrize(
+    "name, variant, check, kw",
+    [
+        ("ex4", "original", analysis.check_ideal, {}),
+        ("ex1", "bigm", analysis.check_sharp, {"count": 16}),
+    ],
+)
+def test_checks_read_a_parsed_model_as_the_built_one(name, variant, check, kw):
+    form = builders.build(fixtures.load(name, variant))
+    parsed = model.parse_model(model.emit_json(model.lower_model(form)))
+
+    def doc(f):
+        out = model.report_doc(check(f, seed=SEED, **kw))
+        out.pop("elapsed_s")
+        return out
+
+    assert doc(parsed) == doc(form)
 
 
 # ---------------------------------------------------------------------------

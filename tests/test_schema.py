@@ -150,15 +150,14 @@ def instance_round_trip(spec):
 
 def ir_of(*atoms):
     names = ("x0", "x1", "y0", "y1")
-    return model.ModelIR(
+    return builders.Formulation(
         "atoms",
-        "plus",
         tuple(builders.Variable(nm, "binary" if nm[0] == "y" else "continuous") for nm in names),
         atoms,
         tuple(f"ref{i}" for i in range(len(atoms))),
+        (SQUARE, DISK),
         ("x0", "x1"),
         ("y0", "y1"),
-        (SQUARE, DISK),
         notes=("note",),
     )
 
@@ -220,6 +219,8 @@ SET_CASES = [
     ("ball", lambda d: d.update(radius="wide"), ".radius"),
     ("ball", lambda d: d.update(radius={"dec": "1", "bin": "1"}), ".radius"),
     ("ball", lambda d: d.update(radius={"dec": "1", "hex": 5}), ".radius"),
+    ("ball", lambda d: d.update(radius={"dec": "1e-5", "hex": "1e-5"}), ".radius"),
+    ("ball", lambda d: d.update(radius={"hex": "zz"}), ".radius"),
     ("box", lambda d: d.update(set="cube"), ".set"),
     ("box", lambda d: d.pop("set"), ""),
     ("conic", lambda d: d.update(cones=[["soc", "3"]]), ".cones"),
@@ -385,10 +386,28 @@ def test_model_top_level_errors_name_the_path():
         (lambda d: d["vars"][1].update(lb="low"), "$.vars[1].lb"),
         (lambda d: d["vars"][0].pop("ub"), "$.vars[0]"),
         (lambda d: d["sets"][1].pop("radius"), "$.sets[1]"),
+        (lambda d: d["vars"].append(dict(d["vars"][1])), "$.vars[4].name"),
+        (lambda d: d["vars"][0].update(name=0), "$.vars[0].name"),
+        (lambda d: d.update(x=["x0", "q"]), "$.x[1]"),
+        (lambda d: d.update(y=["q", "y1"]), "$.y[0]"),
+        (lambda d: d.update(objective=[["x1", 1.0], ["q", 2.0]]), "$.objective[1]"),
     ):
         doc = json.loads(json.dumps(good))
         mutate(doc)
         assert model_error(doc).path == path
+
+
+@pytest.mark.parametrize("key", sorted(ATOMS))
+def test_every_name_an_atom_reads_must_be_declared(key):
+    """Leaving one variable out of vars is refused at the atom when the atom
+    reads it anywhere, else at its place in x or y."""
+    good = json.loads(model.emit_json(ir_of(ATOMS[key])))
+    atom_text = json.dumps(good["cons"][0])
+    for i, nm in enumerate(("x0", "x1", "y0", "y1")):
+        doc = json.loads(json.dumps(good))
+        del doc["vars"][i]
+        where = "$.cons[0]" if f'"{nm}"' in atom_text else f"$.{nm[0]}[{nm[1]}]"
+        assert model_error(doc).path == where, nm
 
 
 def test_sum_cone_takes_an_empty_ray_list():
