@@ -87,14 +87,15 @@ DEFAULT_SEED = 20240
 TEMPLATE_CACHE_SIZE = 256  # compiled set templates kept per process
 
 
-class ExactModeUnavailable(sets.DfcError, ValueError):
+class ExactModeUnavailable(sets.DfcError):
     """The exact ideal check cannot run: the formulation is not purely
     linear, or its vertex enumeration is over the caps."""
 
 
-class FormulationShapeError(sets.DfcError, ValueError):
-    """A sampled sharp, ideal or minkowski check needs one y variable per
-    set of the formulation, since its bounds pair y_i with set i."""
+class FormulationShapeError(sets.DfcError):
+    """A formulation record is malformed: it needs one provenance label per
+    atom and unique variable names, and a sampled sharp, ideal or minkowski
+    check needs one y variable per set, since its bounds pair y_i with set i."""
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ def _atom_violation_and_cuts(atom, pre, z: np.ndarray, want_cut: bool):
             coef = float(q @ d)
             if atom.positive_part:
                 if coef < -1e-6 * max(qscale, 1.0) * float(np.linalg.norm(d)):
-                    raise ValueError(
+                    raise gauge_mod.ConditionViolated(
                         "gauge term misaligned with the subgradient; "
                         "positive-part cut would be invalid here"
                     )
@@ -581,12 +582,12 @@ def sample_directions(
     uniform draw for the plane's grid offset or the sphere's phase, and
     gauss(0, 1) for each Gaussian coordinate.  Python keeps the stream of
     random() for a given integer seed across versions, and uniform and gauss
-    are computed from it in pure Python.  A negative seed raises ValueError,
-    because random.Random would seed the same stream as its absolute
-    value."""
+    are computed from it in pure Python.  A negative seed raises
+    sets.OutOfDomain, because random.Random would seed the same stream as
+    its absolute value."""
     seed = operator.index(seed)
     if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        raise sets.OutOfDomain(f"seed must be a non-negative integer, got {seed}")
     rng = random.Random(seed)
     out = []
     if axes_first:
@@ -888,11 +889,11 @@ def _sampled_check(check, dirs, evaluate, args, tol, seed, jobs, notes=()) -> An
     os.fork is missing), and the results come back in sample order.  The
     margin is the largest term, at least 0; the witnesses are sorted by key
     and cut to 8, and any witness fails the check.  No directions or jobs
-    below 1 raise ValueError."""
+    below 1 raise sets.OutOfDomain."""
     if len(dirs) == 0:
-        raise ValueError(f"the {check} check needs at least one direction")
+        raise sets.OutOfDomain(f"the {check} check needs at least one direction")
     if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+        raise sets.OutOfDomain(f"jobs must be at least 1, got {jobs}")
     t0 = time.perf_counter()
     size = (len(dirs) + jobs - 1) // jobs
     chunks = [(i, dirs[i : i + size]) for i in range(0, len(dirs), size)]
@@ -1064,7 +1065,7 @@ def check_ideal(
     gaps surface first.
     """
     if mode not in ("auto", "exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise sets.OutOfDomain(f"unknown mode {mode!r}")
     notes = ()
     if mode in ("auto", "exact"):
         try:
@@ -1236,7 +1237,8 @@ def check_bbj_condition(
     """For sampled objectives, some full-rank row basis must reproduce every
     disjunct's optimum from its own subsystem alone, read from one table of
     the bases (_basis_table).  A right-hand side without one entry per row
-    raises sets.DimensionMismatch, non-finite data ValueError."""
+    raises sets.DimensionMismatch, non-finite data or more than BASIS_CAP
+    candidate bases sets.OutOfDomain."""
     A = np.asarray(A, dtype=float)
     m, n = A.shape
     rhs = [np.asarray(b, dtype=float) for b in b_list]
@@ -1244,7 +1246,7 @@ def check_bbj_condition(
         raise sets.DimensionMismatch("each right-hand side needs one entry per row")
     b_arr = np.reshape(rhs, (len(rhs), m))
     if not (np.isfinite(A).all() and np.isfinite(b_arr).all()):
-        raise ValueError("the bbj check needs finite A and b")
+        raise sets.OutOfDomain("the bbj check needs finite A and b")
     table = _basis_table(A, b_arr)
     dirs = sample_directions(n, count, seed, axes_first=True)
     notes = (f"bases considered: {len(table[2])}",)
@@ -1262,7 +1264,7 @@ def _basis_table(A: np.ndarray, b_arr: np.ndarray) -> tuple:
     cols = _pivot_columns(A, floor)
     r = len(cols)
     if math.comb(m, r) > BASIS_CAP:
-        raise ValueError(f"basis enumeration capped at {BASIS_CAP} candidates")
+        raise sets.OutOfDomain(f"basis enumeration capped at {BASIS_CAP} candidates")
     rows = np.array(list(itertools.combinations(range(m), r)), dtype=int)
     rows = rows.reshape(math.comb(m, r), r)
     eye = np.broadcast_to(np.eye(r), (len(rows), r, r))

@@ -57,19 +57,19 @@ BIGM_PROBE_DIRS = 8  # directions of the level-set probe of a given activation m
 HOMOTHETY_PROBES = 32  # directions of the support probe of a declared homothety
 
 
-class FamilyInvalid(DfcError, ValueError):
+class FamilyInvalid(DfcError):
     """The disjunct family fails a structural requirement."""
 
 
-class MMatrixInvalid(DfcError, ValueError):
+class MMatrixInvalid(DfcError):
     """Activation matrix has a bad diagonal or misses a disjunct."""
 
 
-class UnboundedM(DfcError, ValueError):
+class UnboundedM(DfcError):
     """No finite activation coefficient exists for the pair."""
 
 
-class HomothetyMismatch(DfcError, ValueError):
+class HomothetyMismatch(DfcError):
     """A disjunct is not the declared translate/scale of the template."""
 
     def __init__(self, message: str, witness):
@@ -77,11 +77,11 @@ class HomothetyMismatch(DfcError, ValueError):
         self.witness = witness
 
 
-class EmptyPiece(DfcError, ValueError):
+class EmptyPiece(DfcError):
     """A polyhedral disjunct is empty."""
 
 
-class OracleUnbounded(DfcError, ValueError):
+class OracleUnbounded(DfcError):
     """A support-function constant came back infinite."""
 
 
@@ -112,6 +112,9 @@ class HomothetyData:
         object.__setattr__(self, "radii", tuple(float(r) for r in self.radii))
         if len(self.base) != len(self.radii):
             raise sets.DimensionMismatch("one base point per radius entry")
+        n = self.template.dim
+        if any(len(b) != n for b in self.base):
+            raise sets.DimensionMismatch(f"base points need the template's dimension {n}")
         if any(r < 0 for r in self.radii) or not any(self.radii):
             raise FamilyInvalid("radii must be nonnegative and not all zero")
 
@@ -211,6 +214,10 @@ class IsotoneData:
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """k disjuncts in R^n with their base points and params.  Every shape
+    rule of the params against k and n is checked here, once, so builders
+    and checks read them without checking again."""
+
     sets: tuple
     base_points: tuple | None = None
     method: str = "extended"
@@ -228,6 +235,7 @@ class ProblemSpec:
             object.__setattr__(self, "base_points", bp)
             if len(bp) != len(self.sets) or any(len(b) != n for b in bp):
                 raise sets.DimensionMismatch("one n-vector base point per disjunct")
+        _check_params(self.params, len(self.sets), n)
 
     @property
     def dim(self) -> int:
@@ -236,6 +244,55 @@ class ProblemSpec:
     @property
     def k(self) -> int:
         return len(self.sets)
+
+
+def _check_params(params, k: int, n: int) -> None:
+    """The shape of params against k disjuncts in R^n."""
+    if isinstance(params, HomothetyData):
+        _check_family(params, k, n, "one radius per disjunct")
+    elif isinstance(params, PiecewiseData):
+        for fam in params.families:
+            _check_family(fam, k, n, "one radius per disjunct in each family")
+    elif isinstance(params, BigMData):
+        if params.M is not None and (len(params.M) != k or any(len(r) != k for r in params.M)):
+            raise MMatrixInvalid("activation matrix must be k by k")
+    elif isinstance(params, BBJData):
+        if any(len(row) != n for row in params.lhs):
+            raise sets.DimensionMismatch("matrix width differs from the dimension")
+        if len(params.rhs) != k:
+            raise sets.DimensionMismatch("one right-hand side per disjunct")
+    elif isinstance(params, OrthogonalData):
+        _check_frame(params, k, n, coord_sets=params.coord_sets)
+        if any(not 0 <= j < n for J in params.coord_sets for j in J):
+            raise sets.DimensionMismatch(f"coord_sets name frame directions 0 to {n - 1}")
+    elif isinstance(params, IsotoneData):
+        _check_frame(params, k, n, hulls=params.hulls)
+
+
+def _check_family(fam: HomothetyData, k: int, n: int, per_disjunct: str) -> None:
+    if len(fam.radii) != k:
+        raise sets.DimensionMismatch(per_disjunct)
+    if fam.template.dim != n:
+        raise sets.DimensionMismatch(f"template has dim {fam.template.dim}, the disjuncts {n}")
+
+
+def _check_frame(data, k: int, n: int, **more) -> None:
+    """One piece, sign vector and base point (and each entry of more, when
+    given) per disjunct, pieces and base points in R^n, and a frame of n
+    directions of length n with n signs per piece."""
+    per_piece = {"pieces": data.pieces, "signs": data.signs, "base": data.base, **more}
+    for name, items in per_piece.items():
+        if items is not None and len(items) != k:
+            raise sets.DimensionMismatch(f"{name} has {len(items)} entries, one per disjunct ({k})")
+    for i, s in enumerate(data.signs):
+        if len(data.basis) != n or len(s) != n or any(len(v) != n for v in data.basis):
+            raise sets.DimensionMismatch(
+                f"piece {i}: the frame has {len(data.basis)} directions and {len(s)} signs, "
+                f"the dimension is {n}"
+            )
+    for i, (piece, b) in enumerate(zip(data.pieces, data.base)):
+        if piece.dim != n or len(b) != n:
+            raise sets.DimensionMismatch(f"piece {i}: its set and base point need dimension {n}")
 
 
 @dataclass(frozen=True)
@@ -254,9 +311,9 @@ class Formulation:
 
     def __post_init__(self):
         if len(self.atoms) != len(self.provenance):
-            raise ValueError("one provenance label per atom")
+            raise analysis.FormulationShapeError("one provenance label per atom")
         if len({v.name for v in self.variables}) != len(self.variables):
-            raise ValueError("variable names must be unique")
+            raise analysis.FormulationShapeError("variable names must be unique")
 
     def constraint_ids(self) -> tuple:
         return tuple(f"c{i}" for i in range(len(self.atoms)))
@@ -477,7 +534,7 @@ def minimal_bigm(spec: ProblemSpec, i: int, j: int) -> BigMEntry:
     when disjunct j's extreme points are enumerable, otherwise a sampled
     lower bound."""
     if i == j:
-        raise ValueError("activation coefficients are defined for distinct pairs")
+        raise sets.OutOfDomain("activation coefficients are defined for distinct pairs")
     _require_bases(spec)
     return _pair_bigm(spec, i, j)
 
@@ -541,8 +598,6 @@ def build_bigm(spec: ProblemSpec) -> Formulation:
     if data.M is not None:
         _require_bases(spec)
         M = [list(row) for row in data.M]
-        if len(M) != k or any(len(r) != k for r in M):
-            raise MMatrixInvalid("activation matrix must be k by k")
     else:
         table = bigm_table(spec)  # validates the family
         M = [list(row) for row in table.values]
@@ -622,8 +677,6 @@ def build_homothetic(spec: ProblemSpec) -> Formulation:
     fam = spec.params
     if not isinstance(fam, HomothetyData):
         raise FamilyInvalid("homothetic construction needs HomothetyData")
-    if len(fam.radii) != spec.k:
-        raise sets.DimensionMismatch("one radius per disjunct")
     _probe_homothety(spec.sets, fam)
     block, aux = _homothetic_block(fam, *_xy_names(spec), NameGen())
     return _formulation("homothetic", spec, block, aux)
@@ -638,8 +691,6 @@ def build_piecewise(spec: ProblemSpec) -> Formulation:
     gen = NameGen()
     atoms, aux = [], []
     for fam in data.families:
-        if len(fam.radii) != spec.k:
-            raise sets.DimensionMismatch("one radius per disjunct in each family")
         block, block_aux = _homothetic_block(fam, *_xy_names(spec), gen)
         aux.extend(block_aux)
         atoms.extend(block)
@@ -675,16 +726,10 @@ def _activation(x_names, y_names, u: np.ndarray, i: int, base, pieces, what: str
     return expr
 
 
-def _signed_frames(basis, signs, dim: int, flip=None) -> list[SignedBasis]:
-    """One validated signed frame per piece (t = flip, or all ones); a frame
-    needs dim directions of length dim and dim signs."""
+def _signed_frames(basis, signs, flip=None) -> list[SignedBasis]:
+    """One validated signed frame per piece (t = flip, or all ones)."""
     frames = []
-    for i, s in enumerate(signs):
-        if len(basis) != dim or len(s) != dim or any(len(v) != dim for v in basis):
-            raise sets.DimensionMismatch(
-                f"piece {i}: the frame has {len(basis)} directions and {len(s)} signs, "
-                f"the dimension is {dim}"
-            )
+    for s in signs:
         frame = SignedBasis(basis, s, flip if flip is not None else (1,) * len(s))
         frame.validate()
         frames.append(frame)
@@ -717,7 +762,7 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
         raise FamilyInvalid("orthogonal construction needs OrthogonalData")
     n, k = spec.dim, spec.k
     V = np.asarray(data.basis, dtype=float)
-    frames = _signed_frames(data.basis, data.signs, n, data.flip)
+    frames = _signed_frames(data.basis, data.signs, data.flip)
     x_names, y_names = _xy_names(spec)
     atoms = []
 
@@ -776,10 +821,6 @@ def build_bbj(spec: ProblemSpec) -> Formulation:
         raise FamilyInvalid("shared-matrix construction needs BBJData")
     n, k = spec.dim, spec.k
     A = np.asarray(data.lhs, dtype=float)
-    if A.shape[1] != n:
-        raise sets.DimensionMismatch("matrix width differs from the dimension")
-    if len(data.rhs) != k:
-        raise sets.DimensionMismatch("one right-hand side per disjunct")
     for i, b in enumerate(data.rhs):
         if sets.find_point(sets.hpoly(A, b)) is None:
             raise EmptyPiece(f"disjunct {i} is empty")
@@ -814,7 +855,7 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
     n, k = spec.dim, spec.k
     V = np.asarray(data.basis, dtype=float)
     disjuncts = spec.sets
-    frames = _signed_frames(data.basis, data.signs, n)
+    frames = _signed_frames(data.basis, data.signs)
     if data.check:
         _check_cone_sum([_shifted(S, b) for S, b in zip(disjuncts, data.base)], frames)
     x_names, y_names = _xy_names(spec)

@@ -164,14 +164,13 @@ Atom = "Linear | SOC | Perspective | GaugePlus"
 
 
 class NameGen:
-    """Deterministic fresh-name counter (one per build)."""
+    """Deterministic fresh-name counter (one per build): z0, z1, ..."""
 
-    def __init__(self, prefix: str = "z"):
-        self.prefix = prefix
+    def __init__(self):
         self._n = 0
 
-    def fresh(self, prefix: str | None = None) -> str:
-        name = f"{prefix or self.prefix}{self._n}"
+    def fresh(self) -> str:
+        name = f"z{self._n}"
         self._n += 1
         return name
 
@@ -261,7 +260,7 @@ def _rows_gauge(A: np.ndarray, b: np.ndarray, w: np.ndarray) -> tuple[float, np.
     normal A_i / b_i; +inf with normal A_i on a row with b_i = 0 that w
     violates."""
     if np.any(b < 0.0):
-        raise ValueError("gauge needs the origin in the polyhedron")
+        raise sets.BasePointNotInSet("gauge needs the origin in the polyhedron")
     vals = A @ w
     best, q = 0.0, np.zeros(w.shape[0])
     for i in range(A.shape[0]):
@@ -357,7 +356,7 @@ def _level_set_gauge(fn: CatalogFunction, w: np.ndarray) -> tuple[float, np.ndar
         for a, c in fn.persp_valid_rows():
             if c == 0.0 and float(a @ w) > 0.0:
                 return math.inf, a / float(np.linalg.norm(a))
-        raise ValueError("gauge is unbounded along w with no separating row")
+        raise sets.UnboundedDirection("gauge is unbounded along w with no separating row")
     k = -52
     while fn.persp_value(w, gamma) > 0.0:
         gamma *= 1.0 + 2.0**k
@@ -419,7 +418,7 @@ def _lower(S, w, tau, gen):
         return atoms, []
     if isinstance(S, VPolytope):
         V = _arr(S.vertices)
-        lam = [gen.fresh("z") for _ in range(V.shape[0])]
+        lam = [gen.fresh() for _ in range(V.shape[0])]
         atoms = []
         for j in range(S.dim):
             expr = w[j]
@@ -433,7 +432,7 @@ def _lower(S, w, tau, gen):
         return atoms, lam
     if isinstance(S, ConicRep):
         A, c = _arr(S.A), _arr(S.c)
-        zs = [gen.fresh("z") for _ in range(S.aux_dim)]
+        zs = [gen.fresh() for _ in range(S.aux_dim)]
         B = _arr(S.B) if S.B else None
         rows = []
         for i in range(A.shape[0]):
@@ -473,8 +472,8 @@ def _lower(S, w, tau, gen):
         return _lower(S.child, w, tau.scaled(S.factor), gen)
     if isinstance(S, SumCone):
         R = _arr(S.rays) if S.rays else np.zeros((0, S.dim))
-        inner = [gen.fresh("z") for _ in range(S.dim)]
-        mus = [gen.fresh("z") for _ in range(R.shape[0])]
+        inner = [gen.fresh() for _ in range(S.dim)]
+        mus = [gen.fresh() for _ in range(R.shape[0])]
         atoms, aux = _lower(S.child, tuple(Aff.var(n) for n in inner), tau, gen)
         for j in range(S.dim):
             expr = w[j] - Aff.var(inner[j])

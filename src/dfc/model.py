@@ -38,7 +38,7 @@ MODEL_SCHEMA = "dfc-model/1"
 REPORT_SCHEMA = "dfc-report/1"
 
 
-class SchemaError(sets.DfcError, ValueError):
+class SchemaError(sets.DfcError):
     """Document rejected; path names the offending JSON location."""
 
     def __init__(self, path: str, message: str):
@@ -46,7 +46,7 @@ class SchemaError(sets.DfcError, ValueError):
         self.path = path
 
 
-class NonlinearAtomPresent(sets.DfcError, ValueError):
+class NonlinearAtomPresent(sets.DfcError):
     """LP text covers linear rows only."""
 
 
@@ -55,11 +55,11 @@ def lower_model(form: Formulation, mode: str = "plus") -> Formulation:
     else with its positive parts lifted, each new row keeping the label of
     the atom it came from."""
     if mode not in ("plus", "lifted"):
-        raise ValueError("mode must be 'plus' or 'lifted'")
+        raise sets.OutOfDomain("mode must be 'plus' or 'lifted'")
     if mode == form.mode:
         return form
     if mode == "plus":
-        raise ValueError("a lifted model has no plus form")
+        raise sets.OutOfDomain("a lifted model has no plus form")
     variables = list(form.variables)
     atoms, provenance = [], []
     taken = {v.name for v in variables}
@@ -342,7 +342,7 @@ _FNS.define(
     max_of=_Record(sets.MaxOf, ("parts", "parts", _list(_FNS))),
 )
 
-_SETS = _Family("set", "set", "unknown set tag", errors=(sets.DimensionMismatch, ValueError))
+_SETS = _Family("set", "set", "unknown set tag", errors=sets.DfcError)
 _SET_LIST = _list(_SETS)
 _NONEMPTY_SETS = _list(_SETS, "expected a nonempty array", nonempty=True)
 _SETS.define(
@@ -531,9 +531,15 @@ def parse_model(data) -> Formulation:
     _require(doc, "$", _MODEL_REQUIRED, _MODEL_KEYS)
     if doc["schema"] != MODEL_SCHEMA:
         raise SchemaError("$.schema", f"expected {MODEL_SCHEMA!r}")
+    name = _NAME.dec(doc["name"], "$.name")
     mode = _MODE.dec(doc["mode"], "$.mode")
     variables = _VARIABLES.dec(doc["vars"], "$.vars")
     atoms = _ATOM_LIST.dec(doc["cons"], "$.cons")
+    labels = []
+    for i, con in enumerate(doc["cons"]):
+        if con["id"] != f"c{i}":
+            raise SchemaError(f"$.cons[{i}].id", f"expected 'c{i}'")
+        labels.append(_NAME.dec(con["paper_ref"], f"$.cons[{i}].paper_ref"))
     x_names = _NAMES.dec(doc["x"], "$.x")
     y_names = _NAMES.dec(doc["y"], "$.y")
     set_list = _SET_LIST.dec(doc["sets"], "$.sets")
@@ -553,11 +559,11 @@ def parse_model(data) -> Formulation:
         for i, nm in enumerate(names):
             if nm not in declared:
                 raise SchemaError(f"$.{key}[{i}]", f"undeclared variable {nm!r}")
-    return Formulation(
-        doc["name"],
+    form = Formulation(
+        name,
         variables,
         atoms,
-        tuple(c["paper_ref"] for c in doc["cons"]),
+        tuple(labels),
         set_list,
         x_names,
         y_names,
@@ -565,6 +571,10 @@ def parse_model(data) -> Formulation:
         mode=mode,
         objective=objective,
     )
+    simplex_row = _find_simplex_row(form)
+    if doc.get("simplex_row", simplex_row) != simplex_row:
+        raise SchemaError("$.simplex_row", f"expected {simplex_row!r}, the unit-sum row")
+    return form
 
 
 def _atom_names(atom) -> set:
@@ -672,10 +682,7 @@ def load_instance(data) -> tuple:
     if rec is not None:
         params = rec.dec({} if params is None and not rec.required else params, "$.params")
     options = _OPTIONS.dec(doc.get("options") or {}, "$.options")
-    try:
-        return ProblemSpec(set_list, base_points, method, params), options
-    except (builders.FamilyInvalid, sets.DimensionMismatch) as exc:
-        raise SchemaError("$", str(exc)) from None
+    return ProblemSpec(set_list, base_points, method, params), options
 
 
 def parse_instance(data) -> ProblemSpec:

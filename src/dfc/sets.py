@@ -68,13 +68,19 @@ class Stalled(DfcError, ArithmeticError):
     """A cut loop or LP stalled, or a template optimum stayed on the artificial box."""
 
 
+class OutOfDomain(DfcError):
+    """A value lies outside the domain its operation accepts, such as a
+    non-finite operand, a negative seed or scale factor, or an unknown mode
+    or cone kind."""
+
+
 def _operand(v, S: SetExpr, what: str) -> np.ndarray:
     """An oracle's operand as a flat float array of S's dimension, all finite."""
     a = np.asarray(v, dtype=float).reshape(-1)
     if a.shape[0] != S.dim:
         raise DimensionMismatch(f"{what} has dim {a.shape[0]}, set has {S.dim}")
     if not np.isfinite(a).all():
-        raise ValueError(f"{what} must be finite, got {a.tolist()}")
+        raise OutOfDomain(f"{what} must be finite, got {a.tolist()}")
     return a
 
 
@@ -83,10 +89,11 @@ def _vec(x) -> tuple[float, ...]:
 
 
 def _mat(rows) -> tuple[tuple[float, ...], ...]:
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("expected a 2d array of rows")
-    return tuple(tuple(float(v) for v in row) for row in arr)
+    """rows as a matrix; ragged rows are refused before numpy reads them."""
+    shapes = {np.shape(row) for row in rows}
+    if len(shapes) != 1 or len(shapes.pop()) != 1:
+        raise DimensionMismatch("expected a 2d array of rows")
+    return tuple(tuple(float(v) for v in row) for row in np.asarray(rows, dtype=float))
 
 
 @lru_cache(maxsize=4096)
@@ -153,7 +160,7 @@ class AffineFn(CatalogFunction):
 
     def persp_root(self, w):
         if self.beta > 0.0:
-            raise ValueError("gauge needs the origin in the level set")
+            raise BasePointNotInSet("gauge needs the origin in the level set")
         c = float(_arr(self.a) @ w)
         if c <= 0.0:
             return 0.0
@@ -172,6 +179,10 @@ class QuadraticPlus(CatalogFunction):
     a: tuple[float, ...]
     beta: float
     w: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.w) != len(self.a):
+            raise DimensionMismatch(f"w has {len(self.w)} entries, a has {len(self.a)}")
 
     @property
     def dim(self) -> int:
@@ -199,7 +210,7 @@ class QuadraticPlus(CatalogFunction):
     def persp_root(self, w):
         # least t with ((c + beta t)+)^2 <= t lin, where c = a.w, lin = w.w
         if self.beta > 0.0:
-            raise ValueError("gauge needs the origin in the level set")
+            raise BasePointNotInSet("gauge needs the origin in the level set")
         c, lin = float(_arr(self.a) @ w), float(_arr(self.w) @ w)
         if lin < 0.0:
             return math.inf
@@ -266,7 +277,7 @@ class GeoMeanDeficit(CatalogFunction):
         slope 0) or a step leaves the bracket, the chord is taken instead.
         """
         if self.shift <= self.scale:
-            raise ValueError("gauge needs the origin inside the level set")
+            raise BasePointNotInSet("gauge needs the origin inside the level set")
         m = float(np.max(w))
         if m <= 0.0:
             return 0.0
@@ -299,6 +310,10 @@ class MaxOf(CatalogFunction):
     """f(x) = max_i parts[i](x)."""
 
     parts: tuple[CatalogFunction, ...]
+
+    def __post_init__(self):
+        if len({p.dim for p in self.parts}) != 1:
+            raise DimensionMismatch("max_of needs one or more parts of one dimension")
 
     @property
     def dim(self) -> int:
@@ -492,11 +507,11 @@ class SignedBasis:
             raise DimensionMismatch("sign vectors must match the number of directions")
         gram = V @ V.T
         if not np.allclose(gram, np.eye(V.shape[0]), atol=1e-10):
-            raise ValueError("directions are not orthonormal at 1e-10")
+            raise OutOfDomain("directions are not orthonormal at 1e-10")
         if any(si not in (-1, 0, 1) for si in self.s):
-            raise ValueError("s entries must be in {-1, 0, 1}")
+            raise OutOfDomain("s entries must be in {-1, 0, 1}")
         if any(ti not in (-1, 1) for ti in self.t):
-            raise ValueError("t entries must be in {-1, 1}")
+            raise OutOfDomain("t entries must be in {-1, 1}")
 
 
 # constructor helpers: coerce array-likes and do light dimension checks
@@ -536,7 +551,7 @@ def conic(A, B, c, cones) -> ConicRep:
         raise DimensionMismatch("B row count differs from A")
     for s in slices:
         if s.kind not in ("nonneg", "zero", "soc"):
-            raise ValueError(f"unknown cone kind {s.kind!r}")
+            raise OutOfDomain(f"unknown cone kind {s.kind!r}")
     return ConicRep(Am, Bm, cv, slices)
 
 
@@ -553,7 +568,7 @@ def translate(child: SetExpr, offset) -> Translate:
 
 def scale(child: SetExpr, factor: float) -> Scale:
     if factor < 0.0:
-        raise ValueError("scale factor must be nonnegative")
+        raise OutOfDomain("scale factor must be nonnegative")
     return Scale(child, float(factor))
 
 

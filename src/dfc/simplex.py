@@ -1,6 +1,6 @@
 """Bounded-variable dual simplex for small cut-master problems, resumable.
 
-Solves max c.x (or min) subject to G x <= h, A x = b and finite box bounds
+Solves max c.x subject to G x <= h, A x = b and finite box bounds
 lb <= x <= ub on a dense tableau.  Every variable must carry finite bounds
 and a finite cost; the callers in this package always optimize inside an
 explicit box, which keeps every LP bounded and the tableau well scaled at
@@ -51,6 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sets import DimensionMismatch, OutOfDomain
+
 _EPS = 1e-9  # smallest pivot, and the primal feasibility tolerance
 _INFEAS_TOL = 1e-7  # residual, relative to the instance scale, that counts as feasible
 
@@ -63,23 +65,23 @@ class LPResult:
     residual: float = 0.0
 
 
-def solve_lp(c, G, h, A_eq, b_eq, lb, ub, maximize: bool = True) -> LPResult:
-    return Master(c, G, h, A_eq, b_eq, lb, ub, maximize).solve()
+def solve_lp(c, G, h, A_eq, b_eq, lb, ub) -> LPResult:
+    return Master(c, G, h, A_eq, b_eq, lb, ub).solve()
 
 
 class Master:
     """An LP that keeps its tableau, so rows appended after an optimal solve
     resume from its final basis."""
 
-    def __init__(self, c, G, h, A_eq, b_eq, lb, ub, maximize: bool = True):
+    def __init__(self, c, G, h, A_eq, b_eq, lb, ub):
         self.c = c = np.asarray(c, dtype=float).reshape(-1)
         n = c.shape[0]
         self.lb = lb = np.asarray(lb, dtype=float).reshape(-1)
         self.ub = ub = np.asarray(ub, dtype=float).reshape(-1)
         if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
-            raise ValueError("solve_lp needs finite variable bounds")
+            raise OutOfDomain("solve_lp needs finite variable bounds")
         if not np.isfinite(c).all():
-            raise ValueError("solve_lp needs a finite objective")
+            raise OutOfDomain("solve_lp needs a finite objective")
         self.result = None  # of the current rows, once solved
         self.blocked = None  # the basic variable an infeasible solve ended on
         if (ub < lb - 1e-12).any():
@@ -88,18 +90,16 @@ class Master:
         G, h = _rows(G, h, n)
         self.A, self.b = A, b = _rows(A_eq, b_eq, n)
         self.G, self.h = [G], [h]  # inequality row blocks, joined only when blocked
-        self.sign = -1.0 if maximize else 1.0  # the tableau minimizes sign * c.x
-        cost = self.sign * c
         if A.shape[0]:
             G, h = np.vstack([G, A]), np.concatenate([h, b])
-        self.tab = _Tableau(G, h, A.shape[0], cost, lb, ub)
+        self.tab = _Tableau(G, h, A.shape[0], -c, lb, ub)  # the tableau minimizes -c.x
 
     def add_rows(self, G_new, h_new) -> bool:
         """Append rows G_new x <= h_new, reduced against the current basis.
         Returns whether one of them cuts off the current point beyond the
         feasibility tolerance; if none does, the next solve returns it."""
         if self.result is not None and self.result.status != "optimal":
-            raise ValueError(f"cannot add rows to a {self.result.status} LP")
+            raise OutOfDomain(f"cannot add rows to a {self.result.status} LP")
         G_new, h_new = _rows(G_new, h_new, self.c.shape[0])
         self.tab = tab = self.tab.extended(G_new, h_new)
         self.G.append(G_new)
@@ -148,7 +148,7 @@ class Master:
         least value over the bounds (lb_j where rho_j > 0, ub_j where < 0) is > C."""
         n, var = self.c.shape[0], self.blocked
         if self.result.status == "optimal":
-            return self.sign * self.tab.T[-1, :n]
+            return -self.tab.T[-1, :n]
         if var is None:  # stalled, or crossed bounds with no tableau
             return None
         row = self.tab.T[int((self.tab.basis == var).nonzero()[0][0]), :n]
@@ -160,7 +160,10 @@ def _rows(M, r, n: int) -> tuple[np.ndarray, np.ndarray]:
     if M is None or len(M) == 0:
         return np.zeros((0, n)), np.zeros(0)
     m = len(M)
-    return np.ascontiguousarray(M, dtype=float).reshape(m, n), np.asarray(r, dtype=float).reshape(m)
+    M, r = np.ascontiguousarray(M, dtype=float), np.asarray(r, dtype=float)
+    if M.size != m * n or r.size != m:
+        raise DimensionMismatch(f"expected {m} rows of width {n} and {m} right-hand sides")
+    return M.reshape(m, n), r.reshape(m)
 
 
 class _Tableau:

@@ -6,8 +6,10 @@ in a separate process.
 
 import ast
 import importlib
+import functools
 import json
 import math
+import operator
 import os
 import pkgutil
 import shutil
@@ -25,6 +27,7 @@ from dfc import analysis, builders, cli, fixtures, model, sets
 from dfc.cli import main
 
 SEED = 20240
+EYE2 = ((1.0, 0.0), (0.0, 1.0))
 
 
 def write_instance(tmp_path, name, variant):
@@ -126,17 +129,73 @@ def test_build_rejects_a_short_frame_without_traceback(tmp_path, capsys):
     naming the piece, not an escaped IndexError."""
     halves = (sets.box((-1.0, -1.0), (0.0, 0.0)), sets.box((0.0, 0.0), (1.0, 1.0)))
     data = builders.IsotoneData(
-        pieces=halves, basis=((1.0, 0.0),), signs=((-1,), (1,)), base=((0.0, 0.0),) * 2
+        pieces=halves, basis=EYE2, signs=((-1, -1), (1, 1)), base=((0.0, 0.0),) * 2
     )
-    spec = builders.ProblemSpec(halves, None, "isotone", data)
+    doc = model.spec_doc(builders.ProblemSpec(halves, None, "isotone", data))
+    doc["params"].update(basis=[[1.0, 0.0]], signs=[[-1], [1]])  # ProblemSpec refuses this frame
     inst = tmp_path / "short.json"
-    inst.write_bytes(model.canonical_bytes(model.spec_doc(spec)))
+    inst.write_bytes(model.canonical_bytes(doc))
     out = tmp_path / "m.json"
     assert main(["build", "--instance", str(inst), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error: piece 0: the frame has 1 directions" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _list_paths(node, path=()):
+    """The path of every nonempty list in a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        if node:
+            yield path
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _list_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize(
+    "name,variant", [(name, v) for name, vs in fixtures.REGISTRY.items() for v in vs]
+)
+def test_an_instance_with_a_list_one_short_or_long_exits_with_a_code(
+    tmp_path, capsys, name, variant
+):
+    """Every list of a bundled instance, with its last entry dropped or
+    repeated: build, and the par or bbj check where the method has one,
+    each return an exit code, and an error (exit 1) is one "error:" line.
+    Ragged matrices, short base points and one sign row or hull too few
+    used to escape as numpy's ValueError or an IndexError."""
+    doc = model.spec_doc(fixtures.load(name, variant))
+    check = {"piecewise": "par", "bbj": "bbj"}.get(doc["method"])
+    inst, out = tmp_path / "i.json", tmp_path / "m.json"
+    for path in _list_paths(doc):
+        for grow in (False, True):
+            mutant = json.loads(json.dumps(doc))
+            items = functools.reduce(operator.getitem, path, mutant)
+            if grow:
+                items.append(items[-1])
+            else:
+                items.pop()
+            inst.write_text(json.dumps(mutant))
+            runs = [["build", "--instance", str(inst), "--out", str(out)]]
+            if check:
+                runs.append(
+                    ["analyze", "--instance", str(inst), "--check", check, "--directions", "8"]
+                )
+            for argv in runs:
+                how = "repeated" if grow else "dropped"
+                what = f"{argv[0]} with the last entry of {list(path)} {how}"
+                try:
+                    code = main(argv)
+                except Exception as exc:
+                    pytest.fail(f"{what}: {type(exc).__name__}: {exc}")
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2, 3), what
+                if code == 1:
+                    assert len(err.splitlines()) == 1 and err.startswith("error: "), (what, err)
 
 
 def test_build_exits_1_when_a_template_gauge_reaches_the_box(tmp_path, capsys):
@@ -632,15 +691,41 @@ def test_every_dfc_exception_is_a_dfc_error():
     assert [cls.__qualname__ for cls in defined if not issubclass(cls, sets.DfcError)] == []
 
 
+def test_no_value_error_is_raised_or_inherited_and_only_number_parses_catch_one():
+    """One root: no dfc module raises ValueError or derives a class from it,
+    so a ValueError out of numpy or Python is a defect that cli.main lets
+    through.  The only clauses that catch one wrap Python's own int, float
+    and float.fromhex parses of a flag or a numeric string."""
+
+    def names(node) -> set:
+        nodes = node.elts if isinstance(node, ast.Tuple) else [node]
+        return {getattr(n, "id", None) for n in nodes}
+
+    found = set()
+    for path in sorted(Path(dfc.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            where = (path.stem, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if "ValueError" in names(exc):
+                        found.add(("raise", *where))
+                elif isinstance(node, ast.ClassDef) and "ValueError" in set().union(
+                    *map(names, node.bases)
+                ):
+                    found.add(("base", *where, node.name))
+                elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    if "ValueError" in names(node.type):
+                        found.add(("except", *where))
+    assert found == {("except", "cli", "_flag"), ("except", "model", "_read_float")}
+
+
 def test_every_package_exception_derives_from_dfc_error():
-    """The package re-exports the one root and keeps the extra bases callers
-    catch on.  A stall is the one typed signal sets.Stalled, never a bare
-    ArithmeticError, so an arithmetic bug is not read as a stall."""
+    """The package re-exports the one root and keeps the one extra base
+    callers catch on.  A stall is the one typed signal sets.Stalled, never a
+    bare ArithmeticError, so an arithmetic bug is not read as a stall."""
     assert dfc.DfcError is sets.DfcError
     assert all(issubclass(cls, dfc.DfcError) for cls in _package_exceptions())
-    # the extra bases callers may catch on are kept
-    assert issubclass(dfc.SchemaError, ValueError)
-    assert issubclass(dfc.builders.FamilyInvalid, ValueError)
     assert issubclass(sets.Stalled, sets.DfcError)
     assert issubclass(sets.Stalled, ArithmeticError)
     bare = []

@@ -62,7 +62,6 @@ def test_combo_builds_inner_product():
 def test_name_gen_is_sequential():
     gen = gauge.NameGen()
     assert [gen.fresh() for _ in range(3)] == ["z0", "z1", "z2"]
-    assert gen.fresh("p") == "p3"
 
 
 # ---------------------------------------------------------------------------
@@ -742,11 +741,11 @@ def test_cone_sum_stall_raises_instead_of_passing(monkeypatch):
 
 
 def test_signed_basis_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(sets.OutOfDomain):
         sets.SignedBasis(((1.0, 0.0), (1.0, 0.0)), (1, 1), (-1, -1)).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(sets.OutOfDomain):
         sets.SignedBasis(((1.0, 0.0), (0.0, 1.0)), (2, 1), (-1, -1)).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(sets.OutOfDomain):
         sets.SignedBasis(((1.0, 0.0), (0.0, 1.0)), (1, 1), (0, -1)).validate()
     with pytest.raises(sets.DimensionMismatch):
         sets.SignedBasis(((1.0, 0.0), (0.0, 1.0)), (1,), (-1, -1)).validate()

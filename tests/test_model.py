@@ -207,9 +207,9 @@ def test_lift_preserves_relaxation_optima():
 
 def test_lower_model_mode_validation():
     form = builders.build(fixtures.ex4("original"))
-    with pytest.raises(ValueError):
+    with pytest.raises(sets.OutOfDomain):
         model.lower_model(form, "fancy")
-    with pytest.raises(ValueError):
+    with pytest.raises(sets.OutOfDomain):
         model.lower_model(model.lower_model(form, "lifted"), "plus")
 
 

@@ -84,7 +84,7 @@ PARAMS = {
             EYE2,
             ((1, 1), (-1, -1)),
             ((0.0, 0.0), (0.0, 0.0)),
-            (None, "free", SQUARE),
+            ("free", SQUARE),
             False,
             False,
         ),
@@ -240,6 +240,10 @@ SET_CASES = [
         lambda d: d["fn"]["parts"][1]["parts"][0].update(a=1),
         ".fn.parts[1].parts[0].a",
     ),
+    ("hpoly", lambda d: d["A"][1].pop(), ""),
+    ("level_quadratic", lambda d: d["fn"]["w"].pop(), ""),
+    ("level_nested_max", lambda d: d["fn"]["parts"][1]["parts"][1].update(n=3), ""),
+    ("level_nested_max", lambda d: d["fn"]["parts"][1].update(parts=[]), ""),
     ("translate", lambda d: d.update(offset=[1.0]), ""),
     ("translate", lambda d: d["child"].pop("radius"), ".child"),
     ("scale", lambda d: d.update(factor=-1.0), ""),
@@ -366,6 +370,9 @@ ATOM_CASES = [
     ("gaugeplus_plain", lambda c: c["of"].update(set="blob"), "$.cons[0].of.set"),
     ("gaugeplus_plain", lambda c: c.update(type="cone"), "$.cons[0].type"),
     ("gaugeplus_plain", lambda c: c.update(type="cone", zz=1), "$.cons[0]"),
+    ("lin_le", lambda c: c.update(paper_ref={"x": None}), "$.cons[0].paper_ref"),
+    ("lin_le", lambda c: c.update(id=["anything"]), "$.cons[0].id"),
+    ("lin_le", lambda c: c.update(id="c1"), "$.cons[0].id"),
 ]
 
 
@@ -391,6 +398,9 @@ def test_model_top_level_errors_name_the_path():
         (lambda d: d.update(x=["x0", "q"]), "$.x[1]"),
         (lambda d: d.update(y=["q", "y1"]), "$.y[0]"),
         (lambda d: d.update(objective=[["x1", 1.0], ["q", 2.0]]), "$.objective[1]"),
+        (lambda d: d.update(name=[1, {"a": 2}]), "$.name"),
+        (lambda d: d.update(simplex_row=7), "$.simplex_row"),
+        (lambda d: d.update(simplex_row="c0"), "$.simplex_row"),
     ):
         doc = json.loads(json.dumps(good))
         mutate(doc)

@@ -573,7 +573,7 @@ def test_oracles_refuse_non_finite_operands(name):
     """A NaN or infinite operand is no question an oracle can answer: a NaN
     point used to read as inside the box, with gauge 0, and a NaN direction
     had support 1."""
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(sets.OutOfDomain, match="must be finite"):
         NON_FINITE_CALLS[name]()
 
 
