@@ -103,11 +103,13 @@ class FormulationShapeError(sets.DfcError):
 # ---------------------------------------------------------------------------
 
 
-def _aff_vec(e: Aff, index: dict[str, int], n: int) -> tuple[np.ndarray, float]:
-    v = np.zeros(n)
-    for name, c in e.terms:
-        v[index[name]] += c
-    return v, e.const
+def _aff_rows(exprs, index: dict[str, int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Affine expressions as M z + c, one row of M and entry of c each."""
+    M = np.zeros((len(exprs), n))
+    for r, e in enumerate(exprs):
+        for name, coef in e.terms:
+            M[r, index[name]] += coef
+    return M, np.array([e.const for e in exprs], dtype=float)
 
 
 @dataclass
@@ -123,7 +125,7 @@ class _Compiled:
     rhs: np.ndarray
     eq_rows: np.ndarray
     eq_rhs: np.ndarray
-    nonlinear: list  # (atom, precomputed data)
+    nonlinear: list  # (atom, M, c): the atom's arguments are M z + c, bound last
     trivially_infeasible: bool = False
 
 
@@ -152,41 +154,22 @@ def compile_atoms(atoms, variables) -> _Compiled:
         rhs.append(-const)
 
     for atom in atoms:
+        M, c = _aff_rows(gauge_mod.atom_exprs(atom), index, n)
         if isinstance(atom, Linear):
-            vec, const = _aff_vec(atom.expr, index, n)
-            if atom.relation == "eq":
-                if not np.any(vec):
-                    if abs(const) > 1e-9:
-                        infeasible = True
-                    continue
-                eq_rows.append(vec)
-                eq_rhs.append(-const)
-            else:
-                add_row(vec, const)
-        elif isinstance(atom, SOC):
-            arg = [_aff_vec(e, index, n) for e in atom.arg]
-            bound = _aff_vec(atom.bound, index, n)
-            nonlinear.append((atom, (arg, bound)))
-            add_row(-bound[0], -bound[1])  # bound expression must be nonnegative
-        elif isinstance(atom, Perspective):
-            arg = [_aff_vec(e, index, n) for e in atom.arg]
-            sc = _aff_vec(atom.scale, index, n)
-            nonlinear.append((atom, (arg, sc)))
-            add_row(-sc[0], -sc[1])
-            for a, c in atom.fn.persp_valid_rows():
-                vec = sum(float(a[j]) * arg[j][0] for j in range(len(arg))) - c * sc[0]
-                const = sum(float(a[j]) * arg[j][1] for j in range(len(arg))) - c * sc[1]
-                add_row(vec, const)
-        elif isinstance(atom, GaugePlus):
-            terms = [
-                (np.asarray(d, dtype=float), _aff_vec(e, index, n))
-                for d, e in atom.terms
-            ]
-            bound = _aff_vec(atom.rhs, index, n)
-            nonlinear.append((atom, (terms, bound)))
-            add_row(-bound[0], -bound[1])
-        else:
-            raise TypeError(f"cannot compile atom {atom!r}")
+            if atom.relation != "eq":
+                add_row(M[0], c[0])
+            elif np.any(M[0]):
+                eq_rows.append(M[0])
+                eq_rhs.append(-c[0])
+            elif abs(c[0]) > 1e-9:
+                infeasible = True
+            continue
+        nonlinear.append((atom, M, c))
+        add_row(-M[-1], -c[-1])  # the bound (a perspective's scale) is nonnegative
+        if isinstance(atom, Perspective):
+            for a, k in atom.fn.persp_valid_rows():
+                g = np.append(a, -k)  # a.x <= k t
+                add_row(g @ M, g @ c)
     return _Compiled(
         names, index, lb, ub, _stack(rows, n), np.array(rhs, dtype=float),
         _stack(eq_rows, n), np.array(eq_rhs, dtype=float), nonlinear, infeasible,
@@ -210,87 +193,67 @@ class OptResult:
     duals: np.ndarray | None = None
 
 
-def _atom_violation_and_cuts(atom, pre, z: np.ndarray, want_cut: bool):
-    """Return (violation, cuts) with each cut a (vec, rhs) row vec.z <= rhs."""
+def _atom_violation_and_cuts(atom, v: np.ndarray, want_cut: bool):
+    """Return (violation, cuts) of a nonlinear atom at its argument values
+    v = M z + c (compile_atoms), the bound last; each cut is a pair (g, off)
+    meaning g.v <= off, valid wherever the atom holds."""
+    x, t = v[:-1], float(v[-1])
     if isinstance(atom, SOC):
-        arg, bound = pre
-        vals = np.array([a @ z + c for a, c in arg])
-        bval = bound[0] @ z + bound[1]
-        nrm = math.sqrt(float(vals.dot(vals)))  # what np.linalg.norm computes
-        viol = nrm - bval
+        nrm = math.sqrt(float(x.dot(x)))  # what np.linalg.norm computes
+        viol = nrm - t
         if not want_cut or viol <= 0.0:
             return viol, []
-        if nrm == 0.0:  # the bound itself is negative: cut -bound <= 0
-            return viol, [(-bound[0], bound[1])]
-        g = (vals / nrm).tolist()
-        vec = sum(gi * a for gi, (a, _) in zip(g, arg)) - bound[0]
-        const = sum(gi * c for gi, (_, c) in zip(g, arg)) - bound[1]
-        return viol, [(vec, -const)]
+        if nrm == 0.0:  # the bound itself is negative
+            return viol, [_bound_cut(len(v))]
+        return viol, [(np.append(x / nrm, -1.0), 0.0)]
     if isinstance(atom, Perspective):
-        arg, sc = pre
-        x = np.array([a @ z + c for a, c in arg])
-        t = float(sc[0] @ z + sc[1])
         if t < 0.0:
-            return -t, [(-sc[0], sc[1])] if want_cut else []
-        viol = atom.fn.persp_value(x, max(t, 0.0))
+            return -t, [_bound_cut(len(v))] if want_cut else []
+        viol = atom.fn.persp_value(x, t)
         if not want_cut or viol <= 0.0:
             return viol, []
         if isinstance(atom.fn, QuadraticPlus):
-            return viol, _quadratic_plus_cut(atom.fn, arg, sc, x, t)
+            return viol, _quadratic_plus_cuts(atom.fn, x, t)
         gx, gt, off = _generic_persp_tangent(atom.fn, x, t)
-        vec = sum(float(gx[j]) * arg[j][0] for j in range(len(arg))) + gt * sc[0]
-        const = sum(float(gx[j]) * arg[j][1] for j in range(len(arg))) + gt * sc[1]
-        return viol, [(vec, off - const)]
+        return viol, [(np.append(gx, gt), off)]
     if isinstance(atom, GaugePlus):
-        terms, rhs = pre
-        rval = float(rhs[0] @ z + rhs[1])
-        dim = atom.set_ref.dim
-        w = np.zeros(dim)
-        vals = []
-        for d, (vec, const) in terms:
-            v = float(vec @ z + const)
-            if atom.positive_part:
-                v = max(v, 0.0)
-            vals.append(v)
-            w += v * d
-        gamma, q = gauge_mod.gauge_and_normal(atom.set_ref, w)
-        viol = gamma - rval if math.isfinite(gamma) else math.inf
+        D = np.array([d for d, _ in atom.terms], dtype=float).reshape(len(x), atom.set_ref.dim)
+        gamma, q = gauge_mod.gauge_and_normal(
+            atom.set_ref, (np.maximum(x, 0.0) if atom.positive_part else x) @ D
+        )
+        viol = gamma - t if math.isfinite(gamma) else math.inf
         if not want_cut or viol <= 0.0:
             return viol, []
+        coef = D @ q
+        if atom.positive_part:
+            slack = 1e-6 * max(float(np.linalg.norm(q)), 1.0) * np.linalg.norm(D, axis=1)
+            if np.any(coef < -slack):
+                raise gauge_mod.ConditionViolated(
+                    "gauge term misaligned with the subgradient; "
+                    "positive-part cut would be invalid here"
+                )
+            # an inactive positive part has derivative 0
+            coef = np.where(x > 0.0, np.maximum(coef, 0.0), 0.0)
         kappa = 1.0 if math.isfinite(gamma) else 0.0
-        vec = -kappa * rhs[0]
-        const = -kappa * rhs[1]
-        qscale = float(np.linalg.norm(q))
-        for (d, (tvec, tconst)), v in zip(terms, vals):
-            coef = float(q @ d)
-            if atom.positive_part:
-                if coef < -1e-6 * max(qscale, 1.0) * float(np.linalg.norm(d)):
-                    raise gauge_mod.ConditionViolated(
-                        "gauge term misaligned with the subgradient; "
-                        "positive-part cut would be invalid here"
-                    )
-                coef = max(coef, 0.0)
-                if v <= 0.0:
-                    continue  # positive part is inactive; chain rule gives 0
-            if coef != 0.0:
-                vec = vec + coef * tvec
-                const = const + coef * tconst
-        return viol, [(vec, -const)]
+        return viol, [(np.append(coef, -kappa), 0.0)]
     raise TypeError(f"not a separable atom: {atom!r}")
 
 
-def _quadratic_plus_cut(fn: QuadraticPlus, arg, sc, x: np.ndarray, t: float):
-    # constraint ((a.x')+)^2 <= t * (w.x'); tangents q <= (lam t + s/lam)/2
+def _bound_cut(m: int):
+    """-t <= 0 for the last of m arguments, the bound."""
+    g = np.zeros(m)
+    g[-1] = -1.0
+    return g, 0.0
+
+
+def _quadratic_plus_cuts(fn: QuadraticPlus, x: np.ndarray, t: float):
+    # constraint ((a.x + beta t)+)^2 <= t (w.x); tangents q <= (lam t + s/lam)/2
     a, wlin = sets._arr(fn.a), sets._arr(fn.w)
     q0 = float(a @ x + fn.beta * t)
     s0 = float(wlin @ x)
-    q_vec = sum(float(a[j]) * arg[j][0] for j in range(len(arg))) + fn.beta * sc[0]
-    q_const = sum(float(a[j]) * arg[j][1] for j in range(len(arg))) + fn.beta * sc[1]
-    s_vec = sum(float(wlin[j]) * arg[j][0] for j in range(len(arg)))
-    s_const = sum(float(wlin[j]) * arg[j][1] for j in range(len(arg)))
     cuts = []
     if s0 < 0.0:
-        cuts.append((-s_vec, s_const))
+        cuts.append((np.append(-wlin, 0.0), 0.0))
     if q0 <= 0.0:
         return cuts
     if t > 1e-12 and s0 > 1e-12:
@@ -304,9 +267,7 @@ def _quadratic_plus_cut(fn: QuadraticPlus, arg, sc, x: np.ndarray, t: float):
     else:
         lam = 1.0
     lam = min(max(lam, 1e-8), 1e8)
-    vec = q_vec - 0.5 * lam * sc[0] - (0.5 / lam) * s_vec
-    const = q_const - 0.5 * lam * sc[1] - (0.5 / lam) * s_const
-    cuts.append((vec, -const))
+    cuts.append((np.append(a - (0.5 / lam) * wlin, fn.beta - 0.5 * lam), 0.0))
     return cuts
 
 
@@ -367,11 +328,11 @@ def maximize_over_atoms(
         limit, zs = (CUT_TOL, z) if _gap is None else (z[_gap] + CUT_TOL, z[:_gap])
         violated = False
         new_cuts = []
-        for atom, pre in compiled.nonlinear:
-            viol, cuts = _atom_violation_and_cuts(atom, pre, zs, want_cut=True)
+        for atom, M, c in compiled.nonlinear:
+            viol, cuts = _atom_violation_and_cuts(atom, M @ zs + c, want_cut=True)
             if viol > limit:
                 violated = True
-                new_cuts.extend(cuts)
+                new_cuts.extend((g @ M, off - g @ c) for g, off in cuts)
         if not violated:
             break
         G_new = np.array([vec for vec, _ in new_cuts])
@@ -426,7 +387,10 @@ def feasibility_gap(compiled: _Compiled) -> tuple[float, dict[str, float] | None
     if res.status == "optimal":
         return float(max(z[n], 0.0)), env
     worst_true = max(
-        (_atom_violation_and_cuts(a, p, z[:n], want_cut=False)[0] for a, p in cp.nonlinear),
+        (
+            _atom_violation_and_cuts(atom, M @ z[:n] + c, want_cut=False)[0]
+            for atom, M, c in cp.nonlinear
+        ),
         default=0.0,
     )
     return float(max(z[n], worst_true, 0.0)), env

@@ -163,6 +163,21 @@ class GaugePlus:
 Atom = "Linear | SOC | Perspective | GaugePlus"
 
 
+def atom_exprs(atom) -> tuple[Aff, ...]:
+    """The affine arguments of an atom, its bound last: a Linear row's
+    expression; an SOC's norm arguments, then its bound; a Perspective's
+    arguments, then its scale; a GaugePlus's term expressions, then its rhs."""
+    if isinstance(atom, Linear):
+        return (atom.expr,)
+    if isinstance(atom, SOC):
+        return (*atom.arg, atom.bound)
+    if isinstance(atom, Perspective):
+        return (*atom.arg, atom.scale)
+    if isinstance(atom, GaugePlus):
+        return (*(e for _, e in atom.terms), atom.rhs)
+    raise TypeError(f"not an atom: {atom!r}")
+
+
 class NameGen:
     """Deterministic fresh-name counter (one per build): z0, z1, ..."""
 

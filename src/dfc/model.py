@@ -32,7 +32,7 @@ from dataclasses import replace
 
 from . import builders, sets
 from .builders import Formulation, ProblemSpec, Variable
-from .gauge import Aff, GaugePlus, Linear, Perspective, SOC
+from .gauge import Aff, GaugePlus, Linear, Perspective, SOC, atom_exprs
 
 MODEL_SCHEMA = "dfc-model/1"
 REPORT_SCHEMA = "dfc-report/1"
@@ -579,15 +579,7 @@ def parse_model(data) -> Formulation:
 
 def _atom_names(atom) -> set:
     """The variable names an atom's affine expressions read."""
-    if isinstance(atom, Linear):
-        exprs = (atom.expr,)
-    elif isinstance(atom, SOC):
-        exprs = (*atom.arg, atom.bound)
-    elif isinstance(atom, Perspective):
-        exprs = (*atom.arg, atom.scale)
-    else:
-        exprs = (*(e for _, e in atom.terms), atom.rhs)
-    return {nm for e in exprs for nm, _ in e.terms}
+    return {nm for e in atom_exprs(atom) for nm, _ in e.terms}
 
 
 # ---------------------------------------------------------------------------
