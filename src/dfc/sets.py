@@ -536,7 +536,10 @@ def vpoly(vertices) -> VPolytope:
 
 
 def ball(center, radius) -> Ball:
-    return Ball(_vec(center), float(radius))
+    r = float(radius)
+    if not 0.0 <= r < math.inf:
+        raise OutOfDomain(f"ball radius must be finite and nonnegative, got {r}")
+    return Ball(_vec(center), r)
 
 
 def conic(A, B, c, cones) -> ConicRep:
@@ -552,6 +555,8 @@ def conic(A, B, c, cones) -> ConicRep:
     for s in slices:
         if s.kind not in ("nonneg", "zero", "soc"):
             raise OutOfDomain(f"unknown cone kind {s.kind!r}")
+        if s.size < 1:
+            raise OutOfDomain(f"a {s.kind} cone block needs size 1 or more, got {s.size}")
     return ConicRep(Am, Bm, cv, slices)
 
 

@@ -143,6 +143,44 @@ def test_build_rejects_a_short_frame_without_traceback(tmp_path, capsys):
     assert not out.exists()
 
 
+BAD_DOCUMENTS = {
+    # name: (example variant, mutation of its instance document, error text)
+    "soc-block-of-size-0": (
+        ("ex1", "extended"),
+        lambda d: d["sets"].__setitem__(
+            0,
+            {"set": "conic", "cones": [["nonneg", 2], ["soc", 0]], "A": [[1, 0], [0, 1]],
+             "B": [], "c": [0, 0]},
+        ),
+        "error: $.sets[0]: a soc cone block needs size 1 or more, got 0",
+    ),
+    "negative-ball-radius": (
+        ("ex1", "extended"),
+        lambda d: d["sets"].__setitem__(1, {"set": "ball", "center": [0, 0], "radius": -1}),
+        "error: $.sets[1]: ball radius must be finite and nonnegative, got -1.0",
+    ),
+    "skewed-frame": (
+        ("ex7", "single"),
+        lambda d: d["params"].update(basis=[[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        "error: directions are not orthonormal at 1e-10",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+def test_build_refuses_out_of_domain_data_with_one_error_line(tmp_path, capsys, name):
+    """Data outside its domain exits 1 with one error line.  A soc block of
+    size 0 used to escape as an IndexError from the lowering, and a ball of
+    negative radius to load and fail later with a misleading message."""
+    (example, variant), mutate, text = BAD_DOCUMENTS[name]
+    doc = json.loads(write_instance(tmp_path, example, variant).read_bytes())
+    mutate(doc)
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps(doc))
+    assert main(["build", "--instance", str(inst), "--out", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == [text]
+
+
 def _list_paths(node, path=()):
     """The path of every nonempty list in a JSON document."""
     if isinstance(node, dict):

@@ -221,10 +221,14 @@ SET_CASES = [
     ("ball", lambda d: d.update(radius={"dec": "1", "hex": 5}), ".radius"),
     ("ball", lambda d: d.update(radius={"dec": "1e-5", "hex": "1e-5"}), ".radius"),
     ("ball", lambda d: d.update(radius={"hex": "zz"}), ".radius"),
+    ("ball", lambda d: d.update(radius=-1), ""),
     ("box", lambda d: d.update(set="cube"), ".set"),
     ("box", lambda d: d.pop("set"), ""),
     ("conic", lambda d: d.update(cones=[["soc", "3"]]), ".cones"),
     ("conic", lambda d: d.update(cones=[["cube", 3]]), ""),
+    pytest.param(
+        "conic", lambda d: d.update(cones=[["nonneg", 3], ["soc", 0]]), "", id="conic-soc-0"
+    ),
     ("conic_with_B", lambda d: d.pop("B"), ""),
     ("level_affine", lambda d: d["fn"].update(fn="cubic"), ".fn.fn"),
     ("level_affine", lambda d: d["fn"].pop("beta"), ".fn"),

@@ -577,6 +577,34 @@ def test_oracles_refuse_non_finite_operands(name):
         NON_FINITE_CALLS[name]()
 
 
+OUT_OF_DOMAIN_SETS = {
+    "ball-negative": lambda: sets.ball([0.0, 0.0], -1.0),
+    "ball-inf": lambda: sets.ball([0.0, 0.0], math.inf),
+    "ball-nan": lambda: sets.ball([0.0, 0.0], NAN),
+    "conic-soc-0": lambda: sets.conic(
+        [[1.0, 0.0], [0.0, 1.0]], (), [0.0, 0.0], [("nonneg", 2), ("soc", 0)]
+    ),
+    "conic-nonneg-negative": lambda: sets.conic(
+        [[1.0, 0.0], [0.0, 1.0]], (), [0.0, 0.0], [("nonneg", 3), ("zero", -1)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_DOMAIN_SETS))
+def test_constructors_refuse_out_of_domain_data(name):
+    """A ball of negative radius used to load with oracles that disagree
+    (support -1 along every unit direction, yet find_point gave the center),
+    and a cone block of size 0 made contains and support raise IndexError."""
+    with pytest.raises(sets.OutOfDomain):
+        OUT_OF_DOMAIN_SETS[name]()
+
+
+def test_a_ball_of_radius_zero_is_its_center():
+    P = sets.ball([1.0, 2.0], 0.0)
+    assert sets.contains(P, [1.0, 2.0], 1e-9)
+    assert sets.support(P, [3.0, 4.0]) == pytest.approx(11.0)
+
+
 # ---------------------------------------------------------------------------
 # point finding and family validation
 # ---------------------------------------------------------------------------
