@@ -38,7 +38,7 @@ import numpy as np
 from . import analysis, sets
 from . import gauge as gauge_mod
 from .gauge import Aff, GaugePlus, Linear, NameGen, Perspective, SOC, combo
-from .sets import DfcError, SetExpr, SignedBasis
+from .sets import DfcError, SetExpr
 
 # the paper's name for each construction, written as every constraint's paper_ref
 LABELS = {
@@ -278,8 +278,9 @@ def _check_family(fam: HomothetyData, k: int, n: int, per_disjunct: str) -> None
 
 def _check_frame(data, k: int, n: int, **more) -> None:
     """One piece, sign vector and base point (and each entry of more, when
-    given) per disjunct, pieces and base points in R^n, and a frame of n
-    directions of length n with n signs per piece."""
+    given) per disjunct, pieces and base points in R^n, and an orthonormal
+    frame of n directions of length n with n signs in {-1, 0, 1} per piece
+    and a flip, when given, of n entries in {-1, 1}."""
     per_piece = {"pieces": data.pieces, "signs": data.signs, "base": data.base, **more}
     for name, items in per_piece.items():
         if items is not None and len(items) != k:
@@ -293,6 +294,16 @@ def _check_frame(data, k: int, n: int, **more) -> None:
     for i, (piece, b) in enumerate(zip(data.pieces, data.base)):
         if piece.dim != n or len(b) != n:
             raise sets.DimensionMismatch(f"piece {i}: its set and base point need dimension {n}")
+    flip = getattr(data, "flip", None)
+    if flip is not None and len(flip) != n:
+        raise sets.DimensionMismatch("sign vectors must match the number of directions")
+    V = np.array(data.basis)
+    if not np.allclose(V @ V.T, np.eye(n), atol=1e-10):
+        raise sets.OutOfDomain("directions are not orthonormal at 1e-10")
+    if any(si not in (-1, 0, 1) for s in data.signs for si in s):
+        raise sets.OutOfDomain("s entries must be in {-1, 0, 1}")
+    if flip is not None and any(ti not in (-1, 1) for ti in flip):
+        raise sets.OutOfDomain("t entries must be in {-1, 1}")
 
 
 @dataclass(frozen=True)
@@ -726,23 +737,13 @@ def _activation(x_names, y_names, u: np.ndarray, i: int, base, pieces, what: str
     return expr
 
 
-def _signed_frames(basis, signs, flip=None) -> list[SignedBasis]:
-    """One validated signed frame per piece (t = flip, or all ones)."""
-    frames = []
-    for s in signs:
-        frame = SignedBasis(basis, s, flip if flip is not None else (1,) * len(s))
-        frame.validate()
-        frames.append(frame)
-    return frames
-
-
-def _check_cone_sum(pieces, frames) -> None:
-    """The cone-sum condition of each piece over its frame, naming the piece
-    in the error."""
-    for i, (piece, frame) in enumerate(zip(pieces, frames)):
+def _check_cone_sum(pieces, basis, signs) -> None:
+    """The cone-sum condition of each piece over the frame with its signs,
+    naming the piece in the error."""
+    for i, (piece, s) in enumerate(zip(pieces, signs)):
         try:
             gauge_mod._probe_cone_sum_condition(
-                piece, frame, probes=200, seed=analysis.DEFAULT_SEED
+                piece, basis, s, probes=200, seed=analysis.DEFAULT_SEED
             )
         except gauge_mod.ConditionViolated as exc:
             raise gauge_mod.ConditionViolated(f"piece {i}: {exc}", exc.witness) from None
@@ -762,7 +763,6 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
         raise FamilyInvalid("orthogonal construction needs OrthogonalData")
     n, k = spec.dim, spec.k
     V = np.asarray(data.basis, dtype=float)
-    frames = _signed_frames(data.basis, data.signs, data.flip)
     x_names, y_names = _xy_names(spec)
     atoms = []
 
@@ -783,7 +783,7 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
     else:
         t = np.asarray(data.flip, dtype=float)
         if data.check:
-            _check_cone_sum(data.pieces, frames)
+            _check_cone_sum(data.pieces, data.basis, data.signs)
         domains = []
         for i in range(k):
             body = sets.intersect(data.pieces[i], _frame_cone(V, data.signs[i]))
@@ -855,9 +855,10 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
     n, k = spec.dim, spec.k
     V = np.asarray(data.basis, dtype=float)
     disjuncts = spec.sets
-    frames = _signed_frames(data.basis, data.signs)
     if data.check:
-        _check_cone_sum([_shifted(S, b) for S, b in zip(disjuncts, data.base)], frames)
+        _check_cone_sum(
+            [_shifted(S, b) for S, b in zip(disjuncts, data.base)], data.basis, data.signs
+        )
     x_names, y_names = _xy_names(spec)
     atoms = []
     for i in range(k):

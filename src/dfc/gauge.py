@@ -36,7 +36,6 @@ from .sets import (
     AffineFn,
     Scale,
     SetExpr,
-    SignedBasis,
     SumCone,
     Translate,
     VPolytope,
@@ -529,11 +528,11 @@ def _lower_fn(fn: CatalogFunction, w, tau):
 # ---------------------------------------------------------------------------
 
 
-def _probe_cone_sum_condition(C: SetExpr, basis: SignedBasis, probes: int, seed: int):
+def _probe_cone_sum_condition(C: SetExpr, V, s, probes: int, seed: int):
     """Raise ConditionViolated unless C cap K is compact and
     ((C cap K) - K) cap K = C cap K, the condition under which a positive-part
-    GaugePlus block over C is exact.  K is the frame's cone: s_j v_j.x >= 0
-    where s_j != 0 and v_j.x = 0 where s_j = 0.
+    GaugePlus block over C is exact.  K is the cone of the frame rows v_j of
+    V with signs s: s_j v_j.x >= 0 where s_j != 0 and v_j.x = 0 where s_j = 0.
 
     With the frame orthonormal, take coordinates z_j = s_j v_j.x.  The
     condition says C cap K is down-closed in z, and the box [0, z] is the hull
@@ -547,10 +546,10 @@ def _probe_cone_sum_condition(C: SetExpr, basis: SignedBasis, probes: int, seed:
     A stalled oracle raises sets.Stalled.
     """
     n = C.dim
-    V = _arr(basis.V)
-    supp = [j for j in range(V.shape[0]) if basis.s[j] != 0]
-    k_rows = np.array([basis.s[j] * V[j] for j in supp]).reshape(-1, n)
-    z_rows = np.array([V[j] for j in range(V.shape[0]) if basis.s[j] == 0]).reshape(-1, n)
+    V = np.asarray(V, dtype=float)
+    supp = [j for j in range(V.shape[0]) if s[j] != 0]
+    k_rows = np.array([s[j] * V[j] for j in supp]).reshape(-1, n)
+    z_rows = np.array([V[j] for j in range(V.shape[0]) if s[j] == 0]).reshape(-1, n)
 
     # compactness: support of C cap K along the coordinate axes
     cut = np.vstack([-k_rows, z_rows, -z_rows])
@@ -594,7 +593,7 @@ def _probe_cone_sum_condition(C: SetExpr, basis: SignedBasis, probes: int, seed:
         (j, L)
         for L in curved
         for j in supp
-        if not sets.recession_contains(L, -basis.s[j] * V[j])
+        if not sets.recession_contains(L, -s[j] * V[j])
     ]
     if not pending:
         return

@@ -489,31 +489,6 @@ class Intersect(SetExpr):
         return self.children[0].dim
 
 
-@dataclass(frozen=True)
-class SignedBasis:
-    """Orthonormal directions v^j with sign data s in {-1,0,1} and t in {-1,1}."""
-
-    V: tuple[tuple[float, ...], ...]
-    s: tuple[int, ...]
-    t: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.V[0])
-
-    def validate(self) -> None:
-        V = _arr(self.V)
-        if V.shape[0] != len(self.s) or V.shape[0] != len(self.t):
-            raise DimensionMismatch("sign vectors must match the number of directions")
-        gram = V @ V.T
-        if not np.allclose(gram, np.eye(V.shape[0]), atol=1e-10):
-            raise OutOfDomain("directions are not orthonormal at 1e-10")
-        if any(si not in (-1, 0, 1) for si in self.s):
-            raise OutOfDomain("s entries must be in {-1, 0, 1}")
-        if any(ti not in (-1, 1) for ti in self.t):
-            raise OutOfDomain("t entries must be in {-1, 1}")
-
-
 # constructor helpers: coerce array-likes and do light dimension checks
 
 

@@ -380,6 +380,30 @@ def test_isotone_probe_and_oracle_errors():
 SKEWED = ((1.0, 0.0), (1.0, 1.0))  # not orthonormal
 
 
+def test_problem_spec_refuses_a_bad_signed_frame():
+    """The frame is checked once, by ProblemSpec: orthonormal rows, signs
+    in {-1, 0, 1}, and a flip of n entries in {-1, 1}."""
+    pieces = (sets.box((0.0, 0.0), (1.0, 1.0)), sets.box((-1.0, -1.0), (0.0, 0.0)))
+    good = dict(
+        pieces=pieces,
+        basis=((1.0, 0.0), (0.0, 1.0)),
+        coord_sets=((0, 1), (0, 1)),
+        signs=((1, 1), (-1, -1)),
+        base=((0.0, 0.0), (0.0, 0.0)),
+        flip=(-1, -1),
+    )
+    for error, change in [
+        (sets.OutOfDomain, dict(basis=((1.0, 0.0), (1.0, 0.0)))),
+        (sets.OutOfDomain, dict(signs=((2, 1), (-1, -1)))),
+        (sets.OutOfDomain, dict(flip=(0, -1))),
+        (sets.DimensionMismatch, dict(flip=(-1,))),
+    ]:
+        data = builders.OrthogonalData(**{**good, **change})
+        with pytest.raises(error):
+            builders.ProblemSpec(pieces, None, "orthogonal", data)
+    builders.ProblemSpec(pieces, None, "orthogonal", builders.OrthogonalData(**good))
+
+
 @pytest.mark.parametrize("check", [False, True])
 def test_isotone_rejects_a_skewed_frame(check):
     piece = sets.box((0.0, 0.0), (1.0, 1.0))

@@ -650,19 +650,19 @@ def test_translated_ball_epigraph_matches_gauge_values():
 # ---------------------------------------------------------------------------
 
 
-def axis_basis(s, t):
-    n = len(s)
-    return sets.SignedBasis(tuple(tuple(float(v) for v in row) for row in np.eye(n)), tuple(s), tuple(t))
+def axis_basis(s):
+    """The axis frame with signs s, as the frame rows V and s."""
+    return np.eye(len(s)), tuple(s)
 
 
-def probe_cone_sum(C, basis):
-    gauge._probe_cone_sum_condition(C, basis, probes=500, seed=SEED)
+def probe_cone_sum(C, frame):
+    gauge._probe_cone_sum_condition(C, *frame, probes=500, seed=SEED)
 
 
 def test_cone_sum_block_monotone_box():
     # C = [0,1]^2 grown downward: the result is {x : x <= 1}
     C = sets.box([0.0, 0.0], [1.0, 1.0])
-    probe_cone_sum(C, axis_basis((1, 1), (-1, -1)))
+    probe_cone_sum(C, axis_basis((1, 1)))
     terms = (((1.0, 0.0), Aff.var("x0")), ((0.0, 1.0), Aff.var("x1")))
     atoms = [gauge.GaugePlus(C, terms, Aff.var("y")), gauge.Linear(Aff.var("y", -1.0))]
     rng = np.random.default_rng(SEED)
@@ -679,7 +679,7 @@ def test_cone_sum_block_monotone_box():
 def test_cone_sum_probe_rejects_escaping_difference():
     C = sets.box([0.5, 0.0], [1.0, 1.0])
     with pytest.raises(gauge.ConditionViolated) as err:
-        probe_cone_sum(C, axis_basis((1, 1), (-1, -1)))
+        probe_cone_sum(C, axis_basis((1, 1)))
     w = np.asarray(err.value.witness)
     assert np.all(w >= -1e-9)
     assert not sets.contains(C, w, 1e-6)
@@ -688,7 +688,7 @@ def test_cone_sum_probe_rejects_escaping_difference():
 def test_cone_sum_probe_rejects_unbounded_piece():
     C = sets.box([0.0, 0.0], [INF, 1.0])
     with pytest.raises(gauge.ConditionViolated):
-        probe_cone_sum(C, axis_basis((1, 1), (-1, -1)))
+        probe_cone_sum(C, axis_basis((1, 1)))
 
 
 def in_axis_orthant(w) -> bool:
@@ -701,7 +701,7 @@ def test_cone_sum_refutes_thin_piece(eps):
     its first coordinate leaves C.  One support value along (0, 1) shows it."""
     C = sets.intersect(sets.box([0.0, 0.0], [1.0, 1.0]), sets.hpoly([[-eps, 1.0]], [0.5]))
     with pytest.raises(gauge.ConditionViolated) as err:
-        probe_cone_sum(C, axis_basis((1, 1), (-1, -1)))
+        probe_cone_sum(C, axis_basis((1, 1)))
     w = np.asarray(err.value.witness)
     assert in_axis_orthant(w)
     assert not sets.contains(C, w, 1e-6)
@@ -722,7 +722,7 @@ def test_cone_sum_refutes_ball_through_sampled_fallback(monkeypatch):
 
     monkeypatch.setattr(sets, "exposed_point", counted)
     with pytest.raises(gauge.ConditionViolated) as err:
-        probe_cone_sum(C, axis_basis((1, 1), (-1, -1)))
+        probe_cone_sum(C, axis_basis((1, 1)))
     w = np.asarray(err.value.witness)
     assert exposed
     assert in_axis_orthant(w)
@@ -737,15 +737,4 @@ def test_cone_sum_stall_raises_instead_of_passing(monkeypatch):
     monkeypatch.setattr(analysis, "maximize_over_atoms", stalled)
     C = sets.box([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(sets.Stalled):
-        probe_cone_sum(C, axis_basis((1, 1), (-1, -1)))
-
-
-def test_signed_basis_validation():
-    with pytest.raises(sets.OutOfDomain):
-        sets.SignedBasis(((1.0, 0.0), (1.0, 0.0)), (1, 1), (-1, -1)).validate()
-    with pytest.raises(sets.OutOfDomain):
-        sets.SignedBasis(((1.0, 0.0), (0.0, 1.0)), (2, 1), (-1, -1)).validate()
-    with pytest.raises(sets.OutOfDomain):
-        sets.SignedBasis(((1.0, 0.0), (0.0, 1.0)), (1, 1), (0, -1)).validate()
-    with pytest.raises(sets.DimensionMismatch):
-        sets.SignedBasis(((1.0, 0.0), (0.0, 1.0)), (1,), (-1, -1)).validate()
+        probe_cone_sum(C, axis_basis((1, 1)))
