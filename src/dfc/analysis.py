@@ -5,6 +5,10 @@ atoms seed one simplex.Master per optimization, nonlinear atoms (cone rows,
 perspectives, gauge bounds) append supporting cuts at master optima, and each
 round resumes from the last optimal basis, until the worst violation drops
 below tolerance, or it stalls: no new cut separates the master optimum.
+compile_atoms compiles each nonlinear atom to one block (atom, M, c) whose
+rows M z + c are its arguments (gauge.atom_exprs), bound last; separation
+works on v = M z + c alone, and its cuts g.v <= off enter the master as rows
+(g M) z <= off - g.c.
 feasibility_gap runs it with every row relaxed by a uniform slack.  All
 optimization happens inside an explicit box (radius 1e3) on variables without
 finite bounds; a solution pressed against that box is flagged and read as

@@ -283,6 +283,70 @@ def test_cut_loop_converges_on_ex1_extended_stall_direction(tmp_path, capsys):
     assert "ideal: not-refuted" in capsys.readouterr().out
 
 
+E1 = Aff.of({"x0": 1.0, "x1": -0.5}, 0.3)
+E2 = Aff.of({"x1": 2.0, "x2": 0.25}, -0.1)
+BOUND = Aff.of({"x0": 0.2, "x2": 1.5}, 0.7)
+GEOMEAN = sets.GeoMeanDeficit(1.0, 0.5, 2)
+SEPARATED_ATOMS = {
+    "soc": SOC((E1, E2), BOUND),
+    "quadratic_plus": Perspective(sets.QuadraticPlus((1.0, -0.5), 0.2, (0.3, 1.0)), (E1, E2), BOUND),
+    "geomean": Perspective(GEOMEAN, (E1, E2), BOUND),
+    "max_of": Perspective(
+        sets.MaxOf((sets.AffineFn((1.0, 1.0), -1.0), GEOMEAN)), (E1, E2), BOUND
+    ),
+    "gauge_plus": GaugePlus(
+        sets.box((-1.0, -1.0), (2.0, 1.0)), (((1.0, 0.0), E1), ((0.0, 1.0), E2)), BOUND
+    ),
+    "gauge_plain": GaugePlus(
+        sets.ball((0.2, 0.0), 1.0),
+        (((1.0, 0.5), E1), ((0.0, 1.0), E2)),
+        BOUND,
+        positive_part=False,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SEPARATED_ATOMS))
+def test_each_atom_block_separates_in_its_argument_space(kind):
+    """The separation contract per atom type, at seeded points z: the
+    compiled block's M z + c is the atom's expressions (gauge.atom_exprs),
+    its violation is gauge.atom_violation's, and at a violated point that
+    meets the compiled rows, as every master optimum does, some cut row
+    (g M) z <= off - g.c cuts z off while every compiled row and cut row
+    holds at each sampled point where the atom holds."""
+    atom = SEPARATED_ATOMS[kind]
+    names = ("x0", "x1", "x2")
+    compiled = analysis.compile_atoms([atom], named_vars(*names))
+    [(block_atom, M, c)] = compiled.nonlinear
+    assert block_atom is atom
+    rng = np.random.default_rng(SEED)
+    points = rng.uniform(-2.0, 2.0, (400, 3))
+    envs = [dict(zip(names, z.tolist())) for z in points]
+    holds = []
+    for z, env in zip(points, envs):
+        v = M @ z + c
+        assert v == pytest.approx([e.evaluate(env) for e in gauge.atom_exprs(atom)], abs=1e-12)
+        viol = analysis._atom_violation_and_cuts(atom, v, want_cut=False)[0]
+        assert viol == pytest.approx(gauge.atom_violation(atom, env), rel=1e-9, abs=1e-12)
+        if viol <= -1e-9:
+            holds.append(z)
+    holds = np.array(holds)
+    assert 10 <= len(holds) <= 390
+    assert np.all(holds @ compiled.rows.T <= compiled.rhs + 1e-9)
+    separated = 0
+    for z in points:
+        v = M @ z + c
+        viol, cuts = analysis._atom_violation_and_cuts(atom, v, want_cut=True)
+        if viol <= 1e-6 or np.any(compiled.rows @ z > compiled.rhs):
+            continue
+        rows = [(g @ M, off - g @ c) for g, off in cuts]
+        assert max(row @ z - rhs for row, rhs in rows) > 1e-9
+        for row, rhs in rows:
+            assert np.all(holds @ row <= rhs + 1e-9 * (1.0 + np.abs(holds) @ np.abs(row)))
+        separated += 1
+    assert separated >= 10
+
+
 def test_a_violated_atom_without_a_cut_stalls_its_first_round(monkeypatch):
     """A round whose violated atoms give no cut separates nothing, in the
     plain loop and in the feasibility gap's slack mode alike."""
