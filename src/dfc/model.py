@@ -99,7 +99,7 @@ def _same(v):
 
 
 def _num(v: float) -> dict:
-    f = float(v)
+    f = float(v) + 0.0  # -0.0 is written 0
     return {"dec": "%.17g" % f, "hex": f.hex() if math.isfinite(f) else "%.17g" % f}
 
 
@@ -702,7 +702,7 @@ def report_doc(report) -> dict:
         if isinstance(node, bool):
             return node
         if isinstance(node, float):
-            return "%.17g" % node
+            return "%.17g" % (node + 0.0)
         if isinstance(node, (list, tuple)):
             return [conv(v) for v in node]
         if isinstance(node, dict):

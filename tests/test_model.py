@@ -7,6 +7,7 @@ bytes.  The lift oracle is optimization equality over random objectives.
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,20 +143,35 @@ def test_lp_text_writes_the_model_objective():
     assert model.emit_lp(ir).decode() == EX4_LP
 
 
-def test_lp_text_never_prints_negative_zero():
-    atoms = (Linear(Aff.of({"x0": 1.0}, -0.0)),)
-    ir = builders.Formulation(
+def _negative_zero_form():
+    return builders.Formulation(
         "z",
         (builders.Variable("x0", "continuous"),),
-        atoms,
+        (Linear(Aff.of({"x0": 1.0}, -0.0)),),
         ("test",),
-        (sets.box((0.0,), (1.0,)),),
+        (sets.box((0.0,), (-0.0,)),),
         ("x0",),
         (),
     )
-    text = model.emit_lp(ir).decode()
+
+
+def test_lp_text_never_prints_negative_zero():
+    text = model.emit_lp(_negative_zero_form()).decode()
     assert "-0" not in text
     assert " <= 0\n" in text
+
+
+def test_json_never_writes_negative_zero():
+    """A -0.0 is written 0 in both the dec and the hex field, as the LP text
+    writes it; it used to read {"dec": "-0", "hex": "-0x0.0p+0"}."""
+    data = model.emit_json(_negative_zero_form())
+    assert b"-0" not in data
+    assert b'{"dec":"0","hex":"0x0.0p+0"}' in data
+    assert model.emit_json(model.parse_model(data)) == data
+    report = SimpleNamespace(to_json_dict=lambda: {"margin": -0.0, "values": [-0.0, 1.5]})
+    assert model.report_doc(report) == {
+        "margin": "0", "values": ["0", "1.5"], "schema": model.REPORT_SCHEMA
+    }
 
 
 def test_lp_rejects_nonlinear_atoms():
