@@ -372,6 +372,13 @@ def _shifted(S: SetExpr, b) -> SetExpr:
     return sets.translate(S, tuple(-v for v in b)) if any(b) else S
 
 
+def _cayley_row(x_names, y_names, a, c) -> Aff:
+    """a.x - sum_i c_i y_i, the left side of the paper's Cayley row
+    a.x <= sum_i y_i h_{P_i}(a) when c_i is the support of piece i along a."""
+    names = (*x_names, *y_names)
+    return gauge_mod.dot((*a, *(-float(ci) for ci in c)), [Aff.var(nm) for nm in names])
+
+
 def _require_bases(spec: ProblemSpec):
     if spec.base_points is None:
         raise FamilyInvalid("this construction needs one base point per disjunct")
@@ -636,10 +643,7 @@ def build_bigm(spec: ProblemSpec) -> Formulation:
     gen = NameGen()
     atoms, aux = [], []
     for i, (S, b) in enumerate(zip(spec.sets, spec.base_points)):
-        w = tuple(
-            Aff.var(f"x{j}") + Aff.const_of(-b[j]) if b[j] else Aff.var(f"x{j}")
-            for j in range(n)
-        )
+        w = tuple(Aff.of({f"x{j}": 1.0}, -b[j]) for j in range(n))
         tau = combo(y_names, M[i])
         block, block_aux = gauge_mod.lower_epigraph(_shifted(S, b), w, tau, gen)
         aux.extend(block_aux)
@@ -670,16 +674,12 @@ def _probe_homothety(disjuncts, fam: HomothetyData):
 
 
 def _homothetic_block(fam: HomothetyData, x_names, y_names, gen: NameGen):
-    n = len(x_names)
-    w = []
-    for j in range(n):
-        e = Aff.var(x_names[j])
-        for i, b in enumerate(fam.base):
-            if b[j]:
-                e = e + Aff.var(y_names[i]).scaled(-b[j])
-        w.append(e)
+    w = tuple(
+        _cayley_row((x,), y_names, (1.0,), [b[j] for b in fam.base])
+        for j, x in enumerate(x_names)
+    )
     tau = combo(y_names, fam.radii)
-    return gauge_mod.lower_epigraph(fam.template, tuple(w), tau, gen)
+    return gauge_mod.lower_epigraph(fam.template, w, tau, gen)
 
 
 def build_homothetic(spec: ProblemSpec) -> Formulation:
@@ -729,12 +729,11 @@ def _support_const(S: SetExpr, d: np.ndarray, what: str) -> float:
 def _activation(x_names, y_names, u: np.ndarray, i: int, base, pieces, what: str) -> Aff:
     """u.x - sum_l c_l y_l, with c_i = u.base the constant of piece i itself
     and c_l the support of piece l along u for the others."""
-    expr = combo(x_names, u)
-    for l, S in enumerate(pieces):
-        c = float(u @ base) if l == i else _support_const(S, u, f"piece {l} {what}")
-        if c:
-            expr = expr + Aff.var(y_names[l]).scaled(-c)
-    return expr
+    c = [
+        float(u @ base) if l == i else _support_const(S, u, f"piece {l} {what}")
+        for l, S in enumerate(pieces)
+    ]
+    return _cayley_row(x_names, y_names, u, c)
 
 
 def _check_cone_sum(pieces, basis, signs) -> None:
@@ -773,9 +772,8 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
             b = np.asarray(spec.base_points[i], dtype=float)
             terms = []
             for j in data.coord_sets[i]:
-                vj = V[j]
-                expr = combo(x_names, vj) + Aff.var(y_names[i]).scaled(-float(vj @ b))
-                terms.append((tuple(map(float, vj)), expr))
+                expr = _cayley_row(x_names, y_names[i : i + 1], V[j], (V[j] @ b,))
+                terms.append((tuple(map(float, V[j])), expr))
             shifted = _shifted(spec.sets[i], b)
             atoms.append(
                 GaugePlus(shifted, tuple(terms), Aff.var(y_names[i]), positive_part=False)
@@ -804,13 +802,9 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
                     )
                 )
         for j in range(n):
-            d = t[j] * V[j]
-            expr = combo(x_names, d).scaled(-1.0)
-            for l in range(k):
-                lo = -_support_const(domains[l], -d, f"piece {l} sign row")
-                if lo:
-                    expr = expr + Aff.var(y_names[l]).scaled(lo)
-            atoms.append(Linear(expr))
+            d = -t[j] * V[j]
+            c = [_support_const(D, d, f"piece {l} sign row") for l, D in enumerate(domains)]
+            atoms.append(Linear(_cayley_row(x_names, y_names, d, c)))
     return _formulation("orthogonal", spec, atoms)
 
 
@@ -819,24 +813,15 @@ def build_bbj(spec: ProblemSpec) -> Formulation:
     data = spec.params
     if not isinstance(data, BBJData):
         raise FamilyInvalid("shared-matrix construction needs BBJData")
-    n, k = spec.dim, spec.k
     A = np.asarray(data.lhs, dtype=float)
     for i, b in enumerate(data.rhs):
         if sets.find_point(sets.hpoly(A, b)) is None:
             raise EmptyPiece(f"disjunct {i} is empty")
     x_names, y_names = _xy_names(spec)
-    atoms = []
-    for r in range(A.shape[0]):
-        names, coeffs = [], []
-        for c in range(n):
-            if A[r, c]:
-                names.append(x_names[c])
-                coeffs.append(float(A[r, c]))
-        for i in range(k):
-            if data.rhs[i][r]:
-                names.append(y_names[i])
-                coeffs.append(-float(data.rhs[i][r]))
-        atoms.append(Linear(combo(names, coeffs)))
+    atoms = [
+        Linear(_cayley_row(x_names, y_names, a, [b[r] for b in data.rhs]))
+        for r, a in enumerate(A)
+    ]
     return _formulation("bbj", spec, atoms)
 
 
@@ -883,13 +868,12 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
             GaugePlus(set_ref, tuple(terms), Aff.var(y_names[i]), data.positive_part)
         )
     for j in range(n):
-        lows, ups = [], []
-        for i in range(k):
-            ups.append(_support_const(disjuncts[i], V[j], f"piece {i} upper bound"))
-            lows.append(-_support_const(disjuncts[i], -V[j], f"piece {i} lower bound"))
-        ve = combo(x_names, V[j])
-        atoms.append(Linear(combo(y_names, lows) - ve))
-        atoms.append(Linear(ve - combo(y_names, ups)))
+        ups, downs = [], []
+        for i, S in enumerate(disjuncts):
+            ups.append(_support_const(S, V[j], f"piece {i} upper bound"))
+            downs.append(_support_const(S, -V[j], f"piece {i} lower bound"))
+        atoms.append(Linear(_cayley_row(x_names, y_names, -V[j], downs)))
+        atoms.append(Linear(_cayley_row(x_names, y_names, V[j], ups)))
     return _formulation("isotone", spec, atoms, dedup=True)
 
 

@@ -9,7 +9,9 @@ are affine in (w, t) and any auxiliary variables, so substituting affine
 expressions for w and t yields valid constraint blocks for translates,
 scalings and combinations without re-deriving anything per builder.  The
 set oracles' fallbacks compile the same lowering once per set, at columns
-(w, t) (analysis._template).
+(w, t) (analysis._template).  Every row of a lowering is one combination
+dot(coeffs, exprs), the only place expressions are added: a box or an
+H-polyhedron gives one row a.w - b t per row of sets.collect_rows.
 
 Everything here is immutable; fresh auxiliary names come from an explicit
 deterministic counter so repeated builds of one instance are byte-identical.
@@ -90,28 +92,27 @@ class Aff:
     def evaluate(self, env: dict[str, float]) -> float:
         return self.const + sum(c * env[n] for n, c in self.terms)
 
-    def coeff_map(self) -> dict[str, float]:
-        return dict(self.terms)
-
-    def __add__(self, other: "Aff") -> "Aff":
-        coeffs = self.coeff_map()
-        for n, c in other.terms:
-            coeffs[n] = coeffs.get(n, 0.0) + c
-        return Aff.of(coeffs, self.const + other.const)
-
-    def __sub__(self, other: "Aff") -> "Aff":
-        return self + other.scaled(-1.0)
-
     def scaled(self, k: float) -> "Aff":
         return Aff.of({n: k * c for n, c in self.terms}, k * self.const)
 
-    def shifted(self, delta: float) -> "Aff":
-        return Aff(self.terms, self.const + delta)
+
+def dot(coeffs, exprs, const: float = 0.0) -> Aff:
+    """const + sum_k coeffs[k] * exprs[k], the one way expressions are added:
+    each name's coefficient is summed left to right, and zero coefficients
+    are skipped."""
+    acc = {}
+    for k, e in zip(coeffs, exprs, strict=True):
+        k = float(k)
+        if k == 0.0:
+            continue
+        const += k * e.const
+        for n, c in e.terms:
+            acc[n] = acc.get(n, 0.0) + k * c
+    return Aff.of(acc, const)
 
 
 def combo(names: "list[str] | tuple[str, ...]", coeffs, const: float = 0.0) -> Aff:
-    cv = np.asarray(coeffs, dtype=float).reshape(-1)
-    return Aff.of({n: float(c) for n, c in zip(names, cv)}, const)
+    return dot(coeffs, [Aff.var(n) for n in names], const)
 
 
 # ---------------------------------------------------------------------------
@@ -407,58 +408,25 @@ def lower_epigraph(
 
 
 def _lower(S, w, tau, gen):
-    if isinstance(S, Box):
-        atoms = []
-        lo, up = _arr(S.lower), _arr(S.upper)
-        for j in range(S.dim):
-            if not math.isinf(up[j]):
-                atoms.append(Linear(w[j] - tau.scaled(float(up[j]))))
-            if not math.isinf(lo[j]):
-                atoms.append(Linear(tau.scaled(float(lo[j])) - w[j]))
-        return atoms, []
+    if isinstance(S, (Box, HPolyhedron)):
+        A, b = sets.collect_rows(S)
+        return [Linear(dot((*a, -bi), (*w, tau))) for a, bi in zip(A, b)], []
     if isinstance(S, Ball):
-        c = _arr(S.center)
-        arg = tuple(w[j] - tau.scaled(float(c[j])) for j in range(S.dim))
+        arg = tuple(dot((1.0, -c), (e, tau)) for e, c in zip(w, _arr(S.center)))
         return [SOC(arg, tau.scaled(S.radius))], []
-    if isinstance(S, HPolyhedron):
-        A, b = _arr(S.A), _arr(S.b)
-        atoms = []
-        for i in range(A.shape[0]):
-            row = Aff.const_of(0.0)
-            for j in range(S.dim):
-                if A[i, j] != 0.0:
-                    row = row + w[j].scaled(float(A[i, j]))
-            atoms.append(Linear(row - tau.scaled(float(b[i]))))
-        return atoms, []
     if isinstance(S, VPolytope):
         V = _arr(S.vertices)
         lam = [gen.fresh() for _ in range(V.shape[0])]
-        atoms = []
-        for j in range(S.dim):
-            expr = w[j]
-            for v, name in zip(V, lam):
-                if v[j] != 0.0:
-                    expr = expr - Aff.var(name, float(v[j]))
-            atoms.append(Linear(expr, "eq"))
-        total = Aff.of({name: 1.0 for name in lam}) - tau
-        atoms.append(Linear(total, "eq"))
+        lv = [Aff.var(name) for name in lam]
+        atoms = [Linear(dot((1.0, *-V[:, j]), (w[j], *lv)), "eq") for j in range(S.dim)]
+        atoms.append(Linear(dot((*[1.0] * len(lv), -1.0), (*lv, tau)), "eq"))
         atoms.extend(Linear(Aff.var(name, -1.0)) for name in lam)
         return atoms, lam
     if isinstance(S, ConicRep):
-        A, c = _arr(S.A), _arr(S.c)
         zs = [gen.fresh() for _ in range(S.aux_dim)]
-        B = _arr(S.B) if S.B else None
-        rows = []
-        for i in range(A.shape[0]):
-            expr = tau.scaled(float(c[i]))
-            for j in range(S.dim):
-                if A[i, j] != 0.0:
-                    expr = expr + w[j].scaled(float(A[i, j]))
-            if B is not None:
-                for t, name in enumerate(zs):
-                    if B[i, t] != 0.0:
-                        expr = expr + Aff.var(name, float(B[i, t]))
-            rows.append(expr)
+        cols = (tau, *w, *map(Aff.var, zs))
+        B = _arr(S.B) if S.B else np.zeros((len(S.c), 0))
+        rows = [dot((c, *a, *bz), cols) for c, a, bz in zip(_arr(S.c), _arr(S.A), B)]
         atoms = []
         at = 0
         for sl in S.cones:
@@ -474,11 +442,7 @@ def _lower(S, w, tau, gen):
     if isinstance(S, LevelSet):
         return _lower_fn(S.fn, w, tau), []
     if isinstance(S, Translate):
-        off = _arr(S.offset)
-        shifted = tuple(
-            w[j] - tau.scaled(float(off[j])) if off[j] != 0.0 else w[j]
-            for j in range(S.dim)
-        )
+        shifted = tuple(dot((1.0, -o), (e, tau)) for e, o in zip(w, _arr(S.offset)))
         return _lower(S.child, shifted, tau, gen)
     if isinstance(S, Scale):
         if S.factor == 0.0:
@@ -489,12 +453,10 @@ def _lower(S, w, tau, gen):
         inner = [gen.fresh() for _ in range(S.dim)]
         mus = [gen.fresh() for _ in range(R.shape[0])]
         atoms, aux = _lower(S.child, tuple(Aff.var(n) for n in inner), tau, gen)
+        mv = [Aff.var(name) for name in mus]
         for j in range(S.dim):
-            expr = w[j] - Aff.var(inner[j])
-            for r, name in zip(R, mus):
-                if r[j] != 0.0:
-                    expr = expr - Aff.var(name, float(r[j]))
-            atoms.append(Linear(expr, "eq"))
+            row = dot((1.0, -1.0, *-R[:, j]), (w[j], Aff.var(inner[j]), *mv))
+            atoms.append(Linear(row, "eq"))
         atoms.extend(Linear(Aff.var(name, -1.0)) for name in mus)
         return atoms, inner + mus + aux
     if isinstance(S, Intersect):
@@ -509,12 +471,7 @@ def _lower(S, w, tau, gen):
 
 def _lower_fn(fn: CatalogFunction, w, tau):
     if isinstance(fn, AffineFn):
-        a = _arr(fn.a)
-        expr = tau.scaled(fn.beta)
-        for j, e in enumerate(w):
-            if a[j] != 0.0:
-                expr = expr + e.scaled(float(a[j]))
-        return [Linear(expr)]
+        return [Linear(dot((fn.beta, *_arr(fn.a)), (tau, *w)))]
     if isinstance(fn, MaxOf):
         atoms = []
         for part in fn.parts:

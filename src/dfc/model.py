@@ -32,7 +32,7 @@ from dataclasses import replace
 
 from . import builders, sets
 from .builders import Formulation, ProblemSpec, Variable
-from .gauge import Aff, GaugePlus, Linear, Perspective, SOC, atom_exprs
+from .gauge import Aff, GaugePlus, Linear, Perspective, SOC, atom_exprs, dot
 
 MODEL_SCHEMA = "dfc-model/1"
 REPORT_SCHEMA = "dfc-report/1"
@@ -71,7 +71,7 @@ def lower_model(form: Formulation, mode: str = "plus") -> Formulation:
             for d, expr in atom.terms:
                 z = next(fresh)
                 variables.append(Variable(z, "continuous"))
-                rows += [Linear(expr - Aff.var(z)), Linear(Aff.var(z).scaled(-1.0))]
+                rows += [Linear(dot((1.0, -1.0), (expr, Aff.var(z)))), Linear(Aff.var(z, -1.0))]
                 terms.append((d, Aff.var(z)))
             rows.append(GaugePlus(atom.set_ref, tuple(terms), atom.rhs, positive_part=False))
         atoms += rows
@@ -609,9 +609,8 @@ def emit_lp(form: Formulation) -> bytes:
     """LP text for purely linear models: the model's objective (0 when it has
     none), one row per Linear atom, explicit bounds, binaries in their own
     section."""
-    obj = Aff.const_of(0.0)
-    for nm, c in form.objective or ():
-        obj = obj + Aff.var(nm, c)
+    objective = form.objective or ()
+    obj = dot([c for _, c in objective], [Aff.var(nm) for nm, _ in objective])
     lines = ["Minimize", f" obj: {_lp_row(obj) if obj.terms else 0}", "Subject To"]
     for cid, atom in zip(form.constraint_ids(), form.atoms):
         if not isinstance(atom, Linear):

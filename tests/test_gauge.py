@@ -31,27 +31,41 @@ def test_aff_terms_sorted_and_nonzero():
 
 
 def test_aff_algebra_matches_numeric_evaluation():
+    """dot over expressions that share names, with some zero coefficients and
+    constants, evaluates to the same combination of their values; its terms
+    stay sorted and nonzero."""
     rng = np.random.default_rng(SEED)
     names = ["a", "b", "c"]
     for _ in range(CASES):
-        c1 = {n: float(v) for n, v in zip(names, rng.normal(size=3))}
-        c2 = {n: float(v) for n, v in zip(names, rng.normal(size=3))}
-        k = float(rng.normal())
-        e1 = Aff.of(c1, float(rng.normal()))
-        e2 = Aff.of(c2, float(rng.normal()))
+        m = int(rng.integers(1, 5))
+        exprs = [
+            Aff.of(dict(zip(names, map(float, rng.normal(size=3)))), float(rng.normal()))
+            for _ in range(m)
+        ]
+        coeffs = [float(k) if rng.random() < 0.7 else 0.0 for k in rng.normal(size=m)]
+        const = float(rng.normal())
         env = {n: float(v) for n, v in zip(names, rng.normal(size=3))}
-        assert (e1 + e2).evaluate(env) == pytest.approx(
-            e1.evaluate(env) + e2.evaluate(env), abs=1e-12
+        e = gauge.dot(coeffs, exprs, const)
+        want = const + sum(k * x.evaluate(env) for k, x in zip(coeffs, exprs))
+        assert e.evaluate(env) == pytest.approx(want, abs=1e-12)
+        assert [n for n, _ in e.terms] == sorted(n for n, c in e.terms if c != 0.0)
+        k = float(rng.normal())
+        assert exprs[0].scaled(k).evaluate(env) == pytest.approx(
+            k * exprs[0].evaluate(env), abs=1e-12
         )
-        assert (e1 - e2).evaluate(env) == pytest.approx(
-            e1.evaluate(env) - e2.evaluate(env), abs=1e-12
-        )
-        assert e1.scaled(k).evaluate(env) == pytest.approx(
-            k * e1.evaluate(env), abs=1e-12
-        )
-        assert e1.shifted(k).evaluate(env) == pytest.approx(
-            e1.evaluate(env) + k, abs=1e-12
-        )
+    a, b = Aff.var("a"), Aff.of({"b": 2.0}, 1.0)
+    assert gauge.dot((0.0, 1.0), (a, b)) == b
+    assert gauge.dot((1.0, -1.0), (a, a), 3.0) == Aff.const_of(3.0)
+    assert gauge.dot((2.0, 1.0, 0.5), (a, b, b)) == Aff.of({"a": 2.0, "b": 3.0}, 1.5)
+
+
+def test_dot_sums_each_name_left_to_right():
+    """1e16 + 1.0 rounds back to 1e16, so the order is visible: left to
+    right gives 0.0 (the name drops out), not 1.0."""
+    x, one = Aff.var("x"), Aff.const_of(1.0)
+    assert gauge.dot((1e16, 1.0, -1e16), (x, x, x)) == Aff.const_of(0.0)
+    assert gauge.dot((1e16, -1e16, 1.0), (x, x, x)) == x
+    assert gauge.dot((1e16, 1.0, -1e16), (one, one, one)).const == 0.0
 
 
 def test_combo_builds_inner_product():
@@ -614,6 +628,21 @@ def test_template_level_set_slice():
     assert not block_holds(S, [1.0, 0.5], 1.0)
     # tau scales the level set through the perspective
     assert block_holds(S, [1.0, 0.5], 2.0)
+
+
+def test_a_box_lowers_as_the_polyhedron_of_its_rows():
+    """Box and HPolyhedron share one lowering, row by row of collect_rows,
+    also where w and tau share names and carry constants."""
+    box = sets.box([-1.0, 0.5, -INF], [2.0, INF, 3.0])
+    w = (Aff.of({"x0": 1.0, "y": -2.0}, 0.5), Aff.var("x1"), Aff.of({"x2": 1.0, "y": 0.25}))
+    tau = Aff.of({"y": 1.5, "x0": 0.25}, -0.125)
+
+    def lowered(S):
+        return gauge.lower_epigraph(S, w, tau, gauge.NameGen())
+
+    atoms, aux = lowered(box)
+    assert (atoms, aux) == lowered(sets.hpoly(*sets.collect_rows(box)))
+    assert len(atoms) == 4 and aux == []
 
 
 def test_template_arity_mismatch_raises():
