@@ -492,35 +492,45 @@ class Intersect(SetExpr):
 # constructor helpers: coerce array-likes and do light dimension checks
 
 
+def _finite(x, what: str):
+    """x itself, after OutOfDomain if an entry is NaN or infinite."""
+    a = np.asarray(x, dtype=float)
+    if not np.isfinite(a).all():
+        raise OutOfDomain(f"{what} must be finite, got {a.tolist()}")
+    return x
+
+
 def box(lower, upper) -> Box:
     lo, up = _vec(lower), _vec(upper)
     if len(lo) != len(up):
         raise DimensionMismatch("box bound lengths differ")
+    if any(map(math.isnan, lo + up)):
+        raise OutOfDomain(f"box bounds must be numbers or +-inf, got {lo} and {up}")
     return Box(lo, up)
 
 
 def hpoly(A, b) -> HPolyhedron:
-    Am, bv = _mat(A), _vec(b)
+    Am, bv = _finite(_mat(A), "polyhedron rows"), _finite(_vec(b), "polyhedron bounds")
     if len(Am) != len(bv):
         raise DimensionMismatch("row count mismatch between A and b")
     return HPolyhedron(Am, bv)
 
 
 def vpoly(vertices) -> VPolytope:
-    return VPolytope(_mat(vertices))
+    return VPolytope(_finite(_mat(vertices), "vertices"))
 
 
 def ball(center, radius) -> Ball:
     r = float(radius)
     if not 0.0 <= r < math.inf:
         raise OutOfDomain(f"ball radius must be finite and nonnegative, got {r}")
-    return Ball(_vec(center), r)
+    return Ball(_finite(_vec(center), "ball center"), r)
 
 
 def conic(A, B, c, cones) -> ConicRep:
-    Am = _mat(A)
-    Bm = _mat(B) if B is not None and len(B) > 0 else ()
-    cv = _vec(c)
+    Am = _finite(_mat(A), "conic A")
+    Bm = _finite(_mat(B), "conic B") if B is not None and len(B) > 0 else ()
+    cv = _finite(_vec(c), "conic c")
     slices = tuple(ConeSlice(k, int(m)) for k, m in cones)
     total = sum(s.size for s in slices)
     if total != len(Am) or total != len(cv):
@@ -540,20 +550,20 @@ def level_set(fn: CatalogFunction) -> LevelSet:
 
 
 def translate(child: SetExpr, offset) -> Translate:
-    off = _vec(offset)
+    off = _finite(_vec(offset), "offset")
     if len(off) != child.dim:
         raise DimensionMismatch("offset dimension differs from the set")
     return Translate(child, off)
 
 
 def scale(child: SetExpr, factor: float) -> Scale:
-    if factor < 0.0:
-        raise OutOfDomain("scale factor must be nonnegative")
+    if not 0.0 <= factor < math.inf:
+        raise OutOfDomain(f"scale factor must be finite and nonnegative, got {factor}")
     return Scale(child, float(factor))
 
 
 def sum_cone(child: SetExpr, rays) -> SumCone:
-    R = _mat(rays) if len(rays) > 0 else ()
+    R = _finite(_mat(rays), "rays") if len(rays) > 0 else ()
     if R and len(R[0]) != child.dim:
         raise DimensionMismatch("ray dimension differs from the set")
     return SumCone(child, R)

@@ -588,6 +588,21 @@ OUT_OF_DOMAIN_SETS = {
         [[1.0, 0.0], [0.0, 1.0]], (), [0.0, 0.0], [("nonneg", 3), ("zero", -1)]
     ),
 }
+SQUARE = sets.box([-1.0, -1.0], [1.0, 1.0])
+NON_FINITE_SETS = {
+    "box-nan": lambda: sets.box([NAN, 0.0], [1.0, 1.0]),
+    "hpoly-nan-b": lambda: sets.hpoly([[1.0, 0.0]], [NAN]),
+    "hpoly-inf-row": lambda: sets.hpoly([[math.inf, 0.0]], [1.0]),
+    "vpoly-inf": lambda: sets.vpoly([[0.0, math.inf]]),
+    "ball-nan-center": lambda: sets.ball([NAN, 0.0], 1.0),
+    "conic-nan-c": lambda: sets.conic([[1.0, 0.0]], (), [NAN], [("nonneg", 1)]),
+    "conic-inf-A": lambda: sets.conic([[math.inf, 0.0]], (), [1.0], [("nonneg", 1)]),
+    "conic-inf-B": lambda: sets.conic([[1.0, 0.0]], [[math.inf]], [1.0], [("nonneg", 1)]),
+    "translate-nan": lambda: sets.translate(SQUARE, (NAN, 0.0)),
+    "scale-nan": lambda: sets.scale(SQUARE, NAN),
+    "scale-inf": lambda: sets.scale(SQUARE, math.inf),
+    "sum_cone-inf": lambda: sets.sum_cone(SQUARE, [[math.inf, 0.0]]),
+}
 
 
 @pytest.mark.parametrize("name", sorted(OUT_OF_DOMAIN_SETS))
@@ -597,6 +612,17 @@ def test_constructors_refuse_out_of_domain_data(name):
     and a cone block of size 0 made contains and support raise IndexError."""
     with pytest.raises(sets.OutOfDomain):
         OUT_OF_DOMAIN_SETS[name]()
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_SETS))
+def test_constructors_refuse_non_finite_data(name):
+    """A NaN or infinite entry used to load: a NaN offset or an infinite
+    vertex gave support NaN, a NaN factor or bound made support raise
+    Stalled, and an infinite factor was accepted.  Only a box bound may be
+    infinite, where it leaves that side open."""
+    with pytest.raises(sets.OutOfDomain, match="must be"):
+        NON_FINITE_SETS[name]()
+    assert sets.support(sets.box([-1.0, -math.inf], [1.0, 2.0]), [0.0, 1.0]) == 2.0
 
 
 def test_a_ball_of_radius_zero_is_its_center():
