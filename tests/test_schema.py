@@ -209,54 +209,113 @@ def model_error(doc) -> model.SchemaError:
     return err.value
 
 
+# Each row of the error tables below names its own pytest id, so adding a row
+# renames no other.  The ids keep the names these tests have always run under,
+# <lambda> and the numbers pytest once appended to equal ids included.
 SET_CASES = [
     # (set key, mutation of the set document, expected path below $.sets[0])
-    ("hpoly", lambda d: d.pop("b"), ""),
-    ("hpoly", lambda d: d.update(c=[]), ""),
-    ("hpoly", lambda d: d.update(b="x"), ".b"),
-    ("hpoly", lambda d: d["A"][1].__setitem__(0, True), ".A[1][0]"),
-    ("hpoly", lambda d: d.update(b=[1.0]), ""),
-    ("ball", lambda d: d.update(radius="wide"), ".radius"),
-    ("ball", lambda d: d.update(radius={"dec": "1", "bin": "1"}), ".radius"),
-    ("ball", lambda d: d.update(radius={"dec": "1", "hex": 5}), ".radius"),
-    ("ball", lambda d: d.update(radius={"dec": "1e-5", "hex": "1e-5"}), ".radius"),
-    ("ball", lambda d: d.update(radius={"hex": "zz"}), ".radius"),
-    ("ball", lambda d: d.update(radius=-1), ""),
-    ("box", lambda d: d.update(set="cube"), ".set"),
-    ("box", lambda d: d.pop("set"), ""),
-    ("conic", lambda d: d.update(cones=[["soc", "3"]]), ".cones"),
-    ("conic", lambda d: d.update(cones=[["cube", 3]]), ""),
+    pytest.param("hpoly", lambda d: d.pop("b"), "", id="hpoly-<lambda>-0"),
+    pytest.param("hpoly", lambda d: d.update(c=[]), "", id="hpoly-<lambda>-1"),
+    pytest.param("hpoly", lambda d: d.update(b="x"), ".b", id="hpoly-<lambda>-.b"),
+    pytest.param(
+        "hpoly", lambda d: d["A"][1].__setitem__(0, True), ".A[1][0]",
+        id="hpoly-<lambda>-.A[1][0]",
+    ),
+    pytest.param("hpoly", lambda d: d.update(b=[1.0]), "", id="hpoly-<lambda>-2"),
+    pytest.param("ball", lambda d: d.update(radius="wide"), ".radius", id="ball-<lambda>-.radius0"),
+    pytest.param(
+        "ball", lambda d: d.update(radius={"dec": "1", "bin": "1"}), ".radius",
+        id="ball-<lambda>-.radius1",
+    ),
+    pytest.param(
+        "ball", lambda d: d.update(radius={"dec": "1", "hex": 5}), ".radius",
+        id="ball-<lambda>-.radius2",
+    ),
+    pytest.param(
+        "ball", lambda d: d.update(radius={"dec": "1e-5", "hex": "1e-5"}), ".radius",
+        id="ball-<lambda>-.radius3",
+    ),
+    pytest.param(
+        "ball", lambda d: d.update(radius={"hex": "zz"}), ".radius",
+        id="ball-<lambda>-.radius4",
+    ),
+    pytest.param("ball", lambda d: d.update(radius=-1), "", id="ball-<lambda>-"),
+    pytest.param("box", lambda d: d.update(set="cube"), ".set", id="box-<lambda>-.set0"),
+    pytest.param("box", lambda d: d.pop("set"), "", id="box-<lambda>-"),
+    pytest.param(
+        "conic", lambda d: d.update(cones=[["soc", "3"]]), ".cones",
+        id="conic-<lambda>-.cones",
+    ),
+    pytest.param("conic", lambda d: d.update(cones=[["cube", 3]]), "", id="conic-<lambda>-"),
     pytest.param(
         "conic", lambda d: d.update(cones=[["nonneg", 3], ["soc", 0]]), "", id="conic-soc-0"
     ),
-    ("conic_with_B", lambda d: d.pop("B"), ""),
-    ("level_affine", lambda d: d["fn"].update(fn="cubic"), ".fn.fn"),
-    ("level_affine", lambda d: d["fn"].pop("beta"), ".fn"),
-    ("level_affine", lambda d: d["fn"].update(n=2), ".fn"),
-    ("level_affine", lambda d: d["fn"].update(fn="cubic", zz=1), ".fn"),
-    ("level_affine", lambda d: d["fn"].update(fn=["affine"]), ".fn.fn"),
-    ("box", lambda d: d.update(set="cube", zz=1), ".set"),
-    ("box", lambda d: d.update(set=["box"]), ".set"),
-    ("level_geomean", lambda d: d["fn"].update(n=2.5), ".fn.n"),
-    ("level_nested_max", lambda d: d["fn"].update(parts={}), ".fn.parts"),
-    (
+    pytest.param("conic_with_B", lambda d: d.pop("B"), "", id="conic_with_B-<lambda>-"),
+    pytest.param(
+        "level_affine", lambda d: d["fn"].update(fn="cubic"), ".fn.fn",
+        id="level_affine-<lambda>-.fn.fn0",
+    ),
+    pytest.param(
+        "level_affine", lambda d: d["fn"].pop("beta"), ".fn",
+        id="level_affine-<lambda>-.fn0",
+    ),
+    pytest.param(
+        "level_affine", lambda d: d["fn"].update(n=2), ".fn",
+        id="level_affine-<lambda>-.fn1",
+    ),
+    pytest.param(
+        "level_affine", lambda d: d["fn"].update(fn="cubic", zz=1), ".fn",
+        id="level_affine-<lambda>-.fn2",
+    ),
+    pytest.param(
+        "level_affine", lambda d: d["fn"].update(fn=["affine"]), ".fn.fn",
+        id="level_affine-<lambda>-.fn.fn1",
+    ),
+    pytest.param("box", lambda d: d.update(set="cube", zz=1), ".set", id="box-<lambda>-.set1"),
+    pytest.param("box", lambda d: d.update(set=["box"]), ".set", id="box-<lambda>-.set2"),
+    pytest.param(
+        "level_geomean", lambda d: d["fn"].update(n=2.5), ".fn.n",
+        id="level_geomean-<lambda>-.fn.n",
+    ),
+    pytest.param(
+        "level_nested_max", lambda d: d["fn"].update(parts={}), ".fn.parts",
+        id="level_nested_max-<lambda>-.fn.parts",
+    ),
+    pytest.param(
         "level_nested_max",
         lambda d: d["fn"]["parts"][1]["parts"][0].update(a=1),
         ".fn.parts[1].parts[0].a",
+        id="level_nested_max-<lambda>-.fn.parts[1].parts[0].a",
     ),
-    ("hpoly", lambda d: d["A"][1].pop(), ""),
-    ("level_quadratic", lambda d: d["fn"]["w"].pop(), ""),
-    ("level_nested_max", lambda d: d["fn"]["parts"][1]["parts"][1].update(n=3), ""),
-    ("level_nested_max", lambda d: d["fn"]["parts"][1].update(parts=[]), ""),
-    ("translate", lambda d: d.update(offset=[1.0]), ""),
-    ("translate", lambda d: d["child"].pop("radius"), ".child"),
-    ("scale", lambda d: d.update(factor=-1.0), ""),
-    ("sumcone", lambda d: d.update(rays=[[1.0]]), ""),
-    ("intersect", lambda d: d.update(children=[]), ".children"),
-    (
+    pytest.param("hpoly", lambda d: d["A"][1].pop(), "", id="hpoly-<lambda>-3"),
+    pytest.param(
+        "level_quadratic", lambda d: d["fn"]["w"].pop(), "",
+        id="level_quadratic-<lambda>-",
+    ),
+    pytest.param(
+        "level_nested_max", lambda d: d["fn"]["parts"][1]["parts"][1].update(n=3), "",
+        id="level_nested_max-<lambda>-0",
+    ),
+    pytest.param(
+        "level_nested_max", lambda d: d["fn"]["parts"][1].update(parts=[]), "",
+        id="level_nested_max-<lambda>-1",
+    ),
+    pytest.param("translate", lambda d: d.update(offset=[1.0]), "", id="translate-<lambda>-"),
+    pytest.param(
+        "translate", lambda d: d["child"].pop("radius"), ".child",
+        id="translate-<lambda>-.child",
+    ),
+    pytest.param("scale", lambda d: d.update(factor=-1.0), "", id="scale-<lambda>-"),
+    pytest.param("sumcone", lambda d: d.update(rays=[[1.0]]), "", id="sumcone-<lambda>-"),
+    pytest.param(
+        "intersect", lambda d: d.update(children=[]), ".children",
+        id="intersect-<lambda>-.children",
+    ),
+    pytest.param(
         "intersect",
         lambda d: d["children"][2]["child"].update(vertices=5),
         ".children[2].child.vertices",
+        id="intersect-<lambda>-.children[2].child.vertices",
     ),
 ]
 
@@ -269,27 +328,90 @@ def test_set_errors_name_the_path(key, mutate, suffix):
 
 
 PARAM_CASES = [
-    ("orthogonal_flip", lambda p: p.pop("basis"), "$.params"),
-    ("orthogonal_flip", lambda p: p.update(rotate=True), "$.params"),
-    ("orthogonal_flip", lambda p: p.update(check="yes"), "$.params.check"),
-    ("orthogonal_flip", lambda p: p.update(signs=[[1, 1.5], [1, 1]]), "$.params.signs[0]"),
-    ("orthogonal_flip", lambda p: p.update(coord_sets={}), "$.params.coord_sets"),
-    ("orthogonal_flip", lambda p: p["pieces"][1].update(set="disk"), "$.params.pieces[1].set"),
-    ("isotone_hulls", lambda p: p.update(hulls="free"), "$.params.hulls"),
-    ("isotone_hulls", lambda p: p["hulls"].__setitem__(1, "Free"), "$.params.hulls[1]"),
-    ("isotone_hulls", lambda p: p.update(positive_part=None), "$.params.positive_part"),
-    ("isotone_default", lambda p: p.pop("base"), "$.params"),
-    ("bigm_given", lambda p: p.update(M=[[1.0, "x"]]), "$.params.M[0][1]"),
-    ("bigm_given", lambda p: p.update(N=1), "$.params"),
-    ("homothetic", lambda p: p.pop("radii"), "$.params"),
-    ("homothetic", lambda p: p.update(template=[]), "$.params.template"),
-    ("piecewise", lambda p: p.update(families=[]), "$.params.families"),
-    ("piecewise", lambda p: p["families"][1].update(base="x"), "$.params.families[1].base"),
-    ("bbj", lambda p: p.update(lhs=[1.0]), "$.params.lhs[0]"),
-    ("orthogonal_flip", lambda p: p.update(pieces="ab"), "$.params.pieces"),
-    ("orthogonal_flip", lambda p: p.update(flip=5), "$.params.flip"),
-    ("orthogonal_flip", lambda p: p.update(flip=[1.5, -1]), "$.params.flip"),
-    ("orthogonal_flip", lambda p: p.update(flip=[1, "-1"]), "$.params.flip"),
+    pytest.param(
+        "orthogonal_flip", lambda p: p.pop("basis"), "$.params",
+        id="orthogonal_flip-<lambda>-$.params0",
+    ),
+    pytest.param(
+        "orthogonal_flip", lambda p: p.update(rotate=True), "$.params",
+        id="orthogonal_flip-<lambda>-$.params1",
+    ),
+    pytest.param(
+        "orthogonal_flip", lambda p: p.update(check="yes"), "$.params.check",
+        id="orthogonal_flip-<lambda>-$.params.check",
+    ),
+    pytest.param(
+        "orthogonal_flip", lambda p: p.update(signs=[[1, 1.5], [1, 1]]), "$.params.signs[0]",
+        id="orthogonal_flip-<lambda>-$.params.signs[0]",
+    ),
+    pytest.param(
+        "orthogonal_flip", lambda p: p.update(coord_sets={}), "$.params.coord_sets",
+        id="orthogonal_flip-<lambda>-$.params.coord_sets",
+    ),
+    pytest.param(
+        "orthogonal_flip", lambda p: p["pieces"][1].update(set="disk"), "$.params.pieces[1].set",
+        id="orthogonal_flip-<lambda>-$.params.pieces[1].set",
+    ),
+    pytest.param(
+        "isotone_hulls", lambda p: p.update(hulls="free"), "$.params.hulls",
+        id="isotone_hulls-<lambda>-$.params.hulls",
+    ),
+    pytest.param(
+        "isotone_hulls", lambda p: p["hulls"].__setitem__(1, "Free"), "$.params.hulls[1]",
+        id="isotone_hulls-<lambda>-$.params.hulls[1]",
+    ),
+    pytest.param(
+        "isotone_hulls", lambda p: p.update(positive_part=None), "$.params.positive_part",
+        id="isotone_hulls-<lambda>-$.params.positive_part",
+    ),
+    pytest.param(
+        "isotone_default", lambda p: p.pop("base"), "$.params",
+        id="isotone_default-<lambda>-$.params",
+    ),
+    pytest.param(
+        "bigm_given", lambda p: p.update(M=[[1.0, "x"]]), "$.params.M[0][1]",
+        id="bigm_given-<lambda>-$.params.M[0][1]",
+    ),
+    pytest.param(
+        "bigm_given", lambda p: p.update(N=1), "$.params",
+        id="bigm_given-<lambda>-$.params",
+    ),
+    pytest.param(
+        "homothetic", lambda p: p.pop("radii"), "$.params",
+        id="homothetic-<lambda>-$.params",
+    ),
+    pytest.param(
+        "homothetic", lambda p: p.update(template=[]), "$.params.template",
+        id="homothetic-<lambda>-$.params.template",
+    ),
+    pytest.param(
+        "piecewise", lambda p: p.update(families=[]), "$.params.families",
+        id="piecewise-<lambda>-$.params.families",
+    ),
+    pytest.param(
+        "piecewise", lambda p: p["families"][1].update(base="x"), "$.params.families[1].base",
+        id="piecewise-<lambda>-$.params.families[1].base",
+    ),
+    pytest.param(
+        "bbj", lambda p: p.update(lhs=[1.0]), "$.params.lhs[0]",
+        id="bbj-<lambda>-$.params.lhs[0]",
+    ),
+    pytest.param(
+        "orthogonal_flip", lambda p: p.update(pieces="ab"), "$.params.pieces",
+        id="orthogonal_flip-<lambda>-$.params.pieces",
+    ),
+    pytest.param(
+        "orthogonal_flip", lambda p: p.update(flip=5), "$.params.flip",
+        id="orthogonal_flip-<lambda>-$.params.flip0",
+    ),
+    pytest.param(
+        "orthogonal_flip", lambda p: p.update(flip=[1.5, -1]), "$.params.flip",
+        id="orthogonal_flip-<lambda>-$.params.flip1",
+    ),
+    pytest.param(
+        "orthogonal_flip", lambda p: p.update(flip=[1, "-1"]), "$.params.flip",
+        id="orthogonal_flip-<lambda>-$.params.flip2",
+    ),
 ]
 
 
@@ -351,32 +473,90 @@ def test_params_presence_follows_the_method():
 
 
 ATOM_CASES = [
-    ("lin_le", lambda c: c.pop("rel"), "$.cons[0]"),
-    ("lin_le", lambda c: c.pop("id"), "$.cons[0]"),
-    ("lin_le", lambda c: c.update(rel="ge"), "$.cons[0].rel"),
-    ("lin_le", lambda c: c.update(bound=c["expr"]), "$.cons[0]"),
-    ("lin_le", lambda c: c.update(color="red"), "$.cons[0]"),
-    ("lin_le", lambda c: c["expr"].update(terms=[["x0", 1, 2]]), "$.cons[0].expr.terms[0]"),
-    ("lin_le", lambda c: c["expr"]["terms"][0].__setitem__(0, 3), "$.cons[0].expr.terms[0]"),
-    ("lin_le", lambda c: c["expr"].update(terms={}), "$.cons[0].expr.terms"),
-    ("lin_le", lambda c: c["expr"].pop("const"), "$.cons[0].expr"),
-    ("soc", lambda c: c["arg"][1].update(const="two"), "$.cons[0].arg[1].const"),
-    ("soc", lambda c: c.update(bound=1.0), "$.cons[0].bound"),
-    ("persp", lambda c: c["fn"].update(fn="exp"), "$.cons[0].fn.fn"),
-    ("persp", lambda c: c.update(scale=None), "$.cons[0].scale"),
-    ("gaugeplus_plus", lambda c: c.update(plus=1), "$.cons[0].plus"),
-    ("gaugeplus_plus", lambda c: c["terms"].__setitem__(1, [[0.0, 1.0]]), "$.cons[0].terms[1]"),
-    (
+    pytest.param("lin_le", lambda c: c.pop("rel"), "$.cons[0]", id="lin_le-<lambda>-$.cons[0]0"),
+    pytest.param("lin_le", lambda c: c.pop("id"), "$.cons[0]", id="lin_le-<lambda>-$.cons[0]1"),
+    pytest.param(
+        "lin_le", lambda c: c.update(rel="ge"), "$.cons[0].rel",
+        id="lin_le-<lambda>-$.cons[0].rel",
+    ),
+    pytest.param(
+        "lin_le", lambda c: c.update(bound=c["expr"]), "$.cons[0]",
+        id="lin_le-<lambda>-$.cons[0]2",
+    ),
+    pytest.param(
+        "lin_le", lambda c: c.update(color="red"), "$.cons[0]",
+        id="lin_le-<lambda>-$.cons[0]3",
+    ),
+    pytest.param(
+        "lin_le", lambda c: c["expr"].update(terms=[["x0", 1, 2]]), "$.cons[0].expr.terms[0]",
+        id="lin_le-<lambda>-$.cons[0].expr.terms[0]0",
+    ),
+    pytest.param(
+        "lin_le", lambda c: c["expr"]["terms"][0].__setitem__(0, 3), "$.cons[0].expr.terms[0]",
+        id="lin_le-<lambda>-$.cons[0].expr.terms[0]1",
+    ),
+    pytest.param(
+        "lin_le", lambda c: c["expr"].update(terms={}), "$.cons[0].expr.terms",
+        id="lin_le-<lambda>-$.cons[0].expr.terms",
+    ),
+    pytest.param(
+        "lin_le", lambda c: c["expr"].pop("const"), "$.cons[0].expr",
+        id="lin_le-<lambda>-$.cons[0].expr",
+    ),
+    pytest.param(
+        "soc", lambda c: c["arg"][1].update(const="two"), "$.cons[0].arg[1].const",
+        id="soc-<lambda>-$.cons[0].arg[1].const",
+    ),
+    pytest.param(
+        "soc", lambda c: c.update(bound=1.0), "$.cons[0].bound",
+        id="soc-<lambda>-$.cons[0].bound",
+    ),
+    pytest.param(
+        "persp", lambda c: c["fn"].update(fn="exp"), "$.cons[0].fn.fn",
+        id="persp-<lambda>-$.cons[0].fn.fn",
+    ),
+    pytest.param(
+        "persp", lambda c: c.update(scale=None), "$.cons[0].scale",
+        id="persp-<lambda>-$.cons[0].scale",
+    ),
+    pytest.param(
+        "gaugeplus_plus", lambda c: c.update(plus=1), "$.cons[0].plus",
+        id="gaugeplus_plus-<lambda>-$.cons[0].plus",
+    ),
+    pytest.param(
+        "gaugeplus_plus", lambda c: c["terms"].__setitem__(1, [[0.0, 1.0]]), "$.cons[0].terms[1]",
+        id="gaugeplus_plus-<lambda>-$.cons[0].terms[1]",
+    ),
+    pytest.param(
         "gaugeplus_plus",
         lambda c: c["terms"][1].__setitem__(0, [0.0, "?"]),
         "$.cons[0].terms[1][0][1]",
+        id="gaugeplus_plus-<lambda>-$.cons[0].terms[1][0][1]",
     ),
-    ("gaugeplus_plain", lambda c: c["of"].update(set="blob"), "$.cons[0].of.set"),
-    ("gaugeplus_plain", lambda c: c.update(type="cone"), "$.cons[0].type"),
-    ("gaugeplus_plain", lambda c: c.update(type="cone", zz=1), "$.cons[0]"),
-    ("lin_le", lambda c: c.update(paper_ref={"x": None}), "$.cons[0].paper_ref"),
-    ("lin_le", lambda c: c.update(id=["anything"]), "$.cons[0].id"),
-    ("lin_le", lambda c: c.update(id="c1"), "$.cons[0].id"),
+    pytest.param(
+        "gaugeplus_plain", lambda c: c["of"].update(set="blob"), "$.cons[0].of.set",
+        id="gaugeplus_plain-<lambda>-$.cons[0].of.set",
+    ),
+    pytest.param(
+        "gaugeplus_plain", lambda c: c.update(type="cone"), "$.cons[0].type",
+        id="gaugeplus_plain-<lambda>-$.cons[0].type",
+    ),
+    pytest.param(
+        "gaugeplus_plain", lambda c: c.update(type="cone", zz=1), "$.cons[0]",
+        id="gaugeplus_plain-<lambda>-$.cons[0]",
+    ),
+    pytest.param(
+        "lin_le", lambda c: c.update(paper_ref={"x": None}), "$.cons[0].paper_ref",
+        id="lin_le-<lambda>-$.cons[0].paper_ref",
+    ),
+    pytest.param(
+        "lin_le", lambda c: c.update(id=["anything"]), "$.cons[0].id",
+        id="lin_le-<lambda>-$.cons[0].id0",
+    ),
+    pytest.param(
+        "lin_le", lambda c: c.update(id="c1"), "$.cons[0].id",
+        id="lin_le-<lambda>-$.cons[0].id1",
+    ),
 ]
 
 
