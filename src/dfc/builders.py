@@ -375,8 +375,7 @@ def _shifted(S: SetExpr, b) -> SetExpr:
 def _cayley_row(x_names, y_names, a, c) -> Aff:
     """a.x - sum_i c_i y_i, the left side of the paper's Cayley row
     a.x <= sum_i y_i h_{P_i}(a) when c_i is the support of piece i along a."""
-    names = (*x_names, *y_names)
-    return gauge_mod.dot((*a, *(-float(ci) for ci in c)), [Aff.var(nm) for nm in names])
+    return combo((*x_names, *y_names), (*a, *(-float(ci) for ci in c)))
 
 
 def _require_bases(spec: ProblemSpec):

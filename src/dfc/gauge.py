@@ -83,7 +83,7 @@ class Aff:
 
     @staticmethod
     def var(name: str, coeff: float = 1.0) -> "Aff":
-        return Aff.of({name: coeff})
+        return Aff(((name, float(coeff)),) if coeff != 0.0 else ())
 
     @staticmethod
     def const_of(value: float) -> "Aff":

@@ -492,11 +492,12 @@ class Intersect(SetExpr):
 # constructor helpers: coerce array-likes and do light dimension checks
 
 
-def _finite(x, what: str):
-    """x itself, after OutOfDomain if an entry is NaN or infinite."""
-    a = np.asarray(x, dtype=float)
-    if not np.isfinite(a).all():
-        raise OutOfDomain(f"{what} must be finite, got {a.tolist()}")
+def _finite(x: tuple, what: str) -> tuple:
+    """x, a _vec or _mat tuple, after OutOfDomain if an entry is NaN or
+    infinite."""
+    flat = [v for row in x for v in row] if x and isinstance(x[0], tuple) else x
+    if not all(map(math.isfinite, flat)):
+        raise OutOfDomain(f"{what} must be finite, got {list(x)}")
     return x
 
 
