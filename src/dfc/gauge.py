@@ -419,7 +419,7 @@ def _lower(S, w, tau, gen):
         lam = [gen.fresh() for _ in range(V.shape[0])]
         lv = [Aff.var(name) for name in lam]
         atoms = [Linear(dot((1.0, *-V[:, j]), (w[j], *lv)), "eq") for j in range(S.dim)]
-        atoms.append(Linear(dot((*[1.0] * len(lv), -1.0), (*lv, tau)), "eq"))
+        atoms.append(Linear(dot([1.0] * len(lv) + [-1.0], [*lv, tau]), "eq"))
         atoms.extend(Linear(Aff.var(name, -1.0)) for name in lam)
         return atoms, lam
     if isinstance(S, ConicRep):
