@@ -17,7 +17,6 @@ from .analysis import (
     enumerate_vertices,
 )
 from .builders import (
-    BBJData,
     BigMData,
     Formulation,
     HomothetyData,
@@ -52,7 +51,6 @@ from .sets import DfcError
 __all__ = [
     "AnalysisReport",
     "Aff",
-    "BBJData",
     "BigMData",
     "ConditionViolated",
     "DfcError",

@@ -909,11 +909,11 @@ def _embedded_support(form, d: np.ndarray) -> float:
             break
         floor = sets.shifted_floor(best, float(v[i]))
         best = max(best, sets.support(pieces[i], u, floor) + float(v[i]))
-    return best
+    return float(best)
 
 
 def _average_support(form, d: np.ndarray) -> float:
-    return sum(sets.support(S, d) for S in form.sets) / len(form.y_names)
+    return float(sum(sets.support(S, d) for S in form.sets) / len(form.y_names))
 
 
 def _relaxation_sample(args, idx, d):

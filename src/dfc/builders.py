@@ -174,19 +174,6 @@ class OrthogonalData:
 
 
 @dataclass(frozen=True)
-class BBJData:
-    lhs: tuple
-    rhs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "lhs", tuple(tuple(map(float, r)) for r in self.lhs))
-        object.__setattr__(self, "rhs", tuple(tuple(map(float, b)) for b in self.rhs))
-        m = len(self.lhs)
-        if any(len(b) != m for b in self.rhs):
-            raise sets.DimensionMismatch("each right-hand side needs one entry per row")
-
-
-@dataclass(frozen=True)
 class IsotoneData:
     """Signed-frame data for the positive-part gauge construction.  hulls,
     when given, declares per piece either None (keep the piece's own gauge),
@@ -256,11 +243,6 @@ def _check_params(params, k: int, n: int) -> None:
     elif isinstance(params, BigMData):
         if params.M is not None and (len(params.M) != k or any(len(r) != k for r in params.M)):
             raise MMatrixInvalid("activation matrix must be k by k")
-    elif isinstance(params, BBJData):
-        if any(len(row) != n for row in params.lhs):
-            raise sets.DimensionMismatch("matrix width differs from the dimension")
-        if len(params.rhs) != k:
-            raise sets.DimensionMismatch("one right-hand side per disjunct")
     elif isinstance(params, OrthogonalData):
         _check_frame(params, k, n, coord_sets=params.coord_sets)
         if any(not 0 <= j < n for J in params.coord_sets for j in J):
@@ -807,20 +789,35 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
     return _formulation("orthogonal", spec, atoms)
 
 
+def shared_rows(pieces) -> tuple[np.ndarray, np.ndarray]:
+    """The row matrix A that every piece P_i = {x : A x <= b_i} shares, and the
+    k by m array of the b_i, read from each piece's sets.collect_rows.  Rows
+    are compared exactly; a piece without an H-description, with another row
+    count or with a row that differs from piece 0's raises FamilyInvalid."""
+    rows = []
+    for i, S in enumerate(pieces):
+        try:
+            rows.append(sets.collect_rows(S))
+        except sets.NotPolyhedral:
+            raise FamilyInvalid(f"piece {i} has no halfspace description") from None
+    A = rows[0][0]
+    for i, (Ai, _) in enumerate(rows):
+        if len(Ai) != len(A):
+            raise FamilyInvalid(f"piece {i} has {len(Ai)} rows, piece 0 has {len(A)}")
+        differ = (Ai != A).any(axis=1).nonzero()[0]
+        if len(differ):
+            raise FamilyInvalid(f"row {differ[0]} of piece {i} differs from piece 0's")
+    return A, np.array([b for _, b in rows])
+
+
 def build_bbj(spec: ProblemSpec) -> Formulation:
     """Shared-matrix rows with indicator-averaged right-hand sides."""
-    data = spec.params
-    if not isinstance(data, BBJData):
-        raise FamilyInvalid("shared-matrix construction needs BBJData")
-    A = np.asarray(data.lhs, dtype=float)
-    for i, b in enumerate(data.rhs):
-        if sets.find_point(sets.hpoly(A, b)) is None:
+    A, rhs = shared_rows(spec.sets)
+    for i, S in enumerate(spec.sets):
+        if sets.find_point(S) is None:
             raise EmptyPiece(f"disjunct {i} is empty")
     x_names, y_names = _xy_names(spec)
-    atoms = [
-        Linear(_cayley_row(x_names, y_names, a, [b[r] for b in data.rhs]))
-        for r, a in enumerate(A)
-    ]
+    atoms = [Linear(_cayley_row(x_names, y_names, a, rhs[:, r])) for r, a in enumerate(A)]
     return _formulation("bbj", spec, atoms)
 
 

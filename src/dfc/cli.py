@@ -105,9 +105,7 @@ def _cover_operands(spec: builders.ProblemSpec) -> tuple:
 
 
 def _basis_operands(spec: builders.ProblemSpec) -> tuple:
-    if not isinstance(spec.params, builders.BBJData):
-        raise builders.FamilyInvalid("the bbj check needs shared-matrix data")
-    return spec.params.lhs, spec.params.rhs
+    return builders.shared_rows(spec.sets)
 
 
 def _form_operands(spec: builders.ProblemSpec) -> tuple:

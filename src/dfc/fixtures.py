@@ -12,7 +12,6 @@ import math
 
 from . import sets
 from .builders import (
-    BBJData,
     BigMData,
     HomothetyData,
     IsotoneData,
@@ -108,7 +107,7 @@ def ex4(variant: str = "original") -> ProblemSpec:
     else:
         raise KeyError(f"ex4 has no variant {variant!r}")
     pieces = tuple(sets.hpoly(lhs, b) for b in rhs)
-    return ProblemSpec(pieces, None, "bbj", BBJData(lhs, rhs))
+    return ProblemSpec(pieces, None, "bbj")
 
 
 # ---------------------------------------------------------------------------

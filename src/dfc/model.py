@@ -441,7 +441,7 @@ _PARAMS = {
         builders.PiecewiseData,
         ("families", "families", _list(_HOMOTHETY, "expected a nonempty array", nonempty=True)),
     ),
-    "bbj": _Record(builders.BBJData, ("lhs", "lhs", _MAT), ("rhs", "rhs", _MAT)),
+    "bbj": None,
     "isotone": _Record(
         builders.IsotoneData,
         ("hulls", "hulls", _or(_list(_or(_SETS, None, "free")), None), None),
@@ -669,7 +669,7 @@ def load_instance(data) -> tuple:
             raise SchemaError("$.base_points", "expected one base point per set")
     rec, params = _PARAMS[method], doc.get("params")
     if rec is None and params is not None:
-        raise SchemaError("$.params", "extended method takes no params")
+        raise SchemaError("$.params", f"{method} method takes no params")
     if rec is not None:
         params = rec.dec({} if params is None and not rec.required else params, "$.params")
     options = _OPTIONS.dec(doc.get("options") or {}, "$.options")

@@ -142,7 +142,7 @@ def test_criterion_5_exact_vertex_integrality_split(capsys):
         ideal = analysis.check_ideal(form, mode="exact")
         assert ideal.verdict == "fail"
         assert "exact vertex enumeration" in ideal.notes
-        bbj = analysis.check_bbj_condition(spec.params.lhs, spec.params.rhs)
+        bbj = analysis.check_bbj_condition(*builders.shared_rows(spec.sets))
         assert bbj.verdict == "fail"
         assert list(bbj.witnesses[0]["direction"]) == [0.0, 0.0, 1.0]
 
@@ -155,7 +155,7 @@ def test_criterion_5_exact_vertex_integrality_split(capsys):
             assert max(abs(v[i] - round(v[i])) for i in y_idx) <= 1e-9
         aideal = analysis.check_ideal(aform, mode="exact")
         assert aideal.verdict == "pass"
-        abbj = analysis.check_bbj_condition(aug.params.lhs, aug.params.rhs, count=100)
+        abbj = analysis.check_bbj_condition(*builders.shared_rows(aug.sets), count=100)
         assert abbj.verdict == "not-refuted"
         assert abbj.samples == 100
 

@@ -662,8 +662,25 @@ def _bigm_ideal(**kw):
 
 
 def _ex4_bbj(**kw):
-    data = fixtures.load("ex4", "original").params
-    return analysis.check_bbj_condition(data.lhs, data.rhs, seed=3, **kw)
+    A, rhs = builders.shared_rows(fixtures.load("ex4", "original").sets)
+    return analysis.check_bbj_condition(A, rhs, seed=3, **kw)
+
+
+def test_witness_values_are_builtin_types():
+    """ex1/bigm fails sharp, ideal and minkowski at seed 3, and every value of
+    their witnesses is an int, str, list or builtin float: a closed-form
+    piece's support used to reach the union and average supports, and the
+    excesses from them, as np.float64."""
+    form = builders.build(fixtures.load("ex1", "bigm"))
+    reports = (
+        _bigm_sharp(),
+        _bigm_ideal(),
+        analysis.check_minkowski_ideal(form, seed=3),
+    )
+    for rep in reports:
+        assert rep.verdict == "fail" and rep.witnesses
+        for w in rep.witnesses:
+            assert all(type(v) in (int, str, list, float) for v in w.values()), w
 
 
 @pytest.mark.parametrize(
@@ -887,8 +904,8 @@ def test_basis_condition_solves_no_lp(monkeypatch):
     monkeypatch.setattr(simplex, "solve_lp", no_lp)
     monkeypatch.setattr(simplex, "Master", no_lp)
     for variant in ("original", "augmented"):
-        data = fixtures.load("ex4", variant).params
-        rep = analysis.check_bbj_condition(data.lhs, data.rhs, count=100, seed=SEED)
+        A, rhs = builders.shared_rows(fixtures.load("ex4", variant).sets)
+        rep = analysis.check_bbj_condition(A, rhs, count=100, seed=SEED)
         assert rep.verdict == fixtures.EXPECTED[("ex4", variant)]["bbj"]
         assert rep.samples == 100
 
@@ -908,8 +925,8 @@ def test_basis_condition_cap():
 
 
 def test_basis_condition_refuses_a_short_right_hand_side():
-    """A right-hand side without one entry per row is refused as BBJData
-    refuses it, not with numpy's reshape error."""
+    """A right-hand side without one entry per row is refused with a
+    DimensionMismatch, not with numpy's reshape error."""
     A = fixtures.EX4_LHS
     with pytest.raises(sets.DimensionMismatch, match="one entry per row"):
         analysis.check_bbj_condition(A, ((1.0, 1.0, 2.0, 2.0), (2.0, 2.0, 1.0)), count=8)
@@ -1012,10 +1029,9 @@ def test_basis_condition_does_not_depend_on_the_row_scale(variant, factor):
     """Scaling every row of A and b by 1e4, 1e-3, 1e12 or 1e-9 leaves the ex4
     verdict, its bases and its witness samples as they are: the rank,
     multiplier and feasibility tolerances are relative to the data."""
-    data = fixtures.load("ex4", variant).params
-    base = analysis.check_bbj_condition(data.lhs, data.rhs, count=100, seed=SEED)
-    A, b = factor * np.array(data.lhs), factor * np.array(data.rhs)
-    rep = analysis.check_bbj_condition(A, b, count=100, seed=SEED)
+    A, rhs = builders.shared_rows(fixtures.load("ex4", variant).sets)
+    base = analysis.check_bbj_condition(A, rhs, count=100, seed=SEED)
+    rep = analysis.check_bbj_condition(factor * A, factor * rhs, count=100, seed=SEED)
     assert rep.verdict == base.verdict == fixtures.EXPECTED[("ex4", variant)]["bbj"]
     assert rep.notes == base.notes
     assert [w["sample"] for w in rep.witnesses] == [w["sample"] for w in base.witnesses]

@@ -288,14 +288,45 @@ def test_bbj_empty_piece_rejected():
     lhs = ((1.0,), (-1.0,))
     rhs = ((0.0, -1.0), (1.0, 0.0))  # first piece: x <= 0 and x >= 1
     pieces = tuple(sets.hpoly(lhs, b) for b in rhs)
-    spec = builders.ProblemSpec(pieces, None, "bbj", builders.BBJData(lhs, rhs))
-    with pytest.raises(builders.EmptyPiece):
-        builders.build(spec)
+    with pytest.raises(builders.EmptyPiece, match="disjunct 0 is empty"):
+        builders.build(builders.ProblemSpec(pieces, None, "bbj"))
 
 
-def test_bbj_data_validation():
-    with pytest.raises(sets.DimensionMismatch):
-        builders.BBJData(((1.0,), (-1.0,)), ((0.0,),))
+def test_bbj_refuses_pieces_without_one_shared_matrix():
+    """bbj reads A and every b_i from the pieces, so the pieces must share one
+    row matrix: a tilted row, an extra row and a ball are each refused, by
+    the builder and by the rows the bbj check reads, naming the piece."""
+    lhs, (b0, b1) = fixtures.EX4_LHS, fixtures.EX4_RHS
+    tilted = [list(a) for a in lhs]
+    tilted[2][0] = 2.0
+    cases = [
+        (sets.hpoly(tilted, b1), "row 2 of piece 1 differs from piece 0's"),
+        (sets.hpoly((*lhs, (0.0, 0.0, 1.0)), (*b1, 1.0)), "piece 1 has 5 rows, piece 0 has 4"),
+        (sets.ball((0.0, 0.0, 0.0), 1.0), "piece 1 has no halfspace description"),
+    ]
+    for piece, message in cases:
+        pieces = (sets.hpoly(lhs, b0), piece)
+        with pytest.raises(builders.FamilyInvalid, match=message):
+            builders.shared_rows(pieces)
+        with pytest.raises(builders.FamilyInvalid, match=message):
+            builders.build(builders.ProblemSpec(pieces, None, "bbj"))
+
+
+def test_bbj_rows_of_translated_scaled_and_box_pieces_equal_their_hpolys():
+    """A box, a translated box and a scaled box carry the rows x0 <= u0,
+    -x0 <= -l0, x1 <= u1, -x1 <= -l1, so they build the bbj rows of the
+    H-polyhedra written out by hand."""
+    pieces = (
+        sets.box((0.0, 0.0), (1.0, 2.0)),
+        sets.translate(sets.box((0.0, 0.0), (1.0, 2.0)), (1.0, -1.0)),
+        sets.scale(sets.box((-1.0, -1.0), (1.0, 1.0)), 2.0),
+    )
+    A = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+    rhs = ((1.0, 0.0, 2.0, 0.0), (2.0, -1.0, 1.0, 1.0), (2.0, 2.0, 2.0, 2.0))
+    hpolys = tuple(sets.hpoly(A, b) for b in rhs)
+    form = builders.build(builders.ProblemSpec(pieces, None, "bbj"))
+    assert form.atoms == builders.build(builders.ProblemSpec(hpolys, None, "bbj")).atoms
+    assert len(form.atoms) == len(A) + 1
 
 
 # ---------------------------------------------------------------------------

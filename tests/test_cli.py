@@ -333,10 +333,11 @@ def test_analyze_instance_options_supply_defaults(tmp_path, capsys):
 
 
 def assert_rhs_refused(tmp_path, capsys, value, word):
-    """An ex4/original instance with value as its first right-hand side
-    exits 1 on build, bbj and ideal, naming that number's path."""
+    """An ex4/original instance with value as its first piece's first
+    right-hand side exits 1 on build, bbj and ideal, naming that number's
+    path."""
     doc = model.spec_doc(fixtures.load("ex4", "original"))
-    doc["params"]["rhs"][0][0] = value
+    doc["sets"][0]["b"][0] = value
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(doc))
     runs = [
@@ -347,7 +348,37 @@ def assert_rhs_refused(tmp_path, capsys, value, word):
     for argv in runs:
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: $.params.rhs[0][0]") and word in err
+        assert err.startswith("error: $.sets[0].b[0]") and word in err
+
+
+@pytest.mark.parametrize("variant", ["original", "augmented"])
+def test_bbj_reads_its_rows_from_the_pieces_only(tmp_path, capsys, variant):
+    """ex4 once stated its rows twice, in the pieces and in a params block
+    that build and the bbj check read alone: augmented with the params'
+    first right-hand side lowered by 0.5 built with no note.  Such a block
+    is now refused at $.params, and the bbj check of ex4's pieces under
+    another method writes the bbj instance's report bytes."""
+    spec = fixtures.load("ex4", variant)
+    A, rhs = builders.shared_rows(spec.sets)
+    doc = model.spec_doc(spec)
+    doc["params"] = {"lhs": A.tolist(), "rhs": rhs.tolist()}
+    doc["params"]["rhs"][0][0] -= 0.5
+    restated = tmp_path / "restated.json"
+    restated.write_text(json.dumps(doc))
+    assert main(["build", "--instance", str(restated), "--out", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: $.params: ") and err.count("\n") == 1
+    del doc["params"]
+    reports = []
+    for method in ("bbj", "extended"):
+        doc["method"] = method
+        inst, out = tmp_path / f"{method}.json", tmp_path / f"{method}_report.json"
+        inst.write_text(json.dumps(doc))
+        rc = main(["analyze", "--instance", str(inst), "--check", "bbj", "--out", str(out)])
+        assert rc == (0 if variant == "augmented" else 2)
+        reports.append(drop_elapsed(out.read_bytes()))
+    capsys.readouterr()
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("value", ["nan", float("nan"), {"dec": "nan"}, {"hex": "nan"}])

@@ -72,7 +72,6 @@ PARAMS = {
             False,
         ),
     ),
-    "bbj": ("bbj", builders.BBJData(((1.0, 0.0), (0.0, 1.0)), ((1.0, 1.0), (2.0, 0.5)))),
     "isotone_default": (
         "isotone",
         builders.IsotoneData((SQUARE, DISK), EYE2, ((1, 1), (-1, -1)), ((0.0, 0.0), (0.0, 0.0))),
@@ -393,10 +392,6 @@ PARAM_CASES = [
         id="piecewise-<lambda>-$.params.families[1].base",
     ),
     pytest.param(
-        "bbj", lambda p: p.update(lhs=[1.0]), "$.params.lhs[0]",
-        id="bbj-<lambda>-$.params.lhs[0]",
-    ),
-    pytest.param(
         "orthogonal_flip", lambda p: p.update(pieces="ab"), "$.params.pieces",
         id="orthogonal_flip-<lambda>-$.params.pieces",
     ),
@@ -465,6 +460,9 @@ def test_params_presence_follows_the_method():
     doc = instance_doc(spec_of(SQUARE))
     doc["params"] = {}
     assert instance_error(doc).path == "$.params"
+    # bbj reads its rows from the pieces, so a params block is refused too
+    doc["method"] = "bbj"
+    assert str(instance_error(doc)) == "$.params: bbj method takes no params"
     doc["method"] = "homothetic"
     del doc["params"]
     assert instance_error(doc).path == "$.params"
