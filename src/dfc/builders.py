@@ -153,22 +153,20 @@ class OrthogonalData:
     orthonormal frame, coord_sets a disjoint cover of frame indices, signs
     the per-piece ray signs, flip the global frame orientation (None selects
     the plain projection construction, which uses no flip and no sign rows).
+    The base points are the spec's base_points.
     """
 
     pieces: tuple
     basis: tuple
     coord_sets: tuple
     signs: tuple
-    base: tuple
     flip: tuple | None = None
-    check: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
         object.__setattr__(self, "basis", tuple(tuple(map(float, r)) for r in self.basis))
         object.__setattr__(self, "coord_sets", tuple(tuple(map(int, J)) for J in self.coord_sets))
         object.__setattr__(self, "signs", tuple(tuple(map(int, s)) for s in self.signs))
-        object.__setattr__(self, "base", tuple(tuple(map(float, b)) for b in self.base))
         if self.flip is not None:
             object.__setattr__(self, "flip", tuple(int(t) for t in self.flip))
 
@@ -180,21 +178,19 @@ class IsotoneData:
     "free" (the piece is exactly the intersection of its per-direction
     half-spaces), or a set whose intersection with those half-spaces equals
     the piece.  positive_part=False builds the weakened single-gauge variant
-    without the positive-part recombination."""
+    without the positive-part recombination.  The base points are the
+    spec's base_points."""
 
     pieces: tuple
     basis: tuple
     signs: tuple
-    base: tuple
     hulls: tuple | None = None
     positive_part: bool = True
-    check: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "pieces", tuple(self.pieces))
         object.__setattr__(self, "basis", tuple(tuple(map(float, r)) for r in self.basis))
         object.__setattr__(self, "signs", tuple(tuple(map(int, s)) for s in self.signs))
-        object.__setattr__(self, "base", tuple(tuple(map(float, b)) for b in self.base))
         if self.hulls is not None:
             object.__setattr__(self, "hulls", tuple(self.hulls))
 
@@ -259,11 +255,11 @@ def _check_family(fam: HomothetyData, k: int, n: int, per_disjunct: str) -> None
 
 
 def _check_frame(data, k: int, n: int, **more) -> None:
-    """One piece, sign vector and base point (and each entry of more, when
-    given) per disjunct, pieces and base points in R^n, and an orthonormal
-    frame of n directions of length n with n signs in {-1, 0, 1} per piece
-    and a flip, when given, of n entries in {-1, 1}."""
-    per_piece = {"pieces": data.pieces, "signs": data.signs, "base": data.base, **more}
+    """One piece and sign vector (and each entry of more, when given) per
+    disjunct, pieces in R^n, and an orthonormal frame of n directions of
+    length n with n signs in {-1, 0, 1} per piece and a flip, when given, of
+    n entries in {-1, 1}."""
+    per_piece = {"pieces": data.pieces, "signs": data.signs, **more}
     for name, items in per_piece.items():
         if items is not None and len(items) != k:
             raise sets.DimensionMismatch(f"{name} has {len(items)} entries, one per disjunct ({k})")
@@ -273,9 +269,9 @@ def _check_frame(data, k: int, n: int, **more) -> None:
                 f"piece {i}: the frame has {len(data.basis)} directions and {len(s)} signs, "
                 f"the dimension is {n}"
             )
-    for i, (piece, b) in enumerate(zip(data.pieces, data.base)):
-        if piece.dim != n or len(b) != n:
-            raise sets.DimensionMismatch(f"piece {i}: its set and base point need dimension {n}")
+    for i, piece in enumerate(data.pieces):
+        if piece.dim != n:
+            raise sets.DimensionMismatch(f"piece {i}: its set needs dimension {n}")
     flip = getattr(data, "flip", None)
     if flip is not None and len(flip) != n:
         raise sets.DimensionMismatch("sign vectors must match the number of directions")
@@ -717,6 +713,18 @@ def _activation(x_names, y_names, u: np.ndarray, i: int, base, pieces, what: str
     return _cayley_row(x_names, y_names, u, c)
 
 
+def _frame_bases(spec: ProblemSpec) -> np.ndarray:
+    """The spec's base points, each inside its disjunct at 1e-6, one per row."""
+    if spec.base_points is None:
+        raise FamilyInvalid("this construction needs one base point per disjunct")
+    for i, (S, b) in enumerate(zip(spec.sets, spec.base_points)):
+        if not sets.contains(S, b, 1e-6):
+            raise sets.BasePointNotInSet(
+                f"base point {i} {gauge_mod._point_text(b)} lies outside disjunct {i}"
+            )
+    return np.array(spec.base_points)
+
+
 def _check_cone_sum(pieces, basis, signs) -> None:
     """The cone-sum condition of each piece over the frame with its signs,
     naming the piece in the error."""
@@ -743,14 +751,12 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
         raise FamilyInvalid("orthogonal construction needs OrthogonalData")
     n, k = spec.dim, spec.k
     V = np.asarray(data.basis, dtype=float)
+    bases = _frame_bases(spec)
     x_names, y_names = _xy_names(spec)
     atoms = []
 
     if data.flip is None:
-        if spec.base_points is None:
-            raise FamilyInvalid("projection form needs base points")
-        for i in range(k):
-            b = np.asarray(spec.base_points[i], dtype=float)
+        for i, b in enumerate(bases):
             terms = []
             for j in data.coord_sets[i]:
                 expr = _cayley_row(x_names, y_names[i : i + 1], V[j], (V[j] @ b,))
@@ -761,12 +767,11 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
             )
     else:
         t = np.asarray(data.flip, dtype=float)
-        if data.check:
-            _check_cone_sum(data.pieces, data.basis, data.signs)
+        _check_cone_sum(data.pieces, data.basis, data.signs)
         domains = []
         for i in range(k):
             body = sets.intersect(data.pieces[i], _frame_cone(V, data.signs[i]))
-            domains.append(sets.translate(body, data.base[i]))
+            domains.append(sets.translate(body, bases[i]))
         for i in range(k):
             s = data.signs[i]
             terms = []
@@ -774,7 +779,7 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
                 if s[j] == 0 or s[j] * data.flip[j] != -1:
                     continue
                 u = s[j] * V[j]
-                expr = _activation(x_names, y_names, u, i, data.base[i], domains, "bound")
+                expr = _activation(x_names, y_names, u, i, bases[i], domains, "bound")
                 terms.append((tuple(map(float, u)), expr))
             if terms:
                 atoms.append(
@@ -833,18 +838,15 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
     data = spec.params
     if not isinstance(data, IsotoneData):
         raise FamilyInvalid("isotone construction needs IsotoneData")
-    n, k = spec.dim, spec.k
+    n = spec.dim
     V = np.asarray(data.basis, dtype=float)
     disjuncts = spec.sets
-    if data.check:
-        _check_cone_sum(
-            [_shifted(S, b) for S, b in zip(disjuncts, data.base)], data.basis, data.signs
-        )
+    bases = _frame_bases(spec)
+    _check_cone_sum([_shifted(S, b) for S, b in zip(disjuncts, bases)], data.basis, data.signs)
     x_names, y_names = _xy_names(spec)
     atoms = []
-    for i in range(k):
+    for i, bi in enumerate(bases):
         s = data.signs[i]
-        bi = np.asarray(data.base[i], dtype=float)
         terms = []
         levels = []
         for j in range(n):

@@ -237,11 +237,10 @@ def ex7(variant: str = "plus") -> ProblemSpec:
         pieces=(_geo_body(), _shifted_orthant()),
         basis=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
         signs=((1, 1, 1), (-1, -1, -1)),
-        base=((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
         hulls=(None, "free"),
         positive_part=variant in ("plus", "wide"),
     )
-    return ProblemSpec(ex7_sets(r), None, "isotone", data)
+    return ProblemSpec(ex7_sets(r), ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), "isotone", data)
 
 
 # ---------------------------------------------------------------------------

@@ -429,12 +429,10 @@ _PARAMS = {
     "homothetic": _HOMOTHETY,
     "orthogonal": _Record(
         builders.OrthogonalData,
-        ("check", "check", _BOOL, True),
         ("pieces", "pieces", _SET_LIST),
         ("basis", "basis", _MAT),
         ("coord_sets", "coord_sets", _INT_MAT),
         ("signs", "signs", _INT_MAT),
-        ("base", "base", _MAT),
         ("flip", "flip", _or(_INTS, None), None),
     ),
     "piecewise": _Record(
@@ -446,11 +444,9 @@ _PARAMS = {
         builders.IsotoneData,
         ("hulls", "hulls", _or(_list(_or(_SETS, None, "free")), None), None),
         ("positive_part", "positive_part", _BOOL, True),
-        ("check", "check", _BOOL, True),
         ("pieces", "pieces", _SET_LIST),
         ("basis", "basis", _MAT),
         ("signs", "signs", _INT_MAT),
-        ("base", "base", _MAT),
     ),
 }
 _PARAMS_BY_TYPE = {rec.cls: rec for rec in _PARAMS.values() if rec is not None}

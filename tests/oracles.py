@@ -104,7 +104,6 @@ def orthogonal_projection_spec() -> builders.ProblemSpec:
         basis=EYE2,
         coord_sets=((0,), (1,)),
         signs=((1, 1), (1, 1)),
-        base=bases,
         flip=None,
     )
     return builders.ProblemSpec(disjuncts, bases, "orthogonal", data)
@@ -118,10 +117,9 @@ def orthogonal_flip_spec() -> builders.ProblemSpec:
         basis=EYE2,
         coord_sets=((0, 1), (0, 1)),
         signs=((1, 1), (-1, -1)),
-        base=((0.0, 0.0), (0.0, 0.0)),
         flip=(1, 1),
     )
-    return builders.ProblemSpec(pieces, None, "orthogonal", data)
+    return builders.ProblemSpec(pieces, ((0.0, 0.0), (0.0, 0.0)), "orthogonal", data)
 
 
 def bigm_computed_spec() -> builders.ProblemSpec:

@@ -6,7 +6,6 @@ docstring).  Activation constants are checked against the closed-form gauge
 ratios of the example bodies.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -367,18 +366,27 @@ def test_orthogonal_flip_form_structure_and_validity():
 
 
 def test_orthogonal_flip_probe_rejects_escaping_piece():
-    pieces = (sets.box((0.5, 0.0), (1.0, 1.0)), sets.box((-1.0, -1.0), (0.0, 0.0)))
-    data = builders.OrthogonalData(
-        pieces=pieces,
-        basis=EYE2,
-        coord_sets=((0, 1), (0, 1)),
-        signs=((1, 1), (-1, -1)),
-        base=((0.0, 0.0), (0.0, 0.0)),
-        flip=(1, 1),
-    )
-    spec = builders.ProblemSpec(pieces, None, "orthogonal", data)
-    with pytest.raises(ConditionViolated):
-        builders.build(spec)
+    """A base point outside its piece is refused before the cone-sum test;
+    a piece that holds its base point but is not down-closed in its frame
+    fails that test."""
+    zeros = ((0.0, 0.0), (0.0, 0.0))
+
+    def flip_spec(pieces):
+        data = builders.OrthogonalData(
+            pieces=pieces,
+            basis=EYE2,
+            coord_sets=((0, 1), (0, 1)),
+            signs=((1, 1), (-1, -1)),
+            flip=(1, 1),
+        )
+        return builders.ProblemSpec(pieces, zeros, "orthogonal", data)
+
+    low = sets.box((-1.0, -1.0), (0.0, 0.0))
+    with pytest.raises(sets.BasePointNotInSet, match=r"^base point 0 \(0, 0\) lies outside"):
+        builders.build(flip_spec((sets.box((0.5, 0.0), (1.0, 1.0)), low)))
+    thin = thin_isotone_spec().sets[1]
+    with pytest.raises(ConditionViolated, match="^piece 0: "):
+        builders.build(flip_spec((thin, low)))
 
 
 def test_isotone_probe_and_oracle_errors():
@@ -386,25 +394,26 @@ def test_isotone_probe_and_oracle_errors():
         pieces=(sets.box((0.5, 0.0), (1.0, 1.0)),),
         basis=EYE2,
         signs=((1, 1),),
-        base=((0.0, 0.0),),
     )
-    spec = builders.ProblemSpec((sets.box((0.5, 0.0), (1.0, 1.0)),), None, "isotone", bad)
-    with pytest.raises(ConditionViolated):
+    spec = builders.ProblemSpec(
+        (sets.box((0.5, 0.0), (1.0, 1.0)),), ((0.0, 0.0),), "isotone", bad
+    )
+    with pytest.raises(sets.BasePointNotInSet, match=r"^base point 0 \(0, 0\) lies outside"):
         builders.build(spec)
 
+    # the cone-sum test holds (the piece meets the frame cone in [0, 1]^2),
+    # but piece 0 has no support along -e_0 for piece 1's activation
     unbounded = builders.ProblemSpec(
-        (sets.box((0.0, 0.0), (INF, 1.0)), sets.box((-1.0, -1.0), (0.0, 0.0))),
-        None,
+        (sets.box((-INF, 0.0), (1.0, 1.0)), sets.box((-1.0, -1.0), (0.0, 0.0))),
+        ((0.0, 0.0), (0.0, 0.0)),
         "isotone",
         builders.IsotoneData(
             pieces=(sets.box((0.0, 0.0), (1.0, 1.0)), sets.box((-1.0, -1.0), (0.0, 0.0))),
             basis=EYE2,
             signs=((1, 1), (-1, -1)),
-            base=((0.0, 0.0), (0.0, 0.0)),
-            check=False,
         ),
     )
-    with pytest.raises(builders.OracleUnbounded):
+    with pytest.raises(builders.OracleUnbounded, match="piece 0 activation is unbounded"):
         builders.build(unbounded)
 
 
@@ -420,7 +429,6 @@ def test_problem_spec_refuses_a_bad_signed_frame():
         basis=((1.0, 0.0), (0.0, 1.0)),
         coord_sets=((0, 1), (0, 1)),
         signs=((1, 1), (-1, -1)),
-        base=((0.0, 0.0), (0.0, 0.0)),
         flip=(-1, -1),
     )
     for error, change in [
@@ -435,14 +443,11 @@ def test_problem_spec_refuses_a_bad_signed_frame():
     builders.ProblemSpec(pieces, None, "orthogonal", builders.OrthogonalData(**good))
 
 
-@pytest.mark.parametrize("check", [False, True])
-def test_isotone_rejects_a_skewed_frame(check):
+def test_isotone_rejects_a_skewed_frame():
     piece = sets.box((0.0, 0.0), (1.0, 1.0))
-    data = builders.IsotoneData(
-        pieces=(piece,), basis=SKEWED, signs=((1, 1),), base=((0.0, 0.0),), check=check
-    )
+    data = builders.IsotoneData(pieces=(piece,), basis=SKEWED, signs=((1, 1),))
     with pytest.raises(sets.OutOfDomain, match="orthonormal"):
-        builders.build(builders.ProblemSpec((piece,), None, "isotone", data))
+        builders.build(builders.ProblemSpec((piece,), ((0.0, 0.0),), "isotone", data))
 
 
 @pytest.mark.parametrize("flip", [None, (1, 1)])
@@ -453,9 +458,7 @@ def test_orthogonal_rejects_a_skewed_frame(flip):
         basis=SKEWED,
         coord_sets=((0, 1), (0, 1)),
         signs=((1, 1), (-1, -1)),
-        base=((0.0, 0.0), (0.0, 0.0)),
         flip=flip,
-        check=False,
     )
     with pytest.raises(sets.OutOfDomain, match="orthonormal"):
         builders.build(builders.ProblemSpec(pieces, ((0.0, 0.0),) * 2, "orthogonal", data))
@@ -466,10 +469,8 @@ HALVES = (sets.box((-1.0, -1.0), (0.0, 0.0)), sets.box((0.0, 0.0), (1.0, 1.0)))
 
 
 def short_frame_isotone_spec() -> builders.ProblemSpec:
-    data = builders.IsotoneData(
-        pieces=HALVES, basis=SHORT, signs=((-1,), (1,)), base=((0.0, 0.0),) * 2
-    )
-    return builders.ProblemSpec(HALVES, None, "isotone", data)
+    data = builders.IsotoneData(pieces=HALVES, basis=SHORT, signs=((-1,), (1,)))
+    return builders.ProblemSpec(HALVES, ((0.0, 0.0),) * 2, "isotone", data)
 
 
 def test_isotone_rejects_a_short_frame():
@@ -484,7 +485,6 @@ def test_orthogonal_rejects_a_short_frame(flip):
         basis=SHORT,
         coord_sets=((0,), (0,)),
         signs=((-1,), (1,)),
-        base=((0.0, 0.0),) * 2,
         flip=flip,
     )
     with pytest.raises(sets.DimensionMismatch, match="piece 0: the frame has 1 directions"):
@@ -492,11 +492,9 @@ def test_orthogonal_rejects_a_short_frame(flip):
 
 
 def test_isotone_rejects_a_piece_with_short_signs():
-    data = builders.IsotoneData(
-        pieces=HALVES, basis=EYE2, signs=((-1, -1), (1,)), base=((0.0, 0.0),) * 2
-    )
+    data = builders.IsotoneData(pieces=HALVES, basis=EYE2, signs=((-1, -1), (1,)))
     with pytest.raises(sets.DimensionMismatch, match="piece 1: .* 1 signs"):
-        builders.build(builders.ProblemSpec(HALVES, None, "isotone", data))
+        builders.build(builders.ProblemSpec(HALVES, ((0.0, 0.0),) * 2, "isotone", data))
 
 
 def thin_isotone_spec(eps: float = 0.01) -> builders.ProblemSpec:
@@ -508,9 +506,8 @@ def thin_isotone_spec(eps: float = 0.01) -> builders.ProblemSpec:
         pieces=(low, thin),
         basis=EYE2,
         signs=((-1, -1), (1, 1)),
-        base=((0.0, 0.0), (0.0, 0.0)),
     )
-    return builders.ProblemSpec((low, thin), None, "isotone", data)
+    return builders.ProblemSpec((low, thin), ((0.0, 0.0), (0.0, 0.0)), "isotone", data)
 
 
 def test_cone_sum_error_names_piece_direction_and_witness():
@@ -545,9 +542,21 @@ def test_translated_ex7_condition_holds_without_sampled_fallback(monkeypatch):
     spec = fixtures.ex7("plus")
     b = (0.5, -0.25, 1.0)
     moved = tuple(sets.translate(S, b) for S in spec.sets)
-    data = dataclasses.replace(spec.params, base=(b, b))
     monkeypatch.setattr(sets, "exposed_point", refuse)
-    builders.build(builders.ProblemSpec(moved, None, "isotone", data))
+    builders.build(builders.ProblemSpec(moved, (b, b), "isotone", spec.params))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [orthogonal_projection_spec(), orthogonal_flip_spec(), fixtures.ex7("plus")],
+    ids=["projection", "flip", "isotone"],
+)
+def test_frame_builders_need_base_points(spec):
+    """orthogonal in both forms and isotone read their base points from the
+    spec alone, so a spec without them cannot build."""
+    spec = builders.ProblemSpec(spec.sets, None, spec.method, spec.params)
+    with pytest.raises(builders.FamilyInvalid, match="needs one base point per disjunct"):
+        builders.build(spec)
 
 
 @pytest.mark.parametrize("variant", fixtures.REGISTRY["ex7"])

@@ -110,9 +110,8 @@ def test_build_reports_where_the_cone_sum_condition_fails(tmp_path, capsys):
         pieces=(low, thin),
         basis=((1.0, 0.0), (0.0, 1.0)),
         signs=((-1, -1), (1, 1)),
-        base=((0.0, 0.0), (0.0, 0.0)),
     )
-    spec = builders.ProblemSpec((low, thin), None, "isotone", data)
+    spec = builders.ProblemSpec((low, thin), ((0.0, 0.0), (0.0, 0.0)), "isotone", data)
     inst = tmp_path / "thin.json"
     inst.write_bytes(model.canonical_bytes(model.spec_doc(spec)))
     out = tmp_path / "m.json"
@@ -128,10 +127,8 @@ def test_build_rejects_a_short_frame_without_traceback(tmp_path, capsys):
     """A frame with fewer directions than the dimension is an error (exit 1)
     naming the piece, not an escaped IndexError."""
     halves = (sets.box((-1.0, -1.0), (0.0, 0.0)), sets.box((0.0, 0.0), (1.0, 1.0)))
-    data = builders.IsotoneData(
-        pieces=halves, basis=EYE2, signs=((-1, -1), (1, 1)), base=((0.0, 0.0),) * 2
-    )
-    doc = model.spec_doc(builders.ProblemSpec(halves, None, "isotone", data))
+    data = builders.IsotoneData(pieces=halves, basis=EYE2, signs=((-1, -1), (1, 1)))
+    doc = model.spec_doc(builders.ProblemSpec(halves, ((0.0, 0.0),) * 2, "isotone", data))
     doc["params"].update(basis=[[1.0, 0.0]], signs=[[-1], [1]])  # ProblemSpec refuses this frame
     inst = tmp_path / "short.json"
     inst.write_bytes(model.canonical_bytes(doc))
@@ -164,6 +161,16 @@ BAD_DOCUMENTS = {
         lambda d: d["params"].update(basis=[[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
         "error: directions are not orthonormal at 1e-10",
     ),
+    "base-point-outside-its-disjunct": (
+        ("ex7", "single"),
+        lambda d: d["base_points"].__setitem__(0, [1.5, 1.5, 1.5]),
+        "error: base point 0 (1.5, 1.5, 1.5) lies outside disjunct 0",
+    ),
+    "base-points-outside-both-disjuncts": (
+        ("ex7", "single"),
+        lambda d: d.update(base_points=[[9, 9, 9], [9, 9, 9]]),
+        "error: base point 0 (9, 9, 9) lies outside disjunct 0",
+    ),
 }
 
 
@@ -171,7 +178,9 @@ BAD_DOCUMENTS = {
 def test_build_refuses_out_of_domain_data_with_one_error_line(tmp_path, capsys, name):
     """Data outside its domain exits 1 with one error line.  A soc block of
     size 0 used to escape as an IndexError from the lowering, and a ball of
-    negative radius to load and fail later with a misleading message."""
+    negative radius to load and fail later with a misleading message.  ex7
+    read its base points from a params copy: base points outside its pieces
+    built, and a params copy outside them failed without naming the point."""
     (example, variant), mutate, text = BAD_DOCUMENTS[name]
     doc = json.loads(write_instance(tmp_path, example, variant).read_bytes())
     mutate(doc)
@@ -429,10 +438,9 @@ def test_build_rejects_a_malformed_flip(tmp_path, capsys):
         ((1.0, 0.0), (0.0, 1.0)),
         ((0, 1), (0, 1)),
         ((1, 1), (-1, -1)),
-        ((0.0, 0.0), (0.0, 0.0)),
         (1, 1),
     )
-    spec = builders.ProblemSpec(pieces, None, "orthogonal", data)
+    spec = builders.ProblemSpec(pieces, ((0.0, 0.0), (0.0, 0.0)), "orthogonal", data)
     doc = json.loads(model.canonical_bytes(model.spec_doc(spec)))
     inst, out = tmp_path / "inst.json", tmp_path / "m.json"
     for flip in (5, [1.5, -1]):

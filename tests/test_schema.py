@@ -56,9 +56,7 @@ PARAMS = {
     "piecewise": ("piecewise", builders.PiecewiseData((HOMOTHETY, HOMOTHETY))),
     "orthogonal_plain": (
         "orthogonal",
-        builders.OrthogonalData(
-            (SQUARE, DISK), EYE2, ((0,), (1,)), ((1, 1), (1, -1)), ((0.0, 0.0), (3.0, 0.0))
-        ),
+        builders.OrthogonalData((SQUARE, DISK), EYE2, ((0,), (1,)), ((1, 1), (1, -1))),
     ),
     "orthogonal_flip": (
         "orthogonal",
@@ -67,14 +65,12 @@ PARAMS = {
             EYE2,
             ((0, 1), (0, 1)),
             ((1, 1), (-1, -1)),
-            ((0.0, 0.0), (0.0, 0.0)),
             (1, -1),
-            False,
         ),
     ),
     "isotone_default": (
         "isotone",
-        builders.IsotoneData((SQUARE, DISK), EYE2, ((1, 1), (-1, -1)), ((0.0, 0.0), (0.0, 0.0))),
+        builders.IsotoneData((SQUARE, DISK), EYE2, ((1, 1), (-1, -1))),
     ),
     "isotone_hulls": (
         "isotone",
@@ -82,9 +78,7 @@ PARAMS = {
             (SQUARE, DISK),
             EYE2,
             ((1, 1), (-1, -1)),
-            ((0.0, 0.0), (0.0, 0.0)),
             ("free", SQUARE),
-            False,
             False,
         ),
     ),
@@ -336,10 +330,6 @@ PARAM_CASES = [
         id="orthogonal_flip-<lambda>-$.params1",
     ),
     pytest.param(
-        "orthogonal_flip", lambda p: p.update(check="yes"), "$.params.check",
-        id="orthogonal_flip-<lambda>-$.params.check",
-    ),
-    pytest.param(
         "orthogonal_flip", lambda p: p.update(signs=[[1, 1.5], [1, 1]]), "$.params.signs[0]",
         id="orthogonal_flip-<lambda>-$.params.signs[0]",
     ),
@@ -364,7 +354,7 @@ PARAM_CASES = [
         id="isotone_hulls-<lambda>-$.params.positive_part",
     ),
     pytest.param(
-        "isotone_default", lambda p: p.pop("base"), "$.params",
+        "isotone_default", lambda p: p.pop("signs"), "$.params",
         id="isotone_default-<lambda>-$.params",
     ),
     pytest.param(
@@ -418,7 +408,21 @@ def test_params_errors_name_the_path(key, mutate, path):
     assert instance_error(doc).path == path
 
 
-FLIP_SPEC = builders.ProblemSpec((SQUARE, DISK), None, *PARAMS["orthogonal_flip"])
+@pytest.mark.parametrize("key", ["orthogonal_plain", "orthogonal_flip", "isotone_default"])
+@pytest.mark.parametrize(
+    "field,value", [("base", [[0.0, 0.0], [0.0, 0.0]]), ("check", False)], ids=["base", "check"]
+)
+def test_frame_params_have_no_base_or_check_field(key, field, value):
+    """Base points live in $.base_points alone and the cone-sum test always
+    runs, so a frame params block that still carries either is refused."""
+    method, params = PARAMS[key]
+    doc = instance_doc(builders.ProblemSpec((SQUARE, DISK), None, method, params))
+    doc["params"][field] = value
+    err = instance_error(doc)
+    assert (err.path, str(err)) == ("$.params", f"$.params: unknown field {field!r}")
+
+
+FLIP_SPEC =builders.ProblemSpec((SQUARE, DISK), None, *PARAMS["orthogonal_flip"])
 BOOL_CASES = {
     # integer kind: (spec, mutation of the instance document, expected path)
     "dim": (spec_of(SQUARE), lambda d: d.update(dim=True), "$.dim"),
