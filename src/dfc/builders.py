@@ -356,10 +356,22 @@ def _cayley_row(x_names, y_names, a, c) -> Aff:
     return combo((*x_names, *y_names), (*a, *(-float(ci) for ci in c)))
 
 
-def _require_bases(spec: ProblemSpec):
+def _frame_bases(spec: ProblemSpec) -> np.ndarray:
+    """The spec's base points, each inside its disjunct at 1e-6, one per row."""
     if spec.base_points is None:
         raise FamilyInvalid("this construction needs one base point per disjunct")
-    report = sets.validate_family(spec.sets, spec.base_points)
+    for i, (S, b) in enumerate(zip(spec.sets, spec.base_points)):
+        if not sets.contains(S, b, 1e-6):
+            raise sets.BasePointNotInSet(
+                f"base point {i} {gauge_mod._point_text(b)} lies outside disjunct {i}"
+            )
+    return np.array(spec.base_points)
+
+
+def _require_bases(spec: ProblemSpec) -> None:
+    """The base points through _frame_bases, then sets.validate_family."""
+    _frame_bases(spec)
+    report = sets.validate_family(spec.sets)
     if report.verdict == "fail":
         raise FamilyInvalid(f"family validation failed: {report.detail}")
 
@@ -685,17 +697,6 @@ def build_piecewise(spec: ProblemSpec) -> Formulation:
     return _formulation("piecewise", spec, atoms, aux, dedup=True)
 
 
-def _frame_cone(basis: np.ndarray, signs) -> SetExpr:
-    """The cone spanned by the signed frame rays (zero signs pin the
-    component to zero)."""
-    n = basis.shape[1]
-    rays = [signs[j] * basis[j] for j in range(basis.shape[0]) if signs[j]]
-    origin = sets.vpoly([tuple(0.0 for _ in range(n))])
-    if not rays:
-        return origin
-    return sets.sum_cone(origin, [tuple(map(float, r)) for r in rays])
-
-
 def _support_const(S: SetExpr, d: np.ndarray, what: str) -> float:
     val = sets.support(S, d)
     if math.isinf(val):
@@ -703,26 +704,20 @@ def _support_const(S: SetExpr, d: np.ndarray, what: str) -> float:
     return val
 
 
-def _activation(x_names, y_names, u: np.ndarray, i: int, base, pieces, what: str) -> Aff:
+def _activation(x_names, y_names, u: np.ndarray, i: int, base, disjuncts, what: str) -> Aff:
     """u.x - sum_l c_l y_l, with c_i = u.base the constant of piece i itself
-    and c_l the support of piece l along u for the others."""
+    and c_l the support of disjunct l along u for the others."""
     c = [
         float(u @ base) if l == i else _support_const(S, u, f"piece {l} {what}")
-        for l, S in enumerate(pieces)
+        for l, S in enumerate(disjuncts)
     ]
     return _cayley_row(x_names, y_names, u, c)
 
 
-def _frame_bases(spec: ProblemSpec) -> np.ndarray:
-    """The spec's base points, each inside its disjunct at 1e-6, one per row."""
-    if spec.base_points is None:
-        raise FamilyInvalid("this construction needs one base point per disjunct")
-    for i, (S, b) in enumerate(zip(spec.sets, spec.base_points)):
-        if not sets.contains(S, b, 1e-6):
-            raise sets.BasePointNotInSet(
-                f"base point {i} {gauge_mod._point_text(b)} lies outside disjunct {i}"
-            )
-    return np.array(spec.base_points)
+def _bound_row(x_names, y_names, d: np.ndarray, disjuncts, what: str) -> Linear:
+    """The Cayley row d.x <= sum_l y_l h_{S_l}(d) over the disjuncts S_l."""
+    c = [_support_const(S, d, f"piece {l} {what}") for l, S in enumerate(disjuncts)]
+    return Linear(_cayley_row(x_names, y_names, d, c))
 
 
 def _check_cone_sum(pieces, basis, signs) -> None:
@@ -766,12 +761,7 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
                 GaugePlus(shifted, tuple(terms), Aff.var(y_names[i]), positive_part=False)
             )
     else:
-        t = np.asarray(data.flip, dtype=float)
         _check_cone_sum(data.pieces, data.basis, data.signs)
-        domains = []
-        for i in range(k):
-            body = sets.intersect(data.pieces[i], _frame_cone(V, data.signs[i]))
-            domains.append(sets.translate(body, bases[i]))
         for i in range(k):
             s = data.signs[i]
             terms = []
@@ -779,7 +769,7 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
                 if s[j] == 0 or s[j] * data.flip[j] != -1:
                     continue
                 u = s[j] * V[j]
-                expr = _activation(x_names, y_names, u, i, bases[i], domains, "bound")
+                expr = _activation(x_names, y_names, u, i, bases[i], spec.sets, "bound")
                 terms.append((tuple(map(float, u)), expr))
             if terms:
                 atoms.append(
@@ -788,9 +778,8 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
                     )
                 )
         for j in range(n):
-            d = -t[j] * V[j]
-            c = [_support_const(D, d, f"piece {l} sign row") for l, D in enumerate(domains)]
-            atoms.append(Linear(_cayley_row(x_names, y_names, d, c)))
+            d = -data.flip[j] * V[j]
+            atoms.append(_bound_row(x_names, y_names, d, spec.sets, "sign row"))
     return _formulation("orthogonal", spec, atoms)
 
 
@@ -866,13 +855,9 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
             GaugePlus(set_ref, tuple(terms), Aff.var(y_names[i]), data.positive_part)
         )
     for j in range(n):
-        ups, downs = [], []
-        for i, S in enumerate(disjuncts):
-            ups.append(_support_const(S, V[j], f"piece {i} upper bound"))
-            downs.append(_support_const(S, -V[j], f"piece {i} lower bound"))
-        atoms.append(Linear(_cayley_row(x_names, y_names, -V[j], downs)))
-        atoms.append(Linear(_cayley_row(x_names, y_names, V[j], ups)))
-    return _formulation("isotone", spec, atoms, dedup=True)
+        atoms.append(_bound_row(x_names, y_names, -V[j], disjuncts, "lower bound"))
+        atoms.append(_bound_row(x_names, y_names, V[j], disjuncts, "upper bound"))
+    return _formulation("isotone", spec, atoms)
 
 
 BUILDERS = {

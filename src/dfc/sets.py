@@ -818,16 +818,14 @@ class FamilyReport:
     detail: str = ""
 
 
-def validate_family(
-    sets: "list[SetExpr] | tuple[SetExpr, ...]",
-    base_points=None,
-) -> FamilyReport:
-    """Check shared dimension, nonemptiness, base membership, shared recession.
+def validate_family(sets: "list[SetExpr] | tuple[SetExpr, ...]") -> FamilyReport:
+    """Check shared dimension, nonemptiness and shared recession.
 
     Dimension disagreement raises DimensionMismatch and an empty member raises
-    EmptySet; the sampled recession comparison and base-point membership
-    produce a fail verdict with a witness instead, since they are data issues
-    a caller may want to report rather than crash on.
+    EmptySet; the sampled recession comparison produces a fail verdict with a
+    witness instead, since it is a data issue a caller may want to report
+    rather than crash on.  Base points are not its concern: the builders
+    check each against its disjunct before they call this.
     """
     members = list(sets)
     if not members:
@@ -839,12 +837,6 @@ def validate_family(
     for idx, S in enumerate(members):
         if find_point(S) is None:
             raise EmptySet(f"family member {idx} is empty")
-    if base_points is not None:
-        for idx, (S, b) in enumerate(zip(members, base_points)):
-            if not contains(S, b, 1e-6):
-                return FamilyReport(
-                    "fail", _vec(b), f"base point {idx} lies outside member {idx}"
-                )
     from . import analysis
 
     for d in analysis.sample_directions(n, FAMILY_PROBES, FAMILY_SEED, axes_first=True):

@@ -204,6 +204,19 @@ def test_base_points_required():
         builders.build(without)
 
 
+def test_extended_and_bigm_refuse_a_base_point_outside_its_disjunct():
+    """The base points go through the one check the frame builders use
+    before the family is validated, so the error names the point."""
+    disjuncts = (sets.ball([0, 0], 1.0), sets.ball([0, 0], 1.0))
+    text = r"^base point 1 \(9, 9\) lies outside disjunct 1$"
+    for method in ("extended", "bigm"):
+        spec = builders.ProblemSpec(disjuncts, ((0.0, 0.0), (9.0, 9.0)), method)
+        with pytest.raises(sets.BasePointNotInSet, match=text):
+            builders.build(spec)
+    with pytest.raises(sets.BasePointNotInSet, match=text):
+        builders.bigm_table(spec)
+
+
 # ---------------------------------------------------------------------------
 # homothetic and piecewise families
 # ---------------------------------------------------------------------------

@@ -661,10 +661,7 @@ def test_find_point_empty_intersection_is_none():
 
 
 def test_validate_family_pass_and_recession_mismatch():
-    ok = sets.validate_family(
-        [sets.ball([0, 0], 1.0), sets.box([-1, -1], [1, 1])],
-        base_points=[[0, 0], [0, 0]],
-    )
+    ok = sets.validate_family([sets.ball([0, 0], 1.0), sets.box([-1, -1], [1, 1])])
     assert ok.verdict == "pass"
 
     bad = sets.validate_family(
@@ -675,15 +672,6 @@ def test_validate_family_pass_and_recession_mismatch():
     d = np.asarray(bad.witness)
     assert sets.recession_contains(sets.box([0, 0], [math.inf, 1]), d)
     assert not sets.recession_contains(sets.box([0, 0], [1, 1]), d)
-
-
-def test_validate_family_base_point_outside_fails():
-    rep = sets.validate_family(
-        [sets.ball([0, 0], 1.0), sets.ball([0, 0], 1.0)],
-        base_points=[[0, 0], [9, 9]],
-    )
-    assert rep.verdict == "fail"
-    assert rep.witness == (9.0, 9.0)
 
 
 def test_validate_family_errors():
