@@ -150,7 +150,8 @@ class BigMData:
 @dataclass(frozen=True)
 class OrthogonalData:
     """Signed-frame data: pieces[i] is the untranslated body, basis rows an
-    orthonormal frame, coord_sets a disjoint cover of frame indices, signs
+    orthonormal frame, coord_sets the frame indices each piece owns (a
+    partition of them in the projection form), signs
     the per-piece ray signs, flip the global frame orientation (None selects
     the plain projection construction, which uses no flip and no sign rows).
     The base points are the spec's base_points.
@@ -736,10 +737,17 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
     """Signed-frame gauge construction.
 
     With a flip vector: one positive-part gauge atom per piece over its
-    untranslated body plus one sign row per frame direction, all constants
-    from support oracles.  Without a flip vector: the plain projection form,
-    one gauge atom per disjunct over the frame coordinates it owns, no sign
-    rows and no positive parts.
+    untranslated body P_i plus one sign row per frame direction.  The model
+    describes the disjuncts b_i + (P_i & K_i) + cone{t_j v_j}, with K_i the
+    cone of piece i's signed frame; every constant is a support value of a
+    disjunct in spec.sets, and the cone-sum test runs on the bodies.
+
+    Without a flip vector: the plain projection form, one gauge atom per
+    disjunct over the frame coordinates it owns, no sign rows and no
+    positive parts.  It is valid exactly when coord_sets owns each frame
+    direction once and each disjunct is bounded and lies in the span of the
+    directions it owns, and it raises FamilyInvalid otherwise
+    (OracleUnbounded for an unbounded disjunct).
     """
     data = spec.params
     if not isinstance(data, OrthogonalData):
@@ -751,7 +759,16 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
     atoms = []
 
     if data.flip is None:
+        if sorted(j for J in data.coord_sets for j in J) != list(range(n)):
+            raise FamilyInvalid("the projection form needs coord_sets to own each direction once")
         for i, b in enumerate(bases):
+            for j in range(n):
+                reach = max(_support_const(spec.sets[i], d, f"piece {i}") for d in (V[j], -V[j]))
+                if j not in data.coord_sets[i] and reach > sets.SUPPORT_EQ_TOL:
+                    raise FamilyInvalid(
+                        f"piece {i} reaches {reach:g} along frame direction {j}, "
+                        "which it does not own"
+                    )
             terms = []
             for j in data.coord_sets[i]:
                 expr = _cayley_row(x_names, y_names[i : i + 1], V[j], (V[j] @ b,))
@@ -822,7 +839,8 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
     the frame coordinates, shifted by oracle-computed activation constants.
     Per frame direction: lower and upper bound rows mixing the disjuncts'
     extreme coordinate values.  A declared hull replaces a piece's gauge by
-    the hull's gauge intersected with the per-direction half-spaces.
+    the hull's gauge intersected with the per-direction half-spaces.  The
+    cone-sum test runs on the body each gauge atom holds.
     """
     data = spec.params
     if not isinstance(data, IsotoneData):
@@ -831,7 +849,6 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
     V = np.asarray(data.basis, dtype=float)
     disjuncts = spec.sets
     bases = _frame_bases(spec)
-    _check_cone_sum([_shifted(S, b) for S, b in zip(disjuncts, bases)], data.basis, data.signs)
     x_names, y_names = _xy_names(spec)
     atoms = []
     for i, bi in enumerate(bases):
@@ -854,6 +871,7 @@ def build_isotone_general(spec: ProblemSpec) -> Formulation:
         atoms.append(
             GaugePlus(set_ref, tuple(terms), Aff.var(y_names[i]), data.positive_part)
         )
+    _check_cone_sum([a.set_ref for a in atoms], data.basis, data.signs)
     for j in range(n):
         atoms.append(_bound_row(x_names, y_names, -V[j], disjuncts, "lower bound"))
         atoms.append(_bound_row(x_names, y_names, V[j], disjuncts, "upper bound"))

@@ -96,9 +96,10 @@ def homothetic_spec() -> builders.ProblemSpec:
 
 
 def orthogonal_projection_spec() -> builders.ProblemSpec:
-    """Two diagonal unit boxes, each owning one frame coordinate (no flip)."""
-    disjuncts = (sets.box((0.0, 0.0), (1.0, 1.0)), sets.box((2.0, 2.0), (3.0, 3.0)))
-    bases = ((0.0, 0.0), (2.0, 2.0))
+    """Two unit segments, each lying on the frame coordinate it owns (no
+    flip)."""
+    disjuncts = (sets.box((0.0, 0.0), (1.0, 0.0)), sets.box((0.0, 2.0), (0.0, 3.0)))
+    bases = ((0.0, 0.0), (0.0, 2.0))
     data = builders.OrthogonalData(
         pieces=disjuncts,
         basis=EYE2,
@@ -110,8 +111,15 @@ def orthogonal_projection_spec() -> builders.ProblemSpec:
 
 
 def orthogonal_flip_spec() -> builders.ProblemSpec:
-    """The positive and negative unit quadrant boxes under flip (1, 1)."""
+    """The positive and negative unit quadrant boxes as pieces under flip
+    (1, 1).  The disjuncts are the pieces plus the flip cone, the quadrants
+    [0, inf)^2 and [-1, inf)^2, since that is the family the flip form
+    models."""
     pieces = (sets.box((0.0, 0.0), (1.0, 1.0)), sets.box((-1.0, -1.0), (0.0, 0.0)))
+    disjuncts = (
+        sets.box((0.0, 0.0), (math.inf, math.inf)),
+        sets.box((-1.0, -1.0), (math.inf, math.inf)),
+    )
     data = builders.OrthogonalData(
         pieces=pieces,
         basis=EYE2,
@@ -119,7 +127,7 @@ def orthogonal_flip_spec() -> builders.ProblemSpec:
         signs=((1, 1), (-1, -1)),
         flip=(1, 1),
     )
-    return builders.ProblemSpec(pieces, ((0.0, 0.0), (0.0, 0.0)), "orthogonal", data)
+    return builders.ProblemSpec(disjuncts, ((0.0, 0.0), (0.0, 0.0)), "orthogonal", data)
 
 
 def bigm_computed_spec() -> builders.ProblemSpec:

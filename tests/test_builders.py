@@ -376,6 +376,48 @@ def test_orthogonal_flip_form_structure_and_validity():
         x = w * p + (1.0 - w) * q
         env = {"x0": x[0], "x1": x[1], "y0": w, "y1": 1.0 - w}
         assert analysis.relaxation_max_violation(form, env) <= 1e-7
+    # the y = e_0 slice is the disjunct [0, inf)^2, not all of R^2
+    env = {"x0": -0.5, "x1": 0.2, "y0": 1.0, "y1": 0.0}
+    assert analysis.relaxation_max_violation(form, env) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize(
+    "spec", [orthogonal_projection_spec, orthogonal_flip_spec], ids=["projection", "flip"]
+)
+def test_orthogonal_fixtures_read_not_refuted(spec):
+    """Each fixture states the disjuncts its model describes.  The flip
+    fixture used to state only its pieces, so every check read fail with
+    relaxation value inf on every witness."""
+    form = builders.build(spec())
+    for check in (analysis.check_sharp, analysis.check_ideal, analysis.check_minkowski_ideal):
+        report = check(form, count=24, seed=SEED)
+        assert report.verdict == "not-refuted", report
+
+
+def test_orthogonal_projection_form_refuses_a_family_it_cannot_model():
+    """The projection form is valid exactly when coord_sets owns each frame
+    direction once and each disjunct is bounded and lies in the span of the
+    directions it owns.  The diagonal boxes [0,1]^2 and [2,3]^2 used to build
+    a model whose y = e_0 slice was [0,1] x {0}."""
+
+    def projection(disjuncts, bases, coord_sets):
+        data = builders.OrthogonalData(
+            pieces=disjuncts, basis=EYE2, coord_sets=coord_sets, signs=((1, 1), (1, 1))
+        )
+        return builders.ProblemSpec(disjuncts, bases, "orthogonal", data)
+
+    diagonal = (sets.box((0.0, 0.0), (1.0, 1.0)), sets.box((2.0, 2.0), (3.0, 3.0)))
+    with pytest.raises(
+        builders.FamilyInvalid, match="^piece 0 reaches 1 along frame direction 1, "
+    ):
+        builders.build(projection(diagonal, ((0.0, 0.0), (2.0, 2.0)), ((0,), (1,))))
+    segments, bases = orthogonal_projection_spec().sets, ((0.0, 0.0), (0.0, 2.0))
+    for coord_sets in (((0, 1), (1,)), ((0,), ())):
+        with pytest.raises(builders.FamilyInvalid, match="own each direction once"):
+            builders.build(projection(segments, bases, coord_sets))
+    ray = (sets.box((0.0, 0.0), (INF, 0.0)), segments[1])
+    with pytest.raises(builders.OracleUnbounded, match="^piece 0 is unbounded"):
+        builders.build(projection(ray, bases, ((0,), (1,))))
 
 
 def test_orthogonal_flip_probe_rejects_escaping_piece():
@@ -400,6 +442,30 @@ def test_orthogonal_flip_probe_rejects_escaping_piece():
     thin = thin_isotone_spec().sets[1]
     with pytest.raises(ConditionViolated, match="^piece 0: "):
         builders.build(flip_spec((thin, low)))
+
+
+def test_isotone_checks_the_cone_sum_condition_on_the_bodies_it_emits():
+    """The disjuncts are down-closed boxes, but piece 0's body is the thin
+    piece, which is not.  The test used to run on the disjuncts alone, and
+    the model's y = e_0 slice cut off (0.2, 0.9) of disjunct 0."""
+    low = sets.box((-1.0, -1.0), (0.0, 0.0))
+    data = builders.IsotoneData(
+        pieces=(thin_isotone_spec().sets[1], low), basis=EYE2, signs=((1, 1), (-1, -1))
+    )
+    disjuncts = (sets.box((0.0, 0.0), (1.0, 1.0)), low)
+    spec = builders.ProblemSpec(disjuncts, ((0.0, 0.0), (0.0, 0.0)), "isotone", data)
+    text = r"^piece 0: .* frame direction 0: the point \(0, 0\.51\) of K is outside"
+    with pytest.raises(ConditionViolated, match=text):
+        builders.build(spec)
+
+
+@pytest.mark.parametrize("variant", fixtures.REGISTRY["ex7"])
+def test_isotone_atoms_have_no_duplicates(variant):
+    """isotone builds without a dedup pass: each GaugePlus has its own
+    right-hand side y_i, and the +-v_j bound rows of an orthonormal frame
+    differ."""
+    form = builders.build(fixtures.ex7(variant))
+    assert builders.dedup_atoms(form.atoms) == (form.atoms, 0)
 
 
 def test_isotone_probe_and_oracle_errors():

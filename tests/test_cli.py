@@ -171,6 +171,11 @@ BAD_DOCUMENTS = {
         lambda d: d.update(base_points=[[9, 9, 9], [9, 9, 9]]),
         "error: base point 0 (9, 9, 9) lies outside disjunct 0",
     ),
+    "extended-base-point-outside-its-disjunct": (
+        ("ex1", "extended"),
+        lambda d: d["base_points"].__setitem__(1, [9, 9]),
+        "error: base point 1 (9, 9) lies outside disjunct 1",
+    ),
 }
 
 
