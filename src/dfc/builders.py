@@ -151,10 +151,10 @@ class BigMData:
 class OrthogonalData:
     """Signed-frame data: pieces[i] is the untranslated body, basis rows an
     orthonormal frame, coord_sets the frame indices each piece owns (a
-    partition of them in the projection form), signs
-    the per-piece ray signs, flip the global frame orientation (None selects
-    the plain projection construction, which uses no flip and no sign rows).
-    The base points are the spec's base_points.
+    partition of them in the projection form), signs the per-piece ray
+    signs, flip the global frame orientation (None selects the plain
+    projection construction, which uses no flip and no sign rows).  The
+    base points are the spec's base_points.
     """
 
     pieces: tuple
@@ -738,9 +738,10 @@ def build_orthogonal(spec: ProblemSpec) -> Formulation:
 
     With a flip vector: one positive-part gauge atom per piece over its
     untranslated body P_i plus one sign row per frame direction.  The model
-    describes the disjuncts b_i + (P_i & K_i) + cone{t_j v_j}, with K_i the
-    cone of piece i's signed frame; every constant is a support value of a
-    disjunct in spec.sets, and the cone-sum test runs on the bodies.
+    describes the disjuncts b_i + Q_i + cone{t_j v_j}, with Q_i the part of
+    P_i in the cone of piece i's signed frame; every constant is a support
+    value of a disjunct in spec.sets, and the cone-sum test runs on the
+    bodies.
 
     Without a flip vector: the plain projection form, one gauge atom per
     disjunct over the frame coordinates it owns, no sign rows and no
